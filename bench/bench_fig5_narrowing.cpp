@@ -3,8 +3,8 @@
 // Fig. 5 walks through the operand bit-sequence search: the first FFMA
 // instance (operand R9) yields candidate windows; the second (operand R5)
 // narrows them until only the true field survives. The report replays that
-// walkthrough; the benchmark times the component narrowing primitive,
-// which dominates analysis cost.
+// walkthrough; the benchmarks time the component narrowing primitive on
+// 64- and 128-bit words for the register, integer and float kind lists.
 //
 //===----------------------------------------------------------------------===//
 
@@ -64,13 +64,37 @@ void report() {
               TrueFieldSurvives ? "yes" : "NO", DecoysDead ? "yes" : "NO");
 }
 
-void BM_NarrowOneInstance(benchmark::State &State) {
-  BitString Word(64);
-  Word.setField(2, 8, 9);
+/// The analyzer's kind lists by bench argument: 0 = a register ({Plain}),
+/// 1 = an integer literal ({Plain, Signed}), 2 = a float literal
+/// ({Float32Hi, Float64Hi}).
+const std::vector<InterpKind> &benchKinds(int64_t List) {
+  return interpKindsFor(List == 0 ? 'r' : List == 1 ? 'i' : 'f', 0, "FFMA");
+}
+
+/// A component value for kind list \p List and its word of \p Bits bits
+/// with the value planted at its true field: bits 2..9 for the integer
+/// lists, the top 20 bits of the float at bits 20..39 for the float list.
+std::pair<CompValue, BitString> benchInstance(int64_t List, unsigned Bits,
+                                              int64_t Value) {
   CompValue V;
-  V.IsReg = true;
-  V.Int = 9;
-  std::vector<InterpKind> Kinds = {InterpKind::Plain};
+  BitString Word(Bits);
+  if (List == 2) {
+    V.Float = static_cast<double>(Value) + 0.5;
+    uint64_t Top;
+    interpEncode(InterpKind::Float32Hi, V, 20, Top);
+    Word.setField(20, 20, Top);
+  } else {
+    V.IsReg = List == 0;
+    V.Int = Value;
+    Word.setField(2, 8, static_cast<uint64_t>(Value));
+  }
+  return {V, Word};
+}
+
+void BM_NarrowOneInstance(benchmark::State &State) {
+  const auto &Kinds = benchKinds(State.range(1));
+  auto [V, Word] = benchInstance(State.range(1),
+                                 static_cast<unsigned>(State.range(0)), 9);
   for (auto _ : State) {
     ComponentRec Comp;
     Comp.narrow(Word, V, Kinds);
@@ -81,24 +105,16 @@ void BM_NarrowOneInstance(benchmark::State &State) {
 void BM_NarrowConvergedComponent(benchmark::State &State) {
   // Steady-state narrowing (already-converged component): the common case
   // when analyzing a large listing.
-  BitString Word(64);
-  Word.setField(2, 8, 9);
-  CompValue V;
-  V.IsReg = true;
-  std::vector<InterpKind> Kinds = {InterpKind::Plain};
+  const auto &Kinds = benchKinds(State.range(1));
+  const unsigned Bits = static_cast<unsigned>(State.range(0));
   ComponentRec Comp;
-  for (int64_t Value : {9, 5, 200, 13, 1})
-    for (unsigned B = 0; B < 1; ++B) {
-      V.Int = Value;
-      BitString W(64);
-      W.setField(2, 8, static_cast<uint64_t>(Value));
-      Comp.narrow(W, V, Kinds);
-    }
+  for (int64_t Value : {9, 5, 200, 13, 1}) {
+    auto [V, Word] = benchInstance(State.range(1), Bits, Value);
+    Comp.narrow(Word, V, Kinds);
+  }
+  auto [V, Word] = benchInstance(State.range(1), Bits, 77);
   for (auto _ : State) {
-    V.Int = 77;
-    BitString W(64);
-    W.setField(2, 8, 77);
-    Comp.narrow(W, V, Kinds);
+    Comp.narrow(Word, V, Kinds);
     benchmark::DoNotOptimize(Comp);
   }
 }
@@ -116,8 +132,12 @@ void BM_AnalyzeInstFullPipeline(benchmark::State &State) {
 
 } // namespace
 
-BENCHMARK(BM_NarrowOneInstance);
-BENCHMARK(BM_NarrowConvergedComponent);
+BENCHMARK(BM_NarrowOneInstance)
+    ->ArgsProduct({{64, 128}, {0, 1, 2}})
+    ->ArgNames({"bits", "kinds"});
+BENCHMARK(BM_NarrowConvergedComponent)
+    ->ArgsProduct({{64, 128}, {0, 1, 2}})
+    ->ArgNames({"bits", "kinds"});
 BENCHMARK(BM_AnalyzeInstFullPipeline);
 
 int main(int argc, char **argv) {

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <unordered_map>
 #include <unordered_set>
 
 using namespace dcb;
@@ -30,18 +31,29 @@ struct FlipTelemetry {
   telemetry::Histogram &RoundNs = telemetry::histogram("bitflip.round_ns");
 } FlipTel;
 
-/// Serializes a word into little-endian bytes at \p Offset of \p Code.
-void writeWord(std::vector<uint8_t> &Code, uint64_t Offset,
-               const BitString &Word) {
-  assert(Offset + Word.size() / 8 <= Code.size() && "patch out of range");
-  Word.toBytes(Code.data() + Offset);
-}
+using KernelEntry = std::map<std::string, std::vector<uint8_t>>::value_type;
 
-/// Dedup-cache key for one variant: the patch site plus the patched word.
-std::string variantKey(const std::string &Kernel, uint64_t Addr,
-                       const BitString &Word) {
-  return Kernel + '@' + std::to_string(Addr) + ':' + Word.toHex();
-}
+/// Dedup-cache key for one variant: the patch site (kernel entry and
+/// address) plus the patched word, up to 128 bits as two halves.
+struct VariantKey {
+  const KernelEntry *Kernel;
+  uint64_t Addr;
+  uint64_t Lo;
+  uint64_t Hi;
+
+  bool operator==(const VariantKey &) const = default;
+};
+
+struct VariantKeyHash {
+  size_t operator()(const VariantKey &K) const {
+    uint64_t H = reinterpret_cast<uintptr_t>(K.Kernel);
+    for (uint64_t Part : {K.Addr, K.Lo, K.Hi}) {
+      H = (H ^ Part) * 0x9e3779b97f4a7c15ull;
+      H ^= H >> 32;
+    }
+    return static_cast<size_t>(H);
+  }
+};
 
 } // namespace
 
@@ -53,19 +65,23 @@ struct BitFlipper::Trial {
 
 BitFlipper::Trial BitFlipper::runTrial(const std::string &KernelName,
                                        std::vector<uint8_t> &Code,
-                                       uint64_t Addr,
-                                       const BitString &Variant) const {
+                                       uint64_t Addr, const BitString &Word,
+                                       unsigned FlipBit) const {
   Trial T;
-  const unsigned PatchBytes = Variant.size() / 8;
+  const unsigned PatchBytes = Word.size() / 8;
   if (Addr + PatchBytes > Code.size())
     return T; // Rejected: the exemplar does not fit this kernel.
 
   // Patch in place and restore on every exit path — \p Code is a reusable
-  // per-lane scratch buffer, not a throwaway copy.
+  // per-lane scratch buffer, not a throwaway copy. The word's bytes are
+  // little-endian, so its bit FlipBit is bit FlipBit % 8 of byte
+  // FlipBit / 8.
   uint8_t Saved[16];
   assert(PatchBytes <= sizeof(Saved) && "word wider than 128 bits");
+  assert(FlipBit < Word.size() && "flip outside the word");
   std::copy_n(Code.begin() + Addr, PatchBytes, Saved);
-  writeWord(Code, Addr, Variant);
+  Word.toBytes(Code.data() + Addr);
+  Code[Addr + FlipBit / 8] ^= uint8_t(1u << (FlipBit % 8));
 
   if (WindowDec) {
     // Print-free fast path: consume the decoded instruction directly,
@@ -128,13 +144,13 @@ std::vector<BitFlipper::RoundStats> BitFlipper::run(
 
   // Per-lane patchable copies of each kernel's code, created on first use
   // and restored after every trial, so no variant pays a whole-kernel copy.
-  std::vector<std::map<std::string, std::vector<uint8_t>>> LaneCode(
-      Pool.numThreads());
+  std::vector<std::unordered_map<const KernelEntry *, std::vector<uint8_t>>>
+      LaneCode(Pool.numThreads());
 
   // Variants already trialled this run. Rounds re-enumerate every
   // exemplar, but a variant's trial outcome cannot change within a run,
   // so re-disassembling it would be pure waste.
-  std::unordered_set<std::string> Tried;
+  std::unordered_set<VariantKey, VariantKeyHash> Tried;
 
   for (unsigned Round = 0; Round < Opts.MaxRounds; ++Round) {
     telemetry::ScopedSpan RoundSpan("bitflip.round");
@@ -144,17 +160,18 @@ std::vector<BitFlipper::RoundStats> BitFlipper::run(
     // Snapshot the exemplars first: analyzing variants mutates the
     // operation map we are iterating conceptually.
     struct Exemplar {
-      std::string Kernel;
+      const KernelEntry *Kernel;
       uint64_t Addr;
       BitString Word;
       std::vector<bool> SkipBits;
     };
     std::vector<Exemplar> Exemplars;
     for (const auto &[Key, Op] : Analyzer.database().operations()) {
-      if (Op.ExemplarWord.empty() || !KernelCode.count(Op.ExemplarKernel))
+      auto Kernel = KernelCode.find(Op.ExemplarKernel);
+      if (Op.ExemplarWord.empty() || Kernel == KernelCode.end())
         continue;
       Exemplar E;
-      E.Kernel = Op.ExemplarKernel;
+      E.Kernel = &*Kernel;
       E.Addr = Op.ExemplarAddr;
       E.Word = Op.ExemplarWord;
       if (Opts.SkipConsistentBits)
@@ -167,22 +184,25 @@ std::vector<BitFlipper::RoundStats> BitFlipper::run(
     // before any work is queued.
     struct Job {
       const Exemplar *E;
-      BitString Variant;
+      unsigned Bit;
     };
     std::vector<Job> Jobs;
     for (const Exemplar &E : Exemplars) {
-      unsigned Limit = std::min<unsigned>(Opts.MaxFlipBit, E.Word.size());
+      const unsigned Bits = E.Word.size();
+      const uint64_t Lo = E.Word.field(0, std::min(64u, Bits));
+      const uint64_t Hi = Bits > 64 ? E.Word.field(64, Bits - 64) : 0;
+      unsigned Limit = std::min(Opts.MaxFlipBit, Bits);
       for (unsigned Bit = 0; Bit < Limit; ++Bit) {
         if (!E.SkipBits.empty() && E.SkipBits[Bit])
           continue;
-        BitString Variant = E.Word;
-        Variant.flip(Bit);
         ++Stats.VariantsTried;
-        if (!Tried.insert(variantKey(E.Kernel, E.Addr, Variant)).second) {
+        VariantKey Key{E.Kernel, E.Addr, Lo, Hi};
+        (Bit < 64 ? Key.Lo : Key.Hi) ^= uint64_t(1) << (Bit % 64);
+        if (!Tried.insert(Key).second) {
           ++Stats.CacheHits;
           continue;
         }
-        Jobs.push_back(Job{&E, std::move(Variant)});
+        Jobs.push_back(Job{&E, Bit});
       }
     }
 
@@ -192,12 +212,12 @@ std::vector<BitFlipper::RoundStats> BitFlipper::run(
     {
       telemetry::ScopedSpan TrialsSpan("bitflip.trials");
       Pool.parallelFor(Jobs.size(), [&](unsigned Lane, size_t Idx) {
-        const Job &J = Jobs[Idx];
-        auto &Scratch = LaneCode[Lane];
-        auto It = Scratch.find(J.E->Kernel);
-        if (It == Scratch.end())
-          It = Scratch.emplace(J.E->Kernel, KernelCode.at(J.E->Kernel)).first;
-        Trials[Idx] = runTrial(J.E->Kernel, It->second, J.E->Addr, J.Variant);
+        const Exemplar &E = *Jobs[Idx].E;
+        auto [It, Fresh] = LaneCode[Lane].try_emplace(E.Kernel);
+        if (Fresh)
+          It->second = E.Kernel->second;
+        Trials[Idx] = runTrial(E.Kernel->first, It->second, E.Addr, E.Word,
+                               Jobs[Idx].Bit);
       });
     }
 
@@ -215,7 +235,7 @@ std::vector<BitFlipper::RoundStats> BitFlipper::run(
         break;
       case Trial::Accept: {
         size_t Before = Analyzer.database().operations().size();
-        Analyzer.analyzeInst(T.Pair, Jobs[Idx].E->Kernel);
+        Analyzer.analyzeInst(T.Pair, Jobs[Idx].E->Kernel->first);
         if (Analyzer.database().operations().size() > Before)
           ++Stats.NewOperations;
         ++Stats.Accepted;

@@ -28,7 +28,9 @@
 ///    serially in (exemplar, bit) order, so the learned database is
 ///    bit-for-bit identical for every Options::NumThreads value;
 ///  - a per-run dedup cache keyed on (kernel, address, word) skips variants
-///    already trialled in an earlier round — their outcome cannot change;
+///    already trialled in an earlier round — their outcome cannot change.
+///    The key is integers only: the kernel's KernelCode entry, the address
+///    and the word's two 64-bit halves, so a repeat costs no string work;
 ///  - patches go into reusable per-lane scratch buffers with save/restore
 ///    of the patched word, instead of copying whole kernels per variant;
 ///  - when the caller provides a WindowDisassembler, only the one-word
@@ -147,12 +149,12 @@ private:
   /// merged on the caller's thread.
   struct Trial;
 
-  /// Patches \p Variant into \p Code at \p Addr (restoring the original
-  /// word before returning), disassembles, and extracts the pair at the
-  /// patched address. Touches no analyzer state: safe to run concurrently
-  /// as long as each lane owns its \p Code buffer.
+  /// Patches \p Word with bit \p FlipBit flipped into \p Code at \p Addr
+  /// (restoring the original word before returning), disassembles, and
+  /// extracts the pair at the patched address. Touches no analyzer state:
+  /// safe to run concurrently as long as each lane owns its \p Code buffer.
   Trial runTrial(const std::string &KernelName, std::vector<uint8_t> &Code,
-                 uint64_t Addr, const BitString &Variant) const;
+                 uint64_t Addr, const BitString &Word, unsigned FlipBit) const;
 };
 
 } // namespace analyzer

@@ -43,7 +43,8 @@ void IsaAnalyzer::analyzeInst(const ListingInst &Pair,
       (Inst.GuardNegated ? 8 : 0) | static_cast<int64_t>(Inst.GuardPredicate);
   GuardValue.InstAddr = Pair.Address;
   GuardValue.WordBytes = Db.wordBits() / 8;
-  Op.Guard.narrow(Binary, GuardValue, {InterpKind::Plain});
+  static const std::vector<InterpKind> GuardKinds = {InterpKind::Plain};
+  Op.Guard.narrow(Binary, GuardValue, GuardKinds);
 
   // Modifiers, keyed by (name, occurrence among same-type modifiers) so
   // ordered repeats bind to distinct records (Algorithm 1, lines 12-19).

@@ -120,7 +120,10 @@ struct ComponentRec {
   unsigned Instances = 0;
 
   /// Narrows against one instance. \p Kinds lists the interpretations this
-  /// component may use (fixed per operand kind).
+  /// component may use (fixed per operand kind). Costs one window
+  /// extraction per start bit that still has a live width: the integer
+  /// interpretations match a contiguous range of widths computed in closed
+  /// form, and only the float interpretations compare width by width.
   void narrow(const BitString &Word, const CompValue &Value,
               const std::vector<InterpKind> &Kinds);
 
@@ -177,9 +180,10 @@ unsigned componentCountFor(char Sig);
 
 /// The interpretation kinds applicable to component \p CompIdx of an
 /// operand with signature char \p Sig in an instruction whose mnemonic is
-/// \p Mnemonic (control-flow literals use RelNext; see §III-A).
-std::vector<InterpKind> interpKindsFor(char Sig, unsigned CompIdx,
-                                       const std::string &Mnemonic);
+/// \p Mnemonic (control-flow literals use RelNext; see §III-A). The list
+/// is one of five static lists, so the call allocates nothing.
+const std::vector<InterpKind> &interpKindsFor(char Sig, unsigned CompIdx,
+                                              const std::string &Mnemonic);
 
 /// Whether \p Mnemonic is a control-transfer instruction whose literal
 /// operand is an absolute address in assembly but PC-relative in binary.

@@ -12,6 +12,14 @@ using namespace dcb::sass;
 
 namespace {
 
+/// The two's-complement value of a literal with magnitude \p Magnitude,
+/// negated in unsigned arithmetic so "-0x8000000000000000" is INT64_MIN
+/// rather than a signed overflow.
+int64_t applySign(bool Negative, uint64_t Magnitude) {
+  return static_cast<int64_t>(Negative ? uint64_t(0) - Magnitude
+                                       : Magnitude);
+}
+
 /// Character-level parser over one instruction's text.
 class InstParser {
 public:
@@ -235,8 +243,7 @@ Expected<Operand> InstParser::parseNumberOrShape(bool Negative) {
     std::optional<uint64_t> V = parseUInt("0x" + HexBody);
     if (!V)
       return error("bad hex literal");
-    int64_t Value = static_cast<int64_t>(*V);
-    return Operand::makeIntImm(Negative ? -Value : Value);
+    return Operand::makeIntImm(applySign(Negative, *V));
   }
 
   // Decimal digits.
@@ -289,8 +296,7 @@ Expected<Operand> InstParser::parseNumberOrShape(bool Negative) {
   std::optional<uint64_t> V = parseUInt(Body);
   if (!V)
     return error("bad integer literal");
-  int64_t Value = static_cast<int64_t>(*V);
-  return Operand::makeIntImm(Negative ? -Value : Value);
+  return Operand::makeIntImm(applySign(Negative, *V));
 }
 
 Expected<Operand> InstParser::parseMemory() {
@@ -495,8 +501,7 @@ Expected<int64_t> InstParser::parseIntLiteral() {
   std::optional<uint64_t> V = parseUInt(Body);
   if (!V)
     return Failure("bad integer literal '" + Body + "'");
-  int64_t Value = static_cast<int64_t>(*V);
-  return Negative ? -Value : Value;
+  return applySign(Negative, *V);
 }
 
 } // namespace

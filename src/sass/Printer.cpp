@@ -13,8 +13,9 @@ using namespace dcb::sass;
 namespace {
 
 std::string printIntValue(int64_t V) {
+  // Negate in unsigned arithmetic: INT64_MIN prints as -0x8000000000000000.
   if (V < 0)
-    return "-" + toHexString(static_cast<uint64_t>(-V));
+    return "-" + toHexString(uint64_t(0) - static_cast<uint64_t>(V));
   return toHexString(static_cast<uint64_t>(V));
 }
 

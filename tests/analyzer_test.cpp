@@ -1,5 +1,7 @@
 //===- tests/analyzer_test.cpp - ISA analyzer end-to-end -------------------===//
 
+#include "LearnedDb.h"
+
 #include "analyzer/BitFlipper.h"
 #include "analyzer/IsaAnalyzer.h"
 #include "analyzer/Listing.h"
@@ -8,11 +10,18 @@
 #include "asmgen/TableAssembler.h"
 
 #include "sass/Parser.h"
+#include "support/FileIo.h"
+#include "support/Rng.h"
 #include "vendor/CuobjdumpSim.h"
 #include "vendor/NvccSim.h"
 #include "workloads/Suite.h"
 
 #include <gtest/gtest.h>
+
+#include <bit>
+#include <cmath>
+#include <limits>
+#include <sstream>
 
 using namespace dcb;
 using namespace dcb::analyzer;
@@ -48,36 +57,9 @@ SuiteData makeSuiteData(Arch A) {
   return Data;
 }
 
-KernelDisassembler makeDisassembler(Arch A) {
-  return [A](const std::string &Name, const std::vector<uint8_t> &Code) {
-    return vendor::disassembleKernelCode(A, Name, Code);
-  };
-}
-
-WindowDisassembler makeWindowDisassembler(Arch A) {
-  return [A](const std::string &Name, const std::vector<uint8_t> &Code,
-             uint64_t Addr) {
-    return vendor::disassembleInstructionAt(A, Name, Code, Addr);
-  };
-}
-
-WindowDecoder makeWindowDecoder(Arch A) {
-  return [A](const std::string &Name, const std::vector<uint8_t> &Code,
-             uint64_t Addr) -> Expected<WindowDecode> {
-    Expected<vendor::DecodedWord> W =
-        vendor::decodeInstructionAt(A, Name, Code, Addr);
-    if (!W)
-      return W.takeError();
-    WindowDecode D;
-    if (!W->IsSchi) {
-      D.HasPair = true;
-      D.Pair.Address = W->Address;
-      D.Pair.Inst = std::move(W->Inst);
-      D.Pair.Binary = std::move(W->Word);
-    }
-    return D;
-  };
-}
+using learneddb::makeDisassembler;
+using learneddb::makeWindowDecoder;
+using learneddb::makeWindowDisassembler;
 
 } // namespace
 
@@ -183,6 +165,234 @@ TEST(ComponentSearch, RelativeAddressInterpretation) {
   for (auto [B, S] : Windows)
     Found |= (B == 20 && S == 24);
   EXPECT_TRUE(Found);
+}
+
+namespace {
+
+using WidthMasks = std::array<std::vector<uint64_t>, NumInterpKinds>;
+
+/// The window search as Algorithm 2 states it: every live (start bit,
+/// width) pair asks interpEncode for the window content and compares.
+/// The differential oracle for ComponentRec::narrow's closed form.
+void narrowPerWidth(WidthMasks &WidthMask, bool First, const BitString &Word,
+                    const CompValue &Value,
+                    const std::vector<InterpKind> &Kinds) {
+  unsigned WordBits = Word.size();
+  if (First)
+    for (InterpKind Kind : Kinds)
+      WidthMask[static_cast<unsigned>(Kind)].assign(WordBits, 0);
+  for (InterpKind Kind : Kinds) {
+    auto &Masks = WidthMask[static_cast<unsigned>(Kind)];
+    for (unsigned B = 0; B < WordBits; ++B) {
+      uint64_t Previous = First ? ~uint64_t(0) : Masks[B];
+      if (Previous == 0)
+        continue;
+      uint64_t Matched = 0;
+      unsigned MaxWidth = std::min<unsigned>(64, WordBits - B);
+      for (unsigned W = 1; W <= MaxWidth; ++W) {
+        if (!(Previous & (uint64_t(1) << (W - 1))))
+          continue;
+        uint64_t Wanted;
+        if (interpEncode(Kind, Value, W, Wanted) &&
+            Word.field(B, W) == Wanted)
+          Matched |= uint64_t(1) << (W - 1);
+      }
+      Masks[B] = Matched;
+    }
+  }
+}
+
+/// An integer drawn from the edges (0, +-1, INT64_MIN/MAX) or at a random
+/// bit width, either sign.
+int64_t randomInt(Rng &R) {
+  switch (R.below(6)) {
+  case 0:
+    return static_cast<int64_t>(R.below(3)) - 1;
+  case 1:
+    return R.chance(50) ? std::numeric_limits<int64_t>::min()
+                        : std::numeric_limits<int64_t>::max();
+  case 2:
+    return static_cast<int64_t>(R.below(300));
+  default: {
+    uint64_t Bits = R.next() >> R.below(64);
+    return static_cast<int64_t>(R.chance(30) ? uint64_t(0) - Bits : Bits);
+  }
+  }
+}
+
+/// A double drawn from NaN, the infinities, the zeros, values a float
+/// holds exactly, values outside float range, and random bit patterns.
+double randomFloat(Rng &R) {
+  switch (R.below(8)) {
+  case 0:
+    return R.chance(50) ? std::nan("") : -std::nan("");
+  case 1:
+    return R.chance(50) ? HUGE_VAL : -HUGE_VAL;
+  case 2:
+    return R.chance(50) ? 0.0 : -0.0;
+  case 3:
+    return std::bit_cast<float>(static_cast<uint32_t>(R.next()));
+  case 4:
+    return R.chance(50) ? 1e300 : -1e-300;
+  case 5:
+    return static_cast<double>(static_cast<int64_t>(R.below(2001)) - 1000) /
+           8;
+  default:
+    return std::bit_cast<double>(R.next());
+  }
+}
+
+/// A component value: a register (RZ included), an integer from
+/// randomInt, a branch target near the instruction, or, half the time, a
+/// value whose encoding under \p Planted fits the \p Size-bit true field.
+CompValue randomValue(Rng &R, InterpKind Planted, unsigned Size,
+                      unsigned WordBytes) {
+  CompValue V;
+  V.WordBytes = WordBytes;
+  V.InstAddr = R.chance(80) ? R.below(1 << 16) * WordBytes : R.next();
+  V.Int = randomInt(R);
+  V.IsReg = R.chance(25);
+  if (V.IsReg && R.chance(40))
+    V.Int = -1; // RZ.
+  if (Planted == InterpKind::RelNext && R.chance(30)) {
+    int64_t Delta = static_cast<int64_t>(R.below(1 << 12)) - (1 << 11);
+    V.Int = static_cast<int64_t>(V.InstAddr + WordBytes +
+                                 static_cast<uint64_t>(Delta * 8));
+  } else if (R.chance(50)) {
+    const uint64_t Bits = R.next() >> (64 - Size);
+    const int64_t Fit =
+        Planted == InterpKind::Plain
+            ? static_cast<int64_t>(Bits)
+            : static_cast<int64_t>(Bits << (64 - Size)) >> (64 - Size);
+    V.Int = Planted == InterpKind::RelNext
+                ? static_cast<int64_t>(V.InstAddr + WordBytes +
+                                       static_cast<uint64_t>(Fit))
+                : Fit;
+  }
+  V.Float = randomFloat(R);
+  return V;
+}
+
+/// Writes \p V's encoding under \p K at bits [Lo, Lo+Size) when it has
+/// one at that width.
+void plant(BitString &Word, InterpKind K, const CompValue &V, unsigned Lo,
+           unsigned Size) {
+  uint64_t Content;
+  if (interpEncode(K, V, Size, Content))
+    Word.setField(Lo, Size, Content);
+}
+
+} // namespace
+
+TEST(ComponentSearch, ClosedFormMatchesPerWidthSearch) {
+  // Random 1-4 instance sequences narrowed twice: by ComponentRec::narrow
+  // and by the per-width oracle. Each instance plants the value at a true
+  // field (and sometimes a decoy) over a zero, all-ones, sparse or random
+  // background, so masks stay live across instances.
+  const std::vector<std::vector<InterpKind>> Lists = {
+      interpKindsFor('r', 0, "MOV"), interpKindsFor('i', 0, "BRA"),
+      interpKindsFor('i', 0, "IADD"), interpKindsFor('f', 0, "FADD"),
+      interpKindsFor('s', 0, "S2R")};
+  Rng R(0x5eed0c10);
+  unsigned Compared = 0;
+  for (unsigned Seq = 0; Seq < 6000; ++Seq) {
+    const std::vector<InterpKind> &Kinds = Lists[Seq % Lists.size()];
+    const unsigned WordBits = R.chance(50) ? 64 : 128;
+    const InterpKind Planted =
+        Kinds.empty() ? InterpKind::Plain : Kinds[R.below(Kinds.size())];
+    const unsigned Lo = static_cast<unsigned>(R.below(WordBits));
+    const unsigned Size = static_cast<unsigned>(
+        R.range(1, std::min<unsigned>(64, WordBits - Lo)));
+    ComponentRec Rec;
+    WidthMasks Oracle;
+    const unsigned Instances = static_cast<unsigned>(R.range(1, 4));
+    for (unsigned I = 0; I < Instances; ++I) {
+      CompValue V = randomValue(R, Planted, Size, WordBits / 8);
+      BitString Word(WordBits);
+      const unsigned Background = static_cast<unsigned>(R.below(4));
+      for (unsigned Half = 0; Half < WordBits / 64; ++Half)
+        Word.setField(Half * 64, 64,
+                      Background == 0   ? 0
+                      : Background == 1 ? ~uint64_t(0)
+                      : Background == 2 ? R.next() & R.next() & R.next()
+                                        : R.next());
+      plant(Word, Planted, V, Lo, Size);
+      if (R.chance(30)) {
+        // A decoy under any interpretation, including ones outside Kinds.
+        unsigned DecoyLo = static_cast<unsigned>(R.below(WordBits));
+        plant(Word, static_cast<InterpKind>(R.below(NumInterpKinds)), V,
+              DecoyLo,
+              static_cast<unsigned>(
+                  R.range(1, std::min<unsigned>(64, WordBits - DecoyLo))));
+      }
+      Rec.narrow(Word, V, Kinds);
+      narrowPerWidth(Oracle, I == 0, Word, V, Kinds);
+      ASSERT_EQ(Rec.WidthMask, Oracle)
+          << "sequence " << Seq << " instance " << I << " word "
+          << Word.toHex() << " int " << V.Int << " float " << V.Float
+          << " addr " << V.InstAddr << " reg " << V.IsReg;
+      ++Compared;
+    }
+  }
+  EXPECT_GT(Compared, 10000u);
+}
+
+TEST(ComponentSearch, BranchTargetAtTheTopOfTheAddressSpace) {
+  // BRA 0x8000000000000000: the offset from the next instruction wraps in
+  // 64-bit arithmetic on both paths that compute it, narrowing a learned
+  // pair and assembling, instead of overflowing a signed subtraction.
+  auto Bra = sass::parseInstruction("BRA 0x8000000000000000;");
+  ASSERT_TRUE(Bra.hasValue());
+  const uint64_t Addr = 0x100;
+  const uint64_t Offset = 0x8000000000000000ull - (Addr + 8);
+
+  CompValue V;
+  V.Int = Bra->Operands[0].Value[0];
+  V.InstAddr = Addr;
+  ComponentRec Comp;
+  Comp.narrow(BitString(64, Offset), V, {InterpKind::RelNext});
+  // Only the full-word window holds the wrapped offset.
+  std::vector<std::pair<unsigned, unsigned>> Want = {{0, 64}};
+  EXPECT_EQ(Comp.windows(InterpKind::RelNext), Want);
+
+  IsaAnalyzer Analyzer(Arch::SM35);
+  ListingInst Pair;
+  Pair.Address = Addr;
+  Pair.Inst = *Bra;
+  Pair.Binary = BitString(64, Offset);
+  Analyzer.analyzeInst(Pair, "k");
+  const OperationRec *Op = Analyzer.database().lookup(operationKey(*Bra));
+  ASSERT_NE(Op, nullptr);
+  EXPECT_EQ(Op->Operands[0].Comps[0].windows(InterpKind::RelNext), Want);
+
+  // A database learned from the suite has no window that holds it.
+  SuiteData Data = makeSuiteData(Arch::SM35);
+  IsaAnalyzer Learned(Arch::SM35);
+  ASSERT_FALSE(Learned.analyzeListing(Data.L));
+  Expected<BitString> Word =
+      asmgen::assembleInstruction(Learned.database(), *Bra, 0x8);
+  ASSERT_FALSE(Word.hasValue());
+  EXPECT_EQ(Word.message(), "assemble (sm_35): operand 0 component 0 fits "
+                            "no learned field in "
+                            "'BRA -0x8000000000000000;'");
+}
+
+TEST(LearnedDatabases, MatchTheGoldenHashes) {
+  // The learned bytes are pinned across commits: the database after
+  // Algorithms 1-2, after flipping, and the generated assembler source.
+  Expected<std::string> Golden = readFileBytes(
+      std::string(DCB_SOURCE_DIR) + "/tests/learned_db.golden");
+  ASSERT_TRUE(Golden.hasValue()) << Golden.message();
+  std::istringstream In(*Golden);
+  std::vector<Arch> Archs = fullArchs();
+  for (Arch A : Archs) {
+    std::string Line;
+    ASSERT_TRUE(std::getline(In, Line)) << "no golden line for "
+                                        << archName(A);
+    EXPECT_EQ(learneddb::renderLearnedDb(A), Line);
+  }
+  std::string Extra;
+  EXPECT_FALSE(std::getline(In, Extra)) << "unexpected line: " << Extra;
 }
 
 class AnalyzerPerArch : public ::testing::TestWithParam<Arch> {};

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 using namespace dcb;
 using namespace dcb::sass;
 
@@ -62,6 +64,19 @@ TEST(SassParser, IntImmediates) {
   Instruction J = parseOk("IADD R1, R2, -0x8;");
   EXPECT_EQ(J.Operands[2].Value[0], -8);
   EXPECT_FALSE(J.Operands[2].Negated);
+}
+
+TEST(SassParser, MostNegativeLiteralIsInt64Min) {
+  // A magnitude of 2^63 negates in unsigned arithmetic: the literal is
+  // INT64_MIN, not a signed overflow. The served assembler parses this
+  // text straight from the network.
+  const int64_t Min = std::numeric_limits<int64_t>::min();
+  EXPECT_EQ(parseOk("MOV R1, -0x8000000000000000;").Operands[1].Value[0], Min);
+  EXPECT_EQ(
+      parseOk("IADD R1, R2, -9223372036854775808;").Operands[2].Value[0],
+      Min);
+  EXPECT_EQ(
+      parseOk("LD R1, [R2+-0x8000000000000000];").Operands[1].Value[1], Min);
 }
 
 TEST(SassParser, FloatImmediates) {
@@ -206,7 +221,8 @@ INSTANTIATE_TEST_SUITE_P(
         "LDC R1, c[0x3][R2+0x10];", "DEPBAR.LE SB2, {0,5};",
         "@!P1 BRA 0x1a0;", "IADD R1, R2.reuse, R3;",
         "MOV R0, RZ;", "LD R0, [RZ];", "MUFU.RCP R0, |R1|;",
-        "FADD.FTZ.RM R0, -|R1|, -R2;"));
+        "FADD.FTZ.RM R0, -|R1|, -R2;", "MOV R1, -0x8000000000000000;",
+        "LD R1, [R2-0x8000000000000000];"));
 
 TEST(SassPrinter, NegativeLiteralWithUnaryFlagPrintsAsNegative) {
   Operand Imm = Operand::makeIntImm(8);
