@@ -6,10 +6,9 @@
 // the process repeats "until the results converge". The report shows the
 // per-round discovery curve (strictly growing knowledge, then a fixpoint),
 // the crash/accept/reject split and the dedup-cache hit rate, the paper's
-// fast mode that skips consistent (opcode-estimate) bits, and the
-// serial-vs-parallel wall clock of the engine (same database either way —
-// the merge is serial in exemplar/bit order). The benchmarks time one flip
-// round at 1 and 4 lanes.
+// fast mode that skips consistent (opcode-estimate) bits, and the wall
+// clock of the engine's three trial tiers (same database from each). The
+// benchmarks time one flip round and a whole convergence per tier.
 //
 //===----------------------------------------------------------------------===//
 
@@ -41,15 +40,13 @@ analyzer::BitFlipper makeModeFlipper(analyzer::IsaAnalyzer &Analyzer,
 }
 
 /// Runs a full convergence and returns wall-clock milliseconds.
-double runConvergence(Arch A, unsigned Jobs, TrialMode Mode,
-                      std::string *SerializedOut) {
+double runConvergence(Arch A, TrialMode Mode, std::string *SerializedOut) {
   const ArchData &Data = archData(A);
   analyzer::IsaAnalyzer Analyzer(A);
   (void)Analyzer.analyzeListing(Data.Listing);
   analyzer::BitFlipper Flipper = makeModeFlipper(Analyzer, A, Mode);
   analyzer::BitFlipper::Options Opts;
   Opts.MaxRounds = 6;
-  Opts.NumThreads = Jobs;
   auto Start = std::chrono::steady_clock::now();
   Flipper.run(Data.KernelCode, Opts);
   std::chrono::duration<double, std::milli> Elapsed =
@@ -118,36 +115,28 @@ void report() {
                 "as the paper reports\n",
                 FastVariants, FastCrashes, FullVariants, FullCrashes);
 
-    // Engine wall clock, four configurations, identical database each
-    // time. "full-kernel serial" is how the engine's predecessor spent a
-    // variant; the window fast path narrows the disassembly; the decoder
-    // path also skips print -> parse; lanes multiply the win where cores
-    // exist.
-    std::string FullDb, WindowDb, DecodeDb, ParallelDb;
-    double FullMs = runConvergence(A, 1, TrialMode::FullKernel, &FullDb);
-    double WindowMs = runConvergence(A, 1, TrialMode::Window, &WindowDb);
-    double DecodeMs = runConvergence(A, 1, TrialMode::Decoder, &DecodeDb);
-    double ParallelMs =
-        runConvergence(A, 4, TrialMode::Decoder, &ParallelDb);
-    std::printf("wall clock: full-kernel serial %.1f ms | window serial "
-                "%.1f ms (%.2fx) | decoder serial %.1f ms (%.2fx, %.2fx "
-                "vs window) | decoder 4-lane %.1f ms (%.2fx)\n",
+    // Engine wall clock, three tiers, identical database each time.
+    // "full-kernel" is how the engine's predecessor spent a variant; the
+    // window fast path narrows the disassembly; the decoder path also
+    // skips print -> parse.
+    std::string FullDb, WindowDb, DecodeDb;
+    double FullMs = runConvergence(A, TrialMode::FullKernel, &FullDb);
+    double WindowMs = runConvergence(A, TrialMode::Window, &WindowDb);
+    double DecodeMs = runConvergence(A, TrialMode::Decoder, &DecodeDb);
+    std::printf("wall clock: full-kernel %.1f ms | window %.1f ms (%.2fx) "
+                "| decoder %.1f ms (%.2fx, %.2fx vs window)\n",
                 FullMs, WindowMs, WindowMs > 0 ? FullMs / WindowMs : 0.0,
                 DecodeMs, DecodeMs > 0 ? FullMs / DecodeMs : 0.0,
-                DecodeMs > 0 ? WindowMs / DecodeMs : 0.0, ParallelMs,
-                ParallelMs > 0 ? FullMs / ParallelMs : 0.0);
-    std::printf("databases byte-identical across all four: %s\n\n",
-                (FullDb == WindowDb && WindowDb == DecodeDb &&
-                 DecodeDb == ParallelDb)
-                    ? "yes"
-                    : "NO (BUG)");
+                DecodeMs > 0 ? WindowMs / DecodeMs : 0.0);
+    std::printf("databases byte-identical across all three: %s\n\n",
+                (FullDb == WindowDb && WindowDb == DecodeDb) ? "yes"
+                                                             : "NO (BUG)");
   }
 }
 
 void BM_OneFlipRound(benchmark::State &State) {
   Arch A = static_cast<Arch>(State.range(0));
-  unsigned Jobs = static_cast<unsigned>(State.range(1));
-  TrialMode Mode = static_cast<TrialMode>(State.range(2));
+  TrialMode Mode = static_cast<TrialMode>(State.range(1));
   const ArchData &Data = archData(A);
   for (auto _ : State) {
     State.PauseTiming(); // Suite analysis is setup, not the flip loop.
@@ -156,7 +145,6 @@ void BM_OneFlipRound(benchmark::State &State) {
     analyzer::BitFlipper Flipper = makeModeFlipper(Analyzer, A, Mode);
     analyzer::BitFlipper::Options Opts;
     Opts.MaxRounds = 1;
-    Opts.NumThreads = Jobs;
     State.ResumeTiming();
     auto Rounds = Flipper.run(Data.KernelCode, Opts);
     benchmark::DoNotOptimize(Rounds);
@@ -165,8 +153,7 @@ void BM_OneFlipRound(benchmark::State &State) {
 
 void BM_FlipToConvergence(benchmark::State &State) {
   Arch A = static_cast<Arch>(State.range(0));
-  unsigned Jobs = static_cast<unsigned>(State.range(1));
-  TrialMode Mode = static_cast<TrialMode>(State.range(2));
+  TrialMode Mode = static_cast<TrialMode>(State.range(1));
   const ArchData &Data = archData(A);
   for (auto _ : State) {
     State.PauseTiming();
@@ -175,7 +162,6 @@ void BM_FlipToConvergence(benchmark::State &State) {
     analyzer::BitFlipper Flipper = makeModeFlipper(Analyzer, A, Mode);
     analyzer::BitFlipper::Options Opts;
     Opts.MaxRounds = 6;
-    Opts.NumThreads = Jobs;
     State.ResumeTiming();
     auto Rounds = Flipper.run(Data.KernelCode, Opts);
     benchmark::DoNotOptimize(Rounds);
@@ -184,25 +170,21 @@ void BM_FlipToConvergence(benchmark::State &State) {
 
 } // namespace
 
-// mode:0 / jobs:1 is the engine's predecessor (serial, whole-kernel
-// disassembly per variant); mode:1 is the one-word window; mode:2 adds the
-// print-free structured decode. The databases produced are identical in
-// every row.
+// mode:0 is the engine's predecessor (whole-kernel disassembly per
+// variant); mode:1 is the one-word window; mode:2 adds the print-free
+// structured decode. The databases produced are identical in every row.
 BENCHMARK(BM_OneFlipRound)
-    ->Args({static_cast<int>(Arch::SM35), 1, 0})
-    ->Args({static_cast<int>(Arch::SM35), 1, 1})
-    ->Args({static_cast<int>(Arch::SM35), 1, 2})
-    ->Args({static_cast<int>(Arch::SM35), 2, 2})
-    ->Args({static_cast<int>(Arch::SM35), 4, 2})
-    ->ArgNames({"arch", "jobs", "mode"})
+    ->Args({static_cast<int>(Arch::SM35), 0})
+    ->Args({static_cast<int>(Arch::SM35), 1})
+    ->Args({static_cast<int>(Arch::SM35), 2})
+    ->ArgNames({"arch", "mode"})
     ->Unit(benchmark::kMillisecond);
 
 BENCHMARK(BM_FlipToConvergence)
-    ->Args({static_cast<int>(Arch::SM35), 1, 0})
-    ->Args({static_cast<int>(Arch::SM35), 1, 1})
-    ->Args({static_cast<int>(Arch::SM35), 1, 2})
-    ->Args({static_cast<int>(Arch::SM35), 4, 2})
-    ->ArgNames({"arch", "jobs", "mode"})
+    ->Args({static_cast<int>(Arch::SM35), 0})
+    ->Args({static_cast<int>(Arch::SM35), 1})
+    ->Args({static_cast<int>(Arch::SM35), 2})
+    ->ArgNames({"arch", "mode"})
     ->Unit(benchmark::kMillisecond);
 
 int main(int argc, char **argv) {

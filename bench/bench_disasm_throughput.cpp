@@ -1,18 +1,19 @@
-//===- bench/bench_disasm_throughput.cpp - Batched decode pipeline ---------===//
+//===- bench/bench_disasm_throughput.cpp - Decode pipeline -----------------===//
 //
 // Measures binary -> SASS decode throughput over the whole synthetic suite,
 // per architecture family:
 //
 //  * form dispatch alone: the pre-change linear scan over every InstrSpec
 //    (ArchSpec::matchLinear) against the frozen DecodeIndex dispatch
-//    (ArchSpec::match on a frozen spec), and
+//    (ArchSpec::match on a frozen spec),
 //  * the full decodeInstruction path against an unindexed clone of the
-//    spec — the complete pre-change decoder — plus encoder::decodeProgram
-//    at 1, 2 and 4 lanes.
+//    spec — the complete pre-change decoder — and
+//  * whole-cubin listings (vendor::disassembleCubin) with kernels fanned
+//    across 1, 2 and 4 lanes.
 //
 // The report section prints both single-thread speedups and checks the
-// batch disassembler's determinism contract: listings are byte-identical
-// for every lane count and chunk size, diagnostics included.
+// cubin disassembler's determinism contract: listings are byte-identical
+// for every lane count, diagnostics included.
 //
 //===----------------------------------------------------------------------===//
 
@@ -188,28 +189,6 @@ void BM_DecodeIndexed(benchmark::State &State) {
                           (Spec.WordBits / 8));
 }
 
-/// The batched decoder at State.range(1) lanes.
-void BM_DecodeBatch(benchmark::State &State) {
-  Arch A = static_cast<Arch>(State.range(0));
-  const ArchData &Data = archData(A);
-  std::vector<WordJob> Words = suiteWords(Data.Listing);
-  std::vector<encoder::DecodeJob> Jobs;
-  for (const WordJob &W : Words)
-    Jobs.push_back({W.Word, W.Pc});
-  const isa::ArchSpec &Spec = isa::getArchSpec(A);
-  BatchOptions Options;
-  Options.NumThreads = static_cast<unsigned>(State.range(1));
-  for (auto _ : State) {
-    auto Insts = encoder::decodeProgram(Spec, Jobs, Options);
-    benchmark::DoNotOptimize(Insts);
-  }
-  State.SetItemsProcessed(State.iterations() *
-                          static_cast<int64_t>(Jobs.size()));
-  State.SetBytesProcessed(State.iterations() *
-                          static_cast<int64_t>(Jobs.size()) *
-                          (Spec.WordBits / 8));
-}
-
 /// Whole-cubin listing production at State.range(1) lanes.
 void BM_DisassembleCubin(benchmark::State &State) {
   Arch A = static_cast<Arch>(State.range(0));
@@ -243,9 +222,6 @@ BENCHMARK(BM_DecodeLinear)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_DecodeIndexed)
     ->Apply(forEachReportArch)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_DecodeBatch)
-    ->Apply(forEachArchAndLanes)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_DisassembleCubin)
     ->Apply(forEachArchAndLanes)

@@ -146,7 +146,7 @@ const std::string &smallExpectedOutput() {
 
 std::string disasmRequestFor(const std::vector<uint8_t> &Img) {
   return "{\"op\":\"disasm\",\"data_b64\":\"" +
-         serve::json::base64Encode(Img) + "\",\"jobs\":1}";
+         serve::json::base64Encode(Img) + "\"}";
 }
 
 /// One disasm request line; most of the bench's traffic is this one key.

@@ -1,10 +1,9 @@
 //===- bench/bench_vm_throughput.cpp - Two-tier VM throughput --------------===//
 //
 // The grid VM's performance contract: the predecoded fast tier must beat
-// the re-deriving oracle by a wide margin on the same workload, and block
-// parallelism must add on top. The report sweeps the whole synthetic
-// suite on RefVm, on single-lane GridVm and on all-core GridVm, prints
-// lane-steps/s plus speedups, and first proves the three sweeps produce
+// the re-deriving oracle by a wide margin on the same workload. The report
+// sweeps the whole synthetic suite on RefVm and on GridVm, prints
+// lane-steps/s plus the speedup, and first proves the two sweeps produce
 // identical state checksums (the bit-identity contract — a fast tier that
 // drifts is worthless, so the bench aborts on divergence).
 //
@@ -54,12 +53,11 @@ const std::vector<ir::Kernel> &suiteIr() {
 /// differential harness around them (seeded-image RNG fill, state CRCs)
 /// costs the same on every tier and would only dilute the ratio this
 /// bench exists to measure.
-uint64_t sweepSuite(bool UseRef, unsigned NumLanes) {
+uint64_t sweepSuite(bool UseRef) {
   static const vm::Memory Image = vm::seededMemory(3, 32);
   vm::LaunchConfig Config;
   Config.NumThreads = 32;
-  Config.NumBlocks = 8; // Enough blocks for the lanes to matter.
-  Config.NumLanes = NumLanes;
+  Config.NumBlocks = 8;
   uint64_t Steps = 0;
   for (const ir::Kernel &K : suiteIr()) {
     vm::Memory Mem = Image;
@@ -75,28 +73,25 @@ uint64_t sweepSuite(bool UseRef, unsigned NumLanes) {
   return Steps;
 }
 
-double secondsFor(bool UseRef, unsigned NumLanes, unsigned Repeats) {
+double secondsFor(bool UseRef, unsigned Repeats) {
   auto Start = std::chrono::steady_clock::now();
   for (unsigned R = 0; R < Repeats; ++R)
-    benchmark::DoNotOptimize(sweepSuite(UseRef, NumLanes));
+    benchmark::DoNotOptimize(sweepSuite(UseRef));
   auto End = std::chrono::steady_clock::now();
   return std::chrono::duration<double>(End - Start).count() / Repeats;
 }
 
 void report() {
-  // Bit-identity first: oracle vs fast tier vs all-core fast tier, per
-  // kernel, on the bench launch shape.
-  vm::ExecOptions Ref, Grid1, GridN;
+  // Bit-identity first: oracle vs fast tier, per kernel, on the bench
+  // launch shape.
+  vm::ExecOptions Ref, Grid;
   Ref.UseRef = true;
-  Ref.NumBlocks = Grid1.NumBlocks = GridN.NumBlocks = 8;
-  GridN.NumLanes = 0;
+  Ref.NumBlocks = Grid.NumBlocks = 8;
   for (const ir::Kernel &K : suiteIr()) {
     vm::ExecSummary A = vm::execKernel(K, 3, Ref);
-    vm::ExecSummary B = vm::execKernel(K, 3, Grid1);
-    vm::ExecSummary C = vm::execKernel(K, 3, GridN);
+    vm::ExecSummary B = vm::execKernel(K, 3, Grid);
     if (A.GlobalCrc != B.GlobalCrc || A.RegsCrc != B.RegsCrc ||
-        B.GlobalCrc != C.GlobalCrc || B.RegsCrc != C.RegsCrc ||
-        A.LaneSteps != B.LaneSteps || B.LaneSteps != C.LaneSteps) {
+        A.LaneSteps != B.LaneSteps) {
       std::fprintf(stderr, "vm bench: engines diverged on %s\n",
                    K.Name.c_str());
       std::abort();
@@ -104,28 +99,24 @@ void report() {
   }
 
   const unsigned Repeats = 3;
-  uint64_t Steps = sweepSuite(false, 1);
-  double RefSec = secondsFor(true, 1, Repeats);
-  double Grid1Sec = secondsFor(false, 1, Repeats);
-  double GridNSec = secondsFor(false, 0, Repeats);
+  uint64_t Steps = sweepSuite(false);
+  double RefSec = secondsFor(true, Repeats);
+  double GridSec = secondsFor(false, Repeats);
 
   std::printf("=== Grid VM throughput: oracle vs predecoded tiers ===\n");
   std::printf("suite: %zu kernels, %llu lane-steps per sweep (sm_35, "
               "8 blocks x 32 threads)\n",
               suiteIr().size(), static_cast<unsigned long long>(Steps));
   std::printf("RefVm (oracle)      %12.0f steps/s\n", Steps / RefSec);
-  std::printf("GridVm, 1 lane      %12.0f steps/s  speedup %.2fx\n",
-              Steps / Grid1Sec, RefSec / Grid1Sec);
-  std::printf("GridVm, all cores   %12.0f steps/s  speedup %.2fx "
-              "(%.2fx over 1 lane)\n",
-              Steps / GridNSec, RefSec / GridNSec, Grid1Sec / GridNSec);
-  std::printf("engines bit-identical across tiers and lane counts: yes\n\n");
+  std::printf("GridVm              %12.0f steps/s  speedup %.2fx\n",
+              Steps / GridSec, RefSec / GridSec);
+  std::printf("engines bit-identical across tiers: yes\n\n");
 }
 
 void BM_RefVm(benchmark::State &State) {
   uint64_t Steps = 0;
   for (auto _ : State)
-    Steps = sweepSuite(true, 1);
+    Steps = sweepSuite(true);
   State.SetItemsProcessed(static_cast<int64_t>(State.iterations() * Steps));
 }
 BENCHMARK(BM_RefVm)->Unit(benchmark::kMillisecond);
@@ -133,18 +124,10 @@ BENCHMARK(BM_RefVm)->Unit(benchmark::kMillisecond);
 void BM_GridVm1(benchmark::State &State) {
   uint64_t Steps = 0;
   for (auto _ : State)
-    Steps = sweepSuite(false, 1);
+    Steps = sweepSuite(false);
   State.SetItemsProcessed(static_cast<int64_t>(State.iterations() * Steps));
 }
 BENCHMARK(BM_GridVm1)->Unit(benchmark::kMillisecond);
-
-void BM_GridVmAllCores(benchmark::State &State) {
-  uint64_t Steps = 0;
-  for (auto _ : State)
-    Steps = sweepSuite(false, 0);
-  State.SetItemsProcessed(static_cast<int64_t>(State.iterations() * Steps));
-}
-BENCHMARK(BM_GridVmAllCores)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -21,9 +21,9 @@ if [ ! -f "$OUT" ]; then
 fi
 
 # Single-lane microbenchmarks on the hottest instrumented paths: per-word
-# decode dispatch (gate load in ArchSpec::match) and the batched
-# assemble/decode entry points at one lane.
-FILTER='BM_DecodeIndexed|BM_DecodeBatch/[0-9]+/1$|BM_AssembleBatch/[0-9]+/1$'
+# decode dispatch (gate load in ArchSpec::match), the whole-cubin listing
+# and the batched assemble entry point at one lane.
+FILTER='BM_DecodeIndexed|BM_DisassembleCubin/[0-9]+/1$|BM_AssembleBatch/[0-9]+/1$'
 REPS=3
 # Sub-millisecond microbenchmarks are dominated by code/stack layout luck:
 # ASLR re-rolls hot-loop alignment every process, swinging individual

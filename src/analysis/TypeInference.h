@@ -99,7 +99,7 @@ struct TypeInference {
 };
 
 /// Runs the pass over one kernel. Deterministic: same kernel, same facts,
-/// same iteration count, regardless of --jobs or host parallelism.
+/// same iteration count, whatever thread runs it.
 TypeInference inferTypes(const ir::Kernel &K);
 
 /// The per-instruction forward transfer, exposed so checkers replay it at

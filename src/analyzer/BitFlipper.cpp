@@ -2,7 +2,6 @@
 
 #include "analyzer/BitFlipper.h"
 
-#include "support/TaskPool.h"
 #include "support/Telemetry.h"
 
 #include <algorithm>
@@ -69,11 +68,12 @@ BitFlipper::Trial BitFlipper::runTrial(const std::string &KernelName,
                                        unsigned FlipBit) const {
   Trial T;
   const unsigned PatchBytes = Word.size() / 8;
-  if (Addr + PatchBytes > Code.size())
+  // Addr comes from the database file, so Addr + PatchBytes may wrap.
+  if (PatchBytes > Code.size() || Addr > Code.size() - PatchBytes)
     return T; // Rejected: the exemplar does not fit this kernel.
 
   // Patch in place and restore on every exit path — \p Code is a reusable
-  // per-lane scratch buffer, not a throwaway copy. The word's bytes are
+  // scratch buffer, not a throwaway copy. The word's bytes are
   // little-endian, so its bit FlipBit is bit FlipBit % 8 of byte
   // FlipBit / 8.
   uint8_t Saved[16];
@@ -140,12 +140,9 @@ std::vector<BitFlipper::RoundStats> BitFlipper::run(
   std::vector<RoundStats> Rounds;
   EncodingDatabase::Stats Last = Analyzer.database().stats();
 
-  TaskPool Pool(Opts.NumThreads);
-
-  // Per-lane patchable copies of each kernel's code, created on first use
-  // and restored after every trial, so no variant pays a whole-kernel copy.
-  std::vector<std::unordered_map<const KernelEntry *, std::vector<uint8_t>>>
-      LaneCode(Pool.numThreads());
+  // Patchable copies of each kernel's code, created on first use and
+  // restored after every trial, so no variant pays a whole-kernel copy.
+  std::unordered_map<const KernelEntry *, std::vector<uint8_t>> Scratch;
 
   // Variants already trialled this run. Rounds re-enumerate every
   // exemplar, but a variant's trial outcome cannot change within a run,
@@ -179,14 +176,9 @@ std::vector<BitFlipper::RoundStats> BitFlipper::run(
       Exemplars.push_back(std::move(E));
     }
 
-    // Enumerate this round's variant jobs in the canonical
-    // (exemplar index, bit index) order; the dedup cache filters repeats
-    // before any work is queued.
-    struct Job {
-      const Exemplar *E;
-      unsigned Bit;
-    };
-    std::vector<Job> Jobs;
+    // Trial every variant in the canonical (exemplar index, bit index)
+    // order and merge its outcome right away; the dedup cache filters
+    // repeats before any work is done.
     for (const Exemplar &E : Exemplars) {
       const unsigned Bits = E.Word.size();
       const uint64_t Lo = E.Word.field(0, std::min(64u, Bits));
@@ -202,45 +194,26 @@ std::vector<BitFlipper::RoundStats> BitFlipper::run(
           ++Stats.CacheHits;
           continue;
         }
-        Jobs.push_back(Job{&E, Bit});
-      }
-    }
-
-    // Fan the side-effect-free trials across the pool. Each lane owns its
-    // scratch buffers; nothing else is written concurrently.
-    std::vector<Trial> Trials(Jobs.size());
-    {
-      telemetry::ScopedSpan TrialsSpan("bitflip.trials");
-      Pool.parallelFor(Jobs.size(), [&](unsigned Lane, size_t Idx) {
-        const Exemplar &E = *Jobs[Idx].E;
-        auto [It, Fresh] = LaneCode[Lane].try_emplace(E.Kernel);
+        auto [It, Fresh] = Scratch.try_emplace(E.Kernel);
         if (Fresh)
           It->second = E.Kernel->second;
-        Trials[Idx] = runTrial(E.Kernel->first, It->second, E.Addr, E.Word,
-                               Jobs[Idx].Bit);
-      });
-    }
-
-    // Merge serially in job order: the learned database is bit-for-bit
-    // independent of NumThreads and of the pool's scheduling.
-    telemetry::ScopedSpan MergeSpan("bitflip.merge");
-    for (size_t Idx = 0; Idx < Trials.size(); ++Idx) {
-      Trial &T = Trials[Idx];
-      switch (T.Result) {
-      case Trial::Crash:
-        ++Stats.Crashes;
-        break;
-      case Trial::Reject:
-        ++Stats.Rejected;
-        break;
-      case Trial::Accept: {
-        size_t Before = Analyzer.database().operations().size();
-        Analyzer.analyzeInst(T.Pair, Jobs[Idx].E->Kernel->first);
-        if (Analyzer.database().operations().size() > Before)
-          ++Stats.NewOperations;
-        ++Stats.Accepted;
-        break;
-      }
+        Trial T = runTrial(E.Kernel->first, It->second, E.Addr, E.Word, Bit);
+        switch (T.Result) {
+        case Trial::Crash:
+          ++Stats.Crashes;
+          break;
+        case Trial::Reject:
+          ++Stats.Rejected;
+          break;
+        case Trial::Accept: {
+          size_t Before = Analyzer.database().operations().size();
+          Analyzer.analyzeInst(T.Pair, E.Kernel->first);
+          if (Analyzer.database().operations().size() > Before)
+            ++Stats.NewOperations;
+          ++Stats.Accepted;
+          break;
+        }
+        }
       }
     }
     assert(Stats.VariantsTried == Stats.Crashes + Stats.Accepted +

@@ -23,16 +23,15 @@
 /// This is the system's hottest loop, so it is engineered accordingly:
 ///
 ///  - variant trials (patch → disassemble → parse → extract the pair at the
-///    patched address) are side-effect-free and fan out across a
-///    support::TaskPool; candidate pairs are then merged into the analyzer
-///    serially in (exemplar, bit) order, so the learned database is
-///    bit-for-bit identical for every Options::NumThreads value;
+///    patched address) run one at a time in (exemplar, bit) order, each
+///    merged into the analyzer as soon as it finishes;
 ///  - a per-run dedup cache keyed on (kernel, address, word) skips variants
 ///    already trialled in an earlier round — their outcome cannot change.
 ///    The key is integers only: the kernel's KernelCode entry, the address
 ///    and the word's two 64-bit halves, so a repeat costs no string work;
-///  - patches go into reusable per-lane scratch buffers with save/restore
-///    of the patched word, instead of copying whole kernels per variant;
+///  - patches go into one reusable scratch copy per kernel with
+///    save/restore of the patched word, instead of copying whole kernels
+///    per variant;
 ///  - when the caller provides a WindowDisassembler, only the one-word
 ///    window at the patched address is disassembled instead of the whole
 ///    kernel (sound here because every other word already disassembled
@@ -101,11 +100,6 @@ public:
     /// Cap on flip positions (Volta's upper control bits are skipped by
     /// limiting to the low 64 bits, matching the paper's 64-bit focus).
     unsigned MaxFlipBit = 64;
-    /// Execution width for variant trials: 1 runs fully serial on the
-    /// calling thread, N > 1 fans trials across a TaskPool of N lanes,
-    /// 0 uses the hardware concurrency. The learned database is identical
-    /// for every value (serial merge order).
-    unsigned NumThreads = 1;
   };
 
   struct RoundStats {
@@ -145,14 +139,12 @@ private:
   WindowDisassembler WindowDisasm;
   WindowDecoder WindowDec;
 
-  /// One variant's side-effect-free outcome, produced on any lane and
-  /// merged on the caller's thread.
+  /// One variant's outcome, merged into the analyzer by run().
   struct Trial;
 
   /// Patches \p Word with bit \p FlipBit flipped into \p Code at \p Addr
   /// (restoring the original word before returning), disassembles, and
-  /// extracts the pair at the patched address. Touches no analyzer state:
-  /// safe to run concurrently as long as each lane owns its \p Code buffer.
+  /// extracts the pair at the patched address. Touches no analyzer state.
   Trial runTrial(const std::string &KernelName, std::vector<uint8_t> &Code,
                  uint64_t Addr, const BitString &Word, unsigned FlipBit) const;
 };

@@ -3,7 +3,6 @@
 #include "encoder/Encoder.h"
 
 #include "sass/Printer.h"
-#include "support/Telemetry.h"
 
 #include <cassert>
 #include <cmath>
@@ -21,17 +20,6 @@ using sass::Operand;
 using sass::OperandKind;
 
 namespace {
-
-/// Batch-level metrics only: per-word costs live in the dispatch counters
-/// (isa.decode.*) and the shared chunk histogram (taskpool.chunk_ns).
-struct EncoderTelemetry {
-  telemetry::Counter &EncodeJobs = telemetry::counter("encoder.encode.jobs");
-  telemetry::Counter &DecodeJobs = telemetry::counter("encoder.decode.jobs");
-  telemetry::Histogram &EncodeBatchSize =
-      telemetry::histogram("encoder.encode.batch_size");
-  telemetry::Histogram &DecodeBatchSize =
-      telemetry::histogram("encoder.decode.batch_size");
-} EncTel;
 
 uint32_t floatBits(float F) {
   uint32_t Bits;
@@ -518,50 +506,8 @@ Expected<BitString> encoder::encodeInstruction(const ArchSpec &Spec,
   return InstEncoder(Spec, Inst, Pc).run();
 }
 
-std::vector<Expected<BitString>>
-encoder::encodeProgram(const ArchSpec &Spec,
-                       const std::vector<EncodeJob> &Jobs,
-                       const BatchOptions &Options) {
-  DCB_SPAN("encoder.encodeProgram");
-  EncTel.EncodeJobs.add(Jobs.size());
-  EncTel.EncodeBatchSize.record(Jobs.size());
-  // Expected<> has no empty state; fill the slots with placeholder
-  // successes, each overwritten exactly once by its own index.
-  std::vector<Expected<BitString>> Results(
-      Jobs.size(), Expected<BitString>(BitString()));
-  TaskPool Pool(Options.NumThreads);
-  parallelForChunked(
-      Pool, Jobs.size(), kBatchChunkSize,
-      [&](size_t I) {
-        Results[I] = InstEncoder(Spec, *Jobs[I].Inst, Jobs[I].Pc).run();
-      },
-      "encoder.encode.chunk");
-  return Results;
-}
-
 Expected<Instruction> encoder::decodeInstruction(const ArchSpec &Spec,
                                                  const BitString &Word,
                                                  uint64_t Pc) {
   return InstDecoder(Spec, Word, Pc).run();
-}
-
-std::vector<Expected<Instruction>>
-encoder::decodeProgram(const ArchSpec &Spec,
-                       const std::vector<DecodeJob> &Jobs,
-                       const BatchOptions &Options) {
-  DCB_SPAN("encoder.decodeProgram");
-  EncTel.DecodeJobs.add(Jobs.size());
-  EncTel.DecodeBatchSize.record(Jobs.size());
-  // Same placeholder-slot scheme as encodeProgram: Expected<> has no empty
-  // state, so prefill with successes, each overwritten by its own index.
-  std::vector<Expected<Instruction>> Results(
-      Jobs.size(), Expected<Instruction>(Instruction()));
-  TaskPool Pool(Options.NumThreads);
-  parallelForChunked(
-      Pool, Jobs.size(), kBatchChunkSize,
-      [&](size_t I) {
-        Results[I] = InstDecoder(Spec, *Jobs[I].Word, Jobs[I].Pc).run();
-      },
-      "encoder.decode.chunk");
-  return Results;
 }

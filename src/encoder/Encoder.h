@@ -22,9 +22,6 @@
 #include "sass/Ast.h"
 #include "support/BitString.h"
 #include "support/Errors.h"
-#include "support/TaskPool.h"
-
-#include <vector>
 
 namespace dcb {
 namespace encoder {
@@ -35,21 +32,6 @@ Expected<BitString> encodeInstruction(const isa::ArchSpec &Spec,
                                       const sass::Instruction &Inst,
                                       uint64_t Pc);
 
-/// One unit of batch encoding: an instruction and its byte address.
-struct EncodeJob {
-  const sass::Instruction *Inst = nullptr;
-  uint64_t Pc = 0;
-};
-
-/// Encodes a whole program, fanning the jobs across Options.NumThreads
-/// lanes with an in-order merge: Results[i] corresponds to Jobs[i], and the
-/// output is byte-identical for every thread count and chunk size. This is
-/// the same batch machinery asmgen::assembleProgram uses, applied to the
-/// ground-truth encoder.
-std::vector<Expected<BitString>>
-encodeProgram(const isa::ArchSpec &Spec, const std::vector<EncodeJob> &Jobs,
-              const BatchOptions &Options = BatchOptions());
-
 /// Decodes one instruction word at byte address \p Pc. Fails ("crashes")
 /// when the word matches no known opcode pattern or contains an invalid
 /// operand or modifier encoding — including encodings whose assembly
@@ -59,20 +41,6 @@ encodeProgram(const isa::ArchSpec &Spec, const std::vector<EncodeJob> &Jobs,
 Expected<sass::Instruction> decodeInstruction(const isa::ArchSpec &Spec,
                                               const BitString &Word,
                                               uint64_t Pc);
-
-/// One unit of batch decoding: an instruction word and its byte address.
-struct DecodeJob {
-  const BitString *Word = nullptr;
-  uint64_t Pc = 0;
-};
-
-/// Decodes a whole program, fanning the jobs across Options.NumThreads
-/// lanes with an in-order merge: Results[i] corresponds to Jobs[i]
-/// (values *and* diagnostics), byte-identical for every thread count and
-/// chunk size — the decode-side twin of encodeProgram.
-std::vector<Expected<sass::Instruction>>
-decodeProgram(const isa::ArchSpec &Spec, const std::vector<DecodeJob> &Jobs,
-              const BatchOptions &Options = BatchOptions());
 
 } // namespace encoder
 } // namespace dcb

@@ -144,8 +144,7 @@ namespace {
 
 /// Per-kernel fragment of the dcb-analysis-v1 document: name/arch always,
 /// plus the solver's type facts in --types mode (non-bottom register
-/// masks at each block exit, in fixed slot order — the byte-identity
-/// surface the determinism tests compare across thread counts).
+/// masks at each block exit, in fixed slot order).
 std::string kernelFragment(const ir::Kernel &K, const std::string &Mode) {
   std::string Out = "{\"name\": \"";
   analysis::appendJsonEscaped(Out, K.Name);
@@ -188,27 +187,19 @@ Expected<OpResult> dcb::serve::opAnalyze(const std::string &FileBytes,
   if (!P)
     return P.takeError();
 
-  // Per-kernel analysis fans out over the pool; fragments and reports
-  // join back in kernel order, so the document is byte-identical for
-  // every jobs value.
-  const size_t N = P->Kernels.size();
-  std::vector<std::string> Fragments(N);
-  std::vector<analysis::Report> Reports(N);
-  TaskPool Pool(N <= 1 ? 1 : Options.Jobs);
-  Pool.parallelFor(N, [&](unsigned, size_t I) {
-    const ir::Kernel &K = P->Kernels[I];
-    Fragments[I] = kernelFragment(K, Options.Mode);
-    if (Options.Mode == "types")
-      Reports[I] = analysis::checkTypes(K);
-    else if (Options.Mode == "bounds")
-      Reports[I] = analysis::checkBounds(K, Options.Shape);
-    else
-      Reports[I] = analysis::checkRaces(K, Options.Shape);
-  });
-
+  std::string Kernels;
   analysis::Report R;
-  for (const analysis::Report &KR : Reports)
-    R.append(KR);
+  for (const ir::Kernel &K : P->Kernels) {
+    if (!Kernels.empty())
+      Kernels += ", ";
+    Kernels += kernelFragment(K, Options.Mode);
+    if (Options.Mode == "types")
+      R.append(analysis::checkTypes(K));
+    else if (Options.Mode == "bounds")
+      R.append(analysis::checkBounds(K, Options.Shape));
+    else
+      R.append(analysis::checkRaces(K, Options.Shape));
+  }
 
   std::string Doc = "{\n\"schema\": \"dcb-analysis-v1\",\n\"target\": \"";
   analysis::appendJsonEscaped(Doc, TargetName);
@@ -222,13 +213,7 @@ Expected<OpResult> dcb::serve::opAnalyze(const std::string &FileBytes,
            ", \"shared\": " + std::to_string(S.SharedSize) +
            ", \"local\": " + std::to_string(S.LocalSize) + "},\n";
   }
-  Doc += "\"kernels\": [";
-  for (size_t I = 0; I < N; ++I) {
-    if (I)
-      Doc += ", ";
-    Doc += Fragments[I];
-  }
-  Doc += "],\n";
+  Doc += "\"kernels\": [" + Kernels + "],\n";
   Doc += analysis::findingsJsonFragment(R);
   Doc += "\n}\n";
 

@@ -79,8 +79,6 @@ enum class FailOn { Error, Warning, Never };
 /// --races`).
 struct AnalyzeOptions {
   std::string Mode = "types"; ///< "types" | "bounds" | "races".
-  unsigned Jobs = 1; ///< TaskPool width for per-kernel analysis; the
-                     ///< output is byte-identical at every value.
   FailOn Fail = FailOn::Error;
   analysis::LaunchShape Shape; ///< Launch/memory shape for bounds/races.
 };

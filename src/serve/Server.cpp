@@ -28,8 +28,10 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cstdint>
 #include <cstring>
 #include <deque>
+#include <exception>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
@@ -49,10 +51,6 @@ using namespace dcb;
 using namespace dcb::serve;
 
 namespace {
-
-/// Upper bound on the `jobs` request knob. It sizes worker pools and VM
-/// lanes, so it must not scale with whatever number a client sends.
-constexpr unsigned MaxRequestJobs = 64;
 
 /// epoll user-data sentinels; connection ids start above these.
 constexpr uint64_t ListenTag = 0;
@@ -106,7 +104,6 @@ struct Request {
   bool HasInput = false;
 
   // Option knobs, defaulted exactly like the CLI.
-  unsigned Jobs = 1;
   std::string Kernel = "all";
   vm::ExecOptions Exec;
   std::string LintName;
@@ -160,17 +157,14 @@ std::string renderResult(const std::string &Op, const std::string &Id,
   return Out;
 }
 
-/// Canonical options fingerprint per op — every request knob, even the
-/// ones (like `jobs`) whose output is invariant by construction. The
-/// cache is a correctness mechanism, so it keys on what was *asked*, not
-/// on what we believe cannot matter; a jobs=1 and a jobs=8 request never
-/// alias (docs/SERVE.md lists the fields per op). `asm` folds in the
-/// database fingerprint because the learned database is an input too.
+/// Canonical options fingerprint per op — every request knob the op reads
+/// (docs/SERVE.md lists the fields per op). `asm` folds in the database
+/// fingerprint because the learned database is an input too.
 std::string optionsFingerprint(const Request &R, const Hash128 &DbFp) {
   if (R.Op == "disasm")
-    return "jobs=" + std::to_string(R.Jobs);
+    return "";
   if (R.Op == "asm")
-    return "jobs=" + std::to_string(R.Jobs) + ";db=" + DbFp.toHex();
+    return "db=" + DbFp.toHex();
   if (R.Op == "lint")
     return "name=" + R.LintName;
   if (R.Op == "exec") {
@@ -178,7 +172,6 @@ std::string optionsFingerprint(const Request &R, const Hash128 &DbFp) {
     return "kernel=" + R.Kernel + ";threads=" + std::to_string(E.NumThreads) +
            ";blocks=" + std::to_string(E.NumBlocks) +
            ";warp=" + std::to_string(E.WarpSize) +
-           ";lanes=" + std::to_string(E.NumLanes) +
            ";seeds=" + std::to_string(E.Seeds) +
            ";seed=" + std::to_string(E.FirstSeed) +
            (E.UseRef ? ";ref=1" : ";ref=0") +
@@ -188,7 +181,6 @@ std::string optionsFingerprint(const Request &R, const Hash128 &DbFp) {
   if (R.Op == "analyze") {
     const AnalyzeOptions &An = R.Analyze;
     return "mode=" + An.Mode + ";name=" + R.LintName +
-           ";jobs=" + std::to_string(An.Jobs) +
            ";threads=" + std::to_string(An.Shape.NumThreads) +
            ";blocks=" + std::to_string(An.Shape.NumBlocks) +
            ";warp=" + std::to_string(An.Shape.WarpSize) +
@@ -968,17 +960,17 @@ void Server::dispatchFrame(Conn &C, std::string_view Line) {
   if (Rq.Op == "asm" && !Db)
     return Fail(Rq.Id, "server has no encoding database (start with --db)");
 
-  // `jobs` sizes real thread pools downstream, so an untrusted request
-  // saying jobs=1000000 would be a thread bomb. Clamp before it reaches
-  // anything (including the fingerprint: clamped-equal requests alias,
-  // which is correct — they do identical work).
-  Rq.Jobs = std::min(static_cast<unsigned>(V.num("jobs", 1)), MaxRequestJobs);
   Rq.Kernel = V.str("kernel", "all");
   Rq.LintName = V.str("name", Rq.Name);
-  Rq.Exec.NumThreads = static_cast<unsigned>(V.num("threads", 32));
-  Rq.Exec.NumBlocks = static_cast<unsigned>(V.num("blocks", 2));
-  Rq.Exec.WarpSize = static_cast<unsigned>(V.num("warp", 32));
-  Rq.Exec.NumLanes = Rq.Jobs; // `jobs` means VM lanes for exec, like the CLI.
+  // Launch-shape fields saturate instead of wrapping, so an oversized
+  // shape reaches the VM's launch caps as the error it is.
+  auto Shape = [&V](const char *Field, uint64_t Default) {
+    return static_cast<unsigned>(
+        std::min<uint64_t>(V.num(Field, Default), UINT32_MAX));
+  };
+  Rq.Exec.NumThreads = Shape("threads", 32);
+  Rq.Exec.NumBlocks = Shape("blocks", 2);
+  Rq.Exec.WarpSize = Shape("warp", 32);
   Rq.Exec.Seeds = static_cast<unsigned>(V.num("seeds", 5));
   Rq.Exec.FirstSeed = static_cast<uint64_t>(V.num("seed", 1));
   Rq.Exec.UseRef = V.boolean("ref", false);
@@ -993,7 +985,6 @@ void Server::dispatchFrame(Conn &C, std::string_view Line) {
   if (Rq.Op == "analyze" && Rq.Analyze.Mode != "types" &&
       Rq.Analyze.Mode != "bounds" && Rq.Analyze.Mode != "races")
     return Fail(Rq.Id, "mode must be types, bounds or races");
-  Rq.Analyze.Jobs = Rq.Jobs;
   Rq.Analyze.Shape.NumThreads = Rq.Exec.NumThreads;
   Rq.Analyze.Shape.NumBlocks = Rq.Exec.NumBlocks;
   Rq.Analyze.Shape.WarpSize = Rq.Exec.WarpSize;
@@ -1039,23 +1030,27 @@ void Server::dispatchFrame(Conn &C, std::string_view Line) {
     uint64_t Wait = nowNs() - Queued;
     Tel.QueueWait.record(Wait);
     DCB_SPAN("serve.op");
+    // Each op runs on this one lane. Whatever an op throws becomes an error
+    // response: the slot must always finish, or this connection's later
+    // responses would wait behind it forever.
     Expected<OpResult> Out = [&]() -> Expected<OpResult> {
-      if (Rq.Op == "disasm") {
-        vendor::DisasmOptions D;
-        D.NumThreads = Rq.Jobs;
-        return opDisasm(std::vector<uint8_t>(Rq.Raw.begin(), Rq.Raw.end()),
-                        D);
+      try {
+        if (Rq.Op == "disasm")
+          return opDisasm(
+              std::vector<uint8_t>(Rq.Raw.begin(), Rq.Raw.end()),
+              vendor::DisasmOptions());
+        if (Rq.Op == "asm")
+          return opAsm(*Db, Rq.Raw, BatchOptions());
+        if (Rq.Op == "lint")
+          return opLint(Rq.Raw, Rq.LintName);
+        if (Rq.Op == "analyze")
+          return opAnalyze(Rq.Raw, Rq.LintName, Rq.Analyze);
+        return opExec(Rq.Raw, Rq.Name, Rq.Kernel, Rq.Exec);
+      } catch (const std::exception &E) {
+        return Failure(Rq.Op + " failed: " + E.what());
+      } catch (...) {
+        return Failure(Rq.Op + " failed");
       }
-      if (Rq.Op == "asm") {
-        BatchOptions B;
-        B.NumThreads = Rq.Jobs;
-        return opAsm(*Db, Rq.Raw, B);
-      }
-      if (Rq.Op == "lint")
-        return opLint(Rq.Raw, Rq.LintName);
-      if (Rq.Op == "analyze")
-        return opAnalyze(Rq.Raw, Rq.LintName, Rq.Analyze);
-      return opExec(Rq.Raw, Rq.Name, Rq.Kernel, Rq.Exec);
     }();
     std::string Resp;
     const char *Status;

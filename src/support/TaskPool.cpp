@@ -22,6 +22,8 @@ struct PoolTelemetry {
       telemetry::counter("taskpool.submit_rejected");
   telemetry::Counter &SubmitExceptions =
       telemetry::counter("taskpool.submit_exceptions");
+  telemetry::Counter &ThreadsSpawned =
+      telemetry::counter("taskpool.threads_spawned");
 } Tel;
 
 } // namespace
@@ -35,6 +37,7 @@ TaskPool::TaskPool(unsigned NumThreads) {
   Workers.reserve(NumThreads - 1);
   for (unsigned W = 0; W + 1 < NumThreads; ++W)
     Workers.emplace_back([this, W] { workerLoop(W); });
+  Tel.ThreadsSpawned.add(Workers.size());
 }
 
 TaskPool::~TaskPool() {

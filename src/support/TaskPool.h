@@ -9,13 +9,14 @@
 /// is deterministic *results* under nondeterministic scheduling: callers
 /// index a preallocated output slot by task index, so however the pool
 /// interleaves execution, draining the slots in index order reproduces the
-/// serial order exactly. The bit flipper is the first client; any subsystem
-/// with an embarrassingly parallel hot loop (batch disassembly, per-kernel
-/// transforms) can reuse it.
+/// serial order exactly. Its batch clients are the whole kernels of a
+/// cubin (vendor::disassembleCubin) and the chunks of an assembly batch
+/// (asmgen::assembleProgram); the serve daemon's request lanes use its
+/// bounded submission queue.
 ///
 /// Threads are spawned once in the constructor and parked on a condition
-/// variable between batches, so repeated parallelFor calls (one per flip
-/// round) pay no thread-creation cost after the first.
+/// variable between batches, so repeated parallelFor calls pay no
+/// thread-creation cost after the first.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -130,14 +131,13 @@ private:
   uint64_t BatchStartNs = 0;
 };
 
-/// Options shared by the batched assembly/encoding entry points
-/// (asmgen::assembleProgram, encoder::encodeProgram).
+/// Options for the batched assembly entry point (asmgen::assembleProgram).
 struct BatchOptions {
   /// Total lanes including the caller; 0 = hardware concurrency, 1 = inline.
   unsigned NumThreads = 1;
 };
 
-/// Items the batch entry points claim per pool task. Individual items are
+/// Items a batch entry point claims per pool task. Individual items are
 /// sub-microsecond, so contiguous chunks amortize the pool's per-task index
 /// claim; results are still written to per-item slots, so the merge order
 /// — and the output — is byte-identical for every thread count.
@@ -160,7 +160,7 @@ inline telemetry::Histogram &chunkNsHistogram() {
 /// When telemetry is enabled each chunk records its latency into the
 /// shared `taskpool.chunk_ns` histogram and (when tracing) a span named
 /// \p ChunkSpanName, letting callers attribute chunks to their stage
-/// ("encoder.decode.chunk", "asmgen.assemble.chunk", ...).
+/// ("asmgen.assemble.chunk").
 template <typename Fn>
 void parallelForChunked(TaskPool &Pool, size_t NumItems, size_t ChunkSize,
                         const Fn &F,

@@ -244,7 +244,7 @@ public:
 #endif // DCB_TELEMETRY
 
 /// Convenience RAII span covering the rest of the scope:
-///   DCB_SPAN("encoder.decodeProgram");
+///   DCB_SPAN("vendor.decodeKernelCode");
 #define DCB_TELEMETRY_CONCAT_IMPL(A, B) A##B
 #define DCB_TELEMETRY_CONCAT(A, B) DCB_TELEMETRY_CONCAT_IMPL(A, B)
 #define DCB_SPAN(NAME)                                                       \

@@ -115,7 +115,6 @@ ExecSummary vm::execKernel(const ir::Kernel &K, uint64_t Seed,
   Config.NumThreads = Opts.NumThreads;
   Config.NumBlocks = Opts.NumBlocks;
   Config.WarpSize = Opts.WarpSize;
-  Config.NumLanes = Opts.NumLanes;
   Config.Oob = Opts.Oob;
   Config.WatchShared = Opts.WatchShared;
 

@@ -36,7 +36,6 @@ struct ExecOptions {
   unsigned NumThreads = 32; ///< Threads per block.
   unsigned NumBlocks = 2;
   unsigned WarpSize = 32;
-  unsigned NumLanes = 1;   ///< TaskPool lanes for GridVm (0 = hardware).
   unsigned Seeds = 5;      ///< Randomized inputs per kernel (diffexec).
   uint64_t FirstSeed = 1;
   bool UseRef = false;     ///< Execute on the RefVm oracle instead.

@@ -174,13 +174,27 @@ std::string vm::oobDescription(const MemFault &Fault, bool IsStore) {
          " (region size " + std::to_string(Fault.RegionSize) + ")";
 }
 
-Expected<bool> vm::validateLaunch(const Memory &Mem, unsigned WarpSize) {
+Expected<bool> vm::validateLaunch(const Memory &Mem,
+                                  const LaunchConfig &Config) {
   assert(!Mem.Global.empty() && !Mem.Shared.empty() &&
          "memory regions must be non-empty");
   (void)Mem;
-  if (WarpSize < 1 || WarpSize > 32)
+  if (Config.WarpSize < 1 || Config.WarpSize > 32)
     return Failure("vm: warp size must be between 1 and 32, got " +
-                   std::to_string(WarpSize));
+                   std::to_string(Config.WarpSize));
+  if (Config.NumThreads > kMaxBlockThreads)
+    return Failure("vm: at most " + std::to_string(kMaxBlockThreads) +
+                   " threads per block, got " +
+                   std::to_string(Config.NumThreads));
+  if (Config.NumBlocks > kMaxGridBlocks)
+    return Failure("vm: at most " + std::to_string(kMaxGridBlocks) +
+                   " blocks per grid, got " +
+                   std::to_string(Config.NumBlocks));
+  if (uint64_t(Config.NumBlocks) * Config.NumThreads > kMaxGridThreads)
+    return Failure("vm: at most " + std::to_string(kMaxGridThreads) +
+                   " threads per grid, got " +
+                   std::to_string(Config.NumBlocks) + " blocks of " +
+                   std::to_string(Config.NumThreads));
   return true;
 }
 
@@ -213,7 +227,7 @@ void vm::mergeBlocks(Memory &Mem, std::vector<BlockState> &Blocks,
   } else if (!Blocks.empty()) {
     // Merge by block index: every byte a block changed relative to the
     // launch-initial image lands in ascending order, so later blocks win
-    // conflicts — the same discipline encodeProgram uses for kernels.
+    // conflicts.
     const std::vector<uint8_t> Init = Mem.Global;
     for (const BlockState &B : Blocks)
       for (size_t I = 0; I < Init.size(); ++I)

@@ -21,14 +21,16 @@
 ///    compiler cannot contract or reassociate it differently in the two
 ///    engines.
 ///
-/// 3. The warp scheduler template — warps are the scheduling unit; a
-///    per-warp stack of {Pending, Rejoin, Break} entries models
-///    divergence (BRA splits push the not-taken mask, SSY/PBK arm
-///    reconvergence points, SYNC/BRK park lanes into them), and BAR.SYNC
-///    suspends a warp until every live warp of the block arrives. The
-///    schedule is a pure function of the kernel and launch, so RefVm and
-///    GridVm — which plug in only the per-instruction execution — observe
-///    identical interleavings.
+/// 3. The warp scheduler and block loop templates — warps are the
+///    scheduling unit; a per-warp stack of {Pending, Rejoin, Break}
+///    entries models divergence (BRA splits push the not-taken mask,
+///    SSY/PBK arm reconvergence points, SYNC/BRK park lanes into them),
+///    and BAR.SYNC suspends a warp until every live warp of the block
+///    arrives. The schedule is a pure function of the kernel and launch,
+///    so RefVm and GridVm — which plug in only the per-instruction
+///    execution — observe identical interleavings. Blocks run one after
+///    another through the same loop (runGrid), so the only difference
+///    left between the tiers is the machine they run.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,6 +42,7 @@
 #include "support/Errors.h"
 #include "vm/MemModel.h"
 #include "vm/OpTable.h"
+#include "vm/Vm.h"
 
 #include <cassert>
 #include <cmath>
@@ -362,8 +365,8 @@ struct VmStats {
 };
 
 /// All architectural state of one block: the lane register files plus the
-/// block-private memory arenas. Blocks never share mutable state, which is
-/// what lets GridVm run them on TaskPool lanes and merge deterministically.
+/// block-private memory arenas. Blocks never share mutable state; the grid
+/// merges them by block index (mergeBlocks).
 struct BlockState {
   unsigned NumThreads = 0;
   unsigned WarpSize = 32;
@@ -779,14 +782,19 @@ void warpShfl(ShflKind Kind, uint32_t Mask, uint32_t Base, unsigned Lanes,
 /// the payload vmUnsupported wraps when OobPolicy::Fault trips.
 std::string oobDescription(const MemFault &Fault, bool IsStore);
 
-/// Checks launch parameters both engines agree to reject: a zero or
-/// too-wide warp (masks are 32-bit). Returns an explanatory Failure.
-Expected<bool> validateLaunch(const Memory &Mem, unsigned WarpSize);
+/// Launch caps. Until the merge, each thread holds its register file and
+/// local arena (about 5 KB at the default LocalSizePerThread) and each
+/// block a copy of the global and shared arenas, so the caps bound what a
+/// launch can allocate: 1024 threads per block (as on the hardware), 2^16
+/// threads per grid and 1024 blocks per grid.
+constexpr unsigned kMaxBlockThreads = 1024;
+constexpr uint64_t kMaxGridThreads = uint64_t(1) << 16;
+constexpr unsigned kMaxGridBlocks = 1024;
 
-// Forward declarations for the shared block driver (defined in
-// Dispatch.cpp; both engines run blocks into BlockStates and merge them
-// identically).
-struct GridResult;
+/// Checks launch parameters both engines agree to reject: a zero or
+/// too-wide warp (masks are 32-bit) and a shape beyond the launch caps.
+/// Returns an explanatory Failure.
+Expected<bool> validateLaunch(const Memory &Mem, const LaunchConfig &Config);
 
 /// Folds per-block outcomes back into \p Mem and \p Out: thread results
 /// block-major, per-block global byte-diffs versus the launch-initial
@@ -832,6 +840,31 @@ Expected<bool> runBlockWarps(M &Machine, BlockState &B) {
         W.Phase = WarpState::Running;
   }
   return true;
+}
+
+/// Runs every block of a validated launch in index order, each on a fresh
+/// machine M built from \p Code, and merges them. The first failing block
+/// fails the launch.
+template <class M, class CodeT>
+Expected<GridResult> runGrid(const CodeT &Code, Memory &Mem,
+                             const LaunchConfig &Config) {
+  const unsigned NumBlocks = Config.NumBlocks ? Config.NumBlocks : 1;
+  std::vector<BlockState> Blocks(NumBlocks);
+  for (unsigned Idx = 0; Idx < NumBlocks; ++Idx) {
+    BlockState &B = Blocks[Idx];
+    B.init(Mem, Config.NumThreads, Config.WarpSize, Config.BlockId + Idx,
+           Config.MaxStepsPerThread, Config.LocalSizePerThread, Config.Oob,
+           Config.WatchShared);
+    M Machine(Code);
+    Expected<bool> R = runBlockWarps(Machine, B);
+    if (!R)
+      return R.takeError();
+    ++B.Stats.Blocks;
+  }
+
+  GridResult Out;
+  mergeBlocks(Mem, Blocks, Out);
+  return Out;
 }
 
 } // namespace vm

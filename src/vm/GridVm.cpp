@@ -1,4 +1,4 @@
-//===- vm/GridVm.cpp - Predecoded, block-parallel VM tier -----------------===//
+//===- vm/GridVm.cpp - Predecoded VM tier ---------------------------------===//
 //
 // The fast tier. Each kernel is packed ONCE into PInst records — Pre
 // classification, guard, branch target, an operand check against the
@@ -8,14 +8,11 @@
 // instruction. The hot path touches no strings, no std::map, and no
 // sass::Operand; it shares the warp scheduler and every scalar expression
 // with RefVm (Dispatch.h), which is what makes the two tiers bit-identical.
-// Blocks run concurrently on TaskPool lanes into private BlockStates and
-// merge deterministically by block index.
 //
 //===----------------------------------------------------------------------===//
 
 #include "vm/Vm.h"
 
-#include "support/TaskPool.h"
 #include "support/Telemetry.h"
 #include "vm/Semantics.h"
 
@@ -360,42 +357,12 @@ private:
 
 Expected<GridResult> GridVm::run(const Kernel &K, Memory &Mem,
                                  const LaunchConfig &Config) {
-  Expected<bool> Valid = validateLaunch(Mem, Config.WarpSize);
+  Expected<bool> Valid = validateLaunch(Mem, Config);
   if (!Valid)
     return Valid.takeError();
 
   const ir::FlatKernel Flat = ir::flattenKernel(K);
   const GridKernel GK = packKernel(Flat, Mem);
-
-  const unsigned NumBlocks = Config.NumBlocks ? Config.NumBlocks : 1;
-  std::vector<BlockState> Blocks(NumBlocks);
-  std::vector<std::string> Errors(NumBlocks);
-
-  {
-    DCB_SPAN("vm.grid_run");
-    TaskPool Pool(NumBlocks == 1 ? 1 : Config.NumLanes);
-    Pool.parallelFor(NumBlocks, [&](unsigned, size_t Idx) {
-      BlockState &B = Blocks[Idx];
-      B.init(Mem, Config.NumThreads, Config.WarpSize,
-             Config.BlockId + static_cast<uint32_t>(Idx),
-             Config.MaxStepsPerThread, Config.LocalSizePerThread,
-             Config.Oob, Config.WatchShared);
-      GridMachine Machine(GK);
-      Expected<bool> R = runBlockWarps(Machine, B);
-      if (!R)
-        Errors[Idx] = R.message();
-      else
-        ++B.Stats.Blocks;
-    });
-  }
-
-  // Deterministic error selection: the lowest failing block wins, whatever
-  // order the lanes finished in.
-  for (const std::string &E : Errors)
-    if (!E.empty())
-      return Failure(E);
-
-  GridResult Out;
-  mergeBlocks(Mem, Blocks, Out);
-  return Out;
+  DCB_SPAN("vm.grid_run");
+  return runGrid<GridMachine>(GK, Mem, Config);
 }

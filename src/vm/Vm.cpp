@@ -495,26 +495,10 @@ Expected<bool> RefMachine::execLane(BlockState &B, const Inst &Entry,
 
 Expected<GridResult> RefVm::run(const Kernel &K, Memory &Mem,
                                 const LaunchConfig &Config) {
-  Expected<bool> Valid = validateLaunch(Mem, Config.WarpSize);
+  Expected<bool> Valid = validateLaunch(Mem, Config);
   if (!Valid)
     return Valid.takeError();
 
   const ir::FlatKernel Flat = ir::flattenKernel(K);
-  const unsigned NumBlocks = Config.NumBlocks ? Config.NumBlocks : 1;
-  std::vector<BlockState> Blocks(NumBlocks);
-  for (unsigned Idx = 0; Idx < NumBlocks; ++Idx) {
-    BlockState &B = Blocks[Idx];
-    B.init(Mem, Config.NumThreads, Config.WarpSize, Config.BlockId + Idx,
-           Config.MaxStepsPerThread, Config.LocalSizePerThread, Config.Oob,
-           Config.WatchShared);
-    RefMachine Machine(Flat);
-    Expected<bool> R = runBlockWarps(Machine, B);
-    if (!R)
-      return R.takeError();
-    ++B.Stats.Blocks;
-  }
-
-  GridResult Out;
-  mergeBlocks(Mem, Blocks, Out);
-  return Out;
+  return runGrid<RefMachine>(Flat, Mem, Config);
 }

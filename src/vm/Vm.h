@@ -18,9 +18,10 @@
 ///  - GridVm, the fast tier: predecodes each kernel once into packed
 ///    records with resolved constant-bank pointers, executes them with the
 ///    transfer functions it shares with the abstract checkers
-///    (vm/Semantics.h), and runs blocks concurrently on TaskPool lanes
-///    with a deterministic merge-by-block-index — results are
-///    bit-identical to RefVm and across any `--jobs` value.
+///    (vm/Semantics.h) — results are bit-identical to RefVm.
+///
+/// Both tiers run a grid's blocks one after another through the same loop
+/// and merge them by block index (vm/Dispatch.h).
 ///
 /// Both tiers execute warps in lockstep with per-warp divergence stacks;
 /// BAR.SYNC is a real intra-block barrier at warp granularity, and VOTE /
@@ -56,8 +57,6 @@ struct LaunchConfig {
   unsigned NumBlocks = 1;
   unsigned WarpSize = 32;            ///< 1..32 lanes per warp.
   OobPolicy Oob = OobPolicy::Wrap;   ///< Out-of-region access policy.
-  unsigned NumLanes = 1; ///< TaskPool lanes for GridVm blocks (0 = all
-                         ///< hardware threads). Never changes results.
   bool WatchShared = false; ///< Track unordered shared-memory accesses
                             ///< (GridResult::SharedConflicts).
 };
@@ -92,8 +91,8 @@ public:
                            const LaunchConfig &Config);
 };
 
-/// The predecoded, block-parallel tier. Bit-identical to RefVm for every
-/// kernel and launch, at any NumLanes.
+/// The predecoded tier. Bit-identical to RefVm for every kernel and
+/// launch.
 class GridVm {
 public:
   Expected<GridResult> run(const ir::Kernel &K, Memory &Mem,

@@ -430,13 +430,11 @@ TEST_P(AnalyzerPerArch, BitFlippingConvergesAndEnriches) {
   ASSERT_FALSE(Analyzer.analyzeListing(Data.L));
   auto Before = Analyzer.database().stats();
 
-  // Parallel lanes plus the single-word fast path: the common production
-  // configuration, exercised here on every architecture.
+  // The single-word fast path, exercised here on every architecture.
   BitFlipper Flipper(Analyzer, makeDisassembler(GetParam()),
                      makeWindowDisassembler(GetParam()));
   BitFlipper::Options Opts;
   Opts.MaxRounds = 3;
-  Opts.NumThreads = 4;
   auto Rounds = Flipper.run(Data.KernelCode, Opts);
   ASSERT_FALSE(Rounds.empty());
   auto After = Analyzer.database().stats();
@@ -508,13 +506,13 @@ TEST_P(AnalyzerPerArch, DatabaseSerializationRoundTrips) {
   }
 }
 
-TEST(BitFlipperDeterminism, ParallelRunMatchesSerialByteForByte) {
-  // The engine's core guarantee: however many lanes run the trials, the
-  // merge into the analyzer is serial in (exemplar, bit) order, so the
-  // learned database is identical — across the whole serialized artifact.
+TEST(BitFlipperDeterminism, WindowPathMatchesWholeKernelByteForByte) {
+  // The single-word fast path learns exactly what full-kernel disassembly
+  // learns (only the patched word ever differs), across the whole
+  // serialized artifact.
   for (Arch A : {Arch::SM35, Arch::SM52}) {
     SuiteData Data = makeSuiteData(A);
-    auto runWith = [&](unsigned Jobs, bool UseWindow) {
+    auto runWith = [&](bool UseWindow) {
       IsaAnalyzer Analyzer(A);
       EXPECT_FALSE(Analyzer.analyzeListing(Data.L));
       BitFlipper Flipper(Analyzer, makeDisassembler(A),
@@ -522,16 +520,10 @@ TEST(BitFlipperDeterminism, ParallelRunMatchesSerialByteForByte) {
                                    : WindowDisassembler());
       BitFlipper::Options Opts;
       Opts.MaxRounds = 3;
-      Opts.NumThreads = Jobs;
       Flipper.run(Data.KernelCode, Opts);
       return Analyzer.database().serialize();
     };
-    std::string Serial = runWith(1, true);
-    EXPECT_EQ(Serial, runWith(2, true)) << archName(A);
-    EXPECT_EQ(Serial, runWith(4, true)) << archName(A);
-    // The single-word fast path learns exactly what full-kernel
-    // disassembly learns (only the patched word ever differs).
-    EXPECT_EQ(Serial, runWith(4, false)) << archName(A);
+    EXPECT_EQ(runWith(true), runWith(false)) << archName(A);
   }
 }
 
@@ -540,10 +532,10 @@ TEST(BitFlipperDeterminism, StructuredDecoderMatchesPrintedPathByteForByte) {
   // (structured sass::Instructions, no print -> parse round trip). The
   // decoder rejects exactly the words whose printed line would not
   // re-parse, so the learned database must equal the text path's, byte
-  // for byte, at any lane count.
+  // for byte.
   for (Arch A : {Arch::SM35, Arch::SM52}) {
     SuiteData Data = makeSuiteData(A);
-    auto runWith = [&](unsigned Jobs, bool UseDecoder) {
+    auto runWith = [&](bool UseDecoder) {
       IsaAnalyzer Analyzer(A);
       EXPECT_FALSE(Analyzer.analyzeListing(Data.L));
       BitFlipper Flipper(Analyzer, makeDisassembler(A),
@@ -552,14 +544,45 @@ TEST(BitFlipperDeterminism, StructuredDecoderMatchesPrintedPathByteForByte) {
                                     : WindowDecoder());
       BitFlipper::Options Opts;
       Opts.MaxRounds = 3;
-      Opts.NumThreads = Jobs;
       Flipper.run(Data.KernelCode, Opts);
       return Analyzer.database().serialize();
     };
-    std::string Printed = runWith(1, false);
-    EXPECT_EQ(Printed, runWith(1, true)) << archName(A);
-    EXPECT_EQ(Printed, runWith(4, true)) << archName(A);
+    EXPECT_EQ(runWith(false), runWith(true)) << archName(A);
   }
+}
+
+TEST(BitFlipperBounds, ExemplarAddressThatWrapsIsRejected) {
+  // An exemplar address near 2^64, as a hostile database file can carry
+  // it: Addr + word bytes wraps to a small number, and a wrapping bounds
+  // check would patch the bytes before the kernel buffer. Every variant
+  // of that exemplar must be Rejected, and nothing else may change.
+  SuiteData Data = makeSuiteData(Arch::SM35);
+  IsaAnalyzer Learned(Arch::SM35);
+  ASSERT_FALSE(Learned.analyzeListing(Data.L));
+  ASSERT_FALSE(Learned.database().operations().empty());
+  const std::string Key = Learned.database().operations().begin()->first;
+
+  auto roundOne = [&](bool Hostile) {
+    EncodingDatabase Db = Learned.database();
+    OperationRec &Op = Db.operations().at(Key);
+    if (Hostile)
+      Op.ExemplarAddr = ~uint64_t(0) - 7; // 2^64 - 8.
+    else
+      Op.ExemplarWord = BitString(); // No exemplar: never flipped.
+    IsaAnalyzer Analyzer(std::move(Db));
+    BitFlipper Flipper(Analyzer, makeDisassembler(Arch::SM35),
+                       makeWindowDisassembler(Arch::SM35),
+                       makeWindowDecoder(Arch::SM35));
+    BitFlipper::Options Opts;
+    Opts.MaxRounds = 1;
+    return Flipper.run(Data.KernelCode, Opts).front();
+  };
+  BitFlipper::RoundStats Hostile = roundOne(true);
+  BitFlipper::RoundStats Base = roundOne(false);
+  EXPECT_EQ(Hostile.VariantsTried, Base.VariantsTried + 64);
+  EXPECT_EQ(Hostile.Rejected, Base.Rejected + 64);
+  EXPECT_EQ(Hostile.Crashes, Base.Crashes);
+  EXPECT_EQ(Hostile.Accepted, Base.Accepted);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllArchs, AnalyzerPerArch,

@@ -8,9 +8,9 @@
 //     the same values AND error messages as through a never-frozen clone.
 //  3. Freeze/thaw semantics, including first-match order preservation on a
 //     deliberately ambiguous hand-built spec.
-//  4. Batch determinism: encoder::decodeProgram and the vendor
-//     disassembler/decoder are byte-identical for every lane count,
-//     including which job reports the first error.
+//  4. Cubin determinism: the vendor disassembler's listing is
+//     byte-identical for every kernel lane count, including which kernel
+//     reports the first error, and the structured decoder agrees with it.
 //
 //===----------------------------------------------------------------------===//
 
@@ -208,54 +208,6 @@ TEST(DecodeIndexTest, UnconstrainedSelectorBitsReplicateForms) {
   }
 }
 
-TEST(DecodeBatchTest, DecodeProgramIsIdenticalForEveryLaneCount) {
-  const isa::ArchSpec &Spec = isa::getArchSpec(Arch::SM50);
-  Rng R(0xbadc0de);
-  std::vector<sass::Instruction> Program =
-      vendor::randomStraightLineProgram(Spec, R, 160);
-
-  const unsigned WordBytes = Spec.WordBits / 8;
-  std::vector<BitString> Words;
-  for (size_t I = 0; I < Program.size(); ++I) {
-    Expected<BitString> Word =
-        encoder::encodeInstruction(Spec, Program[I], I * WordBytes);
-    ASSERT_TRUE(Word.hasValue()) << Word.message();
-    Words.push_back(std::move(*Word));
-  }
-  // Poison two words with a pattern no form matches, so the batch also has
-  // failures to keep in order. Random sampling finds one quickly on SM50.
-  BitString Poison(Spec.WordBits);
-  bool Found = false;
-  for (int Trial = 0; Trial < 10000 && !Found; ++Trial) {
-    Poison = randomWord(R, Spec.WordBits);
-    Found = Spec.match(Poison) == nullptr;
-  }
-  ASSERT_TRUE(Found) << "no undecodable word found";
-  Words[40] = Poison;
-  Words[150] = Poison;
-
-  std::vector<encoder::DecodeJob> Jobs;
-  for (size_t I = 0; I < Words.size(); ++I)
-    Jobs.push_back({&Words[I], I * WordBytes});
-
-  std::vector<Expected<sass::Instruction>> Baseline =
-      encoder::decodeProgram(Spec, Jobs); // Serial default.
-  ASSERT_EQ(Baseline.size(), Jobs.size());
-  EXPECT_FALSE(Baseline[40].hasValue());
-
-  for (unsigned Lanes : {2u, 4u, 0u}) {
-    BatchOptions Options;
-    Options.NumThreads = Lanes;
-    std::vector<Expected<sass::Instruction>> Results =
-        encoder::decodeProgram(Spec, Jobs, Options);
-    ASSERT_EQ(Results.size(), Baseline.size());
-    for (size_t I = 0; I < Results.size(); ++I)
-      expectSameDecode(Baseline[I], Results[I],
-                       "lanes " + std::to_string(Lanes) + " job " +
-                           std::to_string(I));
-  }
-}
-
 namespace {
 
 vendor::KernelBuilder saxpy(Arch A) {
@@ -293,47 +245,65 @@ std::vector<uint8_t> saxpyCode(Arch A) {
                              : std::vector<uint8_t>();
 }
 
+/// A cubin of \p NumKernels saxpy kernels, named saxpy0, saxpy1, ...
+elf::Cubin saxpyCubin(Arch A, unsigned NumKernels) {
+  elf::Cubin Cubin(A);
+  std::vector<uint8_t> Code = saxpyCode(A);
+  for (unsigned I = 0; I < NumKernels; ++I) {
+    elf::KernelSection K;
+    K.Name = "saxpy" + std::to_string(I);
+    K.Code = Code;
+    Cubin.addKernel(std::move(K));
+  }
+  return Cubin;
+}
+
 } // namespace
 
 TEST(DecodeBatchTest, DisassembleKernelCodeIsByteIdenticalAcrossOptions) {
-  for (Arch A : {Arch::SM20, Arch::SM35, Arch::SM50, Arch::SM61}) {
-    std::vector<uint8_t> Code = saxpyCode(A);
-    ASSERT_FALSE(Code.empty());
+  // However the cubin's kernels are spread over lanes, each kernel's text
+  // is what disassembleKernelCode prints for it, joined in kernel order.
+  for (Arch A : {Arch::SM20, Arch::SM35, Arch::SM50, Arch::SM61, Arch::SM70}) {
+    elf::Cubin Cubin = saxpyCubin(A, 6);
+    std::string Serial = "code for " + std::string(archName(A)) + "\n";
+    for (const elf::KernelSection &K : Cubin.kernels()) {
+      Expected<std::string> Text =
+          vendor::disassembleKernelCode(A, K.Name, K.Code);
+      ASSERT_TRUE(Text.hasValue()) << Text.message();
+      Serial += *Text + "\n";
+    }
 
-    Expected<std::string> Serial =
-        vendor::disassembleKernelCode(A, "saxpy", Code);
-    ASSERT_TRUE(Serial.hasValue()) << Serial.message();
-
-    for (unsigned Lanes : {2u, 4u, 0u}) {
+    for (unsigned Lanes : {1u, 2u, 4u, 0u}) {
       vendor::DisasmOptions Options;
       Options.NumThreads = Lanes;
-      Expected<std::string> Parallel =
-          vendor::disassembleKernelCode(A, "saxpy", Code, Options);
-      ASSERT_TRUE(Parallel.hasValue()) << Parallel.message();
-      EXPECT_EQ(*Serial, *Parallel) << archName(A) << " lanes " << Lanes;
+      Expected<std::string> Listing = vendor::disassembleCubin(Cubin, Options);
+      ASSERT_TRUE(Listing.hasValue()) << Listing.message();
+      EXPECT_EQ(Serial, *Listing) << archName(A) << " lanes " << Lanes;
     }
   }
 }
 
 TEST(DecodeBatchTest, CorruptWordFailsIdenticallyAtEveryLaneCount) {
-  std::vector<uint8_t> Code = saxpyCode(Arch::SM50);
-  ASSERT_FALSE(Code.empty());
-  // Garbage over the second word (the first is a SCHI slot on Maxwell).
+  elf::Cubin Cubin = saxpyCubin(Arch::SM50, 6);
+  // Garbage over the second word of kernel 2 (the first is a SCHI slot on
+  // Maxwell), and a torn last word in kernel 4: kernel 2 fails first in
+  // kernel order, so its diagnostic wins at every lane count.
+  std::vector<elf::KernelSection> &Kernels = Cubin.kernels();
   for (size_t I = 0; I < 8; ++I)
-    Code[8 + I] = 0xff;
+    Kernels[2].Code[8 + I] = 0xff;
+  Kernels[4].Code.pop_back();
 
-  Expected<std::string> Serial =
-      vendor::disassembleKernelCode(Arch::SM50, "saxpy", Code);
-  ASSERT_FALSE(Serial.hasValue());
-  EXPECT_NE(Serial.message().find("cuobjdump-sim: "), std::string::npos);
+  Expected<std::string> First = vendor::disassembleKernelCode(
+      Arch::SM50, Kernels[2].Name, Kernels[2].Code);
+  ASSERT_FALSE(First.hasValue());
+  EXPECT_NE(First.message().find("cuobjdump-sim: "), std::string::npos);
 
-  for (unsigned Lanes : {2u, 4u, 0u}) {
+  for (unsigned Lanes : {1u, 2u, 4u, 0u}) {
     vendor::DisasmOptions Options;
     Options.NumThreads = Lanes;
-    Expected<std::string> Parallel =
-        vendor::disassembleKernelCode(Arch::SM50, "saxpy", Code, Options);
-    ASSERT_FALSE(Parallel.hasValue());
-    EXPECT_EQ(Serial.message(), Parallel.message()) << "lanes " << Lanes;
+    Expected<std::string> Listing = vendor::disassembleCubin(Cubin, Options);
+    ASSERT_FALSE(Listing.hasValue());
+    EXPECT_EQ(First.message(), Listing.message()) << "lanes " << Lanes;
   }
 }
 

@@ -118,31 +118,32 @@ TEST(GridParity, SuiteMatchesOracleBitForBit) {
   }
 }
 
-// The TaskPool lane count is a performance knob, never a semantic one:
-// an 8-block launch must produce byte-identical results serialized,
-// on 4 lanes and on every hardware thread.
-TEST(GridParity, JobsChoiceNeverChangesResults) {
-  for (const CompiledSuiteKernel &S : compileSuite(Arch::SM35)) {
+// Launch shapes beyond the caps are refused up front, before any block
+// state is allocated, with the same `vm:` error on both engines.
+TEST(GridParity, LaunchCapsFailAlikeOnBothEngines) {
+  std::vector<CompiledSuiteKernel> Suite = compileSuite(Arch::SM35);
+  ASSERT_FALSE(Suite.empty());
+  struct Shape {
+    unsigned Threads, Blocks;
+    const char *Error;
+  } Shapes[] = {
+      {1025, 1, "vm: at most 1024 threads per block, got 1025"},
+      {32, 1025, "vm: at most 1024 blocks per grid, got 1025"},
+      {32, 4294967295u, "vm: at most 1024 blocks per grid, got 4294967295"},
+      {4294967295u, 2, "vm: at most 1024 threads per block, got 4294967295"},
+      {1024, 65, "vm: at most 65536 threads per grid, got 65 blocks of 1024"},
+  };
+  for (const Shape &Sh : Shapes) {
     LaunchConfig Config;
-    Config.NumThreads = 16;
-    Config.NumBlocks = 8;
-
-    Config.NumLanes = 1;
-    Memory Mem1 = seededMemory(11, Config.NumThreads);
-    Expected<GridResult> R1 = GridVm().run(S.K, Mem1, Config);
-
-    for (unsigned Lanes : {4u, 0u}) {
-      Config.NumLanes = Lanes;
-      Memory MemN = seededMemory(11, Config.NumThreads);
-      Expected<GridResult> RN = GridVm().run(S.K, MemN, Config);
-      ASSERT_EQ(R1.hasValue(), RN.hasValue()) << S.Name;
-      if (!R1) {
-        EXPECT_EQ(R1.message(), RN.message()) << S.Name;
-        continue;
-      }
-      expectSameRun(*R1, Mem1, *RN, MemN,
-                    S.Name + " lanes=" + std::to_string(Lanes));
-    }
+    Config.NumThreads = Sh.Threads;
+    Config.NumBlocks = Sh.Blocks;
+    Memory MemRef, MemGrid;
+    Expected<GridResult> Ref = RefVm().run(Suite[0].K, MemRef, Config);
+    Expected<GridResult> Grid = GridVm().run(Suite[0].K, MemGrid, Config);
+    ASSERT_FALSE(Ref.hasValue()) << Sh.Error;
+    ASSERT_FALSE(Grid.hasValue()) << Sh.Error;
+    EXPECT_EQ(Ref.message(), Sh.Error);
+    EXPECT_EQ(Grid.message(), Sh.Error);
   }
 }
 
@@ -218,7 +219,6 @@ TEST(GridParity, RandomizedDifferentialFuzz) {
   ExecOptions Ref;
   Ref.UseRef = true;
   ExecOptions Grid;
-  Grid.NumLanes = 0; // All cores: exercise the concurrent path too.
 
   for (uint64_t Seed = 1; Seed <= 120; ++Seed) {
     const CompiledSuiteKernel &S = Suite[Seed % Suite.size()];

@@ -37,6 +37,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 using namespace dcb;
@@ -299,27 +300,17 @@ TEST(ServeOps, LintEmitsJsonReport) {
   EXPECT_NE(R->Output.find("the-target"), std::string::npos);
 }
 
-TEST(ServeOps, AnalyzeIsJobsInvariantAcrossModes) {
+TEST(ServeOps, AnalyzeDocumentsCarryFindingsInEveryMode) {
   std::vector<uint8_t> Image = suiteImage(Arch::SM35);
   std::string Bytes(Image.begin(), Image.end());
   for (const char *Mode : {"types", "bounds", "races"}) {
-    AnalyzeOptions One;
-    One.Mode = Mode;
-    One.Jobs = 1;
-    Expected<OpResult> R1 = opAnalyze(Bytes, "suite", One);
-    ASSERT_TRUE(R1.hasValue()) << R1.message();
-    EXPECT_NE(R1->Output.find("dcb-analysis-v1"), std::string::npos);
-    EXPECT_NE(R1->Output.find("\"findings\""), std::string::npos)
+    AnalyzeOptions Opts;
+    Opts.Mode = Mode;
+    Expected<OpResult> R = opAnalyze(Bytes, "suite", Opts);
+    ASSERT_TRUE(R.hasValue()) << R.message();
+    EXPECT_NE(R->Output.find("dcb-analysis-v1"), std::string::npos);
+    EXPECT_NE(R->Output.find("\"findings\""), std::string::npos)
         << Mode << " documents must always carry a findings array";
-    for (unsigned Jobs : {4u, 8u}) {
-      AnalyzeOptions Par = One;
-      Par.Jobs = Jobs;
-      Expected<OpResult> RN = opAnalyze(Bytes, "suite", Par);
-      ASSERT_TRUE(RN.hasValue()) << RN.message();
-      EXPECT_EQ(R1->Output, RN->Output)
-          << "analyze --" << Mode << " must be byte-identical at jobs="
-          << Jobs;
-    }
   }
 }
 
@@ -422,14 +413,14 @@ TEST(ServeServer, OptionsFingerprintSplitsTheCache) {
   Expected<Client> C = Client::connect(S->port());
   ASSERT_TRUE(C.hasValue()) << C.message();
 
-  // Same cubin, different --jobs: must NOT alias.
-  json::Value J1 = roundTripOk(*C, requestFor("disasm", Image,
-                                              ",\"jobs\":1"));
-  json::Value J8 = roundTripOk(*C, requestFor("disasm", Image,
-                                              ",\"jobs\":8"));
-  EXPECT_FALSE(J1.boolean("cached"));
-  EXPECT_FALSE(J8.boolean("cached")) << "jobs=8 must not hit the jobs=1 entry";
-  EXPECT_EQ(J1.str("output"), J8.str("output"));
+  // Same cubin, different launch shape for exec: must NOT alias.
+  json::Value T16 = roundTripOk(
+      *C, requestFor("exec", Image, ",\"kernel\":\"all\",\"threads\":16"));
+  json::Value T8 = roundTripOk(
+      *C, requestFor("exec", Image, ",\"kernel\":\"all\",\"threads\":8"));
+  EXPECT_FALSE(T16.boolean("cached"));
+  EXPECT_FALSE(T8.boolean("cached"))
+      << "threads=8 must not hit the threads=16 entry";
 
   // Same cubin, different OOB policy for exec: must NOT alias.
   json::Value W = roundTripOk(
@@ -440,10 +431,13 @@ TEST(ServeServer, OptionsFingerprintSplitsTheCache) {
   EXPECT_FALSE(F.boolean("cached"))
       << "oob=fault must not hit the oob=wrap entry";
 
-  // Unchanged options repeat: both now hit.
-  json::Value J1Again = roundTripOk(*C, requestFor("disasm", Image,
-                                                   ",\"jobs\":1"));
-  EXPECT_TRUE(J1Again.boolean("cached"));
+  // Unchanged options repeat: now a hit. A field no op reads (here `jobs`)
+  // is ignored, so it does not split the cache.
+  json::Value T8Again = roundTripOk(
+      *C, requestFor("exec", Image,
+                     ",\"kernel\":\"all\",\"threads\":8,\"jobs\":8"));
+  EXPECT_TRUE(T8Again.boolean("cached"));
+  EXPECT_EQ(T8Again.str("output"), T8.str("output"));
 }
 
 TEST(ServeServer, AnalyzeOverTheWireMatchesOpAndCaches) {
@@ -486,24 +480,40 @@ TEST(ServeServer, AnalyzeOverTheWireMatchesOpAndCaches) {
       << "fail_on changes the exit gate, not the document";
 }
 
-TEST(ServeServer, AbsurdJobsValueIsClampedNotHonored) {
+TEST(ServeServer, RequestPathStartsNoThreads) {
+  // Every op runs on the one pool lane that picked the request up: no
+  // request, whatever it asks for, starts a thread of its own.
   std::vector<uint8_t> Image = suiteImage(Arch::SM35);
-  std::unique_ptr<Server> S = startServer(ServerOptions());
+  Expected<std::string> Listing = vendor::disassembleImage(Image);
+  ASSERT_TRUE(Listing.hasValue()) << Listing.message();
+  std::vector<uint8_t> ListingBytes(Listing->begin(), Listing->end());
+
+  telemetry::resetForTest();
+  telemetry::setCountersEnabled(true);
+  telemetry::Counter &Spawned =
+      telemetry::counter("taskpool.threads_spawned");
+  ServerOptions Opts;
+  Opts.Jobs = 2; // One pool worker besides the caller lane.
+  std::unique_ptr<Server> S = startServer(Opts, learnSuite(Arch::SM35));
+  EXPECT_EQ(Spawned.value(), 1u) << "the server's own pool worker";
   Expected<Client> C = Client::connect(S->port());
   ASSERT_TRUE(C.hasValue()) << C.message();
 
-  // jobs sizes real thread pools downstream; a request asking for a
-  // million must be served (clamped), not turned into a thread bomb.
-  json::Value Huge = roundTripOk(*C, requestFor("disasm", Image,
-                                                ",\"jobs\":1000000"));
-  EXPECT_FALSE(Huge.boolean("cached"));
-
-  // Clamped-equal requests alias: both run the identical clamped work.
-  json::Value AtCap = roundTripOk(*C, requestFor("disasm", Image,
-                                                 ",\"jobs\":64"));
-  EXPECT_TRUE(AtCap.boolean("cached"))
-      << "jobs beyond the cap must alias with jobs at the cap";
-  EXPECT_EQ(Huge.str("output"), AtCap.str("output"));
+  const std::string Jobs = ",\"jobs\":8";
+  for (const std::string &Req :
+       {requestFor("disasm", Image, Jobs), requestFor("asm", ListingBytes, Jobs),
+        requestFor("exec", Image, Jobs + ",\"blocks\":8"),
+        requestFor("lint", Image, Jobs),
+        requestFor("analyze", Image, Jobs + ",\"mode\":\"types\""),
+        requestFor("analyze", Image, Jobs + ",\"mode\":\"bounds\""),
+        requestFor("analyze", Image, Jobs + ",\"mode\":\"races\""),
+        requestFor("disasm", Image, ",\"jobs\":1000000,\"id\":\"big\"")}) {
+    json::Value V = roundTripOk(*C, Req);
+    EXPECT_EQ(V.str("status"), "ok") << Req.substr(0, 40);
+  }
+  EXPECT_EQ(Spawned.value(), 1u) << "a request started threads";
+  telemetry::setCountersEnabled(false);
+  telemetry::resetForTest();
 }
 
 TEST(ServeServer, AsmOverTheWireNeedsDbAndMatchesOneShot) {
@@ -846,6 +856,41 @@ TEST(ServeReactor, PipelinedBatchAnswersInRequestOrder) {
   Expected<json::Value> Third = json::parse((*Resps)[2]);
   ASSERT_TRUE(Third.hasValue());
   EXPECT_EQ(Third->str("output"), Direct->Output);
+}
+
+TEST(ServeReactor, BadLaunchShapeIsAnsweredAndPipelineContinues) {
+  // An exec whose launch shape exceeds the VM's caps is answered with the
+  // VM's error, and the requests pipelined behind it on the connection
+  // still get their answers.
+  std::vector<uint8_t> Image = suiteImage(Arch::SM35);
+  std::unique_ptr<Server> S = startServer(ServerOptions());
+  RawConn C = RawConn::open(S->port());
+  timeval Timeout{10, 0}; // A missing answer fails instead of hanging.
+  ::setsockopt(C.Fd, SOL_SOCKET, SO_RCVTIMEO, &Timeout, sizeof(Timeout));
+
+  C.send(requestFor("exec", Image,
+                    ",\"id\":\"blocks\",\"kernel\":\"bfs\","
+                    "\"blocks\":4294967295") +
+         "\n" +
+         requestFor("exec", Image,
+                    ",\"id\":\"threads\",\"kernel\":\"bfs\","
+                    "\"threads\":4294967295") +
+         "\n" + "{\"op\":\"ping\",\"id\":\"after\"}\n");
+
+  const char *Errors[] = {
+      "bfs: error: vm: at most 1024 blocks per grid, got 4294967295",
+      "bfs: error: vm: at most 1024 threads per block, got 4294967295"};
+  for (const char *Error : Errors) {
+    std::string Line = C.recvLine(64);
+    Expected<json::Value> V = json::parse(Line);
+    ASSERT_TRUE(V.hasValue()) << "no answer: " << V.message();
+    EXPECT_EQ(V->str("status"), "ok");
+    EXPECT_EQ(V->num("exit"), 1u);
+    EXPECT_EQ(V->str("output"), std::string(Error) + "\n");
+  }
+  Expected<json::Value> Ping = json::parse(C.recvLine(64));
+  ASSERT_TRUE(Ping.hasValue()) << "no answer: " << Ping.message();
+  EXPECT_EQ(Ping->str("id"), "after");
 }
 
 //===----------------------------------------------------------------------===//

@@ -581,7 +581,6 @@ TEST(Vm, MultiBlockGridMergesByBlockIndex) {
   LaunchConfig Config;
   Config.NumThreads = 4;
   Config.NumBlocks = 3;
-  Config.NumLanes = 0; // All cores; results are merge-order deterministic.
   Memory Mem;
   Expected<GridResult> R = GridVm().run(Kern, Mem, Config);
   ASSERT_TRUE(R.hasValue()) << R.message();

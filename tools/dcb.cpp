@@ -9,7 +9,7 @@
 //                                            when a CUDA toolchain exists)
 //   dcb disasm <cubin> [--jobs N]            cuobjdump-style listing
 //   dcb analyze <listing> [--db in] -o out   run the ISA Analyzer
-//   dcb flip <cubin> --db in [--jobs N] -o out   bit-flip enrichment rounds
+//   dcb flip <cubin> --db in -o out          bit-flip enrichment rounds
 //   dcb genasm --db db -o asm2bin.cpp        emit the C++ assembler (Alg. 3)
 //   dcb asm --db db [--jobs N] <listing>     reassemble, print hex words
 //   dcb verify --db db [--jobs N] <listing>  reassemble + compare binary
@@ -395,20 +395,14 @@ analysis::LaunchShape launchShapeOf(const Args &A) {
 
 /// `dcb analyze --types|--bounds|--races`: the typed-IR checker modes.
 /// JSON mode routes through the daemon-shared op (byte-identical to a
-/// served analyze request, and for every --jobs value); text mode prints
-/// the type facts and findings human-readably.
+/// served analyze request); text mode prints the type facts and findings
+/// human-readably.
 int cmdAnalyzeChecks(const Args &A, const std::string &Mode) {
   const std::string &Path = A.Positional[0];
   serve::AnalyzeOptions Opts;
   Opts.Mode = Mode;
   Opts.Fail = failOnOf(A);
   Opts.Shape = launchShapeOf(A);
-  if (auto Jobs = A.get("--jobs")) {
-    std::optional<uint64_t> N = parseUInt(*Jobs);
-    if (!N)
-      die("bad --jobs value '" + *Jobs + "'");
-    Opts.Jobs = static_cast<unsigned>(*N); // 0 = hardware width.
-  }
 
   if (auto Json = A.get("--json")) {
     Expected<serve::OpResult> R = serve::opAnalyze(readFile(Path), Path, Opts);
@@ -465,8 +459,8 @@ int cmdAnalyze(const Args &A) {
   if (Modes == 1) {
     if (A.Positional.empty())
       die("usage: dcb analyze --liveness|--hazards|--types|--bounds|--races "
-          "<cubin|listing> [--json[=FILE]] [--fail-on SEV] [--jobs N] "
-          "[--threads N] [--blocks N] [--warp-size N]");
+          "<cubin|listing> [--json[=FILE]] [--fail-on SEV] [--threads N] "
+          "[--blocks N] [--warp-size N]");
     if (WantLiveness)
       return cmdAnalyzeLiveness(A);
     if (WantHazards)
@@ -498,7 +492,7 @@ int cmdAnalyze(const Args &A) {
 
 int cmdFlip(const Args &A) {
   if (A.Positional.empty())
-    die("usage: dcb flip <cubin> --db in.db [--jobs N] -o <out.db>");
+    die("usage: dcb flip <cubin> --db in.db -o <out.db>");
   Expected<elf::Cubin> Cubin =
       elf::Cubin::deserialize(readBinary(A.Positional[0]));
   if (!Cubin)
@@ -537,14 +531,7 @@ int cmdFlip(const Args &A) {
         }
         return D;
       });
-  analyzer::BitFlipper::Options Opts;
-  if (auto Jobs = A.get("--jobs")) {
-    std::optional<uint64_t> N = parseUInt(*Jobs);
-    if (!N)
-      die("bad --jobs value '" + *Jobs + "'");
-    Opts.NumThreads = static_cast<unsigned>(*N); // 0 = hardware width.
-  }
-  auto Rounds = Flipper.run(KernelCode, Opts);
+  auto Rounds = Flipper.run(KernelCode);
   for (size_t R = 0; R < Rounds.size(); ++R)
     std::printf("round %zu: %u variants, %u crashes, %u accepted, "
                 "%u rejected, %u cache hits\n",
@@ -759,19 +746,18 @@ int cmdInstrument(const Args &A) {
 /// vocabulary.
 vm::ExecOptions execOptions(const Args &A) {
   vm::ExecOptions Opts;
-  auto Uint = [&A](const char *Key, unsigned &Slot, bool AllowZero) {
+  auto Uint = [&A](const char *Key, unsigned &Slot) {
     if (auto V = A.get(Key)) {
       std::optional<uint64_t> N = parseUInt(*V);
-      if (!N || (!AllowZero && *N == 0))
+      if (!N || *N == 0 || *N > UINT32_MAX)
         die(std::string("bad ") + Key + " value '" + *V + "'");
       Slot = static_cast<unsigned>(*N);
     }
   };
-  Uint("--threads", Opts.NumThreads, false);
-  Uint("--blocks", Opts.NumBlocks, false);
-  Uint("--warp-size", Opts.WarpSize, false);
-  Uint("--jobs", Opts.NumLanes, true); // 0 = all cores, like disasm.
-  Uint("--seeds", Opts.Seeds, false);
+  Uint("--threads", Opts.NumThreads);
+  Uint("--blocks", Opts.NumBlocks);
+  Uint("--warp-size", Opts.WarpSize);
+  Uint("--seeds", Opts.Seeds);
   if (auto V = A.get("--seed")) {
     std::optional<uint64_t> N = parseUInt(*V);
     if (!N)
@@ -794,9 +780,9 @@ vm::ExecOptions execOptions(const Args &A) {
 
 int cmdExec(const Args &A) {
   if (A.Positional.size() < 2)
-    die("usage: dcb exec <cubin|listing> <kernel|all> [--jobs N] [--ref] "
-        "[--seed N] [--threads N] [--blocks N] [--warp-size N] "
-        "[--oob wrap|fault] [--watch-shared]");
+    die("usage: dcb exec <cubin|listing> <kernel|all> [--ref] [--seed N] "
+        "[--threads N] [--blocks N] [--warp-size N] [--oob wrap|fault] "
+        "[--watch-shared]");
   // Routed through the daemon-shared op (one summary line per kernel on
   // stdout, exit 1 when any kernel failed) so served exec requests return
   // the same bytes this one-shot prints.
@@ -812,7 +798,7 @@ int cmdExec(const Args &A) {
 int cmdDiffexec(const Args &A) {
   if (A.Positional.size() < 2)
     die("usage: dcb diffexec <orig> <transformed> [--seeds N] [--regs] "
-        "[--jobs N] [--ref] [--threads N] [--blocks N] [--warp-size N]");
+        "[--ref] [--threads N] [--blocks N] [--warp-size N]");
   ir::Program Orig = loadProgramFile(A.Positional[0]);
   ir::Program Transformed = loadProgramFile(A.Positional[1]);
   vm::ExecOptions Opts = execOptions(A);
@@ -1002,10 +988,9 @@ int cmdClient(const Args &A) {
   // one-shot subcommands; --warp-size travels as "warp").
   struct {
     const char *Flag, *Field;
-  } NumKeys[] = {{"--jobs", "jobs"},   {"--threads", "threads"},
-                 {"--blocks", "blocks"}, {"--warp-size", "warp"},
-                 {"--seeds", "seeds"}, {"--seed", "seed"},
-                 {"--last-ms", "last_ms"}};
+  } NumKeys[] = {{"--threads", "threads"}, {"--blocks", "blocks"},
+                 {"--warp-size", "warp"},   {"--seeds", "seeds"},
+                 {"--seed", "seed"},        {"--last-ms", "last_ms"}};
   for (const auto &Key : NumKeys) {
     if (auto V = A.get(Key.Flag)) {
       std::optional<uint64_t> N = parseUInt(*V);
@@ -1219,9 +1204,7 @@ int cmdTop(const Args &A) {
       "                                          output is identical for\n"
       "                                          every --jobs value)\n"
       "  analyze <listing>... [--db in] -o <db>  learn encodings\n"
-      "  flip <cubin> --db <db> [--jobs N] -o <db>\n"
-      "                                          bit-flip enrichment\n"
-      "                                          (--jobs 0 = all cores)\n"
+      "  flip <cubin> --db <db> -o <db>          bit-flip enrichment\n"
       "  genasm --db <db> -o <cpp>               generate an assembler\n"
       "  asm --db <db> [--jobs N] <listing>      assemble, print hex\n"
       "  verify --db <db> [--jobs N] <listing>   reassemble and compare\n"
@@ -1240,7 +1223,7 @@ int cmdTop(const Args &A) {
       "  analyze --liveness|--hazards <cubin|listing>\n"
       "                                          dataflow / hazard report\n"
       "                                          for one program\n"
-      "  analyze --types|--bounds|--races <cubin|listing> [--jobs N]\n"
+      "  analyze --types|--bounds|--races <cubin|listing>\n"
       "          [--threads N] [--blocks N] [--warp-size N]\n"
       "                                          typed-IR checkers: type\n"
       "                                          inference + TYP confusion\n"
@@ -1250,19 +1233,16 @@ int cmdTop(const Args &A) {
       "                                          barrier-interval shared-\n"
       "                                          memory races (--races);\n"
       "                                          --json emits dcb-analysis-v1\n"
-      "                                          (byte-identical for every\n"
-      "                                          --jobs value)\n"
       "  (lint/analyze: --json prints dcb-lint-v1 JSON, --json=FILE saves;\n"
       "   --fail-on error|warning|never picks the findings severity that\n"
       "   makes the exit code non-zero — default error)\n"
-      "  exec <cubin|listing> <kernel|all> [--jobs N] [--ref] [--seed N]\n"
+      "  exec <cubin|listing> <kernel|all> [--ref] [--seed N]\n"
       "       [--threads N] [--blocks N] [--warp-size N] [--oob wrap|fault]\n"
       "       [--watch-shared]\n"
       "                                          run kernels on the grid VM\n"
       "                                          over a seeded input image\n"
-      "                                          (--ref = oracle engine;\n"
-      "                                          --jobs 0 = all cores)\n"
-      "  diffexec <orig> <transformed> [--seeds N] [--regs] [--jobs N]\n"
+      "                                          (--ref = oracle engine)\n"
+      "  diffexec <orig> <transformed> [--seeds N] [--regs]\n"
       "                                          run both binaries on\n"
       "                                          randomized inputs, compare\n"
       "                                          final memory (--regs: also\n"
