@@ -3,8 +3,9 @@
 // Fig. 12: instrumenting the code to clear some registers before exit (the
 // taint-tracking / memory-protection application). The report shows the
 // before/after assembly and proves in the interpreter that outputs are
-// unchanged while the registers are cleared on exit; the benchmark times
-// instrumentation + relayout as a function of payload size.
+// unchanged while the registers are cleared on exit; the benchmarks time
+// instrumentation + relayout as a function of payload size, and the
+// post-transform verifier that guards every instrumented kernel.
 //
 //===----------------------------------------------------------------------===//
 
@@ -111,7 +112,40 @@ void BM_InstrumentAndRelayout(benchmark::State &State) {
   State.counters["cleared_regs"] = NumRegs;
 }
 
+/// The verified path of `dcb instrument --clear-regs 9,10`: runPasses with
+/// the default verifier (CFG, hazards, VER001 clobbers, VER002 pressure)
+/// over every suite kernel of one arch. Copying the lifted kernels back
+/// is untimed.
+void BM_VerifyKernel(benchmark::State &State) {
+  const ArchData &Data = archData(Arch::SM52);
+  Expected<ir::Program> Lifted = ir::buildProgram(Data.Listing);
+  if (!Lifted) {
+    State.SkipWithError(Lifted.message().c_str());
+    return;
+  }
+  const std::vector<transform::Pass> Pipeline = {
+      {"clear-regs", [](ir::Kernel &K) {
+         transform::clearRegistersBeforeExit(K, {9, 10});
+       }}};
+  std::vector<ir::Kernel> Kernels;
+  bool Clean = true;
+  for (auto _ : State) {
+    State.PauseTiming();
+    Kernels = Lifted->Kernels;
+    State.ResumeTiming();
+    for (ir::Kernel &K : Kernels)
+      Clean &= transform::runPasses(K, Pipeline).ok();
+  }
+  if (!Clean)
+    State.SkipWithError("an instrumented kernel failed verification");
+  State.counters["kernels"] = static_cast<double>(Kernels.size());
+  State.SetItemsProcessed(static_cast<int64_t>(State.iterations()) *
+                          static_cast<int64_t>(Kernels.size()));
+}
+
 } // namespace
+
+BENCHMARK(BM_VerifyKernel)->Unit(benchmark::kMicrosecond);
 
 BENCHMARK(BM_InstrumentAndRelayout)
     ->Arg(1)

@@ -5,10 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The reusable core of the analysis layer: a dense bit set and a
-/// worklist solver for gen/kill dataflow problems over the Cfg. Liveness
-/// (Liveness.h) instantiates the backward-may direction; the solver also
-/// provides the forward-may twin for future reaching-style analyses.
+/// The reusable core of the analysis layer: a dense bit set over the
+/// register slot space and a worklist solver for gen/kill dataflow
+/// problems over the Cfg. Liveness (Liveness.h) instantiates the
+/// backward-may direction; the solver also provides the forward-may twin
+/// for future reaching-style analyses.
 ///
 /// Determinism: the worklist is seeded in a fixed traversal order
 /// (postorder for backward problems, reverse postorder for forward ones)
@@ -21,7 +22,11 @@
 #define DCB_ANALYSIS_DATAFLOW_H
 
 #include "analysis/Cfg.h"
+#include "analysis/RegModel.h"
 
+#include <array>
+#include <bit>
+#include <cassert>
 #include <cstdint>
 #include <deque>
 #include <vector>
@@ -29,13 +34,17 @@
 namespace dcb {
 namespace analysis {
 
-/// A fixed-capacity dense bit set (word-array; no dynamic growth after
-/// construction). Sized once per problem at kNumSlots or a caller-chosen
-/// universe.
+/// A dense bit set over at most kNumSlots bits, stored inline (no heap
+/// allocation, so per-block and per-point copies are cheap). Sized once
+/// per problem; bits at or above size() are never set.
 class BitSet {
+  static constexpr size_t kWords = (kNumSlots + 63) / 64;
+
 public:
   BitSet() = default;
-  explicit BitSet(size_t NumBits) : NumBits(NumBits), W((NumBits + 63) / 64) {}
+  explicit BitSet(size_t NumBits) : NumBits(NumBits) {
+    assert(NumBits <= kWords * 64 && "BitSet universe exceeds kNumSlots");
+  }
 
   size_t size() const { return NumBits; }
 
@@ -44,31 +53,27 @@ public:
   bool test(size_t I) const {
     return (W[I / 64] >> (I % 64)) & 1;
   }
-  void clear() {
-    for (uint64_t &Word : W)
-      Word = 0;
-  }
+  void clear() { W = {}; }
 
   /// this |= O; returns true when any bit changed.
   bool unionWith(const BitSet &O) {
-    bool Changed = false;
-    for (size_t I = 0; I < W.size(); ++I) {
-      uint64_t New = W[I] | O.W[I];
-      Changed |= New != W[I];
-      W[I] = New;
+    uint64_t Changed = 0;
+    for (size_t I = 0; I < kWords; ++I) {
+      Changed |= O.W[I] & ~W[I];
+      W[I] |= O.W[I];
     }
-    return Changed;
+    return Changed != 0;
   }
 
   /// this &= ~O.
   void subtract(const BitSet &O) {
-    for (size_t I = 0; I < W.size(); ++I)
+    for (size_t I = 0; I < kWords; ++I)
       W[I] &= ~O.W[I];
   }
 
   /// True when this and O share a set bit.
   bool intersects(const BitSet &O) const {
-    for (size_t I = 0; I < W.size(); ++I)
+    for (size_t I = 0; I < kWords; ++I)
       if (W[I] & O.W[I])
         return true;
     return false;
@@ -77,37 +82,42 @@ public:
   size_t count() const {
     size_t N = 0;
     for (uint64_t Word : W)
-      N += __builtin_popcountll(Word);
+      N += std::popcount(Word);
     return N;
   }
 
-  /// Population count restricted to bits [Lo, Hi).
+  /// Population count restricted to bits [Lo, Hi): the two end words are
+  /// masked, the words between them counted whole.
   size_t countRange(size_t Lo, size_t Hi) const {
-    size_t N = 0;
-    for (size_t I = Lo; I < Hi; ++I)
-      N += test(I);
-    return N;
+    if (Lo >= Hi)
+      return 0;
+    const size_t First = Lo / 64, Last = (Hi - 1) / 64;
+    const uint64_t LoMask = ~uint64_t(0) << (Lo % 64);
+    const uint64_t HiMask = ~uint64_t(0) >> (63 - (Hi - 1) % 64);
+    if (First == Last)
+      return std::popcount(W[First] & LoMask & HiMask);
+    size_t N = std::popcount(W[First] & LoMask);
+    for (size_t I = First + 1; I < Last; ++I)
+      N += std::popcount(W[I]);
+    return N + std::popcount(W[Last] & HiMask);
   }
 
   template <typename Fn> void forEach(Fn Visit) const {
-    for (size_t WI = 0; WI < W.size(); ++WI) {
+    for (size_t WI = 0; WI < kWords; ++WI) {
       uint64_t Word = W[WI];
       while (Word) {
-        unsigned Bit = static_cast<unsigned>(__builtin_ctzll(Word));
+        unsigned Bit = static_cast<unsigned>(std::countr_zero(Word));
         Visit(WI * 64 + Bit);
         Word &= Word - 1;
       }
     }
   }
 
-  bool operator==(const BitSet &O) const {
-    return NumBits == O.NumBits && W == O.W;
-  }
-  bool operator!=(const BitSet &O) const { return !(*this == O); }
+  bool operator==(const BitSet &O) const = default;
 
 private:
   size_t NumBits = 0;
-  std::vector<uint64_t> W;
+  std::array<uint64_t, kWords> W{};
 };
 
 /// Result bookkeeping shared by both solver directions.

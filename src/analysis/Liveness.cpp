@@ -22,73 +22,73 @@ Metrics &metrics() {
   return M;
 }
 
-/// Slot-expanded defs and uses of one instruction.
-struct InstRegs {
-  std::vector<unsigned> Defs;
-  std::vector<unsigned> Uses;
-  bool Guarded = false;
-};
-
-InstRegs collectRegs(const ir::Inst &I) {
-  InstRegs R;
-  R.Guarded = I.Asm.hasGuard();
-  visitRegs(I.Asm, [&R](int Slot, unsigned Width, bool IsDef) {
-    for (unsigned Off = 0; Off < Width; ++Off) {
-      unsigned S = static_cast<unsigned>(Slot) + Off;
-      // Register groups that would run past R255 are truncated (the tail
-      // is the unencodable zero register's neighborhood).
-      if (isRegSlot(static_cast<unsigned>(Slot)) && S >= kNumRegSlots)
-        break;
-      (IsDef ? R.Defs : R.Uses).push_back(S);
-    }
-  });
-  return R;
-}
-
-/// Applies one instruction's backward transfer to \p Live (which holds the
-/// live-after set and becomes the live-before set).
-void applyBackward(const InstRegs &R, bool CountUses, BitSet &Live) {
-  // A guarded write may not happen, so it does not kill.
-  if (!R.Guarded)
-    for (unsigned D : R.Defs)
-      Live.reset(D);
-  if (CountUses)
-    for (unsigned U : R.Uses)
-      Live.set(U);
-}
-
-bool countsUses(const ir::Inst &I, const LivenessOptions &Opts) {
-  return !Opts.OriginalUsesOnly || !I.isInserted();
-}
-
 } // namespace
 
+RegTable::RegTable(const ir::Kernel &K) {
+  Rows.reserve(K.instructionCount());
+  BlockBegin.reserve(K.Blocks.size() + 1);
+  std::vector<Group> Uses;
+  for (const ir::Block &B : K.Blocks) {
+    BlockBegin.push_back(static_cast<uint32_t>(Rows.size()));
+    for (const ir::Inst &I : B.Insts) {
+      Row R;
+      R.Begin = static_cast<uint32_t>(Groups.size());
+      R.Guarded = I.Asm.hasGuard();
+      R.Inserted = I.isInserted();
+      AnyInserted |= R.Inserted;
+      Uses.clear();
+      visitRegs(I.Asm, [this, &Uses](int Slot, unsigned Width, bool IsDef) {
+        const unsigned Limit = isRegSlot(static_cast<unsigned>(Slot))
+                                   ? kNumRegSlots
+                                   : kNumSlots;
+        const Group G{static_cast<uint16_t>(Slot),
+                      static_cast<uint16_t>(std::min<unsigned>(
+                          Width, Limit - static_cast<unsigned>(Slot)))};
+        (IsDef ? Groups : Uses).push_back(G);
+      });
+      R.Mid = static_cast<uint32_t>(Groups.size());
+      Groups.insert(Groups.end(), Uses.begin(), Uses.end());
+      R.End = static_cast<uint32_t>(Groups.size());
+      Rows.push_back(R);
+    }
+  }
+  BlockBegin.push_back(static_cast<uint32_t>(Rows.size()));
+}
+
 Liveness analysis::computeLiveness(const ir::Kernel &K,
+                                   const LivenessOptions &Opts) {
+  return computeLiveness(K, RegTable(K), Cfg::build(K), Opts);
+}
+
+Liveness analysis::computeLiveness(const ir::Kernel &K, const RegTable &T,
+                                   const Cfg &C,
                                    const LivenessOptions &Opts) {
   DCB_SPAN("analysis.liveness");
   metrics().Kernels.add(1);
 
-  const size_t N = K.Blocks.size();
+  const size_t N = T.numBlocks();
   Liveness L;
   L.LiveIn.assign(N, BitSet(kNumSlots));
   L.LiveOut.assign(N, BitSet(kNumSlots));
+  auto countsUses = [&](const RegTable::Row &R) {
+    return !Opts.OriginalUsesOnly || !R.Inserted;
+  };
 
+  // GEN is what the block's transfer leaves live with nothing live out of
+  // it; KILL is every unguarded def.
   std::vector<BitSet> Gen(N, BitSet(kNumSlots));
   std::vector<BitSet> Kill(N, BitSet(kNumSlots));
   for (size_t B = 0; B < N; ++B) {
-    for (const ir::Inst &I : K.Blocks[B].Insts) {
-      InstRegs R = collectRegs(I);
-      if (countsUses(I, Opts))
-        for (unsigned U : R.Uses)
-          if (!Kill[B].test(U))
-            Gen[B].set(U);
+    for (size_t I = T.blockBegin(B + 1); I-- > T.blockBegin(B);) {
+      const RegTable::Row &R = T.row(I);
+      T.stepBack(I, countsUses(R), Gen[B]);
       if (!R.Guarded)
-        for (unsigned D : R.Defs)
-          Kill[B].set(D);
+        for (RegTable::Group G : T.defs(R))
+          for (unsigned S = G.Slot; S < G.Slot + G.Width; ++S)
+            Kill[B].set(S);
     }
   }
 
-  Cfg C = Cfg::build(K);
   SolveStats Stats = solveBackwardMay(K, C, Gen, Kill, L.LiveIn, L.LiveOut);
   L.Iterations = Stats.Iterations;
   metrics().Visits.add(Stats.Iterations);
@@ -96,10 +96,8 @@ Liveness analysis::computeLiveness(const ir::Kernel &K,
   // Pressure sweep: peak live set over every live-before point.
   for (size_t B = 0; B < N; ++B) {
     BitSet Live = L.LiveOut[B];
-    const std::vector<ir::Inst> &Insts = K.Blocks[B].Insts;
-    for (size_t I = Insts.size(); I-- > 0;) {
-      InstRegs R = collectRegs(Insts[I]);
-      applyBackward(R, countsUses(Insts[I], Opts), Live);
+    for (size_t I = T.blockBegin(B + 1); I-- > T.blockBegin(B);) {
+      T.stepBack(I, countsUses(T.row(I)), Live);
       unsigned Regs =
           static_cast<unsigned>(Live.countRange(0, kNumRegSlots));
       unsigned Preds = static_cast<unsigned>(
@@ -107,21 +105,10 @@ Liveness analysis::computeLiveness(const ir::Kernel &K,
       if (Regs > L.MaxLiveRegs) {
         L.MaxLiveRegs = Regs;
         L.PeakBlock = static_cast<int>(B);
-        L.PeakInst = static_cast<int>(I);
+        L.PeakInst = static_cast<int>(I - T.blockBegin(B));
       }
       L.MaxLivePreds = std::max(L.MaxLivePreds, Preds);
     }
   }
   return L;
-}
-
-void Liveness::forEachLiveAfter(
-    const ir::Kernel &K, int B, const LivenessOptions &Opts,
-    const std::function<void(int, const BitSet &)> &Visit) const {
-  BitSet Live = LiveOut[B];
-  const std::vector<ir::Inst> &Insts = K.Blocks[B].Insts;
-  for (size_t I = Insts.size(); I-- > 0;) {
-    Visit(static_cast<int>(I), Live);
-    applyBackward(collectRegs(Insts[I]), countsUses(Insts[I], Opts), Live);
-  }
 }

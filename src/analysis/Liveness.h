@@ -7,10 +7,13 @@
 /// \file
 /// Classic backward may-liveness over the flat register/predicate slot
 /// space of RegModel.h, solved with the Dataflow.h worklist engine:
-/// per-block live-in/out sets, a per-point register-pressure sweep (the
+/// per-block live-in/out sets and a per-point register-pressure sweep (the
 /// peak number of simultaneously live general registers, cross-checked
-/// against transform::Occupancy by the verifier), and a live-set walker
-/// the post-transform clobber check uses.
+/// against transform::Occupancy by the verifier).
+///
+/// Every per-instruction step reads a RegTable: one visitRegs call per
+/// instruction, recorded once per kernel, serves GEN/KILL, the pressure
+/// sweep and the verifier's clobber walk, for any number of solves.
 ///
 /// Soundness conventions (the analysis over-approximates):
 ///  - guarded (predicated) definitions do not kill — the write may not
@@ -32,7 +35,8 @@
 #include "analysis/Dataflow.h"
 #include "ir/Ir.h"
 
-#include <functional>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 namespace dcb {
@@ -41,6 +45,59 @@ namespace analysis {
 struct LivenessOptions {
   /// GEN only from non-inserted instructions (see file comment).
   bool OriginalUsesOnly = false;
+};
+
+/// One kernel's register references in block order: per instruction, its
+/// def and use slot groups (one per operand, in operand order) and whether
+/// it is guarded or inserted. A value snapshot like Cfg: rebuild after any
+/// mutation of the kernel's instructions.
+class RegTable {
+public:
+  /// Slots [Slot, Slot + Width) named by one operand. Register groups
+  /// that would run past R255 are cut at the end of the register file.
+  struct Group {
+    uint16_t Slot;
+    uint16_t Width;
+  };
+  /// Groups [Begin, Mid) are the definitions, [Mid, End) the uses.
+  struct Row {
+    uint32_t Begin, Mid, End;
+    bool Guarded, Inserted;
+  };
+
+  explicit RegTable(const ir::Kernel &K);
+
+  size_t numBlocks() const { return BlockBegin.size() - 1; }
+  /// Rows of block \p B are [blockBegin(B), blockBegin(B + 1)).
+  size_t blockBegin(size_t B) const { return BlockBegin[B]; }
+  const Row &row(size_t I) const { return Rows[I]; }
+  std::span<const Group> defs(const Row &R) const {
+    return {Groups.data() + R.Begin, Groups.data() + R.Mid};
+  }
+  std::span<const Group> uses(const Row &R) const {
+    return {Groups.data() + R.Mid, Groups.data() + R.End};
+  }
+  bool hasInserted() const { return AnyInserted; }
+
+  /// Backward transfer of row \p I: turns the live-after set \p Live into
+  /// the live-before set. Unguarded defs kill; uses gen when \p CountUses.
+  void stepBack(size_t I, bool CountUses, BitSet &Live) const {
+    const Row &R = Rows[I];
+    if (!R.Guarded)
+      for (Group G : defs(R))
+        for (unsigned S = G.Slot; S < G.Slot + G.Width; ++S)
+          Live.reset(S);
+    if (CountUses)
+      for (Group G : uses(R))
+        for (unsigned S = G.Slot; S < G.Slot + G.Width; ++S)
+          Live.set(S);
+  }
+
+private:
+  std::vector<Group> Groups;
+  std::vector<Row> Rows;
+  std::vector<uint32_t> BlockBegin;
+  bool AnyInserted = false;
 };
 
 struct Liveness {
@@ -54,19 +111,17 @@ struct Liveness {
   unsigned MaxLivePreds = 0;
   int PeakBlock = -1;
   int PeakInst = -1; ///< Instruction index whose live-before is the peak.
-
-  /// Walks block \p B backwards re-applying transfer functions and calls
-  /// \p Visit(InstIdx, LiveAfter) for every instruction, last to first.
-  /// \p LiveAfter is the live set immediately after the instruction.
-  void forEachLiveAfter(
-      const ir::Kernel &K, int B, const LivenessOptions &Opts,
-      const std::function<void(int, const BitSet &)> &Visit) const;
 };
 
 /// Runs the pass. Block granularity facts are exact for the options given;
-/// use forEachLiveAfter for instruction granularity.
+/// instruction granularity is a RegTable::stepBack walk from LiveOut.
 Liveness computeLiveness(const ir::Kernel &K,
                          const LivenessOptions &Opts = {});
+
+/// The same pass over a caller's table and Cfg of \p K, so that several
+/// solves over one kernel share them.
+Liveness computeLiveness(const ir::Kernel &K, const RegTable &T,
+                         const Cfg &C, const LivenessOptions &Opts = {});
 
 } // namespace analysis
 } // namespace dcb

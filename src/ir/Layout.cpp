@@ -38,48 +38,57 @@ Expected<std::vector<uint8_t>> ir::emitKernel(
   const unsigned WordBytes = archWordBits(K.A) / 8;
   const unsigned Group = schiGroupSize(Schi);
 
-  // 1. Flatten blocks and pad the tail so complete SCHI groups form.
-  std::vector<Inst> Insts;
+  // 1. Flatten blocks into pointers and pad the tail so complete SCHI
+  //    groups form.
+  static const Inst Padding = [] {
+    Inst Nop;
+    Nop.Asm = *sass::parseInstruction("NOP;");
+    return Nop;
+  }();
+  std::vector<const Inst *> Insts;
+  Insts.reserve(K.instructionCount() + Group);
   std::vector<size_t> BlockStart(K.Blocks.size());
   for (size_t BlockIdx = 0; BlockIdx < K.Blocks.size(); ++BlockIdx) {
     BlockStart[BlockIdx] = Insts.size();
     for (const Inst &Entry : K.Blocks[BlockIdx].Insts)
-      Insts.push_back(Entry);
+      Insts.push_back(&Entry);
   }
-  if (Group > 1) {
-    Expected<sass::Instruction> Nop = sass::parseInstruction("NOP;");
-    while (Insts.size() % (Group - 1) != 0) {
-      Inst Padding;
-      Padding.Asm = *Nop;
-      Insts.push_back(Padding);
-    }
-  }
+  if (Group > 1)
+    while (Insts.size() % (Group - 1) != 0)
+      Insts.push_back(&Padding);
 
   // 2. Assign addresses.
   std::vector<uint64_t> Addrs(Insts.size());
   for (size_t I = 0; I < Insts.size(); ++I)
     Addrs[I] = instAddress(Schi, WordBytes, I);
 
-  // 3. Regenerate branch-target literals from block references.
-  for (Inst &Entry : Insts) {
-    if (Entry.TargetBlock < 0)
+  // 3. Check every block reference before assembling anything.
+  for (const Inst *Entry : Insts) {
+    if (Entry->TargetBlock < 0)
       continue;
-    if (static_cast<size_t>(Entry.TargetBlock) >= K.Blocks.size())
+    if (static_cast<size_t>(Entry->TargetBlock) >= K.Blocks.size())
       return Failure("ir: dangling block reference in kernel " + K.Name);
-    size_t TargetFlat = BlockStart[Entry.TargetBlock];
-    if (TargetFlat >= Insts.size())
+    if (BlockStart[Entry->TargetBlock] >= Insts.size())
       return Failure("ir: branch to empty tail block in kernel " + K.Name);
-    Entry.Asm.Operands.back() =
-        sass::Operand::makeIntImm(static_cast<int64_t>(Addrs[TargetFlat]));
   }
 
-  // 4. Assemble with the learned encodings and interleave SCHI words.
+  // 4. Assemble with the learned encodings and interleave SCHI words. A
+  //    branch is assembled from a copy whose target literal is regenerated
+  //    from its block reference.
   //    The phony BINCODE opcode (paper §A.H) carries raw binary words that
   //    bypass the assembler: "BINCODE 0xlow;" or "BINCODE 0xlow, 0xhigh;".
   std::vector<BitString> Words(Insts.size());
   for (size_t I = 0; I < Insts.size(); ++I) {
-    if (Insts[I].Asm.opcode() == "BINCODE") {
-      const auto &Operands = Insts[I].Asm.Operands;
+    const sass::Instruction *Asm = &Insts[I]->Asm;
+    sass::Instruction Branch;
+    if (Insts[I]->TargetBlock >= 0) {
+      Branch = *Asm;
+      Branch.Operands.back() = sass::Operand::makeIntImm(
+          static_cast<int64_t>(Addrs[BlockStart[Insts[I]->TargetBlock]]));
+      Asm = &Branch;
+    }
+    if (Asm->opcode() == "BINCODE") {
+      const auto &Operands = Asm->Operands;
       if (Operands.empty() || Operands.size() > 2 ||
           Operands[0].Kind != sass::OperandKind::IntImm)
         return Failure("ir: malformed BINCODE in kernel " + K.Name);
@@ -95,12 +104,12 @@ Expected<std::vector<uint8_t>> ir::emitKernel(
       continue;
     }
     Expected<BitString> Word =
-        asmgen::assembleInstruction(Db, Insts[I].Asm, Addrs[I]);
+        asmgen::assembleInstruction(Db, *Asm, Addrs[I]);
     if (!Word)
       return Failure("ir: " + Word.message());
     Words[I] = Word.takeValue();
     if (Schi == SchiKind::Embedded)
-      sass::embedVoltaCtrl(Words[I], Insts[I].Ctrl);
+      sass::embedVoltaCtrl(Words[I], Insts[I]->Ctrl);
   }
 
   std::vector<uint8_t> Code;
@@ -111,7 +120,7 @@ Expected<std::vector<uint8_t>> ir::emitKernel(
     for (size_t Base = 0; Base < Insts.size(); Base += 3) {
       std::array<sass::CtrlInfo, 3> Slots;
       for (unsigned S = 0; S < 3; ++S)
-        Slots[S] = Insts[Base + S].Ctrl;
+        Slots[S] = Insts[Base + S]->Ctrl;
       appendWord(Code, sass::packMaxwellSchi(Slots));
       for (unsigned S = 0; S < 3; ++S)
         appendWord(Code, Words[Base + S]);
@@ -120,7 +129,7 @@ Expected<std::vector<uint8_t>> ir::emitKernel(
     for (size_t Base = 0; Base < Insts.size(); Base += 7) {
       std::array<sass::CtrlInfo, 7> Slots;
       for (unsigned S = 0; S < 7; ++S)
-        Slots[S] = Insts[Base + S].Ctrl;
+        Slots[S] = Insts[Base + S]->Ctrl;
       appendWord(Code, sass::packKeplerSchi(Schi, Slots));
       for (unsigned S = 0; S < 7; ++S)
         appendWord(Code, Words[Base + S]);

@@ -104,6 +104,13 @@ inline EncodingFamily archFamily(Arch A) {
   return EncodingFamily::Fermi;
 }
 
+/// Number of general registers an instruction can name: R0..R62 in the
+/// Fermi encodings' 6-bit register fields (R63 is RZ), R0..R254 in the
+/// 8-bit fields of every later family (R255 is RZ).
+inline unsigned archGeneralRegs(Arch A) {
+  return archFamily(A) == EncodingFamily::Fermi ? 63 : 255;
+}
+
 /// Instruction word width in bits.
 inline unsigned archWordBits(Arch A) {
   return archFamily(A) == EncodingFamily::Volta ? 128 : 64;

@@ -26,6 +26,7 @@
 #define DCB_TRANSFORM_PASSES_H
 
 #include "analysis/Findings.h"
+#include "analysis/Liveness.h"
 #include "ir/Ir.h"
 #include "support/Errors.h"
 #include "transform/Occupancy.h"
@@ -101,7 +102,8 @@ analysis::Report verifyKernel(const ir::Kernel &K,
                               const VerifyOptions &Opts = {});
 
 /// The liveness-vs-occupancy cross-check data (also surfaced by
-/// `dcb analyze --liveness`).
+/// `dcb analyze --liveness`), from the caller's default-options liveness
+/// \p L of \p K.
 struct PressureReport {
   unsigned LiveRegs = 0;  ///< Peak simultaneously live general registers.
   unsigned LivePreds = 0; ///< Peak simultaneously live predicates.
@@ -111,6 +113,7 @@ struct PressureReport {
   Occupancy UsageOcc;     ///< Occupancy at the current footprint.
 };
 PressureReport pressureReport(const ir::Kernel &K,
+                              const analysis::Liveness &L,
                               unsigned ThreadsPerBlock = 256);
 
 /// One named transformation in a pipeline.

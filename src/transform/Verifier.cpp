@@ -29,7 +29,6 @@
 #include "transform/Registers.h"
 #include "support/Telemetry.h"
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -49,53 +48,56 @@ Metrics &metrics() {
   return M;
 }
 
-/// VER001: walks every block backward with liveness restricted to original
-/// uses and flags inserted instructions whose definitions overwrite a slot
-/// that is still live-after. Defs count regardless of guard — a predicated
-/// clobber is still a clobber on the taken path.
-void checkClobbers(const ir::Kernel &K, Report &R) {
+/// VER001: walks every block that holds inserted code backward with
+/// liveness restricted to original uses and flags inserted instructions
+/// whose definitions overwrite a slot that is still live-after. Defs count
+/// regardless of guard — a predicated clobber is still a clobber on the
+/// taken path.
+void checkClobbers(const ir::Kernel &K, const analysis::RegTable &T,
+                   const analysis::Cfg &C, Report &R) {
   analysis::LivenessOptions LO;
   LO.OriginalUsesOnly = true;
-  analysis::Liveness L = analysis::computeLiveness(K, LO);
+  analysis::Liveness L = analysis::computeLiveness(K, T, C, LO);
 
-  for (size_t B = 0; B < K.Blocks.size(); ++B) {
-    L.forEachLiveAfter(
-        K, static_cast<int>(B), LO,
-        [&](int InstIdx, const analysis::BitSet &LiveAfter) {
-          const ir::Inst &Entry = K.Blocks[B].Insts[InstIdx];
-          if (!Entry.isInserted())
-            return;
-          analysis::visitRegs(
-              Entry.Asm, [&](int Slot, unsigned Width, bool IsDef) {
-                if (!IsDef)
-                  return;
-                const unsigned End = std::min<unsigned>(
-                    Slot + Width, analysis::isRegSlot(Slot)
-                                      ? analysis::kNumRegSlots
-                                      : analysis::kNumSlots);
-                for (unsigned S = static_cast<unsigned>(Slot); S < End; ++S) {
-                  if (!LiveAfter.test(S))
-                    continue;
-                  Finding F;
-                  F.Rule = "VER001";
-                  F.Kernel = K.Name;
-                  F.Block = static_cast<int>(B);
-                  F.Inst = InstIdx;
-                  F.Object = Entry.Asm.opcode();
-                  F.Message = "inserted instruction overwrites " +
-                              analysis::slotName(S) +
-                              ", which an original instruction still reads";
-                  R.add(std::move(F));
-                  break; // One finding per def operand is enough.
-                }
-              });
-        });
+  for (size_t B = 0; B < T.numBlocks(); ++B) {
+    const size_t Begin = T.blockBegin(B), End = T.blockBegin(B + 1);
+    bool HasInserted = false;
+    for (size_t I = Begin; I < End; ++I)
+      HasInserted |= T.row(I).Inserted;
+    if (!HasInserted)
+      continue;
+    analysis::BitSet Live = L.LiveOut[B];
+    for (size_t I = End; I-- > Begin;) {
+      const analysis::RegTable::Row &Row = T.row(I);
+      if (Row.Inserted) {
+        for (analysis::RegTable::Group G : T.defs(Row)) {
+          for (unsigned S = G.Slot; S < G.Slot + G.Width; ++S) {
+            if (!Live.test(S))
+              continue;
+            const int InstIdx = static_cast<int>(I - Begin);
+            Finding F;
+            F.Rule = "VER001";
+            F.Kernel = K.Name;
+            F.Block = static_cast<int>(B);
+            F.Inst = InstIdx;
+            F.Object = K.Blocks[B].Insts[InstIdx].Asm.opcode();
+            F.Message = "inserted instruction overwrites " +
+                        analysis::slotName(S) +
+                        ", which an original instruction still reads";
+            R.add(std::move(F));
+            break; // One finding per def operand is enough.
+          }
+        }
+      }
+      T.stepBack(I, !Row.Inserted, Live);
+    }
   }
 }
 
 /// VER002: the cross-check between two independent register models.
-void checkPressure(const ir::Kernel &K, unsigned ThreadsPerBlock, Report &R) {
-  PressureReport P = pressureReport(K, ThreadsPerBlock);
+void checkPressure(const ir::Kernel &K, const analysis::Liveness &L,
+                   unsigned ThreadsPerBlock, Report &R) {
+  PressureReport P = pressureReport(K, L, ThreadsPerBlock);
   auto add = [&](std::string Msg) {
     Finding F;
     F.Rule = "VER002";
@@ -119,9 +121,9 @@ void checkPressure(const ir::Kernel &K, unsigned ThreadsPerBlock, Report &R) {
 } // namespace
 
 PressureReport transform::pressureReport(const ir::Kernel &K,
+                                         const analysis::Liveness &L,
                                          unsigned ThreadsPerBlock) {
   PressureReport P;
-  analysis::Liveness L = analysis::computeLiveness(K);
   P.LiveRegs = L.MaxLiveRegs;
   P.LivePreds = L.MaxLivePreds;
 
@@ -148,10 +150,18 @@ Report transform::verifyKernel(const ir::Kernel &K,
     R.append(analysis::validateCfg(K));
   if (Opts.CheckHazards)
     R.append(analysis::checkHazards(K));
-  if (Opts.CheckClobbers)
-    checkClobbers(K, R);
-  if (Opts.CheckPressure)
-    checkPressure(K, Opts.ThreadsPerBlock, R);
+  if (Opts.CheckClobbers || Opts.CheckPressure) {
+    // One register table and one Cfg serve both liveness solves: the
+    // clobber check's (only when something was inserted) and the
+    // pressure check's.
+    const analysis::RegTable T(K);
+    const analysis::Cfg C = analysis::Cfg::build(K);
+    if (Opts.CheckClobbers && T.hasInserted())
+      checkClobbers(K, T, C, R);
+    if (Opts.CheckPressure)
+      checkPressure(K, analysis::computeLiveness(K, T, C),
+                    Opts.ThreadsPerBlock, R);
+  }
 
   metrics().Found.add(R.Findings.size());
   return R;

@@ -23,6 +23,7 @@
 #include "OpcodeFacts.h"
 #include "isa/Spec.h"
 #include "support/FileIo.h"
+#include "support/Rng.h"
 #include "vendor/CuobjdumpSim.h"
 #include "vendor/IsaLint.h"
 #include "vendor/NvccSim.h"
@@ -120,6 +121,36 @@ TEST(BitSet, BasicOperations) {
   std::vector<size_t> Seen;
   A.forEach([&Seen](size_t I) { Seen.push_back(I); });
   EXPECT_EQ(Seen, (std::vector<size_t>{0, 64, 262}));
+}
+
+TEST(BitSet, CountRangeMatchesBitByBitCount) {
+  // Every range 0 <= Lo <= Hi <= kNumSlots of empty, full and seeded
+  // sets (sparse to dense): the masked end words plus the whole words
+  // between them must equal a bit-by-bit count.
+  std::vector<BitSet> Sets(2, BitSet(kNumSlots));
+  for (unsigned S = 0; S < kNumSlots; ++S)
+    Sets[1].set(S);
+  Rng R(15);
+  for (unsigned OneIn : {2u, 3u, 16u, 64u}) {
+    for (unsigned Rep = 0; Rep < 3; ++Rep) {
+      BitSet Seeded(kNumSlots);
+      for (unsigned S = 0; S < kNumSlots; ++S)
+        if (R.next() % OneIn == 0)
+          Seeded.set(S);
+      Sets.push_back(Seeded);
+    }
+  }
+  for (size_t SetIdx = 0; SetIdx < Sets.size(); ++SetIdx) {
+    const BitSet &Set = Sets[SetIdx];
+    std::vector<size_t> Prefix(kNumSlots + 1, 0);
+    for (unsigned S = 0; S < kNumSlots; ++S)
+      Prefix[S + 1] = Prefix[S] + Set.test(S);
+    EXPECT_EQ(Set.count(), Prefix[kNumSlots]) << "set " << SetIdx;
+    for (size_t Lo = 0; Lo <= kNumSlots; ++Lo)
+      for (size_t Hi = Lo; Hi <= kNumSlots; ++Hi)
+        ASSERT_EQ(Set.countRange(Lo, Hi), Prefix[Hi] - Prefix[Lo])
+            << "set " << SetIdx << " [" << Lo << ", " << Hi << ")";
+  }
 }
 
 TEST(Cfg, RpoAndPredsOnDiamond) {

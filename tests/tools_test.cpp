@@ -13,6 +13,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include <sys/wait.h>
 
@@ -131,6 +132,54 @@ TEST(DcbTool, IrDumpAndInstrument) {
   std::string NewListing = slurp(Work + "/k.instr.sass");
   EXPECT_NE(NewListing.find("MOV R9, RZ;"), std::string::npos);
   EXPECT_NE(NewListing.find("MOV R10, RZ;"), std::string::npos);
+}
+
+TEST(DcbTool, InstrumentRejectsRegistersTheTargetCannotName) {
+  // Fermi register fields are 6 bits wide (R63 encodes RZ), later ones
+  // 8 bits (R255 encodes RZ): a larger number would clear nothing or
+  // spill into the neighbouring field, so the register list refuses it.
+  const std::string Dcb = toolPath();
+  const std::string Work = workDir();
+  ASSERT_EQ(runCmd("mkdir -p " + Work), 0);
+  for (const auto &[Arch, Last] :
+       {std::pair<std::string, unsigned>{"sm_20", 62},
+        std::pair<std::string, unsigned>{"sm_35", 254}}) {
+    const std::string Base = Work + "/regs_" + Arch;
+    ASSERT_EQ(runCmd(Dcb + " make-suite " + Arch + " -o " + Base +
+                     ".cubin > /dev/null"),
+              0);
+    ASSERT_EQ(runCmd(Dcb + " disasm " + Base + ".cubin > " + Base + ".sass"),
+              0);
+    ASSERT_EQ(runCmd(Dcb + " analyze " + Base + ".sass -o " + Base +
+                     "1.db > /dev/null"),
+              0);
+    ASSERT_EQ(runCmd(Dcb + " flip " + Base + ".cubin --db " + Base +
+                     "1.db -o " + Base + ".db > /dev/null"),
+              0);
+    const std::string Instrument = Dcb + " instrument " + Base +
+                                   ".cubin --db " + Base + ".db -o " + Base +
+                                   ".instr.cubin --clear-regs ";
+
+    ASSERT_EQ(runCmd(Instrument + std::to_string(Last) + " > /dev/null"), 0)
+        << Arch;
+    ASSERT_EQ(runCmd(Dcb + " disasm " + Base + ".instr.cubin > " + Base +
+                     ".instr.sass"),
+              0);
+    EXPECT_NE(slurp(Base + ".instr.sass")
+                  .find("MOV R" + std::to_string(Last) + ", RZ;"),
+              std::string::npos)
+        << Arch;
+
+    for (const std::string &Bad :
+         {std::to_string(Last + 1), std::to_string(Last + 2),
+          std::string("9,4294967305")}) {
+      int Status = runCmd(Instrument + Bad + " > " + Base + ".err 2>&1");
+      ASSERT_TRUE(WIFEXITED(Status)) << Arch << " " << Bad;
+      EXPECT_EQ(WEXITSTATUS(Status), 1) << Arch << " " << Bad;
+      EXPECT_EQ(slurp(Base + ".err"), "dcb: bad register list\n")
+          << Arch << " " << Bad;
+    }
+  }
 }
 
 TEST(DcbTool, LintAndAnalyzeModes) {

@@ -9,11 +9,13 @@
 
 #include "transform/Passes.h"
 
+#include "RewriteFacts.h"
 #include "analyzer/BitFlipper.h"
 #include "analyzer/IsaAnalyzer.h"
 #include "ir/Builder.h"
 #include "ir/Layout.h"
 #include "sass/Parser.h"
+#include "support/FileIo.h"
 #include "vendor/CuobjdumpSim.h"
 #include "vendor/NvccSim.h"
 #include "vm/Vm.h"
@@ -22,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <sstream>
 
 using namespace dcb;
 using namespace dcb::transform;
@@ -613,4 +616,23 @@ TEST(Verifier, VendorSuiteVerifiesClean) {
     analysis::Report R = verifyKernel(K);
     EXPECT_TRUE(R.clean()) << K.Name << ":\n" << R.toText();
   }
+}
+
+TEST(RewriteFacts, MatchTheGoldenHashes) {
+  // Liveness, pressure, verifier reports and the emitted image of the
+  // rewrite path are pinned across commits (see RewriteFacts.h).
+  Expected<std::string> Golden = readFileBytes(
+      std::string(DCB_SOURCE_DIR) + "/tests/rewrite_facts.golden");
+  ASSERT_TRUE(Golden.hasValue()) << Golden.message();
+  std::istringstream In(*Golden);
+  unsigned Count = 0;
+  const Arch *Archs = supportedArchs(Count);
+  for (unsigned I = 0; I < Count; ++I) {
+    std::string Line;
+    ASSERT_TRUE(std::getline(In, Line)) << "no golden line for "
+                                        << archName(Archs[I]);
+    EXPECT_EQ(rewritefacts::renderRewriteFacts(Archs[I]), Line);
+  }
+  std::string Extra;
+  EXPECT_FALSE(std::getline(In, Extra)) << "unexpected line: " << Extra;
 }

@@ -313,7 +313,7 @@ int cmdAnalyzeLiveness(const Args &A) {
   bool FirstKernel = true;
   for (const ir::Kernel &K : P.Kernels) {
     analysis::Liveness L = analysis::computeLiveness(K);
-    transform::PressureReport PR = transform::pressureReport(K);
+    transform::PressureReport PR = transform::pressureReport(K, L);
     if (Json) {
       if (!FirstKernel)
         Doc += ", ";
@@ -694,11 +694,13 @@ int cmdInstrument(const Args &A) {
     die(Cubin.message());
   analyzer::EncodingDatabase Db = loadDb(A.need("--db"));
 
+  // Only registers the target can name: a larger number would encode RZ
+  // (clearing nothing) or spill into neighbouring fields.
   std::vector<unsigned> Regs;
   const std::string RegList = A.need("--clear-regs"); // split() views it.
   for (std::string_view Piece : split(RegList, ',')) {
     std::optional<uint64_t> Reg = parseUInt(Piece);
-    if (!Reg)
+    if (!Reg || *Reg >= archGeneralRegs(Cubin->arch()))
       die("bad register list");
     Regs.push_back(static_cast<unsigned>(*Reg));
   }
@@ -1214,7 +1216,9 @@ int cmdTop(const Args &A) {
       "  ir <cubin> <kernel>                     dump the IR\n"
       "  instrument <cubin> --db <db> --clear-regs N[,N...] -o <cubin>\n"
       "                                          (verified by default;\n"
-      "                                          --no-verify to override)\n"
+      "                                          --no-verify to override;\n"
+      "                                          N below 63 on sm_20/21/30,\n"
+      "                                          below 255 elsewhere)\n"
       "  lint [<cubin|listing>...] [--db <db>] [--isa <arch|all>]\n"
       "                                          static checks: CFG/SCHI\n"
       "                                          hazards, database and ISA\n"
