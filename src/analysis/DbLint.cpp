@@ -2,11 +2,11 @@
 
 #include "analysis/DbLint.h"
 
-#include "analyzer/FrozenIndex.h"
 #include "support/Telemetry.h"
 
 using namespace dcb;
 using namespace dcb::analysis;
+using dcb::analyzer::PackedPattern;
 
 namespace {
 
@@ -18,15 +18,6 @@ struct Metrics {
 Metrics &metrics() {
   static Metrics M;
   return M;
-}
-
-LintPattern fromPacked(const analyzer::PackedPattern &P) {
-  LintPattern L;
-  for (unsigned W = 0; W < LintPattern::MaxWords; ++W) {
-    L.Value[W] = P.Value[W];
-    L.Mask[W] = P.Mask[W];
-  }
-  return L;
 }
 
 Finding dbFinding(const char *Rule, std::string Object,
@@ -48,13 +39,13 @@ analysis::lintModelOf(const analyzer::EncodingDatabase &Db) {
     LintOperation Op;
     Op.Name = Key;
     Op.WordBits = Rec.WordBits;
-    Op.Opcode = fromPacked(analyzer::packPattern(Rec.Opcode));
+    Op.Opcode = analyzer::packPattern(Rec.Opcode);
     for (const auto &[NameOcc, Pattern] : Rec.Mods) {
       LintModifier M;
       M.Name = NameOcc.first;
       if (NameOcc.second > 0)
         M.Name += "#" + std::to_string(NameOcc.second);
-      M.Pattern = fromPacked(analyzer::packPattern(Pattern));
+      M.Pattern = analyzer::packPattern(Pattern);
       Op.Mods.push_back(std::move(M));
     }
     Ops.push_back(std::move(Op));
@@ -74,9 +65,9 @@ Report analysis::lintOperations(const std::vector<LintOperation> &Ops,
                       Origin + ": operation has no consistent opcode bits; "
                                "every word would match"));
     for (const LintModifier &M : Op.Mods) {
-      uint64_t Conflict[LintPattern::MaxWords];
+      uint64_t Conflict[PackedPattern::MaxWords];
       bool Any = false;
-      for (unsigned W = 0; W < LintPattern::MaxWords; ++W) {
+      for (unsigned W = 0; W < PackedPattern::MaxWords; ++W) {
         Conflict[W] = Op.Opcode.Mask[W] & M.Pattern.Mask[W] &
                       (Op.Opcode.Value[W] ^ M.Pattern.Value[W]);
         Any |= Conflict[W] != 0;
@@ -98,8 +89,8 @@ Report analysis::lintOperations(const std::vector<LintOperation> &Ops,
       const LintOperation &B = Ops[J];
       if (B.Opcode.emptyMask() || A.WordBits != B.WordBits)
         continue;
-      const bool AB = LintPattern::subsumes(A.Opcode, B.Opcode);
-      const bool BA = LintPattern::subsumes(B.Opcode, A.Opcode);
+      const bool AB = PackedPattern::subsumes(A.Opcode, B.Opcode);
+      const bool BA = PackedPattern::subsumes(B.Opcode, A.Opcode);
       if (AB || BA) {
         const LintOperation &General = AB ? A : B;
         const LintOperation &Specific = AB ? B : A;
@@ -108,7 +99,7 @@ Report analysis::lintOperations(const std::vector<LintOperation> &Ops,
                             "'" + (AB && BA ? " (patterns identical)" : "") +
                             "; every word of the more constrained "
                             "operation also matches this one"));
-      } else if (LintPattern::compatible(A.Opcode, B.Opcode)) {
+      } else if (PackedPattern::compatible(A.Opcode, B.Opcode)) {
         R.add(dbFinding("ENC001", A.Name,
                         Origin + ": opcode pattern is ambiguous with '" +
                             B.Name + "': some word matches both"));

@@ -29,56 +29,26 @@
 #define DCB_ANALYSIS_DBLINT_H
 
 #include "analysis/Findings.h"
+#include "analyzer/FrozenIndex.h"
 #include "analyzer/IsaAnalyzer.h"
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
 namespace dcb {
 namespace analysis {
 
-/// A (value, mask) bit pattern over up to 128 bits, little-endian words.
-struct LintPattern {
-  static constexpr unsigned MaxWords = 2;
-  uint64_t Value[MaxWords] = {0, 0};
-  uint64_t Mask[MaxWords] = {0, 0};
-
-  bool emptyMask() const { return Mask[0] == 0 && Mask[1] == 0; }
-
-  /// True when some word satisfies both patterns (they agree on every
-  /// commonly constrained bit).
-  static bool compatible(const LintPattern &A, const LintPattern &B) {
-    for (unsigned W = 0; W < MaxWords; ++W)
-      if (((A.Value[W] ^ B.Value[W]) & (A.Mask[W] & B.Mask[W])) != 0)
-        return false;
-    return true;
-  }
-
-  /// True when every word matching B also matches A: A's constraints are a
-  /// subset of B's and the values agree there.
-  static bool subsumes(const LintPattern &A, const LintPattern &B) {
-    for (unsigned W = 0; W < MaxWords; ++W) {
-      if ((A.Mask[W] & ~B.Mask[W]) != 0)
-        return false;
-      if (((A.Value[W] ^ B.Value[W]) & A.Mask[W]) != 0)
-        return false;
-    }
-    return true;
-  }
-};
-
 /// One modifier's pattern plus the bits where it contradicts the opcode.
 struct LintModifier {
   std::string Name;
-  LintPattern Pattern;
+  analyzer::PackedPattern Pattern;
 };
 
 /// The neutral per-operation model the ENC rules consume.
 struct LintOperation {
   std::string Name; ///< "IADD/rri" — mnemonic + signature or form tag.
   unsigned WordBits = 64;
-  LintPattern Opcode;
+  analyzer::PackedPattern Opcode;
   std::vector<LintModifier> Mods;
 };
 

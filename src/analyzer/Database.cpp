@@ -7,6 +7,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "analyzer/IsaAnalyzer.h"
+#include "analyzer/Signature.h"
 
 #include "support/StringUtils.h"
 
@@ -175,6 +176,9 @@ Expected<EncodingDatabase> EncodingDatabase::deserialize(
       OperationRec Rec;
       Rec.Mnemonic = Key.substr(0, Slash);
       Rec.Signature = Key.substr(Slash + 1);
+      if (Rec.Signature.find_first_not_of(OperandSignatureChars) !=
+          std::string::npos)
+        return fail("bad operand signature");
       Rec.WordBits = Db.wordBits();
       std::optional<uint64_t> Instances = parseUInt(F[2]);
       std::optional<uint64_t> Addr = parseUInt(F[3]);
@@ -220,7 +224,8 @@ Expected<EncodingDatabase> EncodingDatabase::deserialize(
       if (!readComponent(F, 1, Db.wordBits(), Operand->Comps[*Index]))
         return fail("bad component record");
     } else if (F[0] == "unary") {
-      if (!Operand || F[1].size() != 1)
+      if (!Operand || F[1].size() != 1 ||
+          UnaryOps.find(F[1][0]) == std::string_view::npos)
         return fail("bad unary record");
       if (!readPattern(F, 2, Db.wordBits(), Operand->Unaries[F[1][0]]))
         return fail("bad unary record");

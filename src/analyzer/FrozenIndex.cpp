@@ -34,7 +34,6 @@ FrozenIndex::FrozenIndex(const std::map<std::string, OperationRec> &Ops) {
   for (const auto &[Key, Op] : Ops) {
     (void)Key;
     FrozenOperation Frozen;
-    Frozen.Rec = &Op;
     Frozen.Opcode = packPattern(Op.Opcode);
 
     Frozen.Mods.reserve(Op.Mods.size());
@@ -52,7 +51,7 @@ FrozenIndex::FrozenIndex(const std::map<std::string, OperationRec> &Ops) {
       FrozenOperand F;
       F.SigChar = Operand.SigChar;
       for (const auto &[Ch, Rec] : Operand.Unaries) {
-        int Slot = unarySlot(Ch);
+        int Slot = FrozenOperand::unarySlot(Ch);
         assert(Slot >= 0 && "unknown unary operator in learned records");
         if (Slot >= 0)
           F.Unaries[Slot] = packPattern(Rec);

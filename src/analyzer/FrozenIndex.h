@@ -5,16 +5,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The assembly fast path's view of an EncodingDatabase: every
-/// `std::map<std::string, …>` the learning side accumulates is re-indexed
-/// by interned SymbolId, and every derived quantity that is constant per
-/// record — component windows, modifier type ids, unary slots — is computed
-/// once. Built by EncodingDatabase::freeze() after learning finishes and
-/// shared read-only across assembly lanes; any later mutation of the
+/// The compiled form of an EncodingDatabase — Algorithm 3's compile step,
+/// done once: every `std::map<std::string, …>` the learning side
+/// accumulates is re-indexed by interned SymbolId, and every derived
+/// quantity that is constant per record — packed patterns, component
+/// windows, modifier type ids, unary slots — is computed here and nowhere
+/// else. The in-process assembler runs these tables directly, and the
+/// assembler generator prints them as the literals of a generated
+/// assembler. Built by EncodingDatabase::freeze() after learning finishes
+/// and shared read-only across assembly lanes; any later mutation of the
 /// database discards it (see EncodingDatabase::operations()).
-///
-/// The index borrows the PatternRecs of the database it was built from: it
-/// is a view, valid only while that database is alive and unmodified.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,6 +27,7 @@
 
 #include <map>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -34,10 +35,12 @@
 namespace dcb {
 namespace analyzer {
 
-/// A PatternRec's consistent bits packed as little-endian (value, mask)
-/// 64-bit words — the same shape generated assemblers bake in as literals,
-/// applied with whole-word stores instead of a bit-at-a-time loop.
-/// NumWords == 0 marks an absent pattern.
+/// A (value, mask) bit pattern over up to 128 bits, as little-endian 64-bit
+/// words: the compiled form of one PatternRec. The frozen index applies it
+/// with whole-word stores, generated assemblers print it as a literal
+/// (`gen::GenPattern`), and the database linter compares pairs of them.
+/// NumWords is how many words apply; in the index, 0 marks an absent
+/// pattern. Literals and the linter set only Value and Mask.
 struct PackedPattern {
   static constexpr unsigned MaxWords = 2; ///< Up to 128-bit words (Volta).
   uint64_t Value[MaxWords] = {0, 0};
@@ -45,6 +48,29 @@ struct PackedPattern {
   unsigned NumWords = 0;
 
   explicit operator bool() const { return NumWords != 0; }
+
+  bool emptyMask() const { return Mask[0] == 0 && Mask[1] == 0; }
+
+  /// True when some word satisfies both patterns (they agree on every
+  /// commonly constrained bit).
+  static bool compatible(const PackedPattern &A, const PackedPattern &B) {
+    for (unsigned W = 0; W < MaxWords; ++W)
+      if (((A.Value[W] ^ B.Value[W]) & (A.Mask[W] & B.Mask[W])) != 0)
+        return false;
+    return true;
+  }
+
+  /// True when every word matching B also matches A: A's constraints are a
+  /// subset of B's and the values agree there.
+  static bool subsumes(const PackedPattern &A, const PackedPattern &B) {
+    for (unsigned W = 0; W < MaxWords; ++W) {
+      if ((A.Mask[W] & ~B.Mask[W]) != 0)
+        return false;
+      if (((A.Value[W] ^ B.Value[W]) & A.Mask[W]) != 0)
+        return false;
+    }
+    return true;
+  }
 };
 
 /// Packs every still-consistent bit of \p Rec.
@@ -62,8 +88,15 @@ struct FrozenMod {
 
 /// One operand's id-indexed tables plus precomputed component windows.
 struct FrozenOperand {
+  /// Slot of a unary-operator char in Unaries: its position in UnaryOps,
+  /// so slot order is record order. -1 for non-unary chars.
+  static int unarySlot(char Ch) {
+    size_t Slot = UnaryOps.find(Ch);
+    return Slot == std::string_view::npos ? -1 : static_cast<int>(Slot);
+  }
+
   char SigChar = '?';
-  /// Indexed by FrozenIndex::unarySlot ('-', '~', '|', '!').
+  /// Indexed by unarySlot.
   PackedPattern Unaries[4];
   std::vector<std::pair<SymbolId, PackedPattern>> Tokens;
   std::vector<std::pair<SymbolId, PackedPattern>> Mods;
@@ -87,7 +120,6 @@ struct FrozenOperand {
 
 /// One operation, fully resolved for assembly.
 struct FrozenOperation {
-  const OperationRec *Rec = nullptr;
   PackedPattern Opcode;
   std::vector<FrozenMod> Mods;
   std::vector<FrozenOperand> Operands;
@@ -120,22 +152,6 @@ public:
   }
 
   size_t size() const { return Map.size(); }
-
-  /// Slot of a unary-operator char in FrozenOperand::Unaries; -1 for
-  /// non-unary chars.
-  static int unarySlot(char Ch) {
-    switch (Ch) {
-    case '-':
-      return 0;
-    case '~':
-      return 1;
-    case '|':
-      return 2;
-    case '!':
-      return 3;
-    }
-    return -1;
-  }
 
 private:
   std::unordered_map<OperationKeyId, FrozenOperation, OperationKeyIdHash> Map;

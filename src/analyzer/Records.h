@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace dcb {
@@ -141,11 +142,15 @@ struct ComponentRec {
   bool anyWindow() const;
 };
 
+/// The unary operators an operand can carry, in the order OperandRec's map
+/// (and every table compiled from it) lists them.
+inline constexpr std::string_view UnaryOps = "!-|~";
+
 /// One operand's analysis state (the paper's OPERAND struct).
 struct OperandRec {
   char SigChar = '?';
   std::vector<ComponentRec> Comps;
-  std::map<char, PatternRec> Unaries;          ///< '-', '~', '|', '!'.
+  std::map<char, PatternRec> Unaries;          ///< Keyed by UnaryOps.
   std::map<std::string, PatternRec> Tokens;    ///< Named values (SR_*, 2D..).
   std::map<std::string, PatternRec> Mods;      ///< Operand-attached mods.
 };

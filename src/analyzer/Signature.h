@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace dcb {
 namespace analyzer {
@@ -31,6 +32,11 @@ namespace analyzer {
 ///   register, t texture shape, h texture channel, b barrier resource,
 ///   z bit set.
 char operandSignatureChar(const sass::Operand &Op);
+
+/// Every character operandSignatureChar returns, in the order listed above.
+/// EncodingDatabase::deserialize rejects any other, so every packed
+/// signature char is 7-bit and non-NUL (see OperationKeyId).
+inline constexpr std::string_view OperandSignatureChars = "rpsifmcCthbz";
 
 /// Signature of a whole instruction's operand list.
 std::string operandSignature(const sass::Instruction &Inst);

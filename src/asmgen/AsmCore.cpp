@@ -2,33 +2,41 @@
 
 #include "asmgen/AsmCore.h"
 
-#include <cassert>
+#include <algorithm>
+#include <memory>
+#include <string>
+#include <string_view>
 
 using namespace dcb;
 using namespace dcb::asmgen;
 using namespace dcb::analyzer;
 
-void asmgen::applyPatternWords(BitString &Word, const uint64_t *Value,
-                               const uint64_t *Mask, unsigned NumWords) {
-  for (unsigned W = 0; W < NumWords; ++W) {
+namespace {
+
+/// Forces every consistent bit of a packed pattern onto \p Word
+/// (Algorithm 3's "binary[b] = m.binary[b]") with whole-word stores.
+void applyPattern(BitString &Word, const PackedPattern &P) {
+  for (unsigned W = 0; W < P.NumWords; ++W) {
     unsigned Lo = W * 64;
     if (Lo >= Word.size())
       break;
     unsigned Width = std::min<unsigned>(64, Word.size() - Lo);
     uint64_t Current = Word.field(Lo, Width);
-    uint64_t Next = (Current & ~Mask[W]) | (Value[W] & Mask[W]);
+    uint64_t Next = (Current & ~P.Mask[W]) | (P.Value[W] & P.Mask[W]);
     Word.setField(Lo, Width, Next);
   }
 }
 
-bool asmgen::writeComponentWindows(BitString &Word, const WindowRef *Windows,
-                                   size_t NumWindows,
-                                   const CompValue &Value) {
-  if (NumWindows == 0)
+/// Writes a component value into every window it fits. Returns false when
+/// windows exist but the value fits none (the learned fields cannot express
+/// it), or when no window exists and the value is not the zero background.
+bool writeComponentWindows(BitString &Word,
+                           const std::vector<WindowRef> &Windows,
+                           const CompValue &Value) {
+  if (Windows.empty())
     return Value.Int == 0 || (Value.IsReg && Value.Int < 0);
   bool AnyWritten = false;
-  for (size_t I = 0; I < NumWindows; ++I) {
-    const WindowRef &W = Windows[I];
+  for (const WindowRef &W : Windows) {
     uint64_t Content;
     if (!interpEncode(static_cast<InterpKind>(W.Kind), Value, W.Size,
                       Content))
@@ -39,9 +47,11 @@ bool asmgen::writeComponentWindows(BitString &Word, const WindowRef *Windows,
   return AnyWritten;
 }
 
-bool asmgen::componentValue(const sass::Operand &Op, unsigned CompIdx,
-                            uint64_t Addr, unsigned WordBytes,
-                            CompValue &Value) {
+/// Extracts component \p CompIdx of an operand into \p Value. Must mirror
+/// the analyzer's value extraction exactly. Returns false for operand kinds
+/// without numeric components (named tokens).
+bool componentValue(const sass::Operand &Op, unsigned CompIdx, uint64_t Addr,
+                    unsigned WordBytes, CompValue &Value) {
   using sass::OperandKind;
   Value = CompValue();
   Value.InstAddr = Addr;
@@ -92,27 +102,11 @@ bool asmgen::componentValue(const sass::Operand &Op, unsigned CompIdx,
   return false;
 }
 
-std::string asmgen::tokenName(const sass::Operand &Op) {
-  using sass::OperandKind;
-  switch (Op.Kind) {
-  case OperandKind::SpecialReg:
-    return Op.Text;
-  case OperandKind::TexShape:
-    return sass::texShapeName(static_cast<sass::TexShapeKind>(Op.Value[0]));
-  case OperandKind::TexChannel: {
-    static const char Names[4] = {'R', 'G', 'B', 'A'};
-    std::string Token;
-    for (unsigned I = 0; I < 4; ++I)
-      if (Op.Value[0] & (1 << I))
-        Token.push_back(Names[I]);
-    return Token;
-  }
-  default:
-    return std::string();
-  }
-}
-
-std::string_view asmgen::tokenView(const sass::Operand &Op, char (&Buf)[4]) {
+/// The token spelling of a named operand (special register, texture shape,
+/// channel combination); empty for value operands. Views the operand's own
+/// text or a static name, or composes into \p Buf (texture channels, at
+/// most 4 chars).
+std::string_view tokenView(const sass::Operand &Op, char (&Buf)[4]) {
   using sass::OperandKind;
   switch (Op.Kind) {
   case OperandKind::SpecialReg:
@@ -132,8 +126,122 @@ std::string_view asmgen::tokenView(const sass::Operand &Op, char (&Buf)[4]) {
   }
 }
 
-std::vector<WindowRef>
-asmgen::collectWindows(const ComponentRec &Comp,
-                       const std::vector<InterpKind> &Kinds) {
-  return Comp.collectWindows(Kinds);
+/// The unary operators an operand can carry, in application order.
+struct UnaryCase {
+  bool Present;
+  char Ch;
+  const char *What;
+};
+
+} // namespace
+
+Expected<BitString> asmgen::assembleOperation(const FrozenOperation &Op,
+                                              const sass::Instruction &Inst,
+                                              uint64_t Pc,
+                                              unsigned WordBits) {
+  if (Inst.Operands.size() != Op.Operands.size())
+    return Failure("operand count mismatch");
+
+  SymbolTable &Syms = SymbolTable::global();
+  BitString Word(WordBits);
+
+  // 1. Opcode bits.
+  applyPattern(Word, Op.Opcode);
+
+  // 2. Opcode-attached modifiers, matched by (name, same-type occurrence)
+  //    so PSETP.AND.OR and PSETP.OR.AND encode differently (§III-A). The
+  //    occurrence index counts previous modifiers of the same *type*
+  //    (FrozenMod::Type interns modifierType()). Real instructions carry a
+  //    handful of modifiers, so their types live on the stack and longer
+  //    lists spill to the heap.
+  constexpr size_t MaxStackMods = 32;
+  SymbolId StackTypes[MaxStackMods];
+  std::unique_ptr<SymbolId[]> HeapTypes;
+  SymbolId *Types = StackTypes;
+  if (Inst.Modifiers.size() > MaxStackMods) {
+    HeapTypes = std::make_unique<SymbolId[]>(Inst.Modifiers.size());
+    Types = HeapTypes.get();
+  }
+  const bool HaveSyms = Inst.ModifierSyms.size() == Inst.Modifiers.size();
+  for (size_t MI = 0; MI < Inst.Modifiers.size(); ++MI) {
+    // Parser-built instructions carry interned ids; others (hand-built
+    // ASTs, decoder output) resolve by allocation-free probe — a miss
+    // means the spelling was never learned anywhere.
+    SymbolId Id = HaveSyms ? Inst.ModifierSyms[MI]
+                           : Syms.find(Inst.Modifiers[MI]);
+    SymbolId Type = Op.modType(Id);
+    if (Type == InvalidSymbolId)
+      return Failure("unknown modifier '." + Inst.Modifiers[MI] + "'");
+    unsigned Occurrence = 0;
+    for (size_t Prev = 0; Prev < MI; ++Prev)
+      Occurrence += Types[Prev] == Type;
+    Types[MI] = Type;
+    const PackedPattern *Pattern = Op.findMod(Id, Occurrence);
+    if (!Pattern)
+      return Failure("unknown modifier '." + Inst.Modifiers[MI] + "'");
+    applyPattern(Word, *Pattern);
+  }
+
+  // 3. Operands: attached modifiers, unary operators and named tokens
+  //    first; value components last so the most variable information wins
+  //    any stale overlap.
+  const unsigned WordBytes = WordBits / 8;
+  for (size_t I = 0; I < Inst.Operands.size(); ++I) {
+    const sass::Operand &Operand = Inst.Operands[I];
+    const FrozenOperand &Rec = Op.Operands[I];
+
+    for (const std::string &Mod : Operand.Mods) {
+      const PackedPattern *Pattern = Rec.findMod(Syms.find(Mod));
+      if (!Pattern)
+        return Failure("unknown operand modifier '." + Mod + "'");
+      applyPattern(Word, *Pattern);
+    }
+
+    UnaryCase Unaries[] = {
+        {Operand.Negated && Operand.Kind != sass::OperandKind::IntImm, '-',
+         "negation"},
+        {Operand.Complemented, '~', "bitwise complement"},
+        {Operand.Absolute, '|', "absolute value"},
+        {Operand.LogicalNot, '!', "logical negation"},
+    };
+    for (const UnaryCase &U : Unaries) {
+      if (!U.Present)
+        continue;
+      const PackedPattern &Pattern =
+          Rec.Unaries[FrozenOperand::unarySlot(U.Ch)];
+      if (!Pattern)
+        return Failure(std::string("unlearned unary ") + U.What);
+      applyPattern(Word, Pattern);
+    }
+
+    char TokenBuf[4];
+    std::string_view Token = tokenView(Operand, TokenBuf);
+    if (!Token.empty()) {
+      const PackedPattern *Pattern = Rec.findToken(Syms.find(Token));
+      if (!Pattern)
+        return Failure("unlearned token '" + std::string(Token) + "'");
+      applyPattern(Word, *Pattern);
+      continue;
+    }
+
+    for (unsigned Comp = 0; Comp < Rec.CompWindows.size(); ++Comp) {
+      CompValue Value;
+      if (!componentValue(Operand, Comp, Pc, WordBytes, Value))
+        continue;
+      if (!writeComponentWindows(Word, Rec.CompWindows[Comp], Value))
+        return Failure("operand " + std::to_string(I) + " component " +
+                       std::to_string(Comp) + " fits no learned field");
+    }
+  }
+
+  // 4. The conditional guard, last (Fig. 7).
+  CompValue GuardValue;
+  GuardValue.Int = (Inst.GuardNegated ? 8 : 0) |
+                   static_cast<int64_t>(Inst.GuardPredicate);
+  GuardValue.InstAddr = Pc;
+  GuardValue.WordBytes = WordBytes;
+  if (!writeComponentWindows(Word, Op.GuardWindows, GuardValue))
+    return Failure("guard fits no learned field");
+
+  return Word;
 }

@@ -1,27 +1,26 @@
-//===- asmgen/AsmCore.h - Shared assembly primitives ------------*- C++ -*-===//
+//===- asmgen/AsmCore.h - The one assembly executor -------------*- C++ -*-===//
 //
 // Part of the Decoding-CUDA-Binary reproduction. MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The bit-level primitives shared by the in-process TableAssembler and the
-/// runtime of generated assemblers: pattern application (modifier / unary /
-/// token / opcode bits), operand component value extraction, and window
-/// writing under the learned interpretations.
+/// Algorithm 3's apply step, stated once. A learned database is compiled
+/// exactly once, by EncodingDatabase::freeze(), into FrozenOperations;
+/// this executor turns one instruction plus its FrozenOperation into a
+/// word. The in-process assembler (TableAssembler) runs it on a frozen
+/// index, and generated assemblers (GenRuntime) run it on their literal
+/// tables resolved back into the same form.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef DCB_ASMGEN_ASMCORE_H
 #define DCB_ASMGEN_ASMCORE_H
 
-#include "analyzer/Records.h"
+#include "analyzer/FrozenIndex.h"
 #include "sass/Ast.h"
 #include "support/BitString.h"
-
-#include <string>
-#include <string_view>
-#include <vector>
+#include "support/Errors.h"
 
 namespace dcb {
 namespace asmgen {
@@ -31,38 +30,19 @@ namespace asmgen {
 /// the alias keeps the generated assemblers' `asmgen::WindowRef` spelling.
 using WindowRef = analyzer::WindowRef;
 
-/// Forces every consistent bit of a recorded pattern onto \p Word
-/// (Algorithm 3's "binary[b] = m.binary[b]"), from a (value, mask) pair
-/// packed as little-endian 64-bit words — the representation the frozen
-/// index and generated assemblers bake in.
-void applyPatternWords(BitString &Word, const uint64_t *Value,
-                       const uint64_t *Mask, unsigned NumWords);
-
-/// Writes a component value into every window it fits. Returns false when
-/// windows exist but the value fits none (the learned fields cannot express
-/// it), or when no window exists and the value is not the zero background.
-bool writeComponentWindows(BitString &Word, const WindowRef *Windows,
-                           size_t NumWindows,
-                           const analyzer::CompValue &Value);
-
-/// Extracts component \p CompIdx of an operand into \p Value. Must mirror
-/// the analyzer's value extraction exactly. Returns false for operand kinds
-/// without numeric components (named tokens).
-bool componentValue(const sass::Operand &Op, unsigned CompIdx, uint64_t Addr,
-                    unsigned WordBytes, analyzer::CompValue &Value);
-
-/// The token spelling of a named operand (special register, texture shape,
-/// channel combination); empty for value operands.
-std::string tokenName(const sass::Operand &Op);
-
-/// Allocation-free tokenName: views the operand's own text or a static
-/// name, or composes into \p Buf (texture channels, at most 4 chars).
-std::string_view tokenView(const sass::Operand &Op, char (&Buf)[4]);
-
-/// Collects the surviving windows of a component restricted to \p Kinds.
-std::vector<WindowRef>
-collectWindows(const analyzer::ComponentRec &Comp,
-               const std::vector<analyzer::InterpKind> &Kinds);
+/// Assembles \p Inst at byte address \p Pc into a \p WordBits-wide word
+/// with the compiled tables of its operation: opcode bits, then modifiers
+/// matched by (name, same-type occurrence), then each operand's modifiers,
+/// unary operators, token or value components, then the guard.
+///
+/// Mirroring the paper's generated assemblers, anything unexpected — an
+/// unknown modifier, unary or token, or a value that fits no learned
+/// field — is an error. Its message names the problem only; each caller
+/// adds its own prefix and the instruction text. The success path does no
+/// string work and no heap allocation beyond the word itself.
+Expected<BitString> assembleOperation(const analyzer::FrozenOperation &Op,
+                                      const sass::Instruction &Inst,
+                                      uint64_t Pc, unsigned WordBits);
 
 } // namespace asmgen
 } // namespace dcb

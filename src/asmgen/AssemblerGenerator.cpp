@@ -2,9 +2,10 @@
 
 #include "asmgen/AssemblerGenerator.h"
 
-#include "asmgen/AsmCore.h"
+#include "analyzer/FrozenIndex.h"
 #include "support/StringUtils.h"
 
+#include <cassert>
 #include <sstream>
 
 using namespace dcb;
@@ -14,7 +15,7 @@ using namespace dcb::analyzer;
 namespace {
 
 /// Escapes a string for inclusion in a C++ string literal.
-std::string escape(const std::string &S) {
+std::string escape(std::string_view S) {
   std::string Out;
   for (char C : S) {
     if (C == '"' || C == '\\')
@@ -24,57 +25,61 @@ std::string escape(const std::string &S) {
   return Out;
 }
 
-/// Renders a PatternRec as a GenPattern literal "{{v0,v1},{m0,m1}}".
-std::string patternLiteral(const PatternRec &Rec, unsigned WordBits) {
-  uint64_t Value[2] = {0, 0};
-  uint64_t Mask[2] = {0, 0};
-  for (unsigned B = 0; B < WordBits && B < Rec.Bits.size(); ++B) {
-    if (!Rec.Bits[B])
-      continue;
-    Mask[B / 64] |= uint64_t(1) << (B % 64);
-    if (Rec.Binary.get(B))
-      Value[B / 64] |= uint64_t(1) << (B % 64);
-  }
-  std::ostringstream Out;
-  Out << "{{" << toHexString(Value[0]) << "ull, " << toHexString(Value[1])
-      << "ull}, {" << toHexString(Mask[0]) << "ull, " << toHexString(Mask[1])
-      << "ull}}";
-  return Out.str();
+/// Prints a pattern as a GenPattern literal "{{v0, v1}, {m0, m1}}".
+void printPattern(std::ostream &Out, const PackedPattern &P) {
+  Out << "{{" << toHexString(P.Value[0]) << "ull, " << toHexString(P.Value[1])
+      << "ull}, {" << toHexString(P.Mask[0]) << "ull, "
+      << toHexString(P.Mask[1]) << "ull}}";
 }
 
-/// Emits a GenFeature array; returns "nullptr" when empty, otherwise the
+/// One GenFeature literal: a name, its same-type occurrence index (opcode
+/// modifiers only) and its pattern.
+struct FeatureRow {
+  std::string_view Name;
+  unsigned Occurrence;
+  const PackedPattern *Pattern;
+};
+
+/// Prints a GenFeature array; returns "nullptr" when empty, otherwise the
 /// array's identifier.
-template <typename MapT>
-std::string emitFeatures(std::ostringstream &Out, const std::string &Ident,
-                         const MapT &Map, unsigned WordBits,
-                         bool KeyedByOccurrence) {
-  if (Map.empty())
+std::string printFeatures(std::ostream &Out, std::string Ident,
+                          const std::vector<FeatureRow> &Rows) {
+  if (Rows.empty())
     return "nullptr";
   Out << "const GenFeature " << Ident << "[] = {\n";
-  for (const auto &[Key, Rec] : Map) {
-    std::string Name;
-    unsigned Occurrence = 0;
-    if constexpr (std::is_same_v<std::decay_t<decltype(Key)>,
-                                 std::pair<std::string, unsigned>>) {
-      Name = Key.first;
-      Occurrence = Key.second;
-    } else if constexpr (std::is_same_v<std::decay_t<decltype(Key)>, char>) {
-      Name = std::string(1, Key);
-    } else {
-      Name = Key;
-    }
-    (void)KeyedByOccurrence;
-    Out << "    {\"" << escape(Name) << "\", " << Occurrence << ", "
-        << patternLiteral(Rec, WordBits) << "},\n";
+  for (const FeatureRow &Row : Rows) {
+    Out << "    {\"" << escape(Row.Name) << "\", " << Row.Occurrence << ", ";
+    printPattern(Out, *Row.Pattern);
+    Out << "},\n";
   }
   Out << "};\n";
   return Ident;
+}
+
+/// The rows of an id-keyed feature list (operand tokens and modifiers).
+std::vector<FeatureRow>
+rowsOf(const std::vector<std::pair<SymbolId, PackedPattern>> &Features) {
+  const SymbolTable &Syms = SymbolTable::global();
+  std::vector<FeatureRow> Rows;
+  Rows.reserve(Features.size());
+  for (const auto &[Sym, Pattern] : Features)
+    Rows.push_back({Syms.spelling(Sym), 0, &Pattern});
+  return Rows;
+}
+
+/// Prints the entries of a WindowRef array.
+void printWindows(std::ostream &Out, const std::vector<WindowRef> &Windows) {
+  for (const WindowRef &W : Windows)
+    Out << "{" << unsigned(W.Kind) << "," << unsigned(W.Lo) << ","
+        << unsigned(W.Size) << "},";
 }
 
 } // namespace
 
 std::string asmgen::generateAssemblerSource(const EncodingDatabase &Db,
                                             const GeneratorOptions &Opts) {
+  const FrozenIndex &Idx = Db.freeze();
+  const SymbolTable &Syms = SymbolTable::global();
   std::ostringstream Out;
   const unsigned WordBits = Db.wordBits();
 
@@ -95,91 +100,82 @@ std::string asmgen::generateAssemblerSource(const EncodingDatabase &Db,
       << "using dcb::gen::GenOperand;\n"
       << "using dcb::gen::GenOperation;\n\n";
 
-  // Per-operation static tables.
+  // Per-operation static tables: each frozen operation printed as literals.
   unsigned Index = 0;
   std::vector<std::pair<std::string, std::string>> Dispatch; // key, ident
-  for (const auto &[Key, Op] : Db.operations()) {
+  for (const auto &[Key, Rec] : Db.operations()) {
+    const FrozenOperation *Op =
+        Idx.lookup(operationKeyId(Rec.Mnemonic, Rec.Signature));
+    assert(Op && "every learned operation has a distinct frozen key");
     std::string Id = "Op" + std::to_string(Index++);
-    Out << "// --- " << Key << " (" << Op.Instances << " instances) ---\n";
+    Out << "// --- " << Key << " (" << Rec.Instances << " instances) ---\n";
 
-    std::string ModsId =
-        emitFeatures(Out, Id + "_Mods", Op.Mods, WordBits, true);
+    std::vector<FeatureRow> ModRows;
+    ModRows.reserve(Op->Mods.size());
+    for (const FrozenMod &M : Op->Mods)
+      ModRows.push_back({Syms.spelling(M.Name), M.Occurrence, &M.Pattern});
+    std::string ModsId = printFeatures(Out, Id + "_Mods", ModRows);
 
-    // Guard windows.
-    std::vector<WindowRef> GuardWindows =
-        collectWindows(Op.Guard, {InterpKind::Plain});
     std::string GuardId = "nullptr";
-    if (!GuardWindows.empty()) {
+    if (!Op->GuardWindows.empty()) {
       GuardId = Id + "_Guard";
       Out << "const WindowRef " << GuardId << "[] = {";
-      for (const WindowRef &W : GuardWindows)
-        Out << "{" << unsigned(W.Kind) << "," << unsigned(W.Lo) << ","
-            << unsigned(W.Size) << "},";
+      printWindows(Out, Op->GuardWindows);
       Out << "};\n";
     }
 
-    // Operands.
+    // Operands: feature tables, then component windows concatenated with
+    // bounds, then one GenOperand row each.
     std::string OperandsId = "nullptr";
-    if (!Op.Operands.empty()) {
-      std::vector<std::array<std::string, 5>> OperandRefs;
-      for (size_t I = 0; I < Op.Operands.size(); ++I) {
-        const OperandRec &Rec = Op.Operands[I];
+    if (!Op->Operands.empty()) {
+      std::ostringstream Rows;
+      for (size_t I = 0; I < Op->Operands.size(); ++I) {
+        const FrozenOperand &F = Op->Operands[I];
         std::string Base = Id + "_A" + std::to_string(I);
-        std::array<std::string, 5> Refs;
-        Refs[0] = emitFeatures(Out, Base + "_U", Rec.Unaries, WordBits,
-                               false);
-        Refs[1] =
-            emitFeatures(Out, Base + "_T", Rec.Tokens, WordBits, false);
-        Refs[2] = emitFeatures(Out, Base + "_M", Rec.Mods, WordBits, false);
 
-        // Component windows, concatenated with bounds.
-        std::vector<WindowRef> AllWindows;
-        std::vector<unsigned> Bounds{0};
-        for (unsigned Comp = 0; Comp < Rec.Comps.size(); ++Comp) {
-          std::vector<WindowRef> Windows = collectWindows(
-              Rec.Comps[Comp],
-              interpKindsFor(Rec.SigChar, Comp, Op.Mnemonic));
-          AllWindows.insert(AllWindows.end(), Windows.begin(),
-                            Windows.end());
-          Bounds.push_back(static_cast<unsigned>(AllWindows.size()));
+        std::vector<FeatureRow> UnaryRows;
+        for (size_t Slot = 0; Slot < UnaryOps.size(); ++Slot)
+          if (F.Unaries[Slot])
+            UnaryRows.push_back(
+                {UnaryOps.substr(Slot, 1), 0, &F.Unaries[Slot]});
+        std::string UnariesId = printFeatures(Out, Base + "_U", UnaryRows);
+        std::string TokensId =
+            printFeatures(Out, Base + "_T", rowsOf(F.Tokens));
+        std::string OpModsId =
+            printFeatures(Out, Base + "_M", rowsOf(F.Mods));
+
+        std::string Bounds = "0,";
+        size_t NumWindows = 0;
+        for (const std::vector<WindowRef> &Windows : F.CompWindows) {
+          NumWindows += Windows.size();
+          Bounds += std::to_string(NumWindows) + ",";
         }
-        if (AllWindows.empty()) {
-          Refs[3] = "nullptr";
-        } else {
-          Refs[3] = Base + "_W";
-          Out << "const WindowRef " << Refs[3] << "[] = {";
-          for (const WindowRef &W : AllWindows)
-            Out << "{" << unsigned(W.Kind) << "," << unsigned(W.Lo) << ","
-                << unsigned(W.Size) << "},";
+        std::string WindowsId = "nullptr";
+        if (NumWindows != 0) {
+          WindowsId = Base + "_W";
+          Out << "const WindowRef " << WindowsId << "[] = {";
+          for (const std::vector<WindowRef> &Windows : F.CompWindows)
+            printWindows(Out, Windows);
           Out << "};\n";
         }
-        Refs[4] = Base + "_B";
-        Out << "const unsigned " << Refs[4] << "[] = {";
-        for (unsigned Bound : Bounds)
-          Out << Bound << ",";
-        Out << "};\n";
-        OperandRefs.push_back(Refs);
-      }
+        Out << "const unsigned " << Base << "_B[] = {" << Bounds << "};\n";
 
-      OperandsId = Id + "_Operands";
-      Out << "const GenOperand " << OperandsId << "[] = {\n";
-      for (size_t I = 0; I < Op.Operands.size(); ++I) {
-        const OperandRec &Rec = Op.Operands[I];
-        const auto &Refs = OperandRefs[I];
-        Out << "    {'" << Rec.SigChar << "', " << Refs[0] << ", "
-            << Rec.Unaries.size() << ", " << Refs[1] << ", "
-            << Rec.Tokens.size() << ", " << Refs[2] << ", "
-            << Rec.Mods.size() << ", " << Refs[3] << ", " << Refs[4] << ", "
-            << Rec.Comps.size() << "},\n";
+        Rows << "    {'" << F.SigChar << "', " << UnariesId << ", "
+             << UnaryRows.size() << ", " << TokensId << ", "
+             << F.Tokens.size() << ", " << OpModsId << ", " << F.Mods.size()
+             << ", " << WindowsId << ", " << Base << "_B, "
+             << F.CompWindows.size() << "},\n";
       }
-      Out << "};\n";
+      OperandsId = Id + "_Operands";
+      Out << "const GenOperand " << OperandsId << "[] = {\n"
+          << Rows.str() << "};\n";
     }
 
-    Out << "const GenOperation " << Id << " = {\"" << escape(Key) << "\", "
-        << patternLiteral(Op.Opcode, WordBits) << ", " << GuardId << ", "
-        << GuardWindows.size() << ", " << OperandsId << ", "
-        << Op.Operands.size() << ", " << ModsId << ", " << Op.Mods.size()
-        << "};\n\n";
+    Out << "const GenOperation " << Id << " = {\"" << escape(Key) << "\", ";
+    printPattern(Out, Op->Opcode);
+    Out << ", " << GuardId << ", " << Op->GuardWindows.size() << ", "
+        << OperandsId << ", " << Op->Operands.size() << ", " << ModsId << ", "
+        << Op->Mods.size() << "};\n\n";
     Dispatch.emplace_back(Key, Id);
   }
 

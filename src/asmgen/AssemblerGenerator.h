@@ -5,12 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The Assembler Generator (paper Algorithm 3 / Fig. 7): compiles a learned
-/// EncodingDatabase into standalone C++ source. The emitted file contains
-/// one conditional block per decoded operation, holding that operation's
-/// opcode bits, modifier/unary/token patterns and operand field windows as
-/// literals, plus a main() that turns SASS text into binary — the paper's
-/// asm2bin tool.
+/// The Assembler Generator (paper Algorithm 3 / Fig. 7): prints a learned
+/// EncodingDatabase as standalone C++ source. It compiles nothing itself:
+/// it freezes the database (EncodingDatabase::freeze(), the one compile
+/// step) and prints each frozen operation as one conditional block holding
+/// its packed opcode bits, modifier/unary/token patterns and operand field
+/// windows as literals, plus a main() that turns SASS text into binary —
+/// the paper's asm2bin tool.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -3,32 +3,85 @@
 #include "asmgen/GenRuntime.h"
 
 #include "analyzer/ModifierTypes.h"
-#include "analyzer/Signature.h"
 #include "sass/Parser.h"
 #include "sass/Printer.h"
 #include "support/StringUtils.h"
 
 #include <istream>
-#include <map>
+#include <mutex>
 #include <ostream>
+#include <unordered_map>
 
 using namespace dcb;
 using namespace dcb::gen;
-using dcb::analyzer::CompValue;
-using dcb::analyzer::interpKindsFor;
+using namespace dcb::analyzer;
 
 namespace {
 
-void applyGenPattern(BitString &Word, const GenPattern &P) {
-  asmgen::applyPatternWords(Word, P.Value, P.Mask, Word.size() > 64 ? 2 : 1);
+/// A literal pattern, sized to the word it applies to.
+PackedPattern sized(const GenPattern &P, unsigned NumWords) {
+  PackedPattern Out = P;
+  Out.NumWords = NumWords;
+  return Out;
 }
 
-const GenFeature *findFeature(const GenFeature *List, unsigned N,
-                              const std::string &Name, unsigned Occurrence) {
+/// An id-keyed feature list from a literal table (operand tokens and
+/// modifiers).
+std::vector<std::pair<SymbolId, PackedPattern>>
+internFeatures(const GenFeature *List, unsigned N, unsigned NumWords) {
+  SymbolTable &Syms = SymbolTable::global();
+  std::vector<std::pair<SymbolId, PackedPattern>> Out;
+  Out.reserve(N);
   for (unsigned I = 0; I < N; ++I)
-    if (List[I].Occurrence == Occurrence && Name == List[I].Name)
-      return &List[I];
-  return nullptr;
+    Out.emplace_back(Syms.intern(List[I].Name),
+                     sized(List[I].Pattern, NumWords));
+  return Out;
+}
+
+/// Windows [Begin, End) of a literal window table, which is nullptr when
+/// the table holds none.
+std::vector<WindowRef> windowsOf(const WindowRef *Windows, unsigned Begin,
+                                 unsigned End) {
+  if (Begin == End)
+    return {};
+  return std::vector<WindowRef>(Windows + Begin, Windows + End);
+}
+
+/// Resolves one operation's literal tables into the form the shared
+/// executor runs: the inverse of the generator's printing step.
+FrozenOperation resolve(const GenOperation &Op, unsigned WordBits) {
+  SymbolTable &Syms = SymbolTable::global();
+  const unsigned NumWords = WordBits > 64 ? 2 : 1;
+  FrozenOperation Frozen;
+  Frozen.Opcode = sized(Op.Opcode, NumWords);
+  Frozen.Mods.reserve(Op.NumMods);
+  for (unsigned I = 0; I < Op.NumMods; ++I) {
+    FrozenMod M;
+    M.Name = Syms.intern(Op.Mods[I].Name);
+    M.Type = Syms.intern(modifierType(Op.Mods[I].Name));
+    M.Occurrence = Op.Mods[I].Occurrence;
+    M.Pattern = sized(Op.Mods[I].Pattern, NumWords);
+    Frozen.Mods.push_back(M);
+  }
+  Frozen.Operands.resize(Op.NumOperands);
+  for (unsigned I = 0; I < Op.NumOperands; ++I) {
+    const GenOperand &Lit = Op.Operands[I];
+    FrozenOperand &F = Frozen.Operands[I];
+    F.SigChar = Lit.SigChar;
+    for (unsigned U = 0; U < Lit.NumUnaries; ++U) {
+      int Slot = FrozenOperand::unarySlot(Lit.Unaries[U].Name[0]);
+      if (Slot >= 0)
+        F.Unaries[Slot] = sized(Lit.Unaries[U].Pattern, NumWords);
+    }
+    F.Tokens = internFeatures(Lit.Tokens, Lit.NumTokens, NumWords);
+    F.Mods = internFeatures(Lit.Mods, Lit.NumMods, NumWords);
+    F.CompWindows.reserve(Lit.NumComps);
+    for (unsigned C = 0; C < Lit.NumComps; ++C)
+      F.CompWindows.push_back(
+          windowsOf(Lit.Windows, Lit.CompBounds[C], Lit.CompBounds[C + 1]));
+  }
+  Frozen.GuardWindows = windowsOf(Op.GuardWindows, 0, Op.NumGuardWindows);
+  return Frozen;
 }
 
 } // namespace
@@ -36,90 +89,22 @@ const GenFeature *findFeature(const GenFeature *List, unsigned N,
 Expected<BitString> gen::assembleWith(const GenOperation &Op,
                                       const sass::Instruction &Inst,
                                       uint64_t Pc, unsigned WordBits) {
-  auto fail = [&](const std::string &Msg) {
-    return Failure("generated assembler: " + Msg + " in '" +
+  // Generated tables are static literals, so each resolves once.
+  static std::mutex M;
+  static std::unordered_map<const GenOperation *, FrozenOperation> Resolved;
+  const FrozenOperation *Frozen;
+  {
+    std::lock_guard<std::mutex> Lock(M);
+    auto [It, New] = Resolved.try_emplace(&Op);
+    if (New)
+      It->second = resolve(Op, WordBits);
+    Frozen = &It->second;
+  }
+  Expected<BitString> Word =
+      asmgen::assembleOperation(*Frozen, Inst, Pc, WordBits);
+  if (!Word)
+    return Failure("generated assembler: " + Word.message() + " in '" +
                    sass::printInstruction(Inst) + "'");
-  };
-
-  BitString Word(WordBits);
-  applyGenPattern(Word, Op.Opcode);
-
-  // Opcode-attached modifiers with ordered same-type occurrence matching.
-  std::map<std::string, unsigned> TypeCounts;
-  for (const std::string &Mod : Inst.Modifiers) {
-    unsigned Occurrence = TypeCounts[analyzer::modifierType(Mod)]++;
-    const GenFeature *Feature =
-        findFeature(Op.Mods, Op.NumMods, Mod, Occurrence);
-    if (!Feature)
-      return fail("unknown modifier '." + Mod + "'");
-    applyGenPattern(Word, Feature->Pattern);
-  }
-
-  if (Inst.Operands.size() != Op.NumOperands)
-    return fail("operand count mismatch");
-
-  const unsigned WordBytes = WordBits / 8;
-  for (unsigned I = 0; I < Op.NumOperands; ++I) {
-    const sass::Operand &Operand = Inst.Operands[I];
-    const GenOperand &Rec = Op.Operands[I];
-
-    for (const std::string &Mod : Operand.Mods) {
-      const GenFeature *Feature = findFeature(Rec.Mods, Rec.NumMods, Mod, 0);
-      if (!Feature)
-        return fail("unknown operand modifier '." + Mod + "'");
-      applyGenPattern(Word, Feature->Pattern);
-    }
-
-    struct UnaryCase {
-      bool Present;
-      const char *Name;
-    } Unaries[] = {
-        {Operand.Negated && Operand.Kind != sass::OperandKind::IntImm, "-"},
-        {Operand.Complemented, "~"},
-        {Operand.Absolute, "|"},
-        {Operand.LogicalNot, "!"},
-    };
-    for (const UnaryCase &U : Unaries) {
-      if (!U.Present)
-        continue;
-      const GenFeature *Feature =
-          findFeature(Rec.Unaries, Rec.NumUnaries, U.Name, 0);
-      if (!Feature)
-        return fail(std::string("unlearned unary '") + U.Name + "'");
-      applyGenPattern(Word, Feature->Pattern);
-    }
-
-    std::string Token = asmgen::tokenName(Operand);
-    if (!Token.empty()) {
-      const GenFeature *Feature =
-          findFeature(Rec.Tokens, Rec.NumTokens, Token, 0);
-      if (!Feature)
-        return fail("unlearned token '" + Token + "'");
-      applyGenPattern(Word, Feature->Pattern);
-      continue;
-    }
-
-    for (unsigned Comp = 0; Comp < Rec.NumComps; ++Comp) {
-      CompValue Value;
-      if (!asmgen::componentValue(Operand, Comp, Pc, WordBytes, Value))
-        continue;
-      unsigned Begin = Rec.CompBounds[Comp];
-      unsigned End = Rec.CompBounds[Comp + 1];
-      if (!asmgen::writeComponentWindows(Word, Rec.Windows + Begin,
-                                         End - Begin, Value))
-        return fail("operand " + std::to_string(I) + " component " +
-                    std::to_string(Comp) + " fits no learned field");
-    }
-  }
-
-  CompValue GuardValue;
-  GuardValue.Int = (Inst.GuardNegated ? 8 : 0) |
-                   static_cast<int64_t>(Inst.GuardPredicate);
-  GuardValue.InstAddr = Pc;
-  GuardValue.WordBytes = WordBytes;
-  if (!asmgen::writeComponentWindows(Word, Op.GuardWindows,
-                                     Op.NumGuardWindows, GuardValue))
-    return fail("guard fits no learned field");
   return Word;
 }
 

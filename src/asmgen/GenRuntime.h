@@ -6,10 +6,13 @@
 ///
 /// \file
 /// The small support runtime that generated assemblers (the C++ sources
-/// emitted by AssemblerGenerator, Algorithm 3) compile against. The
-/// generated code is a chain of per-operation blocks containing the learned
-/// bit patterns and field windows as literals; this header provides the
-/// typed tables they instantiate and the helper that executes one block.
+/// emitted by AssemblerGenerator, Algorithm 3) compile against. A
+/// generated assembler is a frozen database printed as C++: one block of
+/// literal tables per operation, holding the FrozenOperation's packed
+/// patterns and component windows. This header provides the typed tables
+/// those literals instantiate and the helper that runs one block, which
+/// resolves the tables back into a FrozenOperation and hands it to the one
+/// executor the in-process assembler uses too (asmgen/AsmCore.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,11 +30,9 @@ namespace dcb {
 namespace gen {
 
 /// A (value, consistency-mask) pair over up to 128 bits: the compiled form
-/// of one PatternRec.
-struct GenPattern {
-  uint64_t Value[2];
-  uint64_t Mask[2];
-};
+/// of one PatternRec. Generated literals spell only Value and Mask; the
+/// runtime sizes NumWords from the word width.
+using GenPattern = analyzer::PackedPattern;
 
 /// One named feature (modifier, unary operator, or token) with its pattern.
 struct GenFeature {
@@ -68,9 +69,11 @@ struct GenOperation {
   unsigned NumMods;
 };
 
-/// Executes one operation block: applies opcode bits, matches and applies
-/// modifiers, operand features and components, then the guard — the body
-/// every generated if-block delegates to after selecting its tables.
+/// Executes one operation block — the body every generated if-block
+/// delegates to after selecting its tables. The first call for \p Op
+/// interns its names and classifies its modifier types into a
+/// FrozenOperation, kept for the life of the process (generated tables are
+/// static literals); every call then runs asmgen::assembleOperation.
 Expected<BitString> assembleWith(const GenOperation &Op,
                                  const sass::Instruction &Inst, uint64_t Pc,
                                  unsigned WordBits);

@@ -8,151 +8,27 @@
 #include "sass/Printer.h"
 #include "support/Telemetry.h"
 
-#include <memory>
-
 using namespace dcb;
 using namespace dcb::asmgen;
 using namespace dcb::analyzer;
 
 namespace {
 
-/// Formats the one failure an assembly attempt produces. Deliberately a
-/// separate step: the success path does no string work at all.
-Expected<BitString> assembleFail(const EncodingDatabase &Db,
-                                 const sass::Instruction &Inst,
-                                 const std::string &Msg) {
-  return Failure("assemble (" + std::string(archName(Db.arch())) + "): " +
-                 Msg + " in '" + sass::printInstruction(Inst) + "'");
-}
-
-/// The unary operators an operand can carry, in application order.
-struct UnaryCase {
-  bool Present;
-  char Ch;
-  const char *What;
-};
-
-/// Integer operation key, id-keyed modifier/token lookup, precomputed
-/// windows. No heap allocation and no string traffic on the success path.
+/// Looks the instruction's operation up by integer key and runs the shared
+/// executor. Failures gain this assembler's prefix here, so the success
+/// path does no string work at all.
 Expected<BitString> assembleWithIndex(const EncodingDatabase &Db,
                                       const FrozenIndex &Idx,
                                       const sass::Instruction &Inst,
                                       uint64_t Pc) {
-  auto fail = [&](const std::string &Msg) {
-    return assembleFail(Db, Inst, Msg);
-  };
-
   const FrozenOperation *Op = Idx.lookup(operationKeyId(Inst));
-  if (!Op)
-    return fail("unknown operation " + operationKey(Inst));
-
-  SymbolTable &Syms = SymbolTable::global();
-  BitString Word(Db.wordBits());
-  auto apply = [&Word](const PackedPattern &P) {
-    applyPatternWords(Word, P.Value, P.Mask, P.NumWords);
-  };
-
-  // 1. Opcode bits.
-  apply(Op->Opcode);
-
-  // 2. Opcode-attached modifiers, matched by (name, same-type occurrence)
-  //    so PSETP.AND.OR and PSETP.OR.AND encode differently (§III-A). The
-  //    occurrence index counts previous modifiers of the same *type*
-  //    (FrozenMod::Type interns modifierType()). Real instructions carry a
-  //    handful of modifiers, so their types live on the stack and longer
-  //    lists spill to the heap.
-  constexpr size_t MaxStackMods = 32;
-  SymbolId StackTypes[MaxStackMods];
-  std::unique_ptr<SymbolId[]> HeapTypes;
-  SymbolId *Types = StackTypes;
-  if (Inst.Modifiers.size() > MaxStackMods) {
-    HeapTypes = std::make_unique<SymbolId[]>(Inst.Modifiers.size());
-    Types = HeapTypes.get();
-  }
-  const bool HaveSyms = Inst.ModifierSyms.size() == Inst.Modifiers.size();
-  for (size_t MI = 0; MI < Inst.Modifiers.size(); ++MI) {
-    // Parser-built instructions carry interned ids; others (hand-built
-    // ASTs, decoder output) resolve by allocation-free probe — a miss
-    // means the spelling was never learned anywhere.
-    SymbolId Id = HaveSyms ? Inst.ModifierSyms[MI]
-                           : Syms.find(Inst.Modifiers[MI]);
-    SymbolId Type = Op->modType(Id);
-    if (Type == InvalidSymbolId)
-      return fail("unknown modifier '." + Inst.Modifiers[MI] + "'");
-    unsigned Occurrence = 0;
-    for (size_t Prev = 0; Prev < MI; ++Prev)
-      Occurrence += Types[Prev] == Type;
-    Types[MI] = Type;
-    const PackedPattern *Pattern = Op->findMod(Id, Occurrence);
-    if (!Pattern)
-      return fail("unknown modifier '." + Inst.Modifiers[MI] + "'");
-    apply(*Pattern);
-  }
-
-  // 3. Operands: attached modifiers, unary operators and named tokens
-  //    first; value components last so the most variable information wins
-  //    any stale overlap.
-  const unsigned WordBytes = Db.wordBits() / 8;
-  for (size_t I = 0; I < Inst.Operands.size(); ++I) {
-    const sass::Operand &Operand = Inst.Operands[I];
-    const FrozenOperand &Rec = Op->Operands[I];
-
-    for (const std::string &Mod : Operand.Mods) {
-      const PackedPattern *Pattern = Rec.findMod(Syms.find(Mod));
-      if (!Pattern)
-        return fail("unknown operand modifier '." + Mod + "'");
-      apply(*Pattern);
-    }
-
-    UnaryCase Unaries[] = {
-        {Operand.Negated && Operand.Kind != sass::OperandKind::IntImm, '-',
-         "negation"},
-        {Operand.Complemented, '~', "bitwise complement"},
-        {Operand.Absolute, '|', "absolute value"},
-        {Operand.LogicalNot, '!', "logical negation"},
-    };
-    for (const UnaryCase &U : Unaries) {
-      if (!U.Present)
-        continue;
-      const PackedPattern &Pattern =
-          Rec.Unaries[FrozenIndex::unarySlot(U.Ch)];
-      if (!Pattern)
-        return fail(std::string("unlearned unary ") + U.What);
-      apply(Pattern);
-    }
-
-    char TokenBuf[4];
-    std::string_view Token = tokenView(Operand, TokenBuf);
-    if (!Token.empty()) {
-      const PackedPattern *Pattern = Rec.findToken(Syms.find(Token));
-      if (!Pattern)
-        return fail("unlearned token '" + std::string(Token) + "'");
-      apply(*Pattern);
-      continue;
-    }
-
-    for (unsigned Comp = 0; Comp < Rec.CompWindows.size(); ++Comp) {
-      CompValue Value;
-      if (!componentValue(Operand, Comp, Pc, WordBytes, Value))
-        continue;
-      const std::vector<WindowRef> &Windows = Rec.CompWindows[Comp];
-      if (!writeComponentWindows(Word, Windows.data(), Windows.size(),
-                                 Value))
-        return fail("operand " + std::to_string(I) + " component " +
-                    std::to_string(Comp) + " fits no learned field");
-    }
-  }
-
-  // 4. The conditional guard, last (Fig. 7).
-  CompValue GuardValue;
-  GuardValue.Int = (Inst.GuardNegated ? 8 : 0) |
-                   static_cast<int64_t>(Inst.GuardPredicate);
-  GuardValue.InstAddr = Pc;
-  GuardValue.WordBytes = WordBytes;
-  if (!writeComponentWindows(Word, Op->GuardWindows.data(),
-                             Op->GuardWindows.size(), GuardValue))
-    return fail("guard fits no learned field");
-
+  Expected<BitString> Word =
+      Op ? assembleOperation(*Op, Inst, Pc, Db.wordBits())
+         : Failure("unknown operation " + operationKey(Inst));
+  if (!Word)
+    return Failure("assemble (" + std::string(archName(Db.arch())) + "): " +
+                   Word.message() + " in '" + sass::printInstruction(Inst) +
+                   "'");
   return Word;
 }
 

@@ -5,12 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Assembles SASS to binary by interpreting the learned encoding records
-/// directly. Semantically identical to the C++ source the Assembler
-/// Generator emits (Algorithm 3) — the generated code is a partial
-/// evaluation of this interpreter over one database — and used wherever the
-/// framework needs in-process assembly (reassembly verification, binary
-/// instrumentation, the IR back-end).
+/// Assembles SASS to binary in process: looks each instruction's operation
+/// up in the database's frozen index and runs the shared executor
+/// (asmgen/AsmCore.h) — the same executor generated assemblers (Algorithm
+/// 3) run on their printed tables. Used wherever the framework needs
+/// in-process assembly (reassembly verification, binary instrumentation,
+/// the IR back-end).
 ///
 /// Mirroring the paper's generated assemblers, anything unexpected — an
 /// unknown operation, modifier, token, or a value that fits no learned

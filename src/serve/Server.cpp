@@ -33,6 +33,7 @@
 #include <deque>
 #include <exception>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -1029,7 +1030,10 @@ void Server::dispatchFrame(Conn &C, std::string_view Line) {
                FrameBytesIn, Rq = std::move(Rq)]() mutable {
     uint64_t Wait = nowNs() - Queued;
     Tel.QueueWait.record(Wait);
-    DCB_SPAN("serve.op");
+    // Ends before the slot finishes, with serve.request_ns recorded: a
+    // client that asks for a trace or stats as soon as it reads this
+    // response must find both.
+    std::optional<telemetry::ScopedSpan> OpSpan(std::in_place, "serve.op");
     // Each op runs on this one lane. Whatever an op throws becomes an error
     // response: the slot must always finish, or this connection's later
     // responses would wait behind it forever.
@@ -1073,8 +1077,10 @@ void Server::dispatchFrame(Conn &C, std::string_view Line) {
       Status = "error";
     }
     uint64_t RespBytes = Resp.size() + 1;
+    OpSpan.reset();
+    uint64_t ServiceNs = nowNs() - T0;
+    Tel.RequestNs.record(ServiceNs);
     Slot->finish(std::move(Resp));
-    Tel.RequestNs.record(nowNs() - T0);
     if (RL) {
       RequestLog::Record Rec;
       Rec.Id = ReqId;
@@ -1082,7 +1088,7 @@ void Server::dispatchFrame(Conn &C, std::string_view Line) {
       Rec.Outcome = "miss";
       Rec.Status = Status;
       Rec.QueueWaitNs = Wait;
-      Rec.ServiceNs = nowNs() - T0;
+      Rec.ServiceNs = ServiceNs;
       Rec.BytesIn = FrameBytesIn;
       Rec.BytesOut = RespBytes;
       RL->append(Rec);

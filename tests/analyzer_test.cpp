@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <limits>
@@ -649,6 +650,48 @@ TEST(Analyzer, DeserializeRejectsGarbage) {
   EXPECT_FALSE(EncodingDatabase::deserialize(
                    "dcb-encodings 1 sm_35 64\nopcode - 00 00 1\n")
                    .hasValue());
+}
+
+TEST(Analyzer, DeserializeRejectsCharsNoOperandCanHave) {
+  // A signature char the parser never produces would be printed into a
+  // generated assembler as a broken char literal, and a byte >= 0x80 would
+  // set the bit packSignature reserves for interned long signatures. A
+  // unary char outside UnaryOps has no slot in the frozen index.
+  SuiteData Data = makeSuiteData(Arch::SM35);
+  IsaAnalyzer Analyzer(Arch::SM35);
+  ASSERT_FALSE(Analyzer.analyzeListing(Data.L));
+  const std::string Text = Analyzer.database().serialize();
+  ASSERT_TRUE(EncodingDatabase::deserialize(Text).hasValue());
+
+  // Rewrites the first line starting with From; LinePrefix names that line
+  // the way the loader's errors do.
+  auto loadEdited = [&](const std::string &From, const std::string &To,
+                        std::string &LinePrefix) {
+    size_t At = Text.find("\n" + From);
+    EXPECT_NE(At, std::string::npos) << From;
+    ++At;
+    LinePrefix =
+        "encodings line " +
+        std::to_string(std::count(Text.begin(), Text.begin() + At, '\n') + 1) +
+        ": ";
+    std::string Edited = Text;
+    Edited.replace(At, From.size(), To);
+    return EncodingDatabase::deserialize(Edited);
+  };
+
+  std::string Prefix;
+  for (const std::string &Sig :
+       {std::string("r'"), std::string("r\x80"), std::string("r?"),
+        std::string("r\0", 2), std::string("R")}) {
+    Expected<EncodingDatabase> Db =
+        loadEdited("operation S2R/rs ", "operation S2R/" + Sig + " ", Prefix);
+    ASSERT_FALSE(Db.hasValue()) << "signature '" << Sig << "' was accepted";
+    EXPECT_EQ(Db.message(), Prefix + "bad operand signature");
+  }
+
+  Expected<EncodingDatabase> Db = loadEdited("unary - ", "unary x ", Prefix);
+  ASSERT_FALSE(Db.hasValue()) << "unary 'x' was accepted";
+  EXPECT_EQ(Db.message(), Prefix + "bad unary record");
 }
 
 TEST(Analyzer, OrderedSameTypeModifiersLearnDistinctEncodings) {

@@ -12,10 +12,14 @@
 #include "analyzer/IsaAnalyzer.h"
 #include "asmgen/AssemblerGenerator.h"
 #include "asmgen/TableAssembler.h"
+#include "isa/Spec.h"
 #include "sass/Parser.h"
+#include "sass/Printer.h"
+#include "support/Rng.h"
 
 #include "vendor/CuobjdumpSim.h"
 #include "vendor/NvccSim.h"
+#include "vendor/SampleGen.h"
 #include "workloads/Suite.h"
 
 #include <gtest/gtest.h>
@@ -23,7 +27,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <sstream>
 #include <sstream>
 
 using namespace dcb;
@@ -132,6 +135,29 @@ TEST(AssemblerGenerator, GeneratedAssemblerCompilesAndReproducesSuite) {
       << "generated assembler failed to compile; see " << Dir
       << "/compile.log";
 
+  // Runs the compiled assembler over \p Input; returns its exit status and
+  // fills its stdout and stderr lines.
+  auto runGenerated = [&](const std::string &Name, const std::string &Input,
+                          std::vector<std::string> &OutLines,
+                          std::vector<std::string> &ErrLines) {
+    {
+      std::ofstream In(Dir + "/" + Name + ".sass");
+      In << Input;
+    }
+    std::string Run = Dir + "/asm2bin < " + Dir + "/" + Name + ".sass > " +
+                      Dir + "/" + Name + ".hex 2> " + Dir + "/" + Name +
+                      ".log";
+    int Rc = std::system(Run.c_str());
+    for (auto [File, Lines] : {std::pair{".hex", &OutLines},
+                               std::pair{".log", &ErrLines}}) {
+      std::ifstream Stream(Dir + "/" + Name + File);
+      std::string Line;
+      while (std::getline(Stream, Line))
+        Lines->push_back(Line);
+    }
+    return Rc;
+  };
+
   // Prepare input ("<hex-address> <sass>") and the expected hex words.
   Expected<Listing> L = suiteListing(A);
   ASSERT_TRUE(L.hasValue()) << L.message();
@@ -144,27 +170,67 @@ TEST(AssemblerGenerator, GeneratedAssemblerCompilesAndReproducesSuite) {
       ExpectedWords.push_back("0x" + Pair.Binary.toHex());
     }
   }
-  {
-    std::ofstream In(Dir + "/input.sass");
-    In << Input.str();
-  }
 
-  std::string Run = Dir + "/asm2bin < " + Dir + "/input.sass > " + Dir +
-                    "/output.hex 2> " + Dir + "/run.log";
-  ASSERT_EQ(std::system(Run.c_str()), 0)
-      << "generated assembler reported errors; see " << Dir << "/run.log";
-
-  std::ifstream OutFile(Dir + "/output.hex");
-  std::vector<std::string> GotWords;
-  std::string Line;
-  while (std::getline(OutFile, Line))
-    GotWords.push_back(Line);
+  std::vector<std::string> GotWords, Errors;
+  ASSERT_EQ(runGenerated("input", Input.str(), GotWords, Errors), 0)
+      << "generated assembler reported errors; see " << Dir << "/input.log";
   ASSERT_EQ(GotWords.size(), ExpectedWords.size());
   unsigned Mismatches = 0;
   for (size_t I = 0; I < GotWords.size(); ++I)
     if (GotWords[I] != ExpectedWords[I])
       ++Mismatches;
   EXPECT_EQ(Mismatches, 0u);
+
+  // Held out: fixed-seed random instructions of every hidden form, most
+  // of which the suite never showed the learner. Line by line, the
+  // generated assembler must emit the in-process assembler's word, or
+  // refuse where it refuses. A refused line writes nothing to stdout, so
+  // a known-good suite line after each sample keeps the outputs aligned.
+  const isa::ArchSpec &Spec = isa::getArchSpec(A);
+  const ListingInst &Anchor = L->Kernels.front().Insts.front();
+  std::ostringstream AnchorLine;
+  AnchorLine << "0x" << std::hex << Anchor.Address << std::dec << " "
+             << Anchor.AsmText << "\n";
+  const std::string AnchorWord = "0x" + Anchor.Binary.toHex();
+  const uint64_t Pc = 0x400;
+  Rng R(0x5eed);
+  std::ostringstream HeldOut;
+  std::vector<std::string> Samples, InProcess; // "" = refused.
+  for (const isa::InstrSpec &Form : Spec.Instrs) {
+    for (int Trial = 0; Trial < 3; ++Trial) {
+      std::string Text = sass::printInstruction(
+          vendor::randomInstruction(Spec, Form, R, Pc));
+      Expected<sass::Instruction> Inst = sass::parseInstruction(Text);
+      ASSERT_TRUE(Inst.hasValue()) << Text << ": " << Inst.message();
+      Expected<BitString> Word = asmgen::assembleInstruction(Db, *Inst, Pc);
+      Samples.push_back(Text);
+      InProcess.push_back(Word ? "0x" + Word->toHex() : "");
+      HeldOut << "0x" << std::hex << Pc << std::dec << " " << Text << "\n"
+              << AnchorLine.str();
+    }
+  }
+
+  GotWords.clear();
+  Errors.clear();
+  runGenerated("heldout", HeldOut.str(), GotWords, Errors);
+  size_t Pos = 0;
+  unsigned Emitted = 0, Refused = 0;
+  auto next = [&]() { return Pos < GotWords.size() ? GotWords[Pos++] : ""; };
+  for (size_t I = 0; I < Samples.size(); ++I) {
+    if (InProcess[I].empty())
+      ++Refused;
+    else
+      ++Emitted;
+    std::string Got = InProcess[I].empty() ? "" : next();
+    ASSERT_EQ(Got, InProcess[I]) << "sample " << I << ": " << Samples[I];
+    ASSERT_EQ(next(), AnchorWord) << "after sample " << I << ": "
+                                  << Samples[I];
+  }
+  EXPECT_EQ(Pos, GotWords.size());
+  EXPECT_EQ(Errors.size(), Refused) << "see " << Dir << "/heldout.log";
+  // Both outcomes occur, so both halves of the parity are exercised.
+  EXPECT_GT(Emitted, 0u);
+  EXPECT_GT(Refused, 0u);
 }
 
 // The generated code and the TableAssembler are two views of one database;
