@@ -3,13 +3,14 @@
 // The bounds/race half of this file is an abstract interpreter over the
 // VM's own semantics: per launch context (tid, ctaid) each register holds
 // either an exactly-known 32-bit value or "unknown", and every transfer is
-// vm/Semantics.h's — the same transfer functions GridVm runs, instantiated
-// over Known/Unknown values. That is the no-false-negative
-// argument: whenever the VM observes an out-of-bounds access or an
-// unordered shared access, the static value was either computed here
-// identically (an exact MEM/RAC error) or degraded to unknown (the
-// conservative MEM002/RAC003 warning). The validation test in
-// tests/analysis_validation_test.cpp enforces the property corpus-wide.
+// vm/Semantics.h's, instantiated over Known/Unknown values over the
+// scalar expressions the VM evaluates (vm/Dispatch.h). That is the
+// no-false-negative argument: whenever the VM observes an out-of-bounds
+// access or an unordered shared access, the static value was either
+// computed here identically (an exact MEM/RAC error) or degraded to
+// unknown (the conservative MEM002/RAC003 warning). The VM evaluates
+// operands independently of Semantics.h, and the VmValidation corpus in
+// tests/analysis_typed_test.cpp checks the property against it.
 //
 //===----------------------------------------------------------------------===//
 
@@ -177,7 +178,7 @@ struct ContextDomain {
     if (Op.Complemented)
       V.V = ~V.V;
     if (Op.Negated && Op.Kind == OperandKind::Register)
-      V.V = static_cast<uint32_t>(-static_cast<int32_t>(V.V));
+      V.V = 0u - V.V; // As the VM negates: defined for INT32_MIN.
     return V;
   }
   Abs<float> f32(Lane L, unsigned K) const {

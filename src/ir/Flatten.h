@@ -8,10 +8,9 @@
 /// A flattened, execution-oriented view of an ir::Kernel: every instruction
 /// of every block laid out in one contiguous vector, with a parallel table
 /// mapping block indices to flat positions so control-flow targets resolve
-/// to flat program counters in O(1). Both VM tiers (the RefVm oracle and
-/// the predecoded GridVm) execute over this shape — the oracle re-derives
-/// everything else per step, the grid engine predecodes it once — so the
-/// flattening itself lives here, next to the IR it is a view of.
+/// to flat program counters in O(1). The VM executes over this shape,
+/// classifying each instruction once per launch, so the flattening itself
+/// lives here, next to the IR it is a view of.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -173,9 +173,7 @@ std::string optionsFingerprint(const Request &R, const Hash128 &DbFp) {
     return "kernel=" + R.Kernel + ";threads=" + std::to_string(E.NumThreads) +
            ";blocks=" + std::to_string(E.NumBlocks) +
            ";warp=" + std::to_string(E.WarpSize) +
-           ";seeds=" + std::to_string(E.Seeds) +
            ";seed=" + std::to_string(E.FirstSeed) +
-           (E.UseRef ? ";ref=1" : ";ref=0") +
            (E.Oob == vm::OobPolicy::Fault ? ";oob=fault" : ";oob=wrap") +
            (E.WatchShared ? ";watch=1" : ";watch=0");
   }
@@ -972,9 +970,7 @@ void Server::dispatchFrame(Conn &C, std::string_view Line) {
   Rq.Exec.NumThreads = Shape("threads", 32);
   Rq.Exec.NumBlocks = Shape("blocks", 2);
   Rq.Exec.WarpSize = Shape("warp", 32);
-  Rq.Exec.Seeds = static_cast<unsigned>(V.num("seeds", 5));
   Rq.Exec.FirstSeed = static_cast<uint64_t>(V.num("seed", 1));
-  Rq.Exec.UseRef = V.boolean("ref", false);
   std::string Oob = V.str("oob", "wrap");
   if (Oob != "wrap" && Oob != "fault")
     return Fail(Rq.Id, "oob must be wrap or fault");

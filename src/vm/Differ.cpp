@@ -1,4 +1,4 @@
-//===- vm/Differ.cpp - Reference-oracle differential harness --------------===//
+//===- vm/Differ.cpp - Differential harness -------------------------------===//
 
 #include "vm/Differ.h"
 
@@ -118,8 +118,7 @@ ExecSummary vm::execKernel(const ir::Kernel &K, uint64_t Seed,
   Config.Oob = Opts.Oob;
   Config.WatchShared = Opts.WatchShared;
 
-  Expected<GridResult> R = Opts.UseRef ? RefVm().run(K, Mem, Config)
-                                       : GridVm().run(K, Mem, Config);
+  Expected<GridResult> R = RefVm().run(K, Mem, Config);
   if (!R) {
     S.Failed = true;
     S.Error = R.message();

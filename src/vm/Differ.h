@@ -1,4 +1,4 @@
-//===- vm/Differ.h - Reference-oracle differential harness ------*- C++ -*-===//
+//===- vm/Differ.h - Differential harness -----------------------*- C++ -*-===//
 //
 // Part of the Decoding-CUDA-Binary reproduction. MIT license.
 //
@@ -38,7 +38,6 @@ struct ExecOptions {
   unsigned WarpSize = 32;
   unsigned Seeds = 5;      ///< Randomized inputs per kernel (diffexec).
   uint64_t FirstSeed = 1;
-  bool UseRef = false;     ///< Execute on the RefVm oracle instead.
   bool CompareRegs = false; ///< diffexec: also compare final registers.
   OobPolicy Oob = OobPolicy::Wrap;
   bool WatchShared = false; ///< Track unordered shared accesses
@@ -68,7 +67,7 @@ struct ExecSummary {
   uint64_t RegsCrc = 0;   ///< FNV-1a of all final registers + predicates.
 };
 
-/// Runs \p K on the engine \p Opts selects over seededMemory(\p Seed).
+/// Runs \p K at the launch shape \p Opts gives over seededMemory(\p Seed).
 ExecSummary execKernel(const ir::Kernel &K, uint64_t Seed,
                        const ExecOptions &Opts);
 

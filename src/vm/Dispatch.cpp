@@ -2,10 +2,6 @@
 
 #include "vm/Dispatch.h"
 
-#include "support/Telemetry.h"
-#include "vm/Vm.h"
-
-#include <cstdio>
 #include <initializer_list>
 #include <utility>
 
@@ -163,89 +159,4 @@ Pre vm::predecode(const Instruction &Asm) {
     break;
   }
   return P;
-}
-
-std::string vm::oobDescription(const MemFault &Fault, bool IsStore) {
-  char Hex[32];
-  std::snprintf(Hex, sizeof(Hex), "%llx",
-                static_cast<unsigned long long>(Fault.Addr));
-  return std::string("out-of-bounds ") + (IsStore ? "store" : "load") +
-         " of " + std::to_string(Fault.Bytes) + " bytes at 0x" + Hex +
-         " (region size " + std::to_string(Fault.RegionSize) + ")";
-}
-
-Expected<bool> vm::validateLaunch(const Memory &Mem,
-                                  const LaunchConfig &Config) {
-  assert(!Mem.Global.empty() && !Mem.Shared.empty() &&
-         "memory regions must be non-empty");
-  (void)Mem;
-  if (Config.WarpSize < 1 || Config.WarpSize > 32)
-    return Failure("vm: warp size must be between 1 and 32, got " +
-                   std::to_string(Config.WarpSize));
-  if (Config.NumThreads > kMaxBlockThreads)
-    return Failure("vm: at most " + std::to_string(kMaxBlockThreads) +
-                   " threads per block, got " +
-                   std::to_string(Config.NumThreads));
-  if (Config.NumBlocks > kMaxGridBlocks)
-    return Failure("vm: at most " + std::to_string(kMaxGridBlocks) +
-                   " blocks per grid, got " +
-                   std::to_string(Config.NumBlocks));
-  if (uint64_t(Config.NumBlocks) * Config.NumThreads > kMaxGridThreads)
-    return Failure("vm: at most " + std::to_string(kMaxGridThreads) +
-                   " threads per grid, got " +
-                   std::to_string(Config.NumBlocks) + " blocks of " +
-                   std::to_string(Config.NumThreads));
-  return true;
-}
-
-void vm::mergeBlocks(Memory &Mem, std::vector<BlockState> &Blocks,
-                     GridResult &Out) {
-  VmStats Total;
-  for (BlockState &B : Blocks) {
-    for (unsigned Tid = 0; Tid < B.NumThreads; ++Tid) {
-      ThreadResult R;
-      const size_t RegBase = static_cast<size_t>(Tid) * 256;
-      const size_t PredBase = static_cast<size_t>(Tid) * 7;
-      R.Regs.assign(B.Regs.begin() + RegBase, B.Regs.begin() + RegBase + 256);
-      R.Preds.resize(7);
-      for (unsigned I = 0; I < 7; ++I)
-        R.Preds[I] = B.Preds[PredBase + I] != 0;
-      R.Steps = B.Steps[Tid];
-      Out.Threads.push_back(std::move(R));
-    }
-    Total.Issues += B.Stats.Issues;
-    Total.LaneSteps += B.Stats.LaneSteps;
-    Total.MemWraps += B.Stats.MemWraps;
-    Total.Barriers += B.Stats.Barriers;
-    Total.SharedConflicts += B.Stats.SharedConflicts;
-    ++Total.Blocks;
-  }
-
-  if (Blocks.size() == 1) {
-    Mem.Global = std::move(Blocks[0].Global);
-    Mem.Shared = std::move(Blocks[0].Shared);
-  } else if (!Blocks.empty()) {
-    // Merge by block index: every byte a block changed relative to the
-    // launch-initial image lands in ascending order, so later blocks win
-    // conflicts.
-    const std::vector<uint8_t> Init = Mem.Global;
-    for (const BlockState &B : Blocks)
-      for (size_t I = 0; I < Init.size(); ++I)
-        if (B.Global[I] != Init[I])
-          Mem.Global[I] = B.Global[I];
-    Mem.Shared = std::move(Blocks.back().Shared);
-  }
-
-  Out.Issues = Total.Issues;
-  Out.LaneSteps = Total.LaneSteps;
-  Out.MemWraps = Total.MemWraps;
-  Out.Barriers = Total.Barriers;
-  Out.SharedConflicts = Total.SharedConflicts;
-
-  telemetry::counter("vm.issues").add(Total.Issues);
-  telemetry::counter("vm.lane_steps").add(Total.LaneSteps);
-  telemetry::counter("vm.mem_wraps").add(Total.MemWraps);
-  telemetry::counter("vm.barriers").add(Total.Barriers);
-  telemetry::counter("vm.blocks").add(Total.Blocks);
-  telemetry::counter("vm.shared_conflicts").add(Total.SharedConflicts);
 }

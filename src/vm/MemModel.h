@@ -5,9 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The memory model shared by both VM tiers: the Memory container (global,
-/// shared and constant banks), the out-of-bounds policy, and the access
-/// helpers every load/store in either engine goes through.
+/// The VM's memory model: the Memory container (global, shared and
+/// constant banks), the out-of-bounds policy, and the access helpers every
+/// load/store goes through.
 ///
 /// Historically out-of-region addresses wrapped modulo the region size,
 /// silently — convenient for synthetic kernels, a footgun for differential
@@ -15,8 +15,7 @@
 /// data and compare equal). The policy makes that explicit: Wrap keeps the
 /// legacy byte-by-byte modulo semantics but counts every wrapping access,
 /// Fault turns them into VM errors. In-bounds accesses take a memcpy fast
-/// path in both modes, so the two engines agree byte-for-byte by
-/// construction.
+/// path in both modes.
 ///
 //===----------------------------------------------------------------------===//
 

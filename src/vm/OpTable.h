@@ -9,8 +9,8 @@
 /// model (mnemonic conventions and operand syntax, never the hidden vendor
 /// tables). One row per mnemonic gives:
 ///
-///  - the VM's OpKind (the transfer function both the GridVm lanes and the
-///    abstract checkers run, vm/Semantics.h);
+///  - the VM's OpKind (what the VM executes and the abstract checkers'
+///    transfer function in vm/Semantics.h);
 ///  - operand roles, from which the def count follows, and how operand
 ///    register widths are read;
 ///  - the memory direction and region;

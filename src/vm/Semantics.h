@@ -6,18 +6,13 @@
 ///
 /// \file
 /// What each data OpKind computes, written once as a template over a value
-/// domain. Two domains instantiate it:
+/// domain. The MEM/RAC checkers instantiate it over per-launch-context
+/// Known/Unknown values (analysis/TypedCheckers.cpp). The VM evaluates
+/// instructions on its own (vm/Vm.cpp) over the same scalar expressions,
+/// and is the ground truth these transfer functions are tested against.
 ///
-///  - GridVm's packed warp lanes: concrete 32-bit values, the lane loop
-///    inside, one dispatch per warp-issued instruction;
-///  - the MEM/RAC checkers' per-launch-context Known/Unknown values
-///    (analysis/TypedCheckers.cpp).
-///
-/// RefVm keeps its own execLane as the independent oracle both are
-/// differentially tested against.
-///
-/// The code here never asks which domain it serves. What differs lives in
-/// the domain: how operands are stored and read, guard joins, memory
+/// The code here never asks which domain it serves. What lives in the
+/// domain: how operands are stored and read, guard joins, memory
 /// contents, the cross-lane VOTE/SHFL, launch-specific S2R values, and what
 /// an input with no semantics does. A domain provides:
 ///

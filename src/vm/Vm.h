@@ -1,4 +1,4 @@
-//===- vm/Vm.h - Two-tier SASS simulator ------------------------*- C++ -*-===//
+//===- vm/Vm.h - SASS simulator ---------------------------------*- C++ -*-===//
 //
 // Part of the Decoding-CUDA-Binary reproduction. MIT license.
 //
@@ -8,24 +8,18 @@
 /// A SASS simulator used to check that transformed binaries are
 /// functionally equivalent to their originals — the role a real GPU plays
 /// in the paper's workflow ("tested on each benchmark to confirm its
-/// correctness"). Two tiers share one semantic contract (docs/VM.md):
+/// correctness"). See docs/VM.md.
 ///
-///  - RefVm, the oracle: re-derives every instruction's classification
-///    from its opcode/modifier strings on each issued step and walks the
-///    generic operand representation. Slow on purpose; it is the
-///    reference the fast tier is differentially tested against.
+/// One engine, RefVm, runs every launch. It classifies each instruction
+/// once per launch and evaluates operands in their generic sass::Operand
+/// form, independently of the abstract transfer functions in
+/// vm/Semantics.h, so the MEM/RAC checkers are tested against it.
 ///
-///  - GridVm, the fast tier: predecodes each kernel once into packed
-///    records with resolved constant-bank pointers, executes them with the
-///    transfer functions it shares with the abstract checkers
-///    (vm/Semantics.h) — results are bit-identical to RefVm.
-///
-/// Both tiers run a grid's blocks one after another through the same loop
-/// and merge them by block index (vm/Dispatch.h).
-///
-/// Both tiers execute warps in lockstep with per-warp divergence stacks;
-/// BAR.SYNC is a real intra-block barrier at warp granularity, and VOTE /
-/// SHFL operate across the warp's issue mask.
+/// Warps execute in lockstep with per-warp divergence stacks; BAR.SYNC is
+/// a real intra-block barrier at warp granularity, and VOTE / SHFL operate
+/// across the warp's issue mask. A grid's blocks run one after another on
+/// one block state; each starts from the launch memory image, and the
+/// bytes each block writes merge back by block index.
 ///
 /// Remaining simplifications: warps inside a block run to the next
 /// barrier in index order (no interleaving finer than a barrier), ATOM
@@ -47,13 +41,11 @@
 namespace dcb {
 namespace vm {
 
-struct VmStats; // Dispatch.h
-
+/// One launch. Block b sees CTAID.X == b, and every thread gets a 4 KiB
+/// local arena.
 struct LaunchConfig {
   unsigned NumThreads = 8; ///< Threads per block.
-  unsigned BlockId = 0;    ///< CTAID.X of the first block.
   unsigned MaxStepsPerThread = 200000;
-  size_t LocalSizePerThread = 1 << 12;
   unsigned NumBlocks = 1;
   unsigned WarpSize = 32;            ///< 1..32 lanes per warp.
   OobPolicy Oob = OobPolicy::Wrap;   ///< Out-of-region access policy.
@@ -83,18 +75,12 @@ struct GridResult {
                                 ///< only when LaunchConfig::WatchShared.
 };
 
-/// The reference oracle. Stateless; run() re-derives everything from the
-/// kernel text on every step.
+/// The VM. Stateless between launches.
 class RefVm {
 public:
-  Expected<GridResult> run(const ir::Kernel &K, Memory &Mem,
-                           const LaunchConfig &Config);
-};
-
-/// The predecoded tier. Bit-identical to RefVm for every kernel and
-/// launch.
-class GridVm {
-public:
+  /// Runs \p K over \p Mem. On success \p Mem holds the merged global
+  /// image and the last block's shared arena; a failing launch (a shape
+  /// beyond the caps, or the first block that fails) leaves it untouched.
   Expected<GridResult> run(const ir::Kernel &K, Memory &Mem,
                            const LaunchConfig &Config);
 };

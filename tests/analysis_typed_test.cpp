@@ -455,6 +455,17 @@ TEST(MemChecker, MalformedInstructionsDefineUnknown) {
 // F2I's out-of-range result is a defined value both engines compute, so the
 // replay knows it exactly: a store through F2I(NaN) is a constant
 // out-of-bounds access at 0x80000000.
+TEST(MemChecker, NegatedInt32MinIsAKnownAddress) {
+  // -R of 0x80000000 wraps to itself, in the VM and here.
+  ir::Kernel K = buildShape(Arch::SM52, {"MOV32I R1, 0x80000000;",
+                                         "IADD R2, -R1, RZ;",
+                                         "STG.E [R2], R3;", "EXIT;"});
+  Report R = checkBounds(K);
+  ASSERT_TRUE(hasRule(R, "MEM001")) << rulesOf(R);
+  EXPECT_NE(R.Findings[0].Message.find("0x80000000"), std::string::npos)
+      << R.Findings[0].Message;
+}
+
 TEST(MemChecker, F2IOfNaNIsAKnownAddress) {
   ir::Kernel K = buildShape(Arch::SM52, {"MOV32I R1, 0x7fc00000;",
                                          "F2I.S32.F32 R2, R1;",

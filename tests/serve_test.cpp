@@ -431,11 +431,13 @@ TEST(ServeServer, OptionsFingerprintSplitsTheCache) {
   EXPECT_FALSE(F.boolean("cached"))
       << "oob=fault must not hit the oob=wrap entry";
 
-  // Unchanged options repeat: now a hit. A field no op reads (here `jobs`)
-  // is ignored, so it does not split the cache.
+  // Unchanged options repeat: now a hit. Fields exec does not read (here
+  // `jobs`, diffexec's `seeds` and the retired `ref`) are ignored, so they
+  // do not split the cache.
   json::Value T8Again = roundTripOk(
       *C, requestFor("exec", Image,
-                     ",\"kernel\":\"all\",\"threads\":8,\"jobs\":8"));
+                     ",\"kernel\":\"all\",\"threads\":8,\"jobs\":8,"
+                     "\"seeds\":9,\"ref\":true"));
   EXPECT_TRUE(T8Again.boolean("cached"));
   EXPECT_EQ(T8Again.str("output"), T8.str("output"));
 }

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -535,9 +536,9 @@ TEST(DcbTelemetry, TraceAndStatsFilesAreRenderable) {
   EXPECT_NE(runCmd(Dcb + " stats /nonexistent 2> /dev/null"), 0);
 }
 
-// --- The grid VM surface (exec / diffexec) ----------------------------------
+// --- The VM surface (exec / diffexec) ---------------------------------------
 
-TEST(DcbTool, ExecOutputIsEngineInvariant) {
+TEST(DcbTool, ExecPrintsOneLinePerKernel) {
   const std::string Dcb = toolPath();
   const std::string Work = workDir();
   ASSERT_EQ(runCmd("mkdir -p " + Work), 0);
@@ -545,19 +546,30 @@ TEST(DcbTool, ExecOutputIsEngineInvariant) {
                    "/vm.cubin > /dev/null"),
             0);
 
-  // reduction's deliberate indirect branch makes `exec all` exit 1; the
-  // per-kernel lines must still be byte-identical for the fast tier and
-  // the oracle.
+  // reduction's deliberate indirect branch makes `exec all` exit 1; every
+  // other kernel still prints its summary line, and a second run prints
+  // the same bytes.
   EXPECT_NE(runCmd(Dcb + " exec " + Work + "/vm.cubin all > " + Work +
-                   "/exec_grid.txt"),
+                   "/exec_all.txt"),
             0);
-  EXPECT_NE(runCmd(Dcb + " exec " + Work + "/vm.cubin all --ref > " + Work +
-                   "/exec_ref.txt"),
+  EXPECT_NE(runCmd(Dcb + " exec " + Work + "/vm.cubin all > " + Work +
+                   "/exec_again.txt"),
             0);
-  const std::string Grid = slurp(Work + "/exec_grid.txt");
-  EXPECT_FALSE(Grid.empty());
-  EXPECT_NE(Grid.find("matrixMul: issues="), std::string::npos);
-  EXPECT_EQ(Grid, slurp(Work + "/exec_ref.txt"));
+  ASSERT_EQ(runCmd(Dcb + " disasm " + Work + "/vm.cubin > " + Work +
+                   "/vm.sass"),
+            0);
+  const std::string Listing = slurp(Work + "/vm.sass");
+  size_t Kernels = 0;
+  for (size_t At = Listing.find("Function :"); At != std::string::npos;
+       At = Listing.find("Function :", At + 1))
+    ++Kernels;
+  const std::string All = slurp(Work + "/exec_all.txt");
+  EXPECT_EQ(static_cast<size_t>(std::count(All.begin(), All.end(), '\n')),
+            Kernels);
+  EXPECT_NE(All.find("matrixMul: issues="), std::string::npos);
+  EXPECT_NE(All.find("reduction: error: vm: indirect branch"),
+            std::string::npos);
+  EXPECT_EQ(All, slurp(Work + "/exec_again.txt"));
 
   // A single supported kernel exits 0; an unknown kernel does not.
   EXPECT_EQ(runCmd(Dcb + " exec " + Work +

@@ -2,8 +2,12 @@
 
 #include "vm/Vm.h"
 
+#include "VmFacts.h"
 #include "analyzer/IsaAnalyzer.h"
 #include "ir/Builder.h"
+#include "sass/Parser.h"
+#include "sass/Printer.h"
+#include "support/FileIo.h"
 #include "vendor/CuobjdumpSim.h"
 #include "vendor/NvccSim.h"
 
@@ -11,6 +15,11 @@
 
 #include <cmath>
 #include <cstring>
+#include <sstream>
+
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 using namespace dcb;
 using namespace dcb::vm;
@@ -54,6 +63,34 @@ float globalF32(const Memory &Mem, size_t Offset) {
   float F;
   std::memcpy(&F, Mem.Global.data() + Offset, 4);
   return F;
+}
+
+/// A one-block kernel straight from assembly lines (no oracle round trip,
+/// so malformed operand lists reach the VM as written).
+ir::Kernel kernelOf(std::initializer_list<const char *> Lines) {
+  ir::Kernel K;
+  K.Name = "k";
+  K.Blocks.resize(1);
+  for (const char *Line : Lines) {
+    Expected<sass::Instruction> Asm = sass::parseInstruction(Line);
+    EXPECT_TRUE(Asm.hasValue()) << Line << ": " << Asm.message();
+    ir::Inst I;
+    I.Asm = Asm.takeValue();
+    K.Blocks[0].Insts.push_back(std::move(I));
+  }
+  return K;
+}
+
+/// The line of tests/vm_facts.golden that starts with \p Prefix.
+std::string goldenLine(const std::string &Prefix) {
+  Expected<std::string> Golden = readFileBytes(
+      std::string(DCB_SOURCE_DIR) + "/tests/vm_facts.golden");
+  EXPECT_TRUE(Golden.hasValue()) << Golden.message();
+  std::istringstream In(Golden ? *Golden : std::string());
+  for (std::string Line; std::getline(In, Line);)
+    if (Line.rfind(Prefix, 0) == 0)
+      return Line;
+  return "no golden line for " + Prefix;
 }
 
 } // namespace
@@ -438,9 +475,12 @@ TEST(Vm, ImulHighHalfAndNegatedOperands) {
   K.ins("MOV R4, 0x64;");
   K.ins("MOV R6, 0x6;");
   K.ins("IADD R5, -R4, R6;");    // 6 - 100 = -94
+  K.ins("MOV32I R7, 0x80000000;");
+  K.ins("IADD R8, -R7, RZ;");    // -INT32_MIN wraps to itself
   K.ins("STG.E [RZ+0x10], R2;");
   K.ins("STG.E [RZ+0x14], R3;");
   K.ins("STG.E [RZ+0x18], R5;");
+  K.ins("STG.E [RZ+0x1c], R8;");
   K.exit();
   ir::Kernel Kern = makeIr(Arch::SM50, K);
   Memory Mem;
@@ -450,6 +490,7 @@ TEST(Vm, ImulHighHalfAndNegatedOperands) {
   EXPECT_EQ(global32(Mem, 0x10), 1u);
   EXPECT_EQ(global32(Mem, 0x14), 0u);
   EXPECT_EQ(static_cast<int32_t>(global32(Mem, 0x18)), -94);
+  EXPECT_EQ(global32(Mem, 0x1c), 0x80000000u);
 }
 
 TEST(Vm, SubWordMemoryAccess) {
@@ -522,16 +563,12 @@ TEST(Vm, BarrierHandsDataBetweenWarps) {
   LaunchConfig Config;
   Config.NumThreads = 8;
   Config.WarpSize = 4;
-  for (int UseGrid = 0; UseGrid < 2; ++UseGrid) {
-    Memory Mem;
-    Expected<GridResult> R = UseGrid ? GridVm().run(Kern, Mem, Config)
-                                     : RefVm().run(Kern, Mem, Config);
-    ASSERT_TRUE(R.hasValue()) << R.message();
-    for (unsigned I = 0; I < 8; ++I)
-      EXPECT_EQ(global32(Mem, 0x100 + 4 * I), (I + 4) % 8)
-          << (UseGrid ? "grid" : "ref") << " thread " << I;
-    EXPECT_EQ(R->Barriers, 2u); // Two warps arrived at one BAR.SYNC.
-  }
+  Memory Mem;
+  Expected<GridResult> R = RefVm().run(Kern, Mem, Config);
+  ASSERT_TRUE(R.hasValue()) << R.message();
+  for (unsigned I = 0; I < 8; ++I)
+    EXPECT_EQ(global32(Mem, 0x100 + 4 * I), (I + 4) % 8) << "thread " << I;
+  EXPECT_EQ(R->Barriers, 2u); // Two warps arrived at one BAR.SYNC.
 }
 
 TEST(Vm, OobPolicySelectsWrapOrFault) {
@@ -547,30 +584,26 @@ TEST(Vm, OobPolicySelectsWrapOrFault) {
   LaunchConfig Config;
   Config.NumThreads = 1;
 
-  for (int UseGrid = 0; UseGrid < 2; ++UseGrid) {
-    Memory Mem;
-    Config.Oob = OobPolicy::Wrap;
-    Expected<GridResult> R = UseGrid ? GridVm().run(Kern, Mem, Config)
-                                     : RefVm().run(Kern, Mem, Config);
-    ASSERT_TRUE(R.hasValue()) << R.message();
-    EXPECT_EQ(global32(Mem, 0x40), 0xabcdu);
-    EXPECT_EQ(R->MemWraps, 1u);
+  Memory Mem;
+  Config.Oob = OobPolicy::Wrap;
+  Expected<GridResult> R = RefVm().run(Kern, Mem, Config);
+  ASSERT_TRUE(R.hasValue()) << R.message();
+  EXPECT_EQ(global32(Mem, 0x40), 0xabcdu);
+  EXPECT_EQ(R->MemWraps, 1u);
 
-    Memory Mem2;
-    Config.Oob = OobPolicy::Fault;
-    Expected<GridResult> F = UseGrid ? GridVm().run(Kern, Mem2, Config)
-                                     : RefVm().run(Kern, Mem2, Config);
-    ASSERT_FALSE(F.hasValue());
-    EXPECT_NE(F.message().find("out-of-bounds store"), std::string::npos)
-        << F.message();
-    EXPECT_EQ(global32(Mem2, 0x40), 0u); // The faulting store was dropped.
-  }
+  Memory Mem2;
+  Config.Oob = OobPolicy::Fault;
+  Expected<GridResult> F = RefVm().run(Kern, Mem2, Config);
+  ASSERT_FALSE(F.hasValue());
+  EXPECT_NE(F.message().find("out-of-bounds store"), std::string::npos)
+      << F.message();
+  EXPECT_EQ(global32(Mem2, 0x40), 0u); // The faulting store was dropped.
 }
 
 TEST(Vm, MultiBlockGridMergesByBlockIndex) {
-  // Each block stores (ctaid+1) into its own slot. Blocks run on private
-  // memory images merged by ascending block index, so disjoint writes all
-  // land and Threads is block-major.
+  // Each block stores (ctaid+1) into its own slot. Every block starts from
+  // the launch image and its writes merge by ascending block index, so
+  // disjoint writes all land and Threads is block-major.
   vendor::KernelBuilder K("grid", Arch::SM35);
   K.ins("S2R R0, SR_CTAID.X;");
   K.ins("SHL R4, R0, 0x2;");
@@ -582,7 +615,7 @@ TEST(Vm, MultiBlockGridMergesByBlockIndex) {
   Config.NumThreads = 4;
   Config.NumBlocks = 3;
   Memory Mem;
-  Expected<GridResult> R = GridVm().run(Kern, Mem, Config);
+  Expected<GridResult> R = RefVm().run(Kern, Mem, Config);
   ASSERT_TRUE(R.hasValue()) << R.message();
   ASSERT_EQ(R->Threads.size(), 12u);
   for (unsigned B = 0; B < 3; ++B) {
@@ -591,4 +624,263 @@ TEST(Vm, MultiBlockGridMergesByBlockIndex) {
     for (unsigned T = 0; T < 4; ++T)
       EXPECT_EQ(R->Threads[B * 4 + T].Regs[0], B) << B << "/" << T;
   }
+
+  // Overlapping writes, one thread per block. Global 0x160 holds 5 and
+  // shared 0x20 holds 9 at launch.
+  vendor::KernelBuilder M("merge", Arch::SM35);
+  M.ins("S2R R0, SR_CTAID.X;");
+  M.ins("SHL R4, R0, 0x2;");
+  M.ins("ISETP.EQ.AND P0, PT, R0, 0x0, PT;"); // Block 0.
+  M.ins("ISETP.EQ.AND P1, PT, R0, 0x2, PT;"); // Block 2.
+  M.ins("LDG.E R5, [RZ+0x160];");
+  M.ins("STG.E [R4+0x180], R5;"); // What each block read at 0x160.
+  M.ins("LDS R6, [RZ+0x20];");
+  M.ins("STG.E [R4+0x1a0], R6;"); // What each block read at shared 0x20.
+  M.ins("LDL R13, [RZ+0x10];");
+  M.ins("STG.E [R4+0x200], R13;"); // What each block read at local 0x10.
+  M.ins("IADD R3, R0, 0xa;");
+  M.ins("STG.E [RZ+0x140], R3;"); // Every block: the last one wins.
+  M.ins("MOV32I R7, 0x37;");
+  M.ins("@P0 STG.E [RZ+0x160], R7;"); // Block 0: 5 -> 55.
+  M.ins("MOV32I R8, 0x5;");
+  M.ins("@P1 STG.E [RZ+0x160], R8;"); // Block 2 stores the launch value.
+  M.ins("MOV32I R9, 0x103c0;");
+  M.ins("MOV32I R10, 0xbeef;");
+  M.ins("@P1 STG.E [R9], R10;"); // Block 2 wraps onto 0x3c0, a page it
+                                 // stores nothing else to.
+  M.ins("IADD R11, R0, 0x14;");
+  M.ins("STS [RZ+0x20], R11;");
+  M.ins("STL [RZ+0x10], R11;");
+  M.ins("MOV32I R12, 0x4d;");
+  M.ins("@P0 STS [RZ+0x30], R12;"); // Only in block 0's arena.
+  M.exit();
+  ir::Kernel Merge = makeIr(Arch::SM35, M);
+  Memory MemM;
+  const uint32_t Five = 5, Nine = 9;
+  std::memcpy(MemM.Global.data() + 0x160, &Five, 4);
+  std::memcpy(MemM.Shared.data() + 0x20, &Nine, 4);
+  Config.NumThreads = 1;
+  Expected<GridResult> RM = RefVm().run(Merge, MemM, Config);
+  ASSERT_TRUE(RM.hasValue()) << RM.message();
+  for (unsigned B = 0; B < 3; ++B) {
+    // Block 1 reads the launch value, not block 0's store.
+    EXPECT_EQ(global32(MemM, 0x180 + 4 * B), 5u) << B;
+    // Every block starts from the launch shared image and zeroed local
+    // arenas.
+    EXPECT_EQ(global32(MemM, 0x1a0 + 4 * B), 9u) << B;
+    EXPECT_EQ(global32(MemM, 0x200 + 4 * B), 0u) << B;
+  }
+  EXPECT_EQ(global32(MemM, 0x140), 12u); // The later block wins.
+  // Block 2 storing the launch value back does not undo block 0's change.
+  EXPECT_EQ(global32(MemM, 0x160), 55u);
+  EXPECT_EQ(global32(MemM, 0x3c0), 0xbeefu); // The wrapped store landed.
+  EXPECT_EQ(RM->MemWraps, 1u);
+  // Mem.Shared is the last block's arena.
+  uint32_t Shared20, Shared30;
+  std::memcpy(&Shared20, MemM.Shared.data() + 0x20, 4);
+  std::memcpy(&Shared30, MemM.Shared.data() + 0x30, 4);
+  EXPECT_EQ(Shared20, 22u);
+  EXPECT_EQ(Shared30, 0u);
+}
+
+TEST(Vm, LaunchMemoryIsBoundedByWhatTheLaunchWrites) {
+  // A 1024-block launch of a one-thread kernel keeps one block state and
+  // each block's thread result, not a block's worth of arenas per block:
+  // its peak RSS stays within 16 MiB of a one-block launch. Each launch
+  // runs in a forked child so the peaks are measured separately.
+  vendor::KernelBuilder K("slots", Arch::SM35);
+  K.ins("S2R R0, SR_CTAID.X;");
+  K.ins("SHL R4, R0, 0x2;");
+  K.ins("STG.E [R4+0x40], R0;");
+  K.exit();
+  ir::Kernel Kern = makeIr(Arch::SM35, K);
+  auto PeakKb = [&Kern](unsigned Blocks) -> long {
+    pid_t Pid = fork();
+    if (Pid == 0) {
+      Memory Mem;
+      LaunchConfig Config;
+      Config.NumThreads = 1;
+      Config.NumBlocks = Blocks;
+      _exit(RefVm().run(Kern, Mem, Config).hasValue() ? 0 : 1);
+    }
+    int Status = 0;
+    struct rusage Usage {};
+    if (Pid < 0 || wait4(Pid, &Status, 0, &Usage) != Pid ||
+        !WIFEXITED(Status) || WEXITSTATUS(Status) != 0)
+      return -1;
+    return Usage.ru_maxrss; // KiB.
+  };
+  const long One = PeakKb(1);
+  const long Many = PeakKb(1024);
+  ASSERT_GT(One, 0);
+  ASSERT_GT(Many, 0);
+  EXPECT_LT(Many - One, 16 * 1024) << "1 block: " << One
+                                   << " KiB, 1024 blocks: " << Many << " KiB";
+}
+
+// Launch shapes beyond the caps are refused up front, before any block
+// state is allocated.
+TEST(Vm, LaunchCapsAreRefused) {
+  ir::Kernel K = kernelOf({"MOV R1, 0x10;"});
+  struct Shape {
+    unsigned Threads, Blocks;
+    const char *Error;
+  } Shapes[] = {
+      {1025, 1, "vm: at most 1024 threads per block, got 1025"},
+      {32, 1025, "vm: at most 1024 blocks per grid, got 1025"},
+      {32, 4294967295u, "vm: at most 1024 blocks per grid, got 4294967295"},
+      {4294967295u, 2, "vm: at most 1024 threads per block, got 4294967295"},
+      {1024, 65, "vm: at most 65536 threads per grid, got 65 blocks of 1024"},
+  };
+  for (const Shape &Sh : Shapes) {
+    LaunchConfig Config;
+    Config.NumThreads = Sh.Threads;
+    Config.NumBlocks = Sh.Blocks;
+    Memory Mem;
+    Expected<GridResult> R = RefVm().run(K, Mem, Config);
+    ASSERT_FALSE(R.hasValue()) << Sh.Error;
+    EXPECT_EQ(R.message(), Sh.Error);
+  }
+}
+
+// Kernels that never observe the warp shape must compute the same
+// per-thread state and memory whether the block is split into warps of 4,
+// 8 or 32. Two ways a kernel can observe it: directly (SHFL/VOTE/
+// SR_LANEID) or indirectly, by reading memory another thread writes with
+// no BAR.SYNC in between — warps run to the next barrier in index order,
+// so un-synchronized cross-thread reads see more completed writers when
+// warps are smaller. The suite's neighbor-stencil kernels are of that
+// second kind and are skipped by name; the barrier kernels (matrixMul,
+// lud, scan, ...) stay invariant precisely because their communication is
+// barrier-ordered.
+TEST(Vm, WarpSizeInvariantForWarpAgnosticKernels) {
+  static const char *const CrossThreadNoBarrier[] = {
+      "bfs",       "binomialOptions", "cfd",           "deviceQuery",
+      "FDTD3d",    "histogram",       "interval",      "leukocyte",
+      "mergeSort", "nbody",           "nn",            "nw",
+      "pathfinder", "sortingNetworks", "srad",         "streamcluster",
+  };
+  Expected<ir::Program> P = vmfacts::suiteProgram(Arch::SM35);
+  ASSERT_TRUE(P.hasValue()) << P.message();
+  unsigned Checked = 0;
+  for (const ir::Kernel &K : P->Kernels) {
+    std::string Text;
+    for (const ir::Block &Blk : K.Blocks)
+      for (const ir::Inst &I : Blk.Insts)
+        Text += sass::printInstruction(I.Asm) + "\n";
+    if (Text.find("SHFL") != std::string::npos ||
+        Text.find("VOTE") != std::string::npos ||
+        Text.find("SR_LANEID") != std::string::npos)
+      continue;
+    bool Skip = false;
+    for (const char *Name : CrossThreadNoBarrier)
+      Skip = Skip || K.Name == Name;
+    if (Skip)
+      continue;
+    ++Checked;
+
+    LaunchConfig Config;
+    Config.NumThreads = 32;
+    Config.NumBlocks = 2;
+    Memory MemBase = seededMemory(13, Config.NumThreads);
+    Expected<GridResult> Base = RefVm().run(K, MemBase, Config);
+
+    for (unsigned W : {4u, 8u}) {
+      Config.WarpSize = W;
+      Memory MemW = seededMemory(13, Config.NumThreads);
+      Expected<GridResult> RW = RefVm().run(K, MemW, Config);
+      ASSERT_EQ(Base.hasValue(), RW.hasValue()) << K.Name;
+      if (!Base) {
+        EXPECT_EQ(Base.message(), RW.message()) << K.Name;
+        continue;
+      }
+      // Issue/barrier counters legitimately differ (more warps issue more
+      // instructions); thread state and memory may not.
+      const std::string What = K.Name + " warp=" + std::to_string(W);
+      ASSERT_EQ(Base->Threads.size(), RW->Threads.size()) << What;
+      for (size_t T = 0; T < Base->Threads.size(); ++T) {
+        EXPECT_EQ(Base->Threads[T].Regs, RW->Threads[T].Regs)
+            << What << " thread " << T;
+        EXPECT_EQ(Base->Threads[T].Preds, RW->Threads[T].Preds)
+            << What << " thread " << T;
+      }
+      EXPECT_EQ(MemBase.Global, MemW.Global) << What;
+      EXPECT_EQ(MemBase.Shared, MemW.Shared) << What;
+    }
+  }
+  EXPECT_GT(Checked, 10u);
+}
+
+// The seeded input image is a pure function of (seed, threads).
+TEST(Vm, SeededMemoryIsDeterministic) {
+  Memory A = seededMemory(42, 32);
+  Memory B = seededMemory(42, 32);
+  EXPECT_EQ(A.Global, B.Global);
+  EXPECT_EQ(A.Shared, B.Shared);
+  EXPECT_EQ(A.ConstBanks, B.ConstBanks);
+
+  Memory C = seededMemory(43, 32);
+  EXPECT_NE(A.Global, C.Global); // Different seed, different image.
+}
+
+// Operands that do not fit the opcode's row — too few, the wrong kind, or a
+// register group past R254 — are rejected with the row's error instead of
+// being read or written out of bounds.
+TEST(Vm, MalformedOperandsAreRefused) {
+  for (const char *Bad :
+       {"ISETP.LT.AND P0, PT, R1, R2;", "LD.128 R254, [R0];",
+        "ISETP.LT.AND R200, PT, R1, R2, PT;", "IADD R1;"}) {
+    ir::Kernel K = kernelOf({"MOV R1, 0x10;", Bad});
+    LaunchConfig Config;
+    Config.NumThreads = 4;
+    Memory Mem;
+    Expected<GridResult> R = RefVm().run(K, Mem, Config);
+    ASSERT_FALSE(R.hasValue()) << Bad;
+    EXPECT_EQ(R.message().rfind("vm: malformed operand", 0), 0u)
+        << R.message();
+  }
+}
+
+// F2I of NaN or a value outside int32 gives 0x80000000.
+TEST(Vm, F2IOutOfRangeGivesIntegerIndefinite) {
+  for (const char *Load : {"MOV32I R1, 0x4f32d05e;",   // 3e9f
+                           "MOV32I R1, 0xcf32d05e;",   // -3e9f
+                           "MOV32I R1, 0x7fc00000;"}) { // NaN
+    ir::Kernel K = kernelOf({Load, "F2I.S32.F32 R2, R1;"});
+    LaunchConfig Config;
+    Config.NumThreads = 1;
+    Memory Mem;
+    Expected<GridResult> R = RefVm().run(K, Mem, Config);
+    ASSERT_TRUE(R.hasValue()) << R.message();
+    EXPECT_EQ(R->Threads[0].Regs[2], 0x80000000u) << Load;
+  }
+}
+
+// --- Pinned across commits (see VmFacts.h) ---------------------------------
+
+class VmFactsPerArch : public ::testing::TestWithParam<Arch> {};
+
+TEST_P(VmFactsPerArch, MatchTheGoldenHashes) {
+  // Every suite kernel's full GridResult under five launch shapes.
+  EXPECT_EQ(vmfacts::renderVmFacts(GetParam()),
+            goldenLine(std::string(archName(GetParam())) + " s1="));
+}
+
+namespace {
+std::vector<Arch> suiteArchs() {
+  unsigned Count = 0;
+  const Arch *Archs = supportedArchs(Count);
+  return std::vector<Arch>(Archs, Archs + Count);
+}
+} // namespace
+
+INSTANTIATE_TEST_SUITE_P(AllArchs, VmFactsPerArch,
+                         ::testing::ValuesIn(suiteArchs()),
+                         [](const ::testing::TestParamInfo<Arch> &Info) {
+                           return std::string(archName(Info.param));
+                         });
+
+TEST(VmFacts, RandomizedRotationMatchesTheGoldenHash) {
+  // 120 seeds rotating across the sm_50 suite, each over its own image.
+  EXPECT_EQ(vmfacts::renderRotation(), goldenLine("sm_50 rotation="));
 }

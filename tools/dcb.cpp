@@ -110,9 +110,9 @@ struct Args {
           continue;
         }
         if (Key == "--stats" || Key == "--json" || Key == "--liveness" ||
-            Key == "--hazards" || Key == "--no-verify" || Key == "--ref" ||
-            Key == "--regs" || Key == "--types" || Key == "--bounds" ||
-            Key == "--races" || Key == "--watch-shared") {
+            Key == "--hazards" || Key == "--no-verify" || Key == "--regs" ||
+            Key == "--types" || Key == "--bounds" || Key == "--races" ||
+            Key == "--watch-shared") {
           A.Options[Key] = "";
           continue;
         }
@@ -766,7 +766,6 @@ vm::ExecOptions execOptions(const Args &A) {
       die("bad --seed value '" + *V + "'");
     Opts.FirstSeed = *N;
   }
-  Opts.UseRef = A.Options.count("--ref") != 0;
   Opts.CompareRegs = A.Options.count("--regs") != 0;
   Opts.WatchShared = A.Options.count("--watch-shared") != 0;
   if (auto V = A.get("--oob")) {
@@ -782,7 +781,7 @@ vm::ExecOptions execOptions(const Args &A) {
 
 int cmdExec(const Args &A) {
   if (A.Positional.size() < 2)
-    die("usage: dcb exec <cubin|listing> <kernel|all> [--ref] [--seed N] "
+    die("usage: dcb exec <cubin|listing> <kernel|all> [--seed N] "
         "[--threads N] [--blocks N] [--warp-size N] [--oob wrap|fault] "
         "[--watch-shared]");
   // Routed through the daemon-shared op (one summary line per kernel on
@@ -800,7 +799,7 @@ int cmdExec(const Args &A) {
 int cmdDiffexec(const Args &A) {
   if (A.Positional.size() < 2)
     die("usage: dcb diffexec <orig> <transformed> [--seeds N] [--regs] "
-        "[--ref] [--threads N] [--blocks N] [--warp-size N]");
+        "[--threads N] [--blocks N] [--warp-size N]");
   ir::Program Orig = loadProgramFile(A.Positional[0]);
   ir::Program Transformed = loadProgramFile(A.Positional[1]);
   vm::ExecOptions Opts = execOptions(A);
@@ -991,8 +990,8 @@ int cmdClient(const Args &A) {
   struct {
     const char *Flag, *Field;
   } NumKeys[] = {{"--threads", "threads"}, {"--blocks", "blocks"},
-                 {"--warp-size", "warp"},   {"--seeds", "seeds"},
-                 {"--seed", "seed"},        {"--last-ms", "last_ms"}};
+                 {"--warp-size", "warp"},   {"--seed", "seed"},
+                 {"--last-ms", "last_ms"}};
   for (const auto &Key : NumKeys) {
     if (auto V = A.get(Key.Flag)) {
       std::optional<uint64_t> N = parseUInt(*V);
@@ -1001,8 +1000,6 @@ int cmdClient(const Args &A) {
       Req += ",\"" + std::string(Key.Field) + "\":" + std::to_string(*N);
     }
   }
-  if (A.Options.count("--ref"))
-    Req += ",\"ref\":true";
   if (A.Options.count("--watch-shared"))
     Req += ",\"watch_shared\":true";
   if (auto V = A.get("--oob")) {
@@ -1240,12 +1237,11 @@ int cmdTop(const Args &A) {
       "  (lint/analyze: --json prints dcb-lint-v1 JSON, --json=FILE saves;\n"
       "   --fail-on error|warning|never picks the findings severity that\n"
       "   makes the exit code non-zero — default error)\n"
-      "  exec <cubin|listing> <kernel|all> [--ref] [--seed N]\n"
+      "  exec <cubin|listing> <kernel|all> [--seed N]\n"
       "       [--threads N] [--blocks N] [--warp-size N] [--oob wrap|fault]\n"
       "       [--watch-shared]\n"
-      "                                          run kernels on the grid VM\n"
-      "                                          over a seeded input image\n"
-      "                                          (--ref = oracle engine)\n"
+      "                                          run kernels on the VM over\n"
+      "                                          a seeded input image\n"
       "  diffexec <orig> <transformed> [--seeds N] [--regs]\n"
       "                                          run both binaries on\n"
       "                                          randomized inputs, compare\n"
