@@ -6,7 +6,10 @@
 # shut down cleanly via SIGTERM and validate the exported dcb-stats-v1
 # file. A second daemon run exercises --persist: populate, SIGTERM,
 # restart on the same segment, and require the first request after the
-# restart to be a warm cache hit with byte-identical output.
+# restart to be a warm cache hit with byte-identical output. Two hostile
+# requests on the way (a control-character op name and a warp-0 races
+# analysis) must get error answers without killing the daemon or the
+# request log's JSON.
 #
 # usage: scripts/serve_smoke.sh <dcb-binary> [workdir]
 set -euo pipefail
@@ -204,6 +207,26 @@ assert doc.get("status", "ok") == "ok", doc
 for s in socks:
     s.close()
 PY
+
+# Hostile requests: an op name holding control characters, which the
+# request log checked below must still write as valid JSON, and a races
+# analysis over warp 0. Both get error answers and the daemon stays up.
+python3 - <<'PY'
+import json, socket
+port = int(open("port.txt").read().strip())
+with socket.create_connection(("127.0.0.1", port)) as s:
+    s.sendall(b'{"op":"x\\u0001y\\rz","id":"ctl"}\n'
+              b'{"op":"analyze","path":"suite.cubin","mode":"races",'
+              b'"warp":0,"id":"warp"}\n')
+    answers = s.makefile("rb")
+    for want in ("ctl", "warp"):
+        doc = json.loads(answers.readline())
+        assert doc["status"] == "error" and doc["id"] == want, doc
+PY
+kill -0 "$SERVE_PID" || {
+  echo "serve_smoke: daemon died on a hostile request" >&2
+  exit 1
+}
 
 # Clean SIGTERM shutdown: the daemon must exit by itself (no KILL) and
 # flush its telemetry to the --stats file on the way out.

@@ -6,10 +6,11 @@
 ///
 /// \file
 /// The reusable core of the analysis layer: a dense bit set over the
-/// register slot space and a worklist solver for gen/kill dataflow
-/// problems over the Cfg. Liveness (Liveness.h) instantiates the
-/// backward-may direction; the solver also provides the forward-may twin
-/// for future reaching-style analyses.
+/// register slot space and the two worklist solvers over the Cfg.
+/// Liveness (Liveness.h) instantiates the backward gen/kill solver; type
+/// inference (TypeInference.h) and the MEM/RAC per-context replay
+/// (TypedCheckers.cpp) run on the forward solver, over any state with a
+/// join.
 ///
 /// Determinism: the worklist is seeded in a fixed traversal order
 /// (postorder for backward problems, reverse postorder for forward ones)
@@ -120,7 +121,7 @@ private:
   std::array<uint64_t, kWords> W{};
 };
 
-/// Result bookkeeping shared by both solver directions.
+/// Result bookkeeping shared by both solvers.
 struct SolveStats {
   unsigned Iterations = 0; ///< Total block visits until the fixed point.
 };
@@ -174,17 +175,25 @@ SolveStats solveBackwardMay(const KernelT &K, const Cfg &C,
   return Stats;
 }
 
-/// Forward twin:
-///   In[B]  = union of Out[P] over P in Preds(B)
-///   Out[B] = Gen[B] | (In[B] & ~Kill[B])
-template <typename KernelT>
-SolveStats solveForwardMay(const KernelT &K, const Cfg &C,
-                           const std::vector<BitSet> &Gen,
-                           const std::vector<BitSet> &Kill,
-                           std::vector<BitSet> &In,
-                           std::vector<BitSet> &Out) {
+/// Solves a forward problem over any state with a join:
+///   In[B]  = (B is the entry ? Entry : Bottom) joined with Out[P] over P
+///            in Preds(B)
+///   Out[B] = Transfer(B, In[B])
+/// \p Join(Into, From) joins From into Into; \p Transfer(B, State) applies
+/// block B to State in place. The FIFO worklist is seeded in reverse
+/// postorder and a block's successors are requeued when its Out changes,
+/// so the fixpoint and the visit count are deterministic. \p In and \p Out
+/// are resized to numBlocks() copies of \p Bottom.
+template <typename KernelT, typename State, typename JoinFn,
+          typename TransferFn>
+SolveStats solveForward(const KernelT &K, const Cfg &C, const State &Entry,
+                        const State &Bottom, std::vector<State> &In,
+                        std::vector<State> &Out, JoinFn Join,
+                        TransferFn Transfer) {
   SolveStats Stats;
   const size_t N = C.numBlocks();
+  In.assign(N, Bottom);
+  Out.assign(N, Bottom);
   std::deque<int> Worklist;
   std::vector<bool> Queued(N, false);
   for (int B : C.Rpo) {
@@ -197,13 +206,11 @@ SolveStats solveForwardMay(const KernelT &K, const Cfg &C,
     Queued[B] = false;
     ++Stats.Iterations;
 
-    In[B].clear();
+    State NewOut = B == 0 ? Entry : Bottom;
     for (int P : C.Preds[B])
-      In[B].unionWith(Out[P]);
-
-    BitSet NewOut = In[B];
-    NewOut.subtract(Kill[B]);
-    NewOut.unionWith(Gen[B]);
+      Join(NewOut, Out[P]);
+    In[B] = NewOut;
+    Transfer(B, NewOut);
     if (NewOut != Out[B]) {
       Out[B] = std::move(NewOut);
       for (int S : K.Blocks[B].Succs) {

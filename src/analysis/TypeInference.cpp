@@ -6,8 +6,6 @@
 #include "support/Telemetry.h"
 #include "vm/Dispatch.h"
 
-#include <deque>
-
 using namespace dcb;
 using namespace dcb::analysis;
 using sass::Operand;
@@ -171,51 +169,26 @@ TypeInference analysis::inferTypes(const ir::Kernel &K) {
   DCB_SPAN("analysis.types");
   metrics().Kernels.add(1);
 
-  const size_t N = K.Blocks.size();
   TypeInference T;
-  T.In.assign(N, std::vector<TypeMask>(kNumRegSlots, 0));
-  T.Out.assign(N, std::vector<TypeMask>(kNumRegSlots, 0));
-  if (N == 0)
+  if (K.Blocks.empty())
     return T;
 
-  const Cfg C = Cfg::build(K);
-
   // The transfer is input-dependent (MOV/SEL/SHFL copy source masks), so
-  // this is not a gen/kill problem; the worklist mirrors solveForwardMay's
-  // discipline exactly — RPO seed, FIFO order — for a deterministic
-  // fixpoint. All transfers are monotone joins, so iteration ascends from
-  // bottom and terminates.
-  std::deque<int> Worklist;
-  std::vector<bool> Queued(N, false);
-  for (int B : C.Rpo) {
-    Worklist.push_back(B);
-    Queued[B] = true;
-  }
-  while (!Worklist.empty()) {
-    int B = Worklist.front();
-    Worklist.pop_front();
-    Queued[B] = false;
-    ++T.Iterations;
-
-    std::vector<TypeMask> &In = T.In[B];
-    std::fill(In.begin(), In.end(), 0);
-    for (int P : C.Preds[B])
-      for (size_t S = 0; S < kNumRegSlots; ++S)
-        In[S] |= T.Out[P][S];
-
-    std::vector<TypeMask> NewOut = In;
-    for (const ir::Inst &I : K.Blocks[B].Insts)
-      applyTypeTransfer(I, NewOut);
-    if (NewOut != T.Out[B]) {
-      T.Out[B] = std::move(NewOut);
-      for (int S : K.Blocks[B].Succs) {
-        if (S >= 0 && static_cast<size_t>(S) < N && !Queued[S]) {
-          Queued[S] = true;
-          Worklist.push_back(S);
-        }
-      }
-    }
-  }
+  // this is not a gen/kill problem. All transfers are monotone joins, so
+  // iteration ascends from bottom and terminates.
+  const std::vector<TypeMask> Bottom(kNumRegSlots, 0);
+  T.Iterations =
+      solveForward(
+          K, Cfg::build(K), Bottom, Bottom, T.In, T.Out,
+          [](std::vector<TypeMask> &Into, const std::vector<TypeMask> &From) {
+            for (size_t S = 0; S < kNumRegSlots; ++S)
+              Into[S] |= From[S];
+          },
+          [&K](int B, std::vector<TypeMask> &Types) {
+            for (const ir::Inst &I : K.Blocks[B].Insts)
+              applyTypeTransfer(I, Types);
+          })
+          .Iterations;
   metrics().Visits.add(T.Iterations);
   return T;
 }

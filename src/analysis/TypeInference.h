@@ -32,10 +32,10 @@
 /// IADD/IADD3/IMAD propagate pointer bits through address arithmetic.
 ///
 /// The transfer function is input-dependent (pass-through ops copy source
-/// masks), so the gen/kill solver of Dataflow.h does not apply; the pass
-/// runs its own monotone FIFO worklist seeded in reverse postorder — the
-/// same discipline as solveForwardMay, so the fixpoint (and the iteration
-/// count) is deterministic and independent of any thread count.
+/// masks), so this is not a gen/kill problem; the pass runs on
+/// Dataflow.h's solveForward with a bitwise-OR join — a monotone FIFO
+/// worklist seeded in reverse postorder, so the fixpoint (and the
+/// iteration count) is deterministic and independent of any thread count.
 ///
 //===----------------------------------------------------------------------===//
 

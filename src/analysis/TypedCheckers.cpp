@@ -1,15 +1,15 @@
 //===- analysis/TypedCheckers.cpp -----------------------------------------===//
 //
 // The bounds/race half of this file is an abstract interpreter over the
-// VM's own semantics: per launch context (tid, ctaid) each register holds
-// either an exactly-known 32-bit value or "unknown", and every transfer is
-// vm/Semantics.h's, instantiated over Known/Unknown values over the
-// scalar expressions the VM evaluates (vm/Dispatch.h). That is the
+// VM's own scalar semantics: per launch context (tid, ctaid) each register
+// holds either an exactly-known 32-bit value or "unknown", and every
+// transfer below evaluates the expressions of vm::scalar (vm/Dispatch.h)
+// over Known values, classified by vm::predecode. That is the
 // no-false-negative argument: whenever the VM observes an out-of-bounds
 // access or an unordered shared access, the static value was either
 // computed here identically (an exact MEM/RAC error) or degraded to
-// unknown (the conservative MEM002/RAC003 warning). The VM evaluates
-// operands independently of Semantics.h, and the VmValidation corpus in
+// unknown (the conservative MEM002/RAC003 warning). The VM writes its own
+// per-kind evaluation, and the VmValidation corpus in
 // tests/analysis_typed_test.cpp checks the property against it.
 //
 //===----------------------------------------------------------------------===//
@@ -17,9 +17,10 @@
 #include "analysis/TypedCheckers.h"
 
 #include "analysis/Cfg.h"
+#include "analysis/Dataflow.h"
 #include "analysis/TypeInference.h"
 #include "support/Telemetry.h"
-#include "vm/Semantics.h"
+#include "vm/Dispatch.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -75,20 +76,15 @@ struct Env {
     return Env{true, std::vector<AbsVal>(kNumSlots, AbsVal::of(0))};
   }
 
-  bool join(const Env &O) {
+  void join(const Env &O) {
     if (!O.Reached)
-      return false;
+      return;
     if (!Reached) {
       *this = O;
-      return true;
+      return;
     }
-    bool Changed = false;
-    for (size_t I = 0; I < kNumSlots; ++I) {
-      AbsVal J = joinVal(Slots[I], O.Slots[I]);
-      Changed |= J != Slots[I];
-      Slots[I] = J;
-    }
-    return Changed;
+    for (size_t I = 0; I < kNumSlots; ++I)
+      Slots[I] = joinVal(Slots[I], O.Slots[I]);
   }
   bool operator==(const Env &O) const {
     return Reached == O.Reached && (!Reached || Slots == O.Slots);
@@ -124,14 +120,18 @@ Guard guardOf(const Env &E, const Instruction &Asm) {
   return (V.V != 0) != Asm.GuardNegated ? Guard::True : Guard::False;
 }
 
-/// vm/Semantics.h's transfer functions over one launch context (tid,
-/// ctaid). Memory contents and constant banks are launch data this
-/// analysis does not track, so loads read Unknown and stores change
-/// nothing; cross-lane VOTE/SHFL and anything the VM would reject define
-/// Unknown; a guard that may be false joins each def with its old value.
-struct ContextDomain {
-  using Lane = uint32_t;
+/// Fn over exactly known values; Unknown when any argument is.
+template <class Fn, class... A>
+auto lift(Fn &&F, Abs<A>... Args) -> Abs<decltype(F(Args.V...))> {
+  if ((Args.Known && ...))
+    return Abs<decltype(F(Args.V...))>::of(F(Args.V...));
+  return {};
+}
 
+/// One instruction in one launch context (tid, ctaid): operand reads and
+/// register/predicate writes over that thread's Env, mirroring the VM's
+/// BlockState and operand evaluation.
+struct ContextEval {
   Env &E;
   const Instruction &Asm;
   Guard G;
@@ -139,23 +139,8 @@ struct ContextDomain {
   uint32_t Ctaid;
   const LaunchShape &Shape;
 
-  template <class Fn> bool forLanes(Fn &&Body) { return Body(Tid); }
-  template <class Fn, class... A>
-  static auto lift(Fn &&F, Abs<A>... Args) -> Abs<decltype(F(Args.V...))> {
-    if ((Args.Known && ...))
-      return Abs<decltype(F(Args.V...))>::of(F(Args.V...));
-    return {};
-  }
-  template <class Then, class Else>
-  static AbsVal select(Abs<bool> Cond, Then &&T, Else &&F) {
-    if (Cond.Known)
-      return Cond.V ? T() : F();
-    return joinVal(T(), F());
-  }
-
-  // Operand evaluation, mirroring RefMachine.
   const Operand &op(unsigned K) const { return Asm.Operands[K]; }
-  AbsVal u32(Lane, unsigned K, bool ApplyUnary = true) const {
+  AbsVal u32(unsigned K, bool ApplyUnary = true) const {
     const Operand &Op = op(K);
     AbsVal V = AbsVal::of(0);
     switch (Op.Kind) {
@@ -181,13 +166,13 @@ struct ContextDomain {
       V.V = 0u - V.V; // As the VM negates: defined for INT32_MIN.
     return V;
   }
-  Abs<float> f32(Lane L, unsigned K) const {
+  Abs<float> f32(unsigned K) const {
     const Operand &Op = op(K);
     float F;
     if (Op.Kind == OperandKind::FloatImm) {
       F = static_cast<float>(Op.FValue);
     } else {
-      AbsVal V = u32(L, K, /*ApplyUnary=*/false);
+      AbsVal V = u32(K, /*ApplyUnary=*/false);
       if (!V.Known)
         return {};
       F = vm::scalar::asFloat(V.V);
@@ -198,18 +183,21 @@ struct ContextDomain {
       F = -F;
     return Abs<float>::of(F);
   }
-  Abs<double> f64(Lane L, unsigned K) const {
+  Abs<double> f64(unsigned K) const {
     const Operand &Op = op(K);
     double D;
     if (Op.Kind == OperandKind::FloatImm) {
       D = Op.FValue;
     } else if (Op.Kind == OperandKind::Register) {
-      Abs<uint64_t> Pair = reg64(L, K);
-      if (!Pair.Known)
+      // The register pair; RZ reads as a zero pair.
+      const int64_t Id = Op.Value[0];
+      const AbsVal Lo = E.reg(Id);
+      const AbsVal Hi = Id < 0 ? AbsVal::of(0) : E.reg(Id + 1);
+      if (!Lo.Known || !Hi.Known)
         return {};
-      D = vm::scalar::asDouble(Pair.V);
+      D = vm::scalar::asDouble(Lo.V | (static_cast<uint64_t>(Hi.V) << 32));
     } else {
-      Abs<float> F = f32(L, K);
+      Abs<float> F = f32(K);
       if (!F.Known)
         return {};
       D = static_cast<double>(F.V);
@@ -220,35 +208,13 @@ struct ContextDomain {
       D = -D;
     return Abs<double>::of(D);
   }
-  Abs<bool> pred(Lane, unsigned K) const {
+  Abs<bool> pred(unsigned K) const {
     AbsVal V = E.pred(op(K).Value[0]);
     if (!V.Known)
       return {};
     return Abs<bool>::of((V.V != 0) != op(K).LogicalNot);
   }
-  AbsVal reg(Lane, unsigned K, unsigned Off) const {
-    return E.reg(op(K).Value[0] + Off);
-  }
-  Abs<uint64_t> reg64(Lane, unsigned K) const {
-    const int64_t Id = op(K).Value[0];
-    if (Id < 0)
-      return Abs<uint64_t>::of(0);
-    AbsVal Lo = E.reg(Id), Hi = E.reg(Id + 1);
-    if (!Lo.Known || !Hi.Known)
-      return {};
-    return Abs<uint64_t>::of(Lo.V | (static_cast<uint64_t>(Hi.V) << 32));
-  }
-  int64_t imm(unsigned K) const { return op(K).Value[0]; }
-  Abs<uint64_t> address(Lane, unsigned K) const {
-    AbsVal Base = E.reg(op(K).Value[0]);
-    if (!Base.Known)
-      return {};
-    return Abs<uint64_t>::of(Base.V + static_cast<uint64_t>(op(K).Value[1]));
-  }
-  static Abs<uint64_t> offset(Abs<uint64_t> Addr, unsigned Bytes) {
-    return lift([Bytes](uint64_t A) { return A + Bytes; }, Addr);
-  }
-  AbsVal special(Lane, vm::SrKind Sr) const {
+  AbsVal special(vm::SrKind Sr) const {
     switch (Sr) {
     case vm::SrKind::TidX:
       return AbsVal::of(Tid);
@@ -271,43 +237,30 @@ struct ContextDomain {
   void setSlot(size_t Slot, AbsVal V) {
     E.Slots[Slot] = G == Guard::True ? V : joinVal(E.Slots[Slot], V);
   }
-  template <class T> void setRegId(int64_t Id, Abs<T> V) {
+  void setRegId(int64_t Id, AbsVal V) {
     if (Id >= 0 && Id < static_cast<int64_t>(kNumRegSlots))
-      setSlot(static_cast<size_t>(Id),
-              V.Known ? AbsVal::of(static_cast<uint32_t>(V.V)) : AbsVal());
+      setSlot(static_cast<size_t>(Id), V);
   }
-  template <class T> void setReg(Lane, unsigned K, Abs<T> V) {
-    setRegId(op(K).Value[0], V);
-  }
-  template <class T> void setRegAt(Lane, unsigned K, unsigned Off, Abs<T> V) {
-    setRegId(op(K).Value[0] + Off, V);
-  }
-  void setReg64(Lane, unsigned K, Abs<uint64_t> V) {
+  void setReg(unsigned K, AbsVal V) { setRegId(op(K).Value[0], V); }
+  void setReg64(unsigned K, Abs<uint64_t> V) {
     const int64_t Id = op(K).Value[0];
     if (Id < 0)
       return;
-    setRegId(Id, V);
-    setRegId(Id + 1, lift([](uint64_t X) { return X >> 32; }, V));
+    setRegId(Id, lift([](uint64_t X) { return static_cast<uint32_t>(X); }, V));
+    setRegId(Id + 1,
+             lift([](uint64_t X) { return static_cast<uint32_t>(X >> 32); },
+                  V));
   }
-  void setPred(Lane, unsigned K, Abs<bool> V) {
+  void setPred(unsigned K, Abs<bool> V) {
     const int64_t Id = op(K).Value[0];
     if (Id >= 0 && Id < 7)
       setSlot(kNumRegSlots + static_cast<size_t>(Id),
               V.Known ? AbsVal::of(V.V ? 1 : 0) : AbsVal());
   }
 
-  template <class A> Abs<uint64_t> load(Lane, vm::RegionKind, A, unsigned) {
-    return {};
-  }
-  template <class A, class V>
-  void store(Lane, vm::RegionKind, A, unsigned, V) {}
-  Abs<uint64_t> constant(Lane, unsigned, unsigned) { return {}; }
-  template <class A> void noteShared(Lane, A, unsigned, bool) {}
-  bool memOk(bool) { return true; }
-
   /// Degrades every register/predicate the instruction defines to
   /// Unknown — what cross-lane and rejected instructions do here.
-  bool smashDefs() {
+  void smashDefs() {
     visitRegs(Asm, [&](int Slot, unsigned Width, bool IsDef) {
       if (!IsDef)
         return;
@@ -319,27 +272,179 @@ struct ContextDomain {
           E.Slots[S] = AbsVal();
       }
     });
-    return true;
   }
-  bool vote(vm::VoteKind) { return smashDefs(); }
-  bool shfl(vm::ShflKind) { return smashDefs(); }
-  bool unsupported(const char *) { return smashDefs(); }
-  bool unimplemented() { return smashDefs(); }
 };
 
+/// What one data instruction, classified as \p P, computes in \p C: the
+/// VM's scalar expressions over Known/Unknown values. Memory contents and
+/// constant banks are launch data this analysis does not track, so loads,
+/// LDC and ATOM define Unknown and stores change nothing; cross-lane
+/// VOTE/SHFL and forms the VM rejects define Unknown. Control kinds belong
+/// to the CFG and compute nothing.
+void transfer(ContextEval &C, const vm::Pre &P) {
+  namespace scalar = vm::scalar;
+  // Operand 0 := Fn(operands Srcs...), read as integers / floats / doubles.
+  auto intOp = [&](auto Fn, auto... Srcs) {
+    C.setReg(0, lift(Fn, C.u32(Srcs)...));
+  };
+  auto f32Op = [&](auto Fn, auto... Srcs) {
+    C.setReg(0, lift(Fn, C.f32(Srcs)...));
+  };
+  auto f64Op = [&](auto Fn, auto... Srcs) {
+    C.setReg64(0, lift(Fn, C.f64(Srcs)...));
+  };
+  // Predicate results: operand 0 := V, operand 1 := !V.
+  auto setPredPair = [&](Abs<bool> V) {
+    C.setPred(0, V);
+    C.setPred(1, lift([](bool B) { return !B; }, V));
+  };
+
+  switch (P.Kind) {
+  case vm::OpKind::Mov:
+    return C.setReg(0, C.u32(1));
+  case vm::OpKind::S2R:
+    return C.setReg(0, C.special(P.Sr));
+  case vm::OpKind::IAdd:
+    return intOp([](uint32_t A, uint32_t B) { return A + B; }, 1, 2);
+  case vm::OpKind::IMul:
+    return intOp(
+        [Hi = P.Hi](uint32_t A, uint32_t B) { return scalar::imul(A, B, Hi); },
+        1, 2);
+  case vm::OpKind::IMad:
+    return intOp(
+        [](uint32_t A, uint32_t B, uint32_t C) { return A * B + C; }, 1, 2,
+        3);
+  case vm::OpKind::Xmad:
+    return intOp(
+        [&P](uint32_t A, uint32_t B, uint32_t C) {
+          return scalar::xmad(A, B, C, P.H1A, P.H1B);
+        },
+        1, 2, 3);
+  case vm::OpKind::IAdd3:
+    return intOp(
+        [](uint32_t A, uint32_t B, uint32_t C) { return A + B + C; }, 1, 2,
+        3);
+  case vm::OpKind::Bfe:
+    return intOp(
+        [U = P.U32](uint32_t A, uint32_t B) { return scalar::bfe(A, B, U); },
+        1, 2);
+  case vm::OpKind::Bfi:
+    return intOp(scalar::bfi, 1, 2, 3);
+  case vm::OpKind::Popc:
+    return intOp(scalar::popc, 1);
+  case vm::OpKind::Lop3:
+    return intOp(scalar::lop3, 1, 2, 3, 4);
+  case vm::OpKind::Imnmx:
+    return C.setReg(0, lift(scalar::imnmx, C.u32(1), C.u32(2), C.pred(3)));
+  case vm::OpKind::FAdd:
+    return f32Op(scalar::fadd, 1, 2);
+  case vm::OpKind::FMul:
+    return f32Op(scalar::fmul, 1, 2);
+  case vm::OpKind::Ffma:
+    return f32Op(scalar::ffma, 1, 2, 3);
+  case vm::OpKind::Fmnmx:
+    return C.setReg(0, lift(scalar::fmnmx, C.f32(1), C.f32(2), C.pred(3)));
+  case vm::OpKind::Dfma:
+    return f64Op(scalar::dfma, 1, 2, 3);
+  case vm::OpKind::Rro:
+    // Range reduction: modeled as the identity (MUFU consumes it).
+    return f32Op(scalar::fromFloat, 1);
+  case vm::OpKind::DAdd:
+    return f64Op(scalar::dadd, 1, 2);
+  case vm::OpKind::DMul:
+    return f64Op(scalar::dmul, 1, 2);
+  case vm::OpKind::Mufu:
+    return f32Op([Fn = P.Mufu](float X) { return scalar::mufu(Fn, X); }, 1);
+  case vm::OpKind::F2F:
+    // Modifiers are <dst>.<src>.
+    if (P.F2F == vm::F2FKind::F32F64)
+      return C.setReg(0, lift(scalar::f64to32, C.f64(1)));
+    if (P.F2F == vm::F2FKind::F64F32)
+      return C.setReg64(0, lift(scalar::f32to64, C.f32(1)));
+    return C.smashDefs();
+  case vm::OpKind::F2I:
+    return f32Op(scalar::f2i, 1);
+  case vm::OpKind::I2F:
+    return intOp(
+        [U = P.I2FUnsigned](uint32_t Raw) { return scalar::i2f(Raw, U); }, 1);
+  case vm::OpKind::Setp: {
+    if (!P.HasMods2)
+      return C.smashDefs();
+    const Abs<bool> Test =
+        P.FloatSetp ? lift([Cmp = P.Cmp](float A, float B) {
+                        return scalar::compareF(Cmp, A, B);
+                      }, C.f32(2), C.f32(3))
+                    : lift([Cmp = P.Cmp](uint32_t A, uint32_t B) {
+                        return scalar::compareI(Cmp, static_cast<int32_t>(A),
+                                                static_cast<int32_t>(B));
+                      }, C.u32(2), C.u32(3));
+    return setPredPair(lift([Op = P.L1](bool T, bool In) {
+      return scalar::logic(Op, T, In);
+    }, Test, C.pred(4)));
+  }
+  case vm::OpKind::Psetp:
+    if (!P.HasMods2)
+      return C.smashDefs();
+    return setPredPair(lift([&P](bool A, bool B, bool In) {
+      return scalar::logic(P.L2, scalar::logic(P.L1, A, B), In);
+    }, C.pred(2), C.pred(3), C.pred(4)));
+  case vm::OpKind::Sel: {
+    const Abs<bool> Cond = C.pred(3);
+    if (Cond.Known)
+      return C.setReg(0, C.u32(Cond.V ? 1 : 2));
+    return C.setReg(0, joinVal(C.u32(1), C.u32(2)));
+  }
+  case vm::OpKind::Lop:
+    return intOp(
+        [Op = P.L1](uint32_t A, uint32_t B) { return scalar::lop(Op, A, B); },
+        1, 2);
+  case vm::OpKind::Shl:
+    return intOp(scalar::shl, 1, 2);
+  case vm::OpKind::Shr:
+    return intOp(
+        [U = P.U32](uint32_t A, uint32_t B) { return scalar::shr(A, B, U); },
+        1, 2);
+  case vm::OpKind::Load:
+  case vm::OpKind::Ldc:
+  case vm::OpKind::Atom:
+    // The registers the VM writes: four for LD.128 (an RZ destination
+    // still names the three after it), a pair for LD.64 and LDC.64, else
+    // one.
+    if (P.Kind == vm::OpKind::Load && P.MemBytes > 8) {
+      for (unsigned K = 0; K < 4; ++K)
+        C.setRegId(C.op(0).Value[0] + K, AbsVal());
+      return;
+    }
+    if (P.Kind != vm::OpKind::Atom && P.MemBytes == 8)
+      return C.setReg64(0, {});
+    return C.setReg(0, AbsVal());
+  case vm::OpKind::Tex:
+    return C.setReg(0, lift([Shape = C.op(2).Value[0],
+                             Channel = C.op(3).Value[0]](uint32_t Coord) {
+      return scalar::texHash(Coord, Shape, Channel);
+    }, C.u32(1)));
+  case vm::OpKind::Vote:
+  case vm::OpKind::Shfl:
+  case vm::OpKind::Unknown:
+    return C.smashDefs();
+  default:
+    return; // Store and the control kinds.
+  }
+}
+
 /// One instruction's forward transfer in context (Tid, Ctaid). Malformed
-/// instructions, which both VM tiers reject, define Unknown.
+/// instructions, which the VM rejects, define Unknown.
 void evalInst(Env &E, const ir::Inst &I, uint32_t Tid, uint32_t Ctaid,
               const LaunchShape &Shape) {
   const Guard G = guardOf(E, I.Asm);
   if (G == Guard::False)
     return;
   const vm::Pre P = vm::predecode(I.Asm);
-  ContextDomain D{E, I.Asm, G, Tid, Ctaid, Shape};
+  ContextEval C{E, I.Asm, G, Tid, Ctaid, Shape};
   if (!vm::malformedOperands(I.Asm, P).empty())
-    D.smashDefs();
+    C.smashDefs();
   else
-    vm::transfer(D, P);
+    transfer(C, P);
 }
 
 // --- The per-kernel access table ------------------------------------------
@@ -424,40 +529,19 @@ AccessTable buildAccessTable(const ir::Kernel &K, const LaunchShape &Shape) {
 
   const Cfg C = Cfg::build(K);
   const size_t N = K.Blocks.size();
-
+  std::vector<Env> In, Out;
   for (unsigned Blk = 0; Blk < Shape.NumBlocks; ++Blk) {
     for (unsigned Tid = 0; Tid < Shape.NumThreads; ++Tid) {
       const uint32_t Ctaid = Shape.FirstBlockId + Blk;
       const size_t Ctx = static_cast<size_t>(Blk) * Shape.NumThreads + Tid;
-
-      std::vector<Env> In(N, Env::bottom()), Out(N, Env::bottom());
-      std::deque<int> Worklist;
-      std::vector<bool> Queued(N, false);
-      for (int B : C.Rpo) {
-        Worklist.push_back(B);
-        Queued[B] = true;
-      }
-      while (!Worklist.empty()) {
-        int B = Worklist.front();
-        Worklist.pop_front();
-        Queued[B] = false;
-        Env NewIn = B == 0 ? Env::entry() : Env::bottom();
-        for (int P : C.Preds[B])
-          NewIn.join(Out[P]);
-        In[B] = NewIn;
-        if (NewIn.Reached)
-          for (const ir::Inst &I : K.Blocks[B].Insts)
-            evalInst(NewIn, I, Tid, Ctaid, Shape);
-        if (NewIn != Out[B]) {
-          Out[B] = std::move(NewIn);
-          for (int S : K.Blocks[B].Succs) {
-            if (S >= 0 && static_cast<size_t>(S) < N && !Queued[S]) {
-              Queued[S] = true;
-              Worklist.push_back(S);
-            }
-          }
-        }
-      }
+      solveForward(
+          K, C, Env::entry(), Env::bottom(), In, Out,
+          [](Env &Into, const Env &From) { Into.join(From); },
+          [&](int B, Env &E) {
+            if (E.Reached)
+              for (const ir::Inst &I : K.Blocks[B].Insts)
+                evalInst(E, I, Tid, Ctaid, Shape);
+          });
 
       // Replay each block once more to read off the per-access facts.
       size_t AccIdx = 0;
@@ -648,6 +732,13 @@ std::string siteLabel(const Access &A) {
 }
 
 } // namespace
+
+Error analysis::validateLaunchShape(const LaunchShape &Shape) {
+  if (Shape.WarpSize < 1 || Shape.WarpSize > 32)
+    return Error::failure("warp size must be between 1 and 32, got " +
+                          std::to_string(Shape.WarpSize));
+  return Error::success();
+}
 
 // --- TYP001-004 -----------------------------------------------------------
 
@@ -987,21 +1078,18 @@ Report analysis::checkRaces(const ir::Kernel &K, const LaunchShape &Shape) {
         Covered[IA] = true;
         Covered[IB] = true;
       } else if (Unresolved) {
-        // Remember both ends; emit once per site below.
-        Covered[IA] = Covered[IA] || false;
-        if (A.IsStore || B.IsStore) {
-          const size_t Site = A.IsStore ? IA : IB;
-          if (!Covered[Site]) {
-            Covered[Site] = true;
-            const Access &S = *Shared[Site];
-            R.add(makeFinding(
-                K, "RAC003", Severity::Warning,
-                "shared-memory " + siteLabel(S) +
-                    " shares a barrier interval with other shared "
-                    "accesses and cannot be statically analyzed; "
-                    "ordering unproven",
-                S.Block, S.Inst, S.OrigAddress));
-          }
+        // Emit once per site, at the pair's store end.
+        const size_t Site = A.IsStore ? IA : IB;
+        if (!Covered[Site]) {
+          Covered[Site] = true;
+          const Access &S = *Shared[Site];
+          R.add(makeFinding(
+              K, "RAC003", Severity::Warning,
+              "shared-memory " + siteLabel(S) +
+                  " shares a barrier interval with other shared "
+                  "accesses and cannot be statically analyzed; "
+                  "ordering unproven",
+              S.Block, S.Inst, S.OrigAddress));
         }
       }
     }

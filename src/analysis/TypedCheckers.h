@@ -52,6 +52,7 @@
 
 #include "analysis/Findings.h"
 #include "ir/Ir.h"
+#include "support/Errors.h"
 
 #include <cstddef>
 
@@ -75,6 +76,11 @@ struct LaunchShape {
   /// "unknown" (conservative warnings) instead of exhaustive evaluation.
   size_t MaxContexts = 4096;
 };
+
+/// Refuses a warp size outside 1..32, the VM's own launch rule: the
+/// bounds/race replay computes SR_LANEID as tid % warp size. Callers that
+/// take a shape from the outside check it before checkBounds/checkRaces.
+Error validateLaunchShape(const LaunchShape &Shape);
 
 /// TYP001-004 over the TypeInference facts.
 Report checkTypes(const ir::Kernel &K);

@@ -26,6 +26,9 @@ uint64_t Value::num(const std::string &Name, uint64_t Default) const {
   const Value *F = field(Name);
   if (!F || F->K != Kind::Number || F->Num < 0)
     return Default;
+  // 2^64 and above saturate: the cast is undefined there.
+  if (F->Num >= 18446744073709551616.0)
+    return UINT64_MAX;
   return static_cast<uint64_t>(F->Num);
 }
 

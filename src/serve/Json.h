@@ -49,6 +49,8 @@ struct Value {
   /// Object field access; returns nullptr when absent or not an object.
   const Value *field(const std::string &Name) const;
   /// Convenience typed getters with defaults (absent/mistyped -> default).
+  /// num() truncates, reads a negative number as absent and saturates at
+  /// UINT64_MAX.
   std::string str(const std::string &Name, std::string Default = "") const;
   uint64_t num(const std::string &Name, uint64_t Default = 0) const;
   bool boolean(const std::string &Name, bool Default = false) const;

@@ -183,6 +183,9 @@ Expected<OpResult> dcb::serve::opAnalyze(const std::string &FileBytes,
   if (Options.Mode != "types" && Options.Mode != "bounds" &&
       Options.Mode != "races")
     return Failure("analyze mode must be types, bounds or races");
+  if (Options.Mode != "types")
+    if (Error E = analysis::validateLaunchShape(Options.Shape))
+      return E;
   Expected<ir::Program> P = loadProgramBytes(FileBytes, TargetName);
   if (!P)
     return P.takeError();

@@ -4,6 +4,7 @@
 
 #include <cinttypes>
 
+#include "serve/Json.h"
 #include "support/Telemetry.h"
 
 using namespace dcb;
@@ -16,27 +17,6 @@ struct ReqLogTelemetry {
   telemetry::Counter &Suppressed =
       telemetry::counter("serve.reqlog.suppressed");
 } Tel;
-
-void appendJsonEscaped(std::string &Out, std::string_view S) {
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      Out += C;
-    }
-  }
-}
 
 } // namespace
 
@@ -67,14 +47,14 @@ void RequestLog::append(const Record &R) {
   Line += "{\"schema\":\"dcb-reqlog-v1\",\"req\":";
   std::snprintf(Buf, sizeof(Buf), "%" PRIu64, R.Id);
   Line += Buf;
-  Line += ",\"op\":\"";
-  appendJsonEscaped(Line, R.Op);
-  Line += "\",\"outcome\":\"";
-  appendJsonEscaped(Line, R.Outcome);
-  Line += "\",\"status\":\"";
-  appendJsonEscaped(Line, R.Status);
+  Line += ",\"op\":";
+  json::appendString(Line, R.Op);
+  Line += ",\"outcome\":";
+  json::appendString(Line, R.Outcome);
+  Line += ",\"status\":";
+  json::appendString(Line, R.Status);
   std::snprintf(Buf, sizeof(Buf),
-                "\",\"queue_wait_ns\":%" PRIu64 ",\"service_ns\":%" PRIu64
+                ",\"queue_wait_ns\":%" PRIu64 ",\"service_ns\":%" PRIu64
                 ",\"bytes_in\":%" PRIu64 ",\"bytes_out\":%" PRIu64 "}\n",
                 R.QueueWaitNs, R.ServiceNs, R.BytesIn, R.BytesOut);
   Line += Buf;

@@ -14,9 +14,9 @@
 ///    classify with it too.
 ///
 /// 2. `scalar::*` — every arithmetic expression whose result the VM and
-///    the abstract transfer functions of vm/Semantics.h must agree on is
-///    written exactly once, so the compiler cannot contract or reassociate
-///    two copies differently.
+///    the MEM/RAC checkers' abstract transfer must agree on is written
+///    exactly once, so the compiler cannot contract or reassociate two
+///    copies differently.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -96,7 +96,7 @@ inline std::string malformedOperands(const sass::Instruction &Asm,
 
 // --- Shared scalar semantics ---------------------------------------------
 //
-// Each expression appears exactly once so the VM and the abstract domain
+// Each expression appears exactly once so the VM and the abstract replay
 // produce identical bit patterns (FP contraction/reassociation cannot
 // diverge between two copies that do not exist).
 

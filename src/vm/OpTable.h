@@ -9,8 +9,8 @@
 /// model (mnemonic conventions and operand syntax, never the hidden vendor
 /// tables). One row per mnemonic gives:
 ///
-///  - the VM's OpKind (what the VM executes and the abstract checkers'
-///    transfer function in vm/Semantics.h);
+///  - the VM's OpKind (what the VM executes and what the MEM/RAC
+///    checkers' abstract transfer evaluates);
 ///  - operand roles, from which the def count follows, and how operand
 ///    register widths are read;
 ///  - the memory direction and region;
@@ -19,7 +19,7 @@
 ///  - the value types its sources want and its result holds.
 ///
 /// Every consumer reads the row instead of keeping its own mnemonic list:
-/// vm::predecode, the operand check both VM tiers and the abstract replay
+/// vm::predecode, the operand check the VM and the abstract replay
 /// apply, analysis::RegModel, transform's latency classes, the Kepler
 /// dual-issue rule, type inference and the TYP checks. Rows are found by the
 /// instruction's interned opcode symbol.

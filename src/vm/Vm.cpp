@@ -5,8 +5,8 @@
 // another on one block state. Operands are read in their sass::Operand
 // form, constant banks through the std::map. The scalar expressions come
 // from Dispatch.h; the per-kind evaluation below is written independently
-// of vm/Semantics.h, so the MEM/RAC checkers' transfer functions are
-// tested against an engine that does not share them.
+// of the MEM/RAC checkers' transfer (analysis/TypedCheckers.cpp), so that
+// transfer is tested against an engine that does not share it.
 //
 //===----------------------------------------------------------------------===//
 

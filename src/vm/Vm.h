@@ -12,8 +12,8 @@
 ///
 /// One engine, RefVm, runs every launch. It classifies each instruction
 /// once per launch and evaluates operands in their generic sass::Operand
-/// form, independently of the abstract transfer functions in
-/// vm/Semantics.h, so the MEM/RAC checkers are tested against it.
+/// form, independently of the MEM/RAC checkers' abstract transfer
+/// (analysis/TypedCheckers.cpp), so the checkers are tested against it.
 ///
 /// Warps execute in lockstep with per-warp divergence stacks; BAR.SYNC is
 /// a real intra-block barrier at warp granularity, and VOTE / SHFL operate

@@ -1,12 +1,16 @@
 //===- tests/analysis_typed_test.cpp - Typed-IR checker tests -------------===//
 //
 // Covers the type-inference pass and the TYP/MEM/RAC checker families:
-// one golden kernel per rule id, lattice/solver properties, and the
-// VM-validation contract — on the workload suite and a seeded fuzz batch,
-// every VM-observed OOB fault and every VM-observed unordered shared
-// access must be covered by a MEM/RAC finding (no false negatives).
+// one golden kernel per rule id, lattice/solver properties, the
+// VM-validation contract — on the workload suite, a seeded fuzz batch and
+// one kernel per hand-written transfer case, every VM-observed OOB fault
+// and every VM-observed unordered shared access must be covered by a
+// MEM/RAC finding (no false negatives) — and the cross-commit pin of
+// tests/analysis_facts.golden.
 //
 //===----------------------------------------------------------------------===//
+
+#include "AnalysisFacts.h"
 
 #include "analysis/Findings.h"
 #include "analysis/RegModel.h"
@@ -15,14 +19,16 @@
 
 #include "ir/Builder.h"
 #include "sass/Parser.h"
+#include "support/FileIo.h"
 #include "support/Rng.h"
 #include "vendor/CuobjdumpSim.h"
 #include "vendor/NvccSim.h"
 #include "vendor/SampleGen.h"
 #include "vm/Differ.h"
-#include "workloads/Suite.h"
 
 #include <gtest/gtest.h>
+
+#include <sstream>
 
 using namespace dcb;
 using namespace dcb::analysis;
@@ -66,14 +72,7 @@ ir::Kernel buildShape(Arch A, const std::vector<std::string> &Lines) {
 }
 
 ir::Program suiteProgram(Arch A) {
-  vendor::NvccSim Nvcc(A);
-  Expected<elf::Cubin> Cubin = Nvcc.compile(workloads::buildSuite(A));
-  EXPECT_TRUE(Cubin.hasValue()) << Cubin.message();
-  Expected<std::string> Text = vendor::disassembleCubin(*Cubin);
-  EXPECT_TRUE(Text.hasValue()) << Text.message();
-  Expected<analyzer::Listing> L = analyzer::parseListing(*Text);
-  EXPECT_TRUE(L.hasValue()) << L.message();
-  Expected<ir::Program> P = ir::buildProgram(*L);
+  Expected<ir::Program> P = vmfacts::suiteProgram(A);
   EXPECT_TRUE(P.hasValue()) << P.message();
   return P.takeValue();
 }
@@ -428,9 +427,89 @@ TEST(VmValidation, SeededFuzzBatchFaultsAreCovered) {
                                   Tally.FalsePositives);
 }
 
+// The transfer cases the abstract replay writes by hand rather than through
+// one vm::scalar expression, each feeding a global store that faults in
+// some launch contexts. Every case runs twice: R5 holds the thread id, or
+// a word loaded from global memory (0..15 under vm::seededMemory), which
+// the checkers see as Unknown. R0 holds the thread id in both, so the
+// memory cases' own addresses stay known. 0x100 is in bounds, 0x20000 and
+// the bits of any non-zero float are not.
+TEST(VmValidation, HandWrittenTransferCasesAreCovered) {
+  const std::vector<std::string> Inputs[] = {
+      {"S2R R0, SR_TID.X;", "MOV R5, R0;"},
+      {"S2R R0, SR_TID.X;", "SHL R1, R0, 0x2;", "LDG.E R5, [R1];"},
+  };
+  const std::vector<std::string> LaneBase = {
+      "S2R R6, SR_LANEID;", "IADD R7, R5, -R6;", "SHL R2, R7, 0xc;",
+      "STG.E [R2], R3;"};
+  const struct {
+    const char *Name;
+    unsigned WarpSize;
+    std::vector<std::string> Body;
+  } Cases[] = {
+      {"SEL", 32,
+       {"MOV32I R6, 0x100;", "MOV32I R7, 0x20000;",
+        "ISETP.LT.AND P0, PT, R5, 0x8, PT;", "SEL R2, R6, R7, P0;",
+        "STG.E [R2], R3;"}},
+      {"ISETP pair", 32,
+       {"MOV32I R2, 0x100;", "ISETP.LT.AND P0, P1, R5, 0x8, PT;",
+        "@P1 MOV32I R2, 0x20000;", "STG.E [R2], R3;"}},
+      {"FSETP/PSETP pair", 32,
+       {"MOV32I R2, 0x100;", "I2F.S32.F32 R6, R5;",
+        "FSETP.LT.AND P0, PT, R6, 8.0, PT;",
+        "PSETP.AND.AND P2, P3, P0, PT, PT;", "@P3 MOV32I R2, 0x20000;",
+        "STG.E [R2], R3;"}},
+      {"IMNMX", 32,
+       {"MOV R6, RZ;", "MOV32I R7, 0x20000;",
+        "ISETP.LT.AND P0, PT, R5, 0x8, PT;", "IMNMX R2, R6, R7, P0;",
+        "STG.E [R2], R3;"}},
+      {"FMNMX", 32,
+       {"MOV R6, RZ;", "MOV32I R7, 0x3f800000;",
+        "ISETP.LT.AND P0, PT, R5, 0x8, PT;", "FMNMX R2, R6, R7, P0;",
+        "STG.E [R2], R3;"}},
+      {"F2F and DADD pairs", 32,
+       {"I2F.S32.F32 R6, R5;", "F2F.F64.F32 R8, R6;", "DADD R10, R8, R8;",
+        "F2F.F32.F64 R2, R10;", "STG.E [R2], R3;"}},
+      {"DFMA pair", 32,
+       {"MOV32I R11, 0x100;", "I2F.S32.F32 R6, R5;", "F2F.F64.F32 R8, R6;",
+        "DFMA R10, R8, R8, R8;", "STG.E [R11], R3;"}},
+      {"LD.64", 32,
+       {"SHL R6, R0, 0x4;", "MOV32I R9, 0x100;",
+        "LDG.64.E R8, [R6+0x8000];", "STG.E [R9], R5;"}},
+      {"LD.128", 32,
+       {"SHL R6, R0, 0x4;", "MOV32I R11, 0x100;",
+        "LDG.128.E R8, [R6+0x8000];", "STG.E [R11], R5;"}},
+      {"LDC.64", 32,
+       {"SHL R6, R5, 0x3;", "MOV32I R9, 0x100;",
+        "LDC.64 R8, c[0x0][R6+0x48];", "STG.E [R9], R3;"}},
+      {"ATOM", 32,
+       {"SHL R6, R0, 0x2;", "MOV32I R2, 0x100;",
+        "ATOM.ADD R2, [R6+0x8000], R5;", "STG.E [R2], R3;"}},
+      {"SR_LANEID, warp 5", 5, LaneBase},
+      {"SR_LANEID, warp 8", 8, LaneBase},
+      {"TEX", 32,
+       {"MOV32I R2, 0x100;", "TEX R2, R5, 0x0, 2D, R;", "STG.E [R2], R3;"}},
+  };
+  for (const auto &C : Cases)
+    for (const std::vector<std::string> &In : Inputs) {
+      SCOPED_TRACE(std::string(C.Name) + " after " + In.back());
+      std::vector<std::string> Lines = In;
+      Lines.insert(Lines.end(), C.Body.begin(), C.Body.end());
+      Lines.push_back("EXIT;");
+      vm::ExecOptions Opts;
+      Opts.Oob = vm::OobPolicy::Fault;
+      Opts.WarpSize = C.WarpSize;
+      LaunchShape Shape;
+      Shape.WarpSize = C.WarpSize;
+      ValidationTally Tally;
+      validateKernel(buildShape(Arch::SM52, Lines), Opts, Shape, Tally);
+      EXPECT_EQ(Tally.VmOob, 1u) << "the VM never faulted";
+    }
+}
+
 // --- Malformed operands and F2I in the abstract replay ---------------------
 
-// A malformed instruction, which both VM tiers reject, defines Unknown: the
+// A malformed instruction, which the VM rejects, defines Unknown: the
 // store through its def is unanalyzable (MEM002), not a read past the
 // operand list or a write to a register the instruction cannot name.
 TEST(MemChecker, MalformedInstructionsDefineUnknown) {
@@ -474,4 +553,20 @@ TEST(MemChecker, F2IOfNaNIsAKnownAddress) {
   ASSERT_TRUE(hasRule(R, "MEM001")) << rulesOf(R);
   EXPECT_NE(R.Findings[0].Message.find("0x80000000"), std::string::npos)
       << R.Findings[0].Message;
+}
+
+// --- Pinned across commits (see AnalysisFacts.h) ---------------------------
+
+TEST(AnalysisFacts, MatchTheGoldenHashes) {
+  Expected<std::string> Golden = readFileBytes(
+      std::string(DCB_SOURCE_DIR) + "/tests/analysis_facts.golden");
+  ASSERT_TRUE(Golden.hasValue()) << Golden.message();
+  std::istringstream In(*Golden);
+  unsigned Count = 0;
+  const Arch *Archs = supportedArchs(Count);
+  for (unsigned I = 0; I < Count; ++I) {
+    std::string Line;
+    std::getline(In, Line);
+    EXPECT_EQ(analysisfacts::renderAnalysisFacts(Archs[I]), Line);
+  }
 }

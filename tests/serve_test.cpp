@@ -24,6 +24,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -121,6 +122,10 @@ TEST(ServeJson, DefaultsOnAbsentOrMistypedFields) {
   EXPECT_EQ(V->str("missing", "dflt"), "dflt");
   EXPECT_EQ(V->num("missing", 9), 9u);
   EXPECT_EQ(V->field("missing"), nullptr);
+  // Numbers past 2^64 saturate instead of taking the undefined cast.
+  Expected<json::Value> Big = json::parse(R"({"n":1e30})");
+  ASSERT_TRUE(Big.hasValue());
+  EXPECT_EQ(Big->num("n"), UINT64_MAX);
 }
 
 TEST(ServeJson, RejectsMalformedInput) {
@@ -862,8 +867,9 @@ TEST(ServeReactor, PipelinedBatchAnswersInRequestOrder) {
 
 TEST(ServeReactor, BadLaunchShapeIsAnsweredAndPipelineContinues) {
   // An exec whose launch shape exceeds the VM's caps is answered with the
-  // VM's error, and the requests pipelined behind it on the connection
-  // still get their answers.
+  // VM's error, a bounds analysis over a warp the VM would refuse is
+  // answered with an error, and the requests pipelined behind them on the
+  // connection still get their answers.
   std::vector<uint8_t> Image = suiteImage(Arch::SM35);
   std::unique_ptr<Server> S = startServer(ServerOptions());
   RawConn C = RawConn::open(S->port());
@@ -877,11 +883,18 @@ TEST(ServeReactor, BadLaunchShapeIsAnsweredAndPipelineContinues) {
          requestFor("exec", Image,
                     ",\"id\":\"threads\",\"kernel\":\"bfs\","
                     "\"threads\":4294967295") +
+         "\n" +
+         requestFor("exec", Image,
+                    ",\"id\":\"huge\",\"kernel\":\"bfs\",\"blocks\":1e20") +
+         "\n" +
+         requestFor("analyze", Image,
+                    ",\"id\":\"warp\",\"mode\":\"bounds\",\"warp\":0") +
          "\n" + "{\"op\":\"ping\",\"id\":\"after\"}\n");
 
   const char *Errors[] = {
       "bfs: error: vm: at most 1024 blocks per grid, got 4294967295",
-      "bfs: error: vm: at most 1024 threads per block, got 4294967295"};
+      "bfs: error: vm: at most 1024 threads per block, got 4294967295",
+      "bfs: error: vm: at most 1024 blocks per grid, got 4294967295"};
   for (const char *Error : Errors) {
     std::string Line = C.recvLine(64);
     Expected<json::Value> V = json::parse(Line);
@@ -890,6 +903,10 @@ TEST(ServeReactor, BadLaunchShapeIsAnsweredAndPipelineContinues) {
     EXPECT_EQ(V->num("exit"), 1u);
     EXPECT_EQ(V->str("output"), std::string(Error) + "\n");
   }
+  Expected<json::Value> Warp = json::parse(C.recvLine(64));
+  ASSERT_TRUE(Warp.hasValue()) << "no answer: " << Warp.message();
+  EXPECT_EQ(Warp->str("status"), "error");
+  EXPECT_EQ(Warp->str("error"), "warp size must be between 1 and 32, got 0");
   Expected<json::Value> Ping = json::parse(C.recvLine(64));
   ASSERT_TRUE(Ping.hasValue()) << "no answer: " << Ping.message();
   EXPECT_EQ(Ping->str("id"), "after");
@@ -1242,7 +1259,7 @@ TEST(ServeAdmin, RequestLogRecordsOneLinePerOutcome) {
     roundTripOk(*C, Req);                           // hit
     roundTripOk(*C, Req);                           // render-memo
     roundTripOk(*C, R"({"op":"ping"})");            // control
-    roundTripOk(*C, R"({"op":"frobnicate"})");      // error
+    roundTripOk(*C, R"({"op":"x\u0001y\rz"})");     // error
     S->stop(); // Drains the pool: every record is on disk now.
     ASSERT_NE(S->requestLog(), nullptr);
     EXPECT_EQ(S->requestLog()->written(), 5u);
@@ -1256,6 +1273,12 @@ TEST(ServeAdmin, RequestLogRecordsOneLinePerOutcome) {
   while (std::getline(In, Line)) {
     if (Line.empty())
       continue;
+    // JSON allows no raw control character, not even inside a string.
+    EXPECT_TRUE(std::none_of(Line.begin(), Line.end(),
+                             [](char Ch) {
+                               return static_cast<unsigned char>(Ch) < 0x20;
+                             }))
+        << Line;
     Expected<json::Value> V = json::parse(Line);
     ASSERT_TRUE(V.hasValue()) << V.message() << " in " << Line;
     EXPECT_EQ(V->str("schema"), "dcb-reqlog-v1");
@@ -1278,7 +1301,7 @@ TEST(ServeAdmin, RequestLogRecordsOneLinePerOutcome) {
   EXPECT_EQ(Recs[3].str("outcome"), "control");
   EXPECT_EQ(Recs[3].str("op"), "ping");
   EXPECT_EQ(Recs[4].str("outcome"), "error");
-  EXPECT_EQ(Recs[4].str("op"), "frobnicate");
+  EXPECT_EQ(Recs[4].str("op"), "x\x01y\rz");
   EXPECT_EQ(Recs[4].str("status"), "error");
   std::remove(Path.c_str());
 }

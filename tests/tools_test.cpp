@@ -606,6 +606,23 @@ TEST(DcbTool, ExecRejectsAnAbsurdLaunchShape) {
   EXPECT_EQ(WEXITSTATUS(Status), 1);
   EXPECT_NE(slurp(Work + "/shape.txt").find("bad --blocks value"),
             std::string::npos);
+
+  // analyze reads the launch flags through the same parser, and refuses a
+  // warp size the VM would refuse.
+  Status = runCmd(Dcb + " analyze --bounds " + Work +
+                  "/shape.cubin --threads 4294967297 > " + Work +
+                  "/shape.txt 2>&1");
+  ASSERT_TRUE(WIFEXITED(Status));
+  EXPECT_EQ(WEXITSTATUS(Status), 1);
+  EXPECT_NE(slurp(Work + "/shape.txt").find("bad --threads value"),
+            std::string::npos);
+  Status = runCmd(Dcb + " analyze --races " + Work +
+                  "/shape.cubin --warp-size 33 > " + Work +
+                  "/shape.txt 2>&1");
+  ASSERT_TRUE(WIFEXITED(Status));
+  EXPECT_EQ(WEXITSTATUS(Status), 1);
+  EXPECT_EQ(slurp(Work + "/shape.txt"),
+            "dcb: warp size must be between 1 and 32, got 33\n");
 }
 
 TEST(DcbTool, DiffexecInstrumentRoundTrip) {

@@ -375,21 +375,25 @@ int cmdAnalyzeHazards(const Args &A) {
   return emitReport(R, Path, A.get("--json"), failOnOf(A));
 }
 
+/// Reads flag \p Key, when given, into \p Slot; a value that is not a
+/// positive 32-bit integer dies. The one parser of the launch-shape flags
+/// (--threads, --blocks, --warp-size) for exec, diffexec and analyze.
+void positiveFlag(const Args &A, const char *Key, unsigned &Slot) {
+  if (auto V = A.get(Key)) {
+    std::optional<uint64_t> N = parseUInt(*V);
+    if (!N || *N == 0 || *N > UINT32_MAX)
+      die(std::string("bad ") + Key + " value '" + *V + "'");
+    Slot = static_cast<unsigned>(*N);
+  }
+}
+
 /// Launch/memory shape for the bounds/races checkers, sharing the exec
 /// flag vocabulary so static findings line up with a same-shaped run.
 analysis::LaunchShape launchShapeOf(const Args &A) {
   analysis::LaunchShape Shape;
-  auto Uint = [&A](const char *Key, unsigned &Slot) {
-    if (auto V = A.get(Key)) {
-      std::optional<uint64_t> N = parseUInt(*V);
-      if (!N || *N == 0)
-        die(std::string("bad ") + Key + " value '" + *V + "'");
-      Slot = static_cast<unsigned>(*N);
-    }
-  };
-  Uint("--threads", Shape.NumThreads);
-  Uint("--blocks", Shape.NumBlocks);
-  Uint("--warp-size", Shape.WarpSize);
+  positiveFlag(A, "--threads", Shape.NumThreads);
+  positiveFlag(A, "--blocks", Shape.NumBlocks);
+  positiveFlag(A, "--warp-size", Shape.WarpSize);
   return Shape;
 }
 
@@ -415,6 +419,9 @@ int cmdAnalyzeChecks(const Args &A, const std::string &Mode) {
     return R->Exit;
   }
 
+  if (Mode != "types")
+    if (Error E = analysis::validateLaunchShape(Opts.Shape))
+      die(E.message());
   ir::Program P = loadProgramFile(Path);
   analysis::Report R;
   for (const ir::Kernel &K : P.Kernels) {
@@ -748,18 +755,10 @@ int cmdInstrument(const Args &A) {
 /// vocabulary.
 vm::ExecOptions execOptions(const Args &A) {
   vm::ExecOptions Opts;
-  auto Uint = [&A](const char *Key, unsigned &Slot) {
-    if (auto V = A.get(Key)) {
-      std::optional<uint64_t> N = parseUInt(*V);
-      if (!N || *N == 0 || *N > UINT32_MAX)
-        die(std::string("bad ") + Key + " value '" + *V + "'");
-      Slot = static_cast<unsigned>(*N);
-    }
-  };
-  Uint("--threads", Opts.NumThreads);
-  Uint("--blocks", Opts.NumBlocks);
-  Uint("--warp-size", Opts.WarpSize);
-  Uint("--seeds", Opts.Seeds);
+  positiveFlag(A, "--threads", Opts.NumThreads);
+  positiveFlag(A, "--blocks", Opts.NumBlocks);
+  positiveFlag(A, "--warp-size", Opts.WarpSize);
+  positiveFlag(A, "--seeds", Opts.Seeds);
   if (auto V = A.get("--seed")) {
     std::optional<uint64_t> N = parseUInt(*V);
     if (!N)
