@@ -69,7 +69,7 @@ inline analyzer::WindowDecoder makeWindowDecoder(Arch A) {
     Expected<vendor::DecodedWord> W =
         vendor::decodeInstructionAt(A, Name, Code, Addr);
     if (!W)
-      return W.takeError();
+      return std::move(W).takeError();
     analyzer::WindowDecode D;
     if (!W->IsSchi) {
       D.HasPair = true;

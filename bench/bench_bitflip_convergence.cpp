@@ -17,6 +17,7 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cstdlib>
 
 using namespace dcb;
 using namespace dcb::bench;
@@ -128,9 +129,13 @@ void report() {
                 FullMs, WindowMs, WindowMs > 0 ? FullMs / WindowMs : 0.0,
                 DecodeMs, DecodeMs > 0 ? FullMs / DecodeMs : 0.0,
                 DecodeMs > 0 ? WindowMs / DecodeMs : 0.0);
-    std::printf("databases byte-identical across all three: %s\n\n",
-                (FullDb == WindowDb && WindowDb == DecodeDb) ? "yes"
-                                                             : "NO (BUG)");
+    if (FullDb != WindowDb || WindowDb != DecodeDb) {
+      std::printf("TIER MISMATCH: the three trial tiers learned different "
+                  "databases on %s\n",
+                  archName(A));
+      std::abort();
+    }
+    std::printf("databases byte-identical across all three: yes\n\n");
   }
 }
 

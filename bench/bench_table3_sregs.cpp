@@ -54,7 +54,7 @@ std::map<std::string, unsigned> recoverCodes(
   for (auto ItA = Tokens.begin(); ItA != Tokens.end(); ++ItA) {
     for (auto ItB = std::next(ItA); ItB != Tokens.end(); ++ItB) {
       for (unsigned B = 0; B < ItA->second.Binary.size(); ++B) {
-        if (ItA->second.Bits[B] && ItB->second.Bits[B] &&
+        if (ItA->second.Bits.get(B) && ItB->second.Bits.get(B) &&
             ItA->second.Binary.get(B) != ItB->second.Binary.get(B))
           FieldBits.insert(B);
       }

@@ -737,6 +737,10 @@ Error analysis::validateLaunchShape(const LaunchShape &Shape) {
   if (Shape.WarpSize < 1 || Shape.WarpSize > 32)
     return Error::failure("warp size must be between 1 and 32, got " +
                           std::to_string(Shape.WarpSize));
+  if (Shape.NumThreads == 0)
+    return Error::failure("at least 1 thread per block, got 0");
+  if (Shape.NumBlocks == 0)
+    return Error::failure("at least 1 block per grid, got 0");
   return Error::success();
 }
 

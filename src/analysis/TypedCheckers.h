@@ -77,9 +77,10 @@ struct LaunchShape {
   size_t MaxContexts = 4096;
 };
 
-/// Refuses a warp size outside 1..32, the VM's own launch rule: the
-/// bounds/race replay computes SR_LANEID as tid % warp size. Callers that
-/// take a shape from the outside check it before checkBounds/checkRaces.
+/// Refuses a warp size outside 1..32 and an empty block or grid, the VM's
+/// own launch rules: the bounds/race replay computes SR_LANEID as
+/// tid % warp size. Callers that take a shape from the outside check it
+/// before checkBounds/checkRaces.
 Error validateLaunchShape(const LaunchShape &Shape);
 
 /// TYP001-004 over the TypeInference facts.

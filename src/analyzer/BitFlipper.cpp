@@ -5,9 +5,9 @@
 #include "support/Telemetry.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <unordered_map>
-#include <unordered_set>
 
 using namespace dcb;
 using namespace dcb::analyzer;
@@ -43,14 +43,58 @@ struct VariantKey {
   bool operator==(const VariantKey &) const = default;
 };
 
-struct VariantKeyHash {
-  size_t operator()(const VariantKey &K) const {
+/// The variants trialled so far in a run: an open-addressed table of
+/// VariantKeys (linear probing, power-of-two capacity, at most half full),
+/// so a fresh variant takes a slot instead of a heap node. A null Kernel
+/// marks an empty slot.
+class VariantSet {
+public:
+  /// Makes room for \p Keys keys in all without growing.
+  void reserve(size_t Keys) {
+    if (2 * Keys > Slots.size())
+      rehash(std::bit_ceil(2 * Keys));
+  }
+
+  /// Adds \p K; false when it was already present.
+  bool insert(const VariantKey &K) {
+    assert(K.Kernel && "a variant names its kernel");
+    if (2 * (Size + 1) > Slots.size())
+      rehash(std::max<size_t>(1024, 2 * Slots.size()));
+    VariantKey &Slot = find(K);
+    if (Slot.Kernel)
+      return false;
+    Slot = K;
+    ++Size;
+    return true;
+  }
+
+private:
+  std::vector<VariantKey> Slots;
+  size_t Size = 0;
+
+  static size_t hash(const VariantKey &K) {
     uint64_t H = reinterpret_cast<uintptr_t>(K.Kernel);
     for (uint64_t Part : {K.Addr, K.Lo, K.Hi}) {
       H = (H ^ Part) * 0x9e3779b97f4a7c15ull;
       H ^= H >> 32;
     }
     return static_cast<size_t>(H);
+  }
+
+  /// The slot holding \p K, or the empty slot where it belongs.
+  VariantKey &find(const VariantKey &K) {
+    const size_t Mask = Slots.size() - 1;
+    for (size_t I = hash(K) & Mask;; I = (I + 1) & Mask)
+      if (!Slots[I].Kernel || Slots[I] == K)
+        return Slots[I];
+  }
+
+  void rehash(size_t Capacity) {
+    std::vector<VariantKey> Old(Capacity); // Zeroed: every slot empty.
+    Old.swap(Slots);
+    for (const VariantKey &K : Old)
+      if (K.Kernel)
+        find(K) = K;
   }
 };
 
@@ -147,7 +191,7 @@ std::vector<BitFlipper::RoundStats> BitFlipper::run(
   // Variants already trialled this run. Rounds re-enumerate every
   // exemplar, but a variant's trial outcome cannot change within a run,
   // so re-disassembling it would be pure waste.
-  std::unordered_set<VariantKey, VariantKeyHash> Tried;
+  VariantSet Tried;
 
   for (unsigned Round = 0; Round < Opts.MaxRounds; ++Round) {
     telemetry::ScopedSpan RoundSpan("bitflip.round");
@@ -155,15 +199,18 @@ std::vector<BitFlipper::RoundStats> BitFlipper::run(
     RoundStats Stats;
 
     // Snapshot the exemplars first: analyzing variants mutates the
-    // operation map we are iterating conceptually.
+    // operation map we are iterating conceptually. The flipper only reads
+    // the map, so it keeps the analyzer's id index alive.
+    const EncodingDatabase &Db = Analyzer.database();
     struct Exemplar {
       const KernelEntry *Kernel;
       uint64_t Addr;
       BitString Word;
-      std::vector<bool> SkipBits;
+      BitString SkipBits;
     };
     std::vector<Exemplar> Exemplars;
-    for (const auto &[Key, Op] : Analyzer.database().operations()) {
+    size_t Variants = 0;
+    for (const auto &[Key, Op] : Db.operations()) {
       auto Kernel = KernelCode.find(Op.ExemplarKernel);
       if (Op.ExemplarWord.empty() || Kernel == KernelCode.end())
         continue;
@@ -173,31 +220,36 @@ std::vector<BitFlipper::RoundStats> BitFlipper::run(
       E.Word = Op.ExemplarWord;
       if (Opts.SkipConsistentBits)
         E.SkipBits = Op.Opcode.Bits;
+      Variants += std::min(Opts.MaxFlipBit, E.Word.size());
       Exemplars.push_back(std::move(E));
     }
+    // Round 1's variants are nearly all fresh; later rounds mostly repeat.
+    if (Round == 0)
+      Tried.reserve(Variants);
 
     // Trial every variant in the canonical (exemplar index, bit index)
     // order and merge its outcome right away; the dedup cache filters
     // repeats before any work is done.
     for (const Exemplar &E : Exemplars) {
-      const unsigned Bits = E.Word.size();
-      const uint64_t Lo = E.Word.field(0, std::min(64u, Bits));
-      const uint64_t Hi = Bits > 64 ? E.Word.field(64, Bits - 64) : 0;
-      unsigned Limit = std::min(Opts.MaxFlipBit, Bits);
+      std::vector<uint8_t> *Code = nullptr; // The kernel's scratch copy.
+      unsigned Limit = std::min(Opts.MaxFlipBit, E.Word.size());
       for (unsigned Bit = 0; Bit < Limit; ++Bit) {
-        if (!E.SkipBits.empty() && E.SkipBits[Bit])
+        if (!E.SkipBits.empty() && E.SkipBits.get(Bit))
           continue;
         ++Stats.VariantsTried;
-        VariantKey Key{E.Kernel, E.Addr, Lo, Hi};
+        VariantKey Key{E.Kernel, E.Addr, E.Word.word(0), E.Word.word(1)};
         (Bit < 64 ? Key.Lo : Key.Hi) ^= uint64_t(1) << (Bit % 64);
-        if (!Tried.insert(Key).second) {
+        if (!Tried.insert(Key)) {
           ++Stats.CacheHits;
           continue;
         }
-        auto [It, Fresh] = Scratch.try_emplace(E.Kernel);
-        if (Fresh)
-          It->second = E.Kernel->second;
-        Trial T = runTrial(E.Kernel->first, It->second, E.Addr, E.Word, Bit);
+        if (!Code) {
+          auto [It, Fresh] = Scratch.try_emplace(E.Kernel);
+          if (Fresh)
+            It->second = E.Kernel->second;
+          Code = &It->second;
+        }
+        Trial T = runTrial(E.Kernel->first, *Code, E.Addr, E.Word, Bit);
         switch (T.Result) {
         case Trial::Crash:
           ++Stats.Crashes;
@@ -206,9 +258,9 @@ std::vector<BitFlipper::RoundStats> BitFlipper::run(
           ++Stats.Rejected;
           break;
         case Trial::Accept: {
-          size_t Before = Analyzer.database().operations().size();
+          size_t Before = Db.operations().size();
           Analyzer.analyzeInst(T.Pair, E.Kernel->first);
-          if (Analyzer.database().operations().size() > Before)
+          if (Db.operations().size() > Before)
             ++Stats.NewOperations;
           ++Stats.Accepted;
           break;
@@ -247,7 +299,7 @@ std::vector<BitFlipper::RoundStats> BitFlipper::run(
            "registry counters diverged from RoundStats");
 #endif
 
-    Stats.After = Analyzer.database().stats();
+    Stats.After = Db.stats();
     Rounds.push_back(Stats);
     if (Stats.After == Last)
       break; // Converged: nothing new was learned this round.

@@ -4,10 +4,10 @@
 
 using namespace dcb;
 
-std::string analyzer::modifierType(const std::string &Name) {
+std::string_view analyzer::modifierType(std::string_view Name) {
   struct Entry {
-    const char *Name;
-    const char *Type;
+    std::string_view Name;
+    std::string_view Type;
   };
   static const Entry Table[] = {
       // Logic steps (PSETP takes two of these in order).

@@ -17,14 +17,15 @@
 #ifndef DCB_ANALYZER_MODIFIERTYPES_H
 #define DCB_ANALYZER_MODIFIERTYPES_H
 
-#include <string>
+#include <string_view>
 
 namespace dcb {
 namespace analyzer {
 
 /// Returns the type name of a modifier (e.g. "LOGIC" for AND/OR/XOR).
-/// Unknown modifiers are their own singleton type.
-std::string modifierType(const std::string &Name);
+/// Unknown modifiers are their own singleton type: the result then views
+/// \p Name itself.
+std::string_view modifierType(std::string_view Name);
 
 } // namespace analyzer
 } // namespace dcb

@@ -316,8 +316,9 @@ Error InstEncoder::encodeModifiers(const InstrSpec &IS) {
 
 class InstDecoder {
 public:
-  InstDecoder(const ArchSpec &Spec, const BitString &Word, uint64_t Pc)
-      : Spec(Spec), Word(Word), Pc(Pc) {}
+  InstDecoder(const ArchSpec &Spec, const BitString &Word, uint64_t Pc,
+              std::string_view ErrorPrefix)
+      : Spec(Spec), Word(Word), Pc(Pc), ErrorPrefix(ErrorPrefix) {}
 
   Expected<Instruction> run();
 
@@ -325,10 +326,24 @@ private:
   const ArchSpec &Spec;
   const BitString &Word;
   uint64_t Pc;
+  std::string_view ErrorPrefix;
 
-  Failure error(const std::string &Msg) const {
-    return Failure("decode error (" + std::string(Spec.name()) +
-                   "): " + Msg + " in word " + Word.toHex());
+  /// The decode's one failure message, built in a single buffer:
+  /// "<prefix>decode error (<arch>): <what><detail> in word <hex>".
+  Failure error(std::string_view What, std::string_view Detail = {}) const {
+    std::string_view Arch = Spec.name();
+    std::string Msg;
+    Msg.reserve(ErrorPrefix.size() + Arch.size() + What.size() +
+                Detail.size() + 26 + Word.size() / 4);
+    Msg += ErrorPrefix;
+    Msg += "decode error (";
+    Msg += Arch;
+    Msg += "): ";
+    Msg += What;
+    Msg += Detail;
+    Msg += " in word ";
+    Word.appendHex(Msg);
+    return Failure(std::move(Msg));
   }
 
   Expected<Operand> decodeOperand(const OperandSlot &Slot,
@@ -342,6 +357,7 @@ Expected<Instruction> InstDecoder::run() {
 
   Instruction Inst;
   Inst.setOpcode(IS->Mnemonic, IS->MnemonicSym);
+  Inst.Operands.reserve(IS->Operands.size());
 
   uint64_t GuardValue = Word.field(Spec.GuardField.Lo, Spec.GuardField.Width);
   Inst.GuardPredicate = GuardValue & 7;
@@ -350,7 +366,7 @@ Expected<Instruction> InstDecoder::run() {
   for (const OperandSlot &Slot : IS->Operands) {
     Expected<Operand> Op = decodeOperand(Slot, *IS);
     if (!Op)
-      return Op.takeError();
+      return std::move(Op).takeError();
     Inst.Operands.push_back(Op.takeValue());
   }
 
@@ -360,7 +376,7 @@ Expected<Instruction> InstDecoder::run() {
     uint64_t Value = Word.field(Group.Field.Lo, Group.Field.Width);
     const isa::ModifierChoice *Choice = Group.findByValue(Value);
     if (!Choice)
-      return error("invalid encoding for modifier type " + Group.TypeName);
+      return error("invalid encoding for modifier type ", Group.TypeName);
     if (!Choice->Name.empty())
       Inst.Modifiers.push_back(Choice->Name);
   }
@@ -490,7 +506,7 @@ Expected<Operand> InstDecoder::decodeOperand(const OperandSlot &Slot,
     uint64_t Value = Word.field(Group.Field.Lo, Group.Field.Width);
     const isa::ModifierChoice *Choice = Group.findByValue(Value);
     if (!Choice)
-      return error("invalid encoding for operand modifier type " +
+      return error("invalid encoding for operand modifier type ",
                    Group.TypeName);
     if (!Choice->Name.empty())
       Op.Mods.push_back(Choice->Name);
@@ -508,6 +524,7 @@ Expected<BitString> encoder::encodeInstruction(const ArchSpec &Spec,
 
 Expected<Instruction> encoder::decodeInstruction(const ArchSpec &Spec,
                                                  const BitString &Word,
-                                                 uint64_t Pc) {
-  return InstDecoder(Spec, Word, Pc).run();
+                                                 uint64_t Pc,
+                                                 std::string_view ErrorPrefix) {
+  return InstDecoder(Spec, Word, Pc, ErrorPrefix).run();
 }

@@ -23,6 +23,8 @@
 #include "support/BitString.h"
 #include "support/Errors.h"
 
+#include <string_view>
+
 namespace dcb {
 namespace encoder {
 
@@ -37,10 +39,12 @@ Expected<BitString> encodeInstruction(const isa::ArchSpec &Spec,
 /// operand or modifier encoding — including encodings whose assembly
 /// rendering would not re-parse (non-finite float immediates, empty
 /// texture channel masks), so a successful decode always round-trips
-/// through print and parse.
+/// through print and parse. A failure's message starts with
+/// \p ErrorPrefix, so a caller that labels it pays for one message.
 Expected<sass::Instruction> decodeInstruction(const isa::ArchSpec &Spec,
                                               const BitString &Word,
-                                              uint64_t Pc);
+                                              uint64_t Pc,
+                                              std::string_view ErrorPrefix = {});
 
 } // namespace encoder
 } // namespace dcb

@@ -44,6 +44,8 @@ public:
   const std::string &message() const { return Msg; }
 
 private:
+  template <typename T> friend class Expected;
+
   bool Failed = false;
   std::string Msg;
 };
@@ -64,9 +66,11 @@ public:
   /// Constructs a failure from a Failure tag.
   Expected(Failure F) : Storage(std::in_place_index<1>, std::move(F)) {}
 
-  /// Constructs a failure from a failed Error. \p E must be a failure.
-  Expected(Error E) : Storage(std::in_place_index<1>, Failure(E.message())) {
-    assert(E && "constructing Expected failure from a success Error");
+  /// Constructs a failure from a failed Error, taking over its message.
+  /// \p E must be a failure.
+  Expected(Error E)
+      : Storage(std::in_place_index<1>, Failure(std::move(E.Msg))) {
+    assert(E.Failed && "constructing Expected failure from a success Error");
   }
 
   /// True when a value is present.
@@ -91,10 +95,16 @@ public:
   }
 
   /// Converts the failure into an Error (or success() if a value is held).
-  Error takeError() const {
+  Error takeError() const & {
     if (hasValue())
       return Error::success();
     return Error::failure(message());
+  }
+  /// As above, moving the message out of an expiring failure.
+  Error takeError() && {
+    if (hasValue())
+      return Error::success();
+    return Error::failure(std::move(std::get<1>(Storage).Msg));
   }
 
   /// Moves the value out. Only valid when hasValue().

@@ -50,8 +50,8 @@ constexpr size_t kLocalBytes = 1 << 12;
 /// Granularity of the per-block write tracking.
 constexpr size_t kPageBytes = 256;
 
-/// Refuses a zero or too-wide warp (masks are 32-bit) and a shape beyond
-/// the launch caps, before anything is allocated.
+/// Refuses a zero or too-wide warp (masks are 32-bit), an empty block or
+/// grid, and a shape beyond the launch caps, before anything is allocated.
 Expected<bool> validateLaunch(const Memory &Mem, const LaunchConfig &Config) {
   assert(!Mem.Global.empty() && !Mem.Shared.empty() &&
          "memory regions must be non-empty");
@@ -59,6 +59,10 @@ Expected<bool> validateLaunch(const Memory &Mem, const LaunchConfig &Config) {
   if (Config.WarpSize < 1 || Config.WarpSize > 32)
     return Failure("vm: warp size must be between 1 and 32, got " +
                    std::to_string(Config.WarpSize));
+  if (Config.NumThreads == 0)
+    return Failure("vm: at least 1 thread per block, got 0");
+  if (Config.NumBlocks == 0)
+    return Failure("vm: at least 1 block per grid, got 0");
   if (Config.NumThreads > kMaxBlockThreads)
     return Failure("vm: at most " + std::to_string(kMaxBlockThreads) +
                    " threads per block, got " +
@@ -1009,7 +1013,7 @@ Expected<bool> Engine::execLane(const Instruction &Asm, const Pre &P,
 /// \p Mem untouched.
 Expected<GridResult> runGrid(const std::vector<Row> &Code, Memory &Mem,
                              const LaunchConfig &Config) {
-  const unsigned NumBlocks = Config.NumBlocks ? Config.NumBlocks : 1;
+  const unsigned NumBlocks = Config.NumBlocks;
   GridResult Out;
   Out.Threads.reserve(static_cast<size_t>(NumBlocks) * Config.NumThreads);
   BlockState B(Mem, Config, Out);

@@ -866,10 +866,10 @@ TEST(ServeReactor, PipelinedBatchAnswersInRequestOrder) {
 }
 
 TEST(ServeReactor, BadLaunchShapeIsAnsweredAndPipelineContinues) {
-  // An exec whose launch shape exceeds the VM's caps is answered with the
-  // VM's error, a bounds analysis over a warp the VM would refuse is
-  // answered with an error, and the requests pipelined behind them on the
-  // connection still get their answers.
+  // An exec whose launch shape exceeds the VM's caps or is empty is
+  // answered with the VM's error, a bounds analysis over a warp or block
+  // the VM would refuse is answered with an error, and the requests
+  // pipelined behind them on the connection still get their answers.
   std::vector<uint8_t> Image = suiteImage(Arch::SM35);
   std::unique_ptr<Server> S = startServer(ServerOptions());
   RawConn C = RawConn::open(S->port());
@@ -887,14 +887,28 @@ TEST(ServeReactor, BadLaunchShapeIsAnsweredAndPipelineContinues) {
          requestFor("exec", Image,
                     ",\"id\":\"huge\",\"kernel\":\"bfs\",\"blocks\":1e20") +
          "\n" +
+         requestFor("exec", Image,
+                    ",\"id\":\"nothreads\",\"kernel\":\"bfs\","
+                    "\"threads\":0") +
+         "\n" +
+         requestFor("exec", Image,
+                    ",\"id\":\"noblocks\",\"kernel\":\"bfs\","
+                    "\"blocks\":0") +
+         "\n" +
          requestFor("analyze", Image,
                     ",\"id\":\"warp\",\"mode\":\"bounds\",\"warp\":0") +
+         "\n" +
+         requestFor("analyze", Image,
+                    ",\"id\":\"empty\",\"mode\":\"bounds\","
+                    "\"threads\":0") +
          "\n" + "{\"op\":\"ping\",\"id\":\"after\"}\n");
 
   const char *Errors[] = {
       "bfs: error: vm: at most 1024 blocks per grid, got 4294967295",
       "bfs: error: vm: at most 1024 threads per block, got 4294967295",
-      "bfs: error: vm: at most 1024 blocks per grid, got 4294967295"};
+      "bfs: error: vm: at most 1024 blocks per grid, got 4294967295",
+      "bfs: error: vm: at least 1 thread per block, got 0",
+      "bfs: error: vm: at least 1 block per grid, got 0"};
   for (const char *Error : Errors) {
     std::string Line = C.recvLine(64);
     Expected<json::Value> V = json::parse(Line);
@@ -903,10 +917,13 @@ TEST(ServeReactor, BadLaunchShapeIsAnsweredAndPipelineContinues) {
     EXPECT_EQ(V->num("exit"), 1u);
     EXPECT_EQ(V->str("output"), std::string(Error) + "\n");
   }
-  Expected<json::Value> Warp = json::parse(C.recvLine(64));
-  ASSERT_TRUE(Warp.hasValue()) << "no answer: " << Warp.message();
-  EXPECT_EQ(Warp->str("status"), "error");
-  EXPECT_EQ(Warp->str("error"), "warp size must be between 1 and 32, got 0");
+  for (const char *Error : {"warp size must be between 1 and 32, got 0",
+                            "at least 1 thread per block, got 0"}) {
+    Expected<json::Value> V = json::parse(C.recvLine(64));
+    ASSERT_TRUE(V.hasValue()) << "no answer: " << V.message();
+    EXPECT_EQ(V->str("status"), "error");
+    EXPECT_EQ(V->str("error"), Error);
+  }
   Expected<json::Value> Ping = json::parse(C.recvLine(64));
   ASSERT_TRUE(Ping.hasValue()) << "no answer: " << Ping.message();
   EXPECT_EQ(Ping->str("id"), "after");

@@ -105,6 +105,21 @@ TEST(BitString, FromHexRejectsGarbage) {
 TEST(BitString, FromHexRejectsOverflow) {
   EXPECT_TRUE(BitString::fromHex("1ff", 8).empty());
   EXPECT_FALSE(BitString::fromHex("0ff", 8).empty());
+  // 128 bits is the widest string: 32 digits fit, a 33rd only as a zero.
+  EXPECT_FALSE(BitString::fromHex(std::string(32, 'f'), 128).empty());
+  EXPECT_FALSE(BitString::fromHex("0" + std::string(32, 'f'), 128).empty());
+  EXPECT_TRUE(BitString::fromHex("1" + std::string(32, '0'), 128).empty());
+  EXPECT_TRUE(BitString::fromHex("7" + std::string(25, 'f'), 101).empty());
+  EXPECT_EQ(BitString::fromHex("3" + std::string(25, 'f'), 102).popcount(),
+            102u);
+}
+
+TEST(BitString, WidthsAboveTheWidestAreRefused) {
+  EXPECT_TRUE(BitString::fromHex("1", 129).empty());
+  EXPECT_TRUE(BitString::fromHex("0", 256).empty());
+  const uint8_t Bytes[17] = {1};
+  EXPECT_TRUE(BitString::fromBytes(Bytes, 17).empty());
+  EXPECT_EQ(BitString::fromBytes(Bytes, 16).size(), 128u);
 }
 
 TEST(BitString, BytesRoundTripLittleEndian) {
@@ -139,6 +154,42 @@ TEST(BitString, OrderingIsByWidthThenValue) {
   EXPECT_TRUE(A < B);
   EXPECT_TRUE(B < C);
   EXPECT_FALSE(B < A);
+}
+
+TEST(BitString, HighWordDecidesOrderAndEquality) {
+  // Two 128-bit strings with equal low words differ only in the high one.
+  BitString Low(128), High(128);
+  Low.setField(0, 64, 0x1234);
+  High.setField(0, 64, 0x1234);
+  High.setField(64, 64, 1);
+  EXPECT_NE(Low, High);
+  EXPECT_FALSE(Low == High);
+  EXPECT_TRUE(Low < High);
+  EXPECT_FALSE(High < Low);
+  // The high word outranks any low word.
+  BitString Big(128);
+  Big.setField(0, 64, ~uint64_t(0));
+  EXPECT_TRUE(Big < High);
+  High.setField(64, 64, 0);
+  EXPECT_EQ(Low, High);
+  EXPECT_FALSE(Low < High);
+}
+
+TEST(BitString, BitwiseOperatorsStayWithinTheWidth) {
+  for (unsigned Bits : {8u, 64u, 100u, 128u}) {
+    BitString Ones = ~BitString(Bits);
+    EXPECT_EQ(Ones.popcount(), Bits);
+    EXPECT_EQ(Ones.size(), Bits);
+    BitString Word(Bits);
+    Word.set(0, true);
+    Word.set(Bits - 1, true);
+    BitString Mask = Ones;
+    Mask &= ~(Word ^ BitString(Bits));
+    EXPECT_EQ(Mask.popcount(), Bits - 2);
+    EXPECT_FALSE(Mask.get(0));
+    EXPECT_FALSE(Mask.get(Bits - 1));
+    EXPECT_EQ(Mask.toHex(), (~Word).toHex());
+  }
 }
 
 TEST(StringUtils, Trim) {

@@ -731,6 +731,8 @@ TEST(Vm, LaunchCapsAreRefused) {
       {32, 4294967295u, "vm: at most 1024 blocks per grid, got 4294967295"},
       {4294967295u, 2, "vm: at most 1024 threads per block, got 4294967295"},
       {1024, 65, "vm: at most 65536 threads per grid, got 65 blocks of 1024"},
+      {0, 2, "vm: at least 1 thread per block, got 0"},
+      {32, 0, "vm: at least 1 block per grid, got 0"},
   };
   for (const Shape &Sh : Shapes) {
     LaunchConfig Config;

@@ -528,7 +528,7 @@ int cmdFlip(const Args &A) {
         Expected<vendor::DecodedWord> W =
             vendor::decodeInstructionAt(Target, Name, Code, Addr);
         if (!W)
-          return W.takeError();
+          return std::move(W).takeError();
         analyzer::WindowDecode D;
         if (!W->IsSchi) {
           D.HasPair = true;
