@@ -11,9 +11,8 @@
 // - dcb_git_rev / dcb_git_dirty: stamped from the DCB_GIT_REV /
 //   DCB_GIT_DIRTY environment variables exported by scripts/run_benches.sh,
 //   so a BENCH_*.json can always be traced to the exact tree it measured.
-// - dcb_telemetry: whether this binary was compiled with instrumentation
-//   (DCB_TELEMETRY) and whether it is counting (DCB_BENCH_TELEMETRY=1 in
-//   the environment turns the counters on for overhead experiments).
+// - dcb_telemetry: always "off": benches time the libraries with every
+//   telemetry gate closed.
 // - dcb_telemetry_snapshot: added by addTelemetryContext() after the
 //   report section runs, capturing the setup phase's counter values.
 //
@@ -42,15 +41,7 @@ struct RegisterBuildType {
     benchmark::AddCustomContext("dcb_git_rev", Rev ? Rev : "unknown");
     const char *Dirty = std::getenv("DCB_GIT_DIRTY");
     benchmark::AddCustomContext("dcb_git_dirty", Dirty ? Dirty : "unknown");
-
-#if DCB_TELEMETRY
-    const char *Tel = std::getenv("DCB_BENCH_TELEMETRY");
-    bool On = Tel && Tel[0] == '1';
-    dcb::telemetry::setCountersEnabled(On);
-    benchmark::AddCustomContext("dcb_telemetry", On ? "on" : "off");
-#else
-    benchmark::AddCustomContext("dcb_telemetry", "compiled-out");
-#endif
+    benchmark::AddCustomContext("dcb_telemetry", "off");
   }
 } Registrar;
 

@@ -127,7 +127,7 @@ for P in "${PIDS[@]}"; do wait "$P"; done
 # promtool-style validation without promtool: every line must follow the
 # text-exposition grammar, every histogram's cumulative buckets must be
 # monotone and end at +Inf == _count, and the build-info gauge must be
-# stamped. Works for telemetry-compiled-out builds too (bare build info).
+# stamped.
 python3 - metrics.prom <<'PY'
 import re, sys
 lines = open(sys.argv[1]).read().splitlines()
@@ -172,9 +172,8 @@ assert "flightDropped" in doc, doc.keys()
 PY
 
 # `dcb top` under a trickle of background traffic: two 300ms samples,
-# and the sampled interval must show a non-zero request rate. (req/s
-# comes from the server's exact session totals, so this holds for
-# telemetry-compiled-out builds too.)
+# and the sampled interval must show a non-zero request rate (req/s
+# comes from the server's exact session totals).
 ( for _ in $(seq 20); do
     "$DCB" client --port-file port.txt ping > /dev/null || exit 0
     sleep 0.05
@@ -242,8 +241,6 @@ import json, sys
 doc = json.load(open(sys.argv[1]))
 assert doc["schema"] == "dcb-stats-v1", doc.get("schema")
 assert doc["provenance"]["telemetry"], doc.get("provenance")
-if doc.get("compiled_out"):
-    sys.exit(0)  # -DDCB_TELEMETRY=0: a valid empty document is the contract.
 counters = doc["counters"]
 assert counters["serve.requests"] >= 9, counters.get("serve.requests")
 warm = counters.get("serve.cache_hits", 0) + \

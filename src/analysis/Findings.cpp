@@ -4,8 +4,6 @@
 
 #include "support/StringUtils.h"
 
-#include <cstdio>
-
 using namespace dcb;
 using namespace dcb::analysis;
 
@@ -18,33 +16,6 @@ size_t Report::errorCount() const {
 
 size_t Report::warningCount() const {
   return Findings.size() - errorCount();
-}
-
-void analysis::appendJsonEscaped(std::string &Out, const std::string &S) {
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
 }
 
 std::string Report::toText() const {

@@ -79,10 +79,6 @@ struct Report {
   std::string toJson(const std::string &Target) const;
 };
 
-/// Appends \p S to \p Out with JSON string escaping (shared by the
-/// Report renderer and the CLI's composite documents).
-void appendJsonEscaped(std::string &Out, const std::string &S);
-
 /// Renders the findings array + counts as a JSON *fragment* (no enclosing
 /// schema object) so composite documents can embed several reports.
 std::string findingsJsonFragment(const Report &R);

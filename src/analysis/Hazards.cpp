@@ -44,7 +44,6 @@ std::vector<Pos> linearOrder(const ir::Kernel &K) {
 
 struct Checker {
   const ir::Kernel &K;
-  const HazardOptions &Opts;
   Report R;
 
   const ir::Inst &at(Pos P) const {
@@ -105,8 +104,7 @@ struct Checker {
   }
 
   void checkMaxwell() {
-    unsigned SetSeen = 0;     // Barriers some earlier instruction armed.
-    unsigned Outstanding = 0; // Armed and not yet waited (HAZ006).
+    unsigned SetSeen = 0; // Barriers some earlier instruction armed.
     for (Pos P : linearOrder(K)) {
       const sass::CtrlInfo &C = at(P).Ctrl;
       if (C.Stall > 15)
@@ -136,36 +134,26 @@ struct Checker {
         flag("HAZ007", Severity::Error, P,
              "stall >= 12 requires the yield flag");
 
-      unsigned Waits = C.WaitMask & 63;
-      unsigned Unset = Waits & ~SetSeen;
+      unsigned Unset = C.WaitMask & 63 & ~SetSeen;
       if (Unset != 0)
         flag("HAZ004", Severity::Error, P,
              "waits on barrier(s) no earlier instruction set (mask " +
                  std::to_string(Unset) + ")");
-      Outstanding &= ~Waits;
-      unsigned Arms = 0;
       if (C.WriteBarrier <= 5)
-        Arms |= 1u << C.WriteBarrier;
+        SetSeen |= 1u << C.WriteBarrier;
       if (C.ReadBarrier <= 5)
-        Arms |= 1u << C.ReadBarrier;
-      if (Opts.CheckRearm && (Arms & Outstanding) != 0)
-        flag("HAZ006", Severity::Warning, P,
-             "re-arms a barrier that is still outstanding (mask " +
-                 std::to_string(Arms & Outstanding) + ")");
-      SetSeen |= Arms;
-      Outstanding |= Arms;
+        SetSeen |= 1u << C.ReadBarrier;
     }
   }
 };
 
 } // namespace
 
-Report analysis::checkHazards(const ir::Kernel &K,
-                              const HazardOptions &Opts) {
+Report analysis::checkHazards(const ir::Kernel &K) {
   DCB_SPAN("analysis.hazards");
   metrics().Kernels.add(1);
 
-  Checker C{K, Opts, {}};
+  Checker C{K, {}};
   switch (archSchiKind(K.A)) {
   case SchiKind::None:
     break; // Hardware scheduling: nothing to validate.
@@ -182,10 +170,9 @@ Report analysis::checkHazards(const ir::Kernel &K,
   return std::move(C.R);
 }
 
-Report analysis::checkHazards(const ir::Program &P,
-                              const HazardOptions &Opts) {
+Report analysis::checkHazards(const ir::Program &P) {
   Report R;
   for (const ir::Kernel &K : P.Kernels)
-    R.append(checkHazards(K, Opts));
+    R.append(checkHazards(K));
   return R;
 }

@@ -17,7 +17,6 @@
 ///   HAZ003 field foreign to the generation (barriers on Kepler, ...)
 ///   HAZ004 wait on a barrier no earlier instruction set (Maxwell+)
 ///   HAZ005 illegal dual-issue pairing (Kepler)
-///   HAZ006 barrier re-armed while outstanding (advisory, off by default)
 ///   HAZ007 high stall without the required yield flag (Maxwell+)
 ///
 /// HAZ004 follows *linear* program order (blocks in layout order), not CFG
@@ -36,19 +35,12 @@
 namespace dcb {
 namespace analysis {
 
-struct HazardOptions {
-  /// Enables the advisory HAZ006 re-arm check. The vendor scheduler's
-  /// round-robin allocator legitimately re-arms a barrier that deep
-  /// pipelines never drained, so this defaults off.
-  bool CheckRearm = false;
-};
-
 /// Checks one kernel. Architectures without SCHI info (hardware-scheduled
 /// Fermi) produce an empty report.
-Report checkHazards(const ir::Kernel &K, const HazardOptions &Opts = {});
+Report checkHazards(const ir::Kernel &K);
 
 /// Checks every kernel of a program.
-Report checkHazards(const ir::Program &P, const HazardOptions &Opts = {});
+Report checkHazards(const ir::Program &P);
 
 } // namespace analysis
 } // namespace dcb

@@ -699,13 +699,18 @@ const char *regionName(vm::RegionKind Region) {
 
 /// Mirror of the loadMem/storeMem fault condition, chunked exactly as the
 /// VM chunks wide accesses (16-byte forms go as four 4-byte accesses).
+/// Like the VM, it never computes Addr + Bytes, which wraps for addresses
+/// within 16 bytes below 2^64.
 bool accessFaults(uint64_t Addr, unsigned Bytes, size_t Size) {
   if (Size == 0)
     return false; // Empty regions read zero / drop stores.
+  auto Outside = [Size](uint64_t At, unsigned N) {
+    return At > Size || N > Size - At;
+  };
   if (Bytes <= 8)
-    return Addr + Bytes > Size;
+    return Outside(Addr, Bytes);
   for (unsigned I = 0; I < 4; ++I)
-    if (Addr + 4 * I + 4 > Size)
+    if (Outside(Addr + 4 * I, 4))
       return true;
   return false;
 }

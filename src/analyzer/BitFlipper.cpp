@@ -220,7 +220,7 @@ std::vector<BitFlipper::RoundStats> BitFlipper::run(
       E.Word = Op.ExemplarWord;
       if (Opts.SkipConsistentBits)
         E.SkipBits = Op.Opcode.Bits;
-      Variants += std::min(Opts.MaxFlipBit, E.Word.size());
+      Variants += std::min(FlipBits, E.Word.size());
       Exemplars.push_back(std::move(E));
     }
     // Round 1's variants are nearly all fresh; later rounds mostly repeat.
@@ -232,13 +232,13 @@ std::vector<BitFlipper::RoundStats> BitFlipper::run(
     // repeats before any work is done.
     for (const Exemplar &E : Exemplars) {
       std::vector<uint8_t> *Code = nullptr; // The kernel's scratch copy.
-      unsigned Limit = std::min(Opts.MaxFlipBit, E.Word.size());
+      unsigned Limit = std::min(FlipBits, E.Word.size());
       for (unsigned Bit = 0; Bit < Limit; ++Bit) {
         if (!E.SkipBits.empty() && E.SkipBits.get(Bit))
           continue;
         ++Stats.VariantsTried;
         VariantKey Key{E.Kernel, E.Addr, E.Word.word(0), E.Word.word(1)};
-        (Bit < 64 ? Key.Lo : Key.Hi) ^= uint64_t(1) << (Bit % 64);
+        Key.Lo ^= uint64_t(1) << Bit;
         if (!Tried.insert(Key)) {
           ++Stats.CacheHits;
           continue;

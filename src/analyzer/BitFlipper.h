@@ -97,10 +97,11 @@ public:
     /// skipping over most of the opcode bits"); disabling it explores all
     /// bits at the cost of many more disassembler crashes.
     bool SkipConsistentBits = false;
-    /// Cap on flip positions (Volta's upper control bits are skipped by
-    /// limiting to the low 64 bits, matching the paper's 64-bit focus).
-    unsigned MaxFlipBit = 64;
   };
+
+  /// Flips stay in the low 64 bits of a word: Volta's upper control bits
+  /// are skipped, matching the paper's 64-bit focus.
+  static constexpr unsigned FlipBits = 64;
 
   struct RoundStats {
     unsigned VariantsTried = 0;

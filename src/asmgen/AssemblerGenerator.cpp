@@ -76,8 +76,7 @@ void printWindows(std::ostream &Out, const std::vector<WindowRef> &Windows) {
 
 } // namespace
 
-std::string asmgen::generateAssemblerSource(const EncodingDatabase &Db,
-                                            const GeneratorOptions &Opts) {
+std::string asmgen::generateAssemblerSource(const EncodingDatabase &Db) {
   const FrozenIndex &Idx = Db.freeze();
   const SymbolTable &Syms = SymbolTable::global();
   std::ostringstream Out;
@@ -183,8 +182,8 @@ std::string asmgen::generateAssemblerSource(const EncodingDatabase &Db,
       << "namespace dcb {\nnamespace gen {\n\n"
       << "/// Assembles one SASS instruction at byte address Pc for "
       << archName(Db.arch()) << ".\n"
-      << "Expected<BitString> " << Opts.FunctionName
-      << "(const sass::Instruction &Inst, uint64_t Pc) {\n"
+      << "Expected<BitString> assemble(const sass::Instruction &Inst, "
+         "uint64_t Pc) {\n"
       << "  const std::string Key = dcb::analyzer::operationKey(Inst);\n";
   for (const auto &[Key, Id] : Dispatch)
     Out << "  if (Key == \"" << escape(Key) << "\")\n"
@@ -193,18 +192,11 @@ std::string asmgen::generateAssemblerSource(const EncodingDatabase &Db,
   Out << "  return Failure(\"generated assembler (" << archName(Db.arch())
       << "): unknown operation \" + Key);\n"
       << "}\n\n"
-      << "} // namespace gen\n} // namespace dcb\n";
-
-  if (Opts.EmitMain) {
-    Out << "\n#include <iostream>\n\n"
-        << "int main() {\n"
-        << "  return dcb::gen::runAssemblerMain(&dcb::gen::"
-        << Opts.FunctionName << ", std::cin, std::cout, std::cerr);\n"
-        << "}\n";
-  }
+      << "} // namespace gen\n} // namespace dcb\n"
+      << "\n#include <iostream>\n\n"
+      << "int main() {\n"
+      << "  return dcb::gen::runAssemblerMain(&dcb::gen::assemble, std::cin, "
+         "std::cout, std::cerr);\n"
+      << "}\n";
   return Out.str();
-}
-
-std::string asmgen::generateAssemblerSource(const EncodingDatabase &Db) {
-  return generateAssemblerSource(Db, GeneratorOptions());
 }

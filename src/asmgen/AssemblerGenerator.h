@@ -25,16 +25,9 @@
 namespace dcb {
 namespace asmgen {
 
-struct GeneratorOptions {
-  /// Emit a main() driver reading "<hex-address> <sass>" lines from stdin.
-  bool EmitMain = true;
-  /// Name of the generated entry point.
-  std::string FunctionName = "assemble";
-};
-
-/// Generates the complete C++ source of an assembler for \p Db.
-std::string generateAssemblerSource(const analyzer::EncodingDatabase &Db,
-                                    const GeneratorOptions &Opts);
+/// Generates the complete C++ source of an assembler for \p Db: the entry
+/// point `dcb::gen::assemble` and a main() driver reading
+/// "<hex-address> <sass>" lines from stdin.
 std::string generateAssemblerSource(const analyzer::EncodingDatabase &Db);
 
 } // namespace asmgen

@@ -32,7 +32,6 @@ struct DecodeTelemetry {
       telemetry::gauge("isa.decode_index.selector_bits");
 } DecTel;
 
-#if DCB_TELEMETRY
 /// Kept out of line so the common gates-off dispatch stays a tiny
 /// load-branch-tailcall and the counting code never costs I-cache there.
 [[gnu::noinline]] const InstrSpec *matchCounted(const DecodeIndex *Idx,
@@ -44,7 +43,6 @@ struct DecodeTelemetry {
     DecTel.Misses.add();
   return R.Spec;
 }
-#endif
 
 } // namespace
 
@@ -111,10 +109,8 @@ const InstrSpec *ArchSpec::match(const BitString &Word) const {
   assert(Word.size() == WordBits && "word width mismatch");
   uint64_t Low = Word.field(0, 64);
   if (const DecodeIndex *Idx = decodeIndex()) {
-#if DCB_TELEMETRY
     if (telemetry::countersEnabled()) [[unlikely]]
       return matchCounted(Idx, Low);
-#endif
     return Idx->match(Low);
   }
   DecTel.LinearFallbacks.add();

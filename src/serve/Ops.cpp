@@ -10,6 +10,7 @@
 #include "asmgen/TableAssembler.h"
 #include "elf/Cubin.h"
 #include "ir/Builder.h"
+#include "support/StringUtils.h"
 
 #include <cinttypes>
 #include <cstdio>
@@ -147,7 +148,7 @@ namespace {
 /// masks at each block exit, in fixed slot order).
 std::string kernelFragment(const ir::Kernel &K, const std::string &Mode) {
   std::string Out = "{\"name\": \"";
-  analysis::appendJsonEscaped(Out, K.Name);
+  appendJsonEscaped(Out, K.Name);
   Out += "\", \"arch\": \"" + std::string(archName(K.A)) + "\"";
   if (Mode != "types")
     return Out + "}";
@@ -205,7 +206,7 @@ Expected<OpResult> dcb::serve::opAnalyze(const std::string &FileBytes,
   }
 
   std::string Doc = "{\n\"schema\": \"dcb-analysis-v1\",\n\"target\": \"";
-  analysis::appendJsonEscaped(Doc, TargetName);
+  appendJsonEscaped(Doc, TargetName);
   Doc += "\",\n\"mode\": \"" + Options.Mode + "\",\n";
   if (Options.Mode != "types") {
     const analysis::LaunchShape &S = Options.Shape;

@@ -63,6 +63,12 @@ constexpr uint64_t FirstConnId = 3;
 /// request before abandoning unread clients.
 constexpr uint64_t StopGraceNs = 5ull * 1000 * 1000 * 1000;
 
+/// High-water mark of a connection's unsent response backlog: past it the
+/// reactor stops reading the connection until the backlog drains, so a
+/// pipelining client slower at reading than writing cannot balloon the
+/// daemon.
+constexpr size_t BacklogHighWater = 8ull << 20;
+
 struct ServeTelemetry {
   telemetry::Counter &Requests = telemetry::counter("serve.requests");
   telemetry::Counter &Busy = telemetry::counter("serve.busy");
@@ -241,9 +247,7 @@ struct Server::ReactorState {
 Server::Server(ServerOptions Opts, std::optional<analyzer::EncodingDatabase> D)
     : Options(Opts), Db(std::move(D)),
       Cache(Opts.CacheBytes, Opts.CacheShards), Pool(Opts.Jobs),
-      RenderMemo(Opts.RenderMemoBytes == static_cast<size_t>(-1)
-                     ? Opts.CacheBytes / 4
-                     : Opts.RenderMemoBytes) {}
+      RenderMemo(Opts.CacheBytes / 4) {}
 
 Server::~Server() { stop(); }
 
@@ -310,7 +314,6 @@ Error Server::start() {
   if (!Options.PersistPath.empty()) {
     CachePersister::Options P;
     P.Path = Options.PersistPath;
-    P.CompactSlack = Options.PersistCompactSlack;
     Persister = std::make_unique<CachePersister>(std::move(P), Cache,
                                                  DbFingerprint);
     if (Error E = Persister->load()) {
@@ -539,7 +542,7 @@ void Server::closeConn(Conn &C) {
 
 void Server::updateInterest(Conn &C) {
   bool OutPending = C.OutOfs < C.Out.size();
-  C.ReadPaused = C.Out.size() - C.OutOfs > Options.ReadHighWater;
+  C.ReadPaused = C.Out.size() - C.OutOfs > BacklogHighWater;
   uint32_t Want = 0;
   if (!C.ReadPaused && !C.CloseAfterFlush)
     Want |= EPOLLIN;

@@ -38,7 +38,8 @@
 ///  4. explicit back-pressure — when the queue is full the client gets a
 ///     retryable `{"status":"busy"}` immediately instead of the daemon
 ///     queueing unboundedly, and a connection whose response backlog
-///     outgrows ReadHighWater stops being read until it drains.
+///     outgrows a fixed 8 MiB high-water mark stops being read until it
+///     drains.
 ///
 /// Binds to 127.0.0.1 only.
 ///
@@ -74,19 +75,10 @@ struct ServerOptions {
   size_t CacheBytes = 64ull << 20;
   unsigned CacheShards = 16;
   size_t MaxLineBytes = 64ull << 20; ///< Per-request framing bound.
-  /// Pause reading a connection whose unsent response backlog exceeds
-  /// this (resumes when it drains) — a pipelining client slower at
-  /// reading than writing cannot balloon the daemon.
-  size_t ReadHighWater = 8ull << 20;
   /// Non-empty = persist the result cache to this segment file
-  /// (serve/Persist.h) and reload it at start().
+  /// (serve/Persist.h) and reload it at start(); the persister compacts
+  /// the segment at its default slack.
   std::string PersistPath;
-  /// Compact the segment once this much dead weight accumulated.
-  uint64_t PersistCompactSlack = 16ull << 20;
-  /// Byte budget for the render memo (prerendered responses keyed by the
-  /// hash of the request line). SIZE_MAX = a quarter of CacheBytes;
-  /// 0 disables the memo.
-  size_t RenderMemoBytes = static_cast<size_t>(-1);
   /// >= 0 = also serve the Prometheus exposition over plain HTTP/1.0 on
   /// this loopback port (0 = kernel-assigned); -1 disables the listener.
   /// The same document is always available as the `metrics` admin op.
@@ -197,11 +189,12 @@ private:
   TaskPool Pool;
   std::unique_ptr<CachePersister> Persister;
 
-  /// Prerendered responses keyed by hash128 of the full request line.
-  /// Only inline-content (data_b64) work-op responses are memoized —
-  /// those lines fully determine their response bytes; a `path` line does
-  /// not (the file may change). Reactor-thread-only; RenderHits is the
-  /// one cross-thread-readable counter.
+  /// Prerendered responses keyed by hash128 of the full request line, in
+  /// a byte budget of a quarter of CacheBytes. Only inline-content
+  /// (data_b64) work-op responses are memoized — those lines fully
+  /// determine their response bytes; a `path` line does not (the file may
+  /// change). Reactor-thread-only; RenderHits is the one
+  /// cross-thread-readable counter.
   LruMap<Hash128, std::string, Hash128Hasher> RenderMemo;
   std::atomic<uint64_t> RenderHits{0};
 

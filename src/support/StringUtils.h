@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// String splitting, trimming and numeric parsing helpers shared by the
-/// SASS front-end and the listing parser.
+/// String splitting, trimming, numeric parsing and JSON string escaping
+/// helpers shared across the libraries.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,6 +44,10 @@ std::string toHexString(uint64_t Value);
 
 /// Formats \p Value as lowercase hex zero-padded to \p Digits digits.
 std::string toPaddedHex(uint64_t Value, unsigned Digits);
+
+/// Appends \p S to \p Out with JSON string escaping: quote, backslash,
+/// newline and tab by name, every other control byte as `\u00XX`.
+void appendJsonEscaped(std::string &Out, std::string_view S);
 
 } // namespace dcb
 

@@ -2,8 +2,11 @@
 
 #include "support/Telemetry.h"
 
+#include "support/StringUtils.h"
+
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <chrono>
 #include <cinttypes>
 #include <cmath>
@@ -18,30 +21,9 @@
 using namespace dcb;
 using namespace dcb::telemetry;
 
-// --- JSON helpers shared by both build modes -------------------------------
+// --- Snapshot rendering ----------------------------------------------------
 
 namespace {
-
-void appendEscaped(std::string &Out, const std::string &S) {
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      Out += C;
-    }
-  }
-}
 
 std::string u64(uint64_t V) {
   char Buf[32];
@@ -138,9 +120,8 @@ std::string renderTable(const Snapshot &S) {
 }
 
 /// Renders the dcb-stats-v1 document; \p Pretty selects the multi-line
-/// indented form vs the single-line embeddable form. \p CompiledOut adds
-/// the `"compiled_out": true` marker the -DDCB_TELEMETRY=0 build emits.
-std::string renderJson(const Snapshot &S, bool Pretty, bool CompiledOut) {
+/// indented form vs the single-line embeddable form.
+std::string renderJson(const Snapshot &S, bool Pretty) {
   const char *NL = Pretty ? "\n" : "";
   const char *I1 = Pretty ? "  " : "";
   const char *I2 = Pretty ? "    " : "";
@@ -148,11 +129,6 @@ std::string renderJson(const Snapshot &S, bool Pretty, bool CompiledOut) {
   Out += NL;
   Out += I1;
   Out += "\"schema\": \"dcb-stats-v1\",";
-  if (CompiledOut) {
-    Out += NL;
-    Out += I1;
-    Out += "\"compiled_out\": true,";
-  }
   Out += NL;
   Out += I1;
   Out += "\"provenance\": {";
@@ -162,13 +138,13 @@ std::string renderJson(const Snapshot &S, bool Pretty, bool CompiledOut) {
       Out += ", ";
     First = false;
     Out += "\"";
-    appendEscaped(Out, Key);
+    appendJsonEscaped(Out, Key);
     Out += "\": ";
     if (Key == "uptime_ns") {
       Out += V;
     } else {
       Out += "\"";
-      appendEscaped(Out, V);
+      appendJsonEscaped(Out, V);
       Out += "\"";
     }
   }
@@ -182,7 +158,7 @@ std::string renderJson(const Snapshot &S, bool Pretty, bool CompiledOut) {
     First = false;
     Out += I2;
     Out += "\"";
-    appendEscaped(Out, Name);
+    appendJsonEscaped(Out, Name);
     Out += "\": " + u64(V);
   }
   if (!First) {
@@ -199,7 +175,7 @@ std::string renderJson(const Snapshot &S, bool Pretty, bool CompiledOut) {
     First = false;
     Out += I2;
     Out += "\"";
-    appendEscaped(Out, Name);
+    appendJsonEscaped(Out, Name);
     Out += "\": " + i64(V);
   }
   if (!First) {
@@ -216,7 +192,7 @@ std::string renderJson(const Snapshot &S, bool Pretty, bool CompiledOut) {
     First = false;
     Out += I2;
     Out += "\"";
-    appendEscaped(Out, Name);
+    appendJsonEscaped(Out, Name);
     Out += "\": {\"count\": " + u64(H.Count) + ", \"sum\": " + u64(H.Sum) +
            ", \"max\": " + u64(H.Max) + ", \"buckets\": [";
     bool FirstBucket = true;
@@ -346,8 +322,9 @@ std::string renderProm(const Snapshot &S) {
 // --- Minimal JSON reader for renderStatsJson -------------------------------
 //
 // Parses exactly the subset statsJson() emits: objects, arrays, strings
-// (with the escapes appendEscaped produces) and integer numbers. Kept tiny
-// on purpose; this is the `dcb stats` pretty-printer, not a general parser.
+// (with the escapes appendJsonEscaped produces) and integer numbers. Kept
+// tiny on purpose; this is the `dcb stats` pretty-printer, not a general
+// parser.
 
 struct JsonCursor {
   const char *P;
@@ -384,6 +361,15 @@ struct JsonCursor {
         case 't':
           Out += '\t';
           break;
+        case 'u': { // The \u00XX form of a control byte; ASCII only.
+          unsigned V = 0;
+          if (End - P < 5 ||
+              std::from_chars(P + 1, P + 5, V, 16).ptr != P + 5 || V >= 0x80)
+            return false;
+          Out += static_cast<char>(V);
+          P += 4;
+          break;
+        }
         default:
           Out += *P;
         }
@@ -546,11 +532,6 @@ Expected<Snapshot> parseStatsDocument(const std::string &Json) {
       } else if (Key == "provenance") {
         if (!C.consume('{') || !parseProvenanceMap(C, S.Provenance))
           return Failure("stats JSON: malformed provenance map");
-      } else if (Key == "compiled_out") {
-        // Tolerated: emitted by -DDCB_TELEMETRY=0 builds.
-        if (!C.consume('t') || !C.consume('r') || !C.consume('u') ||
-            !C.consume('e'))
-          return Failure("stats JSON: malformed compiled_out flag");
       } else {
         return Failure("stats JSON: unknown key '" + Key + "'");
       }
@@ -623,15 +604,9 @@ BuildInfo telemetry::buildInfo() {
 #else
   B.BuildType = "debug";
 #endif
-#if DCB_TELEMETRY
   B.Telemetry = countersEnabled() ? "on" : "off";
-#else
-  B.Telemetry = "compiled-out";
-#endif
   return B;
 }
-
-#if DCB_TELEMETRY
 
 // --- Live registry ---------------------------------------------------------
 
@@ -813,12 +788,12 @@ std::string telemetry::statsTable() {
 std::string telemetry::statsJson() {
   Snapshot S = takeSnapshot();
   stampProvenance(S);
-  return renderJson(S, /*Pretty=*/true, /*CompiledOut=*/false);
+  return renderJson(S, /*Pretty=*/true);
 }
 std::string telemetry::statsJsonLine() {
   Snapshot S = takeSnapshot();
   stampProvenance(S);
-  return renderJson(S, /*Pretty=*/false, /*CompiledOut=*/false);
+  return renderJson(S, /*Pretty=*/false);
 }
 std::string telemetry::statsProm() {
   Snapshot S = takeSnapshot();
@@ -963,44 +938,3 @@ void telemetry::resetForTest() {
     Buf->FlightNext = 0;
   }
 }
-
-#else // !DCB_TELEMETRY — exports still produce valid (empty) documents.
-
-std::string telemetry::statsTable() {
-  return "telemetry: compiled out (DCB_TELEMETRY=0)\n";
-}
-
-std::string telemetry::statsJson() {
-  Snapshot S;
-  stampProvenance(S);
-  return renderJson(S, /*Pretty=*/true, /*CompiledOut=*/true);
-}
-
-std::string telemetry::statsJsonLine() {
-  Snapshot S;
-  stampProvenance(S);
-  return renderJson(S, /*Pretty=*/false, /*CompiledOut=*/true);
-}
-
-std::string telemetry::statsProm() {
-  Snapshot S;
-  stampProvenance(S);
-  return renderProm(S);
-}
-
-std::string telemetry::statsCompact() { return std::string(); }
-
-std::string telemetry::traceJson() {
-  return "{\"traceEvents\": [], \"displayTimeUnit\": \"ms\"}\n";
-}
-
-FlightStats telemetry::flightStats() { return FlightStats(); }
-
-std::string telemetry::flightTraceJson(uint64_t) {
-  return "{\"traceEvents\": [], \"flightDropped\": 0, "
-         "\"displayTimeUnit\": \"ms\"}\n";
-}
-
-void telemetry::resetForTest() {}
-
-#endif // DCB_TELEMETRY

@@ -32,10 +32,6 @@
 ///    numbers and timestamps only; listings, learned databases and
 ///    diagnostics are byte-identical with telemetry on or off (tier-1
 ///    tests assert this through the `dcb` CLI).
-///  - **Compile-time escape hatch.** Building with `-DDCB_TELEMETRY=0`
-///    replaces every class below with an empty inline shell, so all call
-///    sites compile away entirely; exports still return valid (empty)
-///    documents so tooling like `dcb --stats` keeps working.
 ///
 /// Span names (and counter names passed at registration) follow the
 /// `subsystem.verb_or_noun` convention catalogued in docs/OBSERVABILITY.md.
@@ -46,12 +42,6 @@
 
 #ifndef DCB_SUPPORT_TELEMETRY_H
 #define DCB_SUPPORT_TELEMETRY_H
-
-// Compile-time master switch. 1 (default) compiles the instrumentation in;
-// 0 turns every site into a no-op the optimizer deletes.
-#ifndef DCB_TELEMETRY
-#define DCB_TELEMETRY 1
-#endif
 
 #include <atomic>
 #include <cstdint>
@@ -72,8 +62,6 @@ struct HistData {
   uint64_t Max = 0;
   uint64_t Buckets[NumBuckets] = {};
 };
-
-#if DCB_TELEMETRY
 
 namespace detail {
 extern std::atomic<bool> CountersOn; ///< Gates Counter/Gauge/Histogram.
@@ -190,68 +178,14 @@ private:
   uint64_t Start;
 };
 
-#else // !DCB_TELEMETRY — every site compiles to nothing.
-
-inline bool countersEnabled() { return false; }
-inline bool spansEnabled() { return false; }
-inline void setCountersEnabled(bool) {}
-inline void setSpansEnabled(bool) {}
-inline void setEnabled(bool) {}
-inline void setFlightRecorderEnabled(bool) {}
-inline bool flightRecorderEnabled() { return false; }
-
-class Counter {
-public:
-  void add(uint64_t = 1) {}
-  uint64_t value() const { return 0; }
-};
-
-class Gauge {
-public:
-  void set(int64_t) {}
-  int64_t value() const { return 0; }
-};
-
-class Histogram {
-public:
-  void record(uint64_t) {}
-  HistData snapshot() const { return HistData(); }
-};
-
-inline Counter &counter(const std::string &) {
-  static Counter C;
-  return C;
-}
-inline Gauge &gauge(const std::string &) {
-  static Gauge G;
-  return G;
-}
-inline Histogram &histogram(const std::string &) {
-  static Histogram H;
-  return H;
-}
-
-inline uint64_t nowNs() { return 0; }
-inline void recordSpan(const char *, uint64_t, uint64_t) {}
-
-class ScopedSpan {
-public:
-  explicit ScopedSpan(const char *) {}
-  ScopedSpan(const ScopedSpan &) = delete;
-  ScopedSpan &operator=(const ScopedSpan &) = delete;
-};
-
-#endif // DCB_TELEMETRY
-
 /// Convenience RAII span covering the rest of the scope:
 ///   DCB_SPAN("vendor.decodeKernelCode");
-#define DCB_TELEMETRY_CONCAT_IMPL(A, B) A##B
-#define DCB_TELEMETRY_CONCAT(A, B) DCB_TELEMETRY_CONCAT_IMPL(A, B)
+#define DCB_SPAN_CONCAT_IMPL(A, B) A##B
+#define DCB_SPAN_CONCAT(A, B) DCB_SPAN_CONCAT_IMPL(A, B)
 #define DCB_SPAN(NAME)                                                       \
-  ::dcb::telemetry::ScopedSpan DCB_TELEMETRY_CONCAT(DcbSpan_,                \
-                                                    __LINE__)(NAME)
+  ::dcb::telemetry::ScopedSpan DCB_SPAN_CONCAT(DcbSpan_, __LINE__)(NAME)
 
-// --- Exports (available in both build modes) -------------------------------
+// --- Exports ---------------------------------------------------------------
 
 /// Interpolated quantile estimate over a power-of-two-bucket histogram.
 /// Locates the bucket containing the Q-th value (Q in [0,1]) and linearly
@@ -266,7 +200,7 @@ double histQuantile(const HistData &H, double Q);
 struct BuildInfo {
   std::string GitRev;    ///< $DCB_GIT_REV (scripts/run_benches.sh, CI) or "unknown".
   std::string BuildType; ///< "release" (NDEBUG) or "debug".
-  std::string Telemetry; ///< "on" / "off" / "compiled-out".
+  std::string Telemetry; ///< "on" / "off": whether counters record.
 };
 BuildInfo buildInfo();
 

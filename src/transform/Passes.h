@@ -80,30 +80,18 @@ void recomputeControlInfo(ir::Kernel &K);
 // clobber check against liveness (VER001) and a register-pressure /
 // occupancy cross-check (VER002).
 
-struct VerifyOptions {
-  bool CheckCfg = true;
-  bool CheckHazards = true;
-  /// VER001: an inserted instruction overwrites a register or predicate
-  /// some *original* instruction still reads. Uses liveness restricted to
-  /// original uses, so instrumentation payloads may feed their own
-  /// scratch registers freely.
-  bool CheckClobbers = true;
-  /// VER002: liveness pressure and transform::Occupancy must agree
-  /// (peak live registers cannot exceed the referenced-register count,
-  /// and occupancy at the live peak cannot be worse than at the full
-  /// footprint).
-  bool CheckPressure = true;
-  unsigned ThreadsPerBlock = 256; ///< Launch shape for the occupancy check.
-};
-
-/// Runs every enabled check over \p K. An empty (clean) report means the
-/// kernel is structurally sound under the framework's public model.
-analysis::Report verifyKernel(const ir::Kernel &K,
-                              const VerifyOptions &Opts = {});
+/// Runs every check over \p K. VER001 uses liveness restricted to original
+/// uses, so instrumentation payloads may feed their own scratch registers
+/// freely. VER002 requires that peak live registers not exceed the
+/// referenced-register count, and that occupancy at the live peak be no
+/// worse than at the full footprint (at 256 threads per block). An empty
+/// (clean) report means the kernel is structurally sound under the
+/// framework's public model.
+analysis::Report verifyKernel(const ir::Kernel &K);
 
 /// The liveness-vs-occupancy cross-check data (also surfaced by
 /// `dcb analyze --liveness`), from the caller's default-options liveness
-/// \p L of \p K.
+/// \p L of \p K, at 256 threads per block.
 struct PressureReport {
   unsigned LiveRegs = 0;  ///< Peak simultaneously live general registers.
   unsigned LivePreds = 0; ///< Peak simultaneously live predicates.
@@ -113,8 +101,7 @@ struct PressureReport {
   Occupancy UsageOcc;     ///< Occupancy at the current footprint.
 };
 PressureReport pressureReport(const ir::Kernel &K,
-                              const analysis::Liveness &L,
-                              unsigned ThreadsPerBlock = 256);
+                              const analysis::Liveness &L);
 
 /// One named transformation in a pipeline.
 struct Pass {
@@ -126,7 +113,6 @@ struct PipelineOptions {
   /// Verify after the pipeline runs. On by default: every transform
   /// pipeline must produce hazard-clean, liveness-consistent IR.
   bool Verify = true;
-  VerifyOptions Verification;
 };
 
 struct PipelineResult {

@@ -96,8 +96,8 @@ void checkClobbers(const ir::Kernel &K, const analysis::RegTable &T,
 
 /// VER002: the cross-check between two independent register models.
 void checkPressure(const ir::Kernel &K, const analysis::Liveness &L,
-                   unsigned ThreadsPerBlock, Report &R) {
-  PressureReport P = pressureReport(K, L, ThreadsPerBlock);
+                   Report &R) {
+  PressureReport P = pressureReport(K, L);
   auto add = [&](std::string Msg) {
     Finding F;
     F.Rule = "VER002";
@@ -121,8 +121,8 @@ void checkPressure(const ir::Kernel &K, const analysis::Liveness &L,
 } // namespace
 
 PressureReport transform::pressureReport(const ir::Kernel &K,
-                                         const analysis::Liveness &L,
-                                         unsigned ThreadsPerBlock) {
+                                         const analysis::Liveness &L) {
+  constexpr unsigned ThreadsPerBlock = 256;
   PressureReport P;
   P.LiveRegs = L.MaxLiveRegs;
   P.LivePreds = L.MaxLivePreds;
@@ -140,28 +140,21 @@ PressureReport transform::pressureReport(const ir::Kernel &K,
   return P;
 }
 
-Report transform::verifyKernel(const ir::Kernel &K,
-                               const VerifyOptions &Opts) {
+Report transform::verifyKernel(const ir::Kernel &K) {
   DCB_SPAN("analysis.verify");
   metrics().Runs.add(1);
 
   Report R;
-  if (Opts.CheckCfg)
-    R.append(analysis::validateCfg(K));
-  if (Opts.CheckHazards)
-    R.append(analysis::checkHazards(K));
-  if (Opts.CheckClobbers || Opts.CheckPressure) {
-    // One register table and one Cfg serve both liveness solves: the
-    // clobber check's (only when something was inserted) and the
-    // pressure check's.
-    const analysis::RegTable T(K);
-    const analysis::Cfg C = analysis::Cfg::build(K);
-    if (Opts.CheckClobbers && T.hasInserted())
-      checkClobbers(K, T, C, R);
-    if (Opts.CheckPressure)
-      checkPressure(K, analysis::computeLiveness(K, T, C),
-                    Opts.ThreadsPerBlock, R);
-  }
+  R.append(analysis::validateCfg(K));
+  R.append(analysis::checkHazards(K));
+  // One register table and one Cfg serve both liveness solves: the
+  // clobber check's (only when something was inserted) and the pressure
+  // check's.
+  const analysis::RegTable T(K);
+  const analysis::Cfg C = analysis::Cfg::build(K);
+  if (T.hasInserted())
+    checkClobbers(K, T, C, R);
+  checkPressure(K, analysis::computeLiveness(K, T, C), R);
 
   metrics().Found.add(R.Findings.size());
   return R;
@@ -177,7 +170,7 @@ PipelineResult transform::runPasses(ir::Kernel &K,
   PipelineResult Result;
   if (Opts.Verify) {
     Result.Verified = true;
-    Result.Verification = verifyKernel(K, Opts.Verification);
+    Result.Verification = verifyKernel(K);
   }
   return Result;
 }

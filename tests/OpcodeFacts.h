@@ -98,8 +98,7 @@ inline std::string renderFacts(const sass::Instruction &Asm) {
   Partner.Asm = *sass::parseInstruction("FADD R0, R1, R2");
   Pair.Blocks[0].Insts = {First, Partner};
   bool Illegal = false;
-  for (const analysis::Finding &F :
-       analysis::checkHazards(Pair, analysis::HazardOptions()).Findings)
+  for (const analysis::Finding &F : analysis::checkHazards(Pair).Findings)
     Illegal |= F.Message.find("cannot dual-issue") != std::string::npos;
   Out += Illegal ? " dual=no" : " dual=ok";
   return Out;

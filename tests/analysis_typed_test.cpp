@@ -19,6 +19,7 @@
 
 #include "ir/Builder.h"
 #include "sass/Parser.h"
+#include "sass/Printer.h"
 #include "support/FileIo.h"
 #include "support/Rng.h"
 #include "vendor/CuobjdumpSim.h"
@@ -343,9 +344,20 @@ void validateKernel(const ir::Kernel &K, const vm::ExecOptions &Opts,
   Report Races = checkRaces(K, Shape);
   if (Oob) {
     ++Tally.VmOob;
-    EXPECT_TRUE(hasRule(Bounds, "MEM001") || hasRule(Bounds, "MEM002"))
-        << K.Name << ": VM faulted (" << S.Error
-        << ") but the bounds checker is silent: " << rulesOf(Bounds);
+    // The VM names the faulting instruction as "... in '<text>'"; a MEM001
+    // or MEM002 elsewhere in the kernel does not cover it.
+    const size_t In = S.Error.rfind(" in '");
+    ASSERT_NE(In, std::string::npos) << S.Error;
+    const std::string Faulting =
+        S.Error.substr(In + 5, S.Error.size() - In - 6);
+    bool Covered = false;
+    for (const Finding &F : Bounds.Findings)
+      Covered |= (F.Rule == "MEM001" || F.Rule == "MEM002") &&
+                 sass::printInstruction(K.Blocks[F.Block].Insts[F.Inst].Asm) ==
+                     Faulting;
+    EXPECT_TRUE(Covered) << K.Name << ": VM faulted (" << S.Error
+                         << ") but the bounds checker is silent there: "
+                         << Bounds.toText();
   }
   if (!S.Failed && S.SharedConflicts > 0) {
     ++Tally.VmRaces;

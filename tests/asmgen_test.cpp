@@ -84,16 +84,6 @@ TEST(AssemblerGenerator, EmitsOneBlockPerOperation) {
   EXPECT_NE(Source.find("int main()"), std::string::npos);
 }
 
-TEST(AssemblerGenerator, MainCanBeSuppressed) {
-  EncodingDatabase Db = learnSuite(Arch::SM50);
-  asmgen::GeneratorOptions Opts;
-  Opts.EmitMain = false;
-  Opts.FunctionName = "assembleSm50";
-  std::string Source = asmgen::generateAssemblerSource(Db, Opts);
-  EXPECT_EQ(Source.find("int main()"), std::string::npos);
-  EXPECT_NE(Source.find("assembleSm50"), std::string::npos);
-}
-
 TEST(AssemblerGenerator, GeneratedSourceScalesWithDatabase) {
   EncodingDatabase Small(Arch::SM35);
   std::string Empty = asmgen::generateAssemblerSource(Small);

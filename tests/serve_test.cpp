@@ -1233,7 +1233,6 @@ TEST(ServeAdmin, SnapshotDeltasCountEveryCacheLayerExactly) {
   EXPECT_FALSE(Prov->str("dcb_git_rev").empty());
   EXPECT_FALSE(Prov->str("telemetry").empty());
 
-#if DCB_TELEMETRY
   // The embedded dcb-stats-v1 document carries the live request-latency
   // histogram. All three disasm answers record into it — the render-memo
   // hit included: memo hits are real requests, so their latency belongs
@@ -1255,7 +1254,6 @@ TEST(ServeAdmin, SnapshotDeltasCountEveryCacheLayerExactly) {
   EXPECT_EQ(CounterOf(S1, "serve.admin.stats") -
                 CounterOf(S0, "serve.admin.stats"),
             1u); // S1's own bump lands before its snapshot; S0's too.
-#endif
   telemetry::setCountersEnabled(false);
   telemetry::resetForTest();
 }
@@ -1399,7 +1397,6 @@ TEST(ServeAdmin, TraceOpDeliversChromeTraceFromTheFlightRecorder) {
       << TraceJson.message() << " in " << Doc.substr(0, 200);
   ASSERT_NE(TraceJson->field("traceEvents"), nullptr);
   ASSERT_NE(TraceJson->field("flightDropped"), nullptr);
-#if DCB_TELEMETRY
   EXPECT_GE(T.num("spans"), 1u);
   EXPECT_NE(Doc.find("serve.op"), std::string::npos);
   // last_ms horizon filtering: a window of 0 means "everything"; the op
@@ -1407,7 +1404,6 @@ TEST(ServeAdmin, TraceOpDeliversChromeTraceFromTheFlightRecorder) {
   json::Value Windowed =
       roundTripOk(*C, R"({"op":"trace","last_ms":3600000})");
   EXPECT_EQ(Windowed.str("status"), "ok");
-#endif
   telemetry::setFlightRecorderEnabled(false);
   telemetry::resetForTest();
 }

@@ -2,9 +2,6 @@
 //
 // Exercises the metrics registry under concurrency (counts must be exact,
 // not sampled), the span tracer's export format, and the runtime gates.
-// Every test body is written to hold in both build modes: with
-// -DDCB_TELEMETRY=0 the registry records nothing and the exports degrade
-// to valid empty documents, which is itself the contract under test.
 //
 //===----------------------------------------------------------------------===//
 
@@ -12,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <thread>
 #include <vector>
 
@@ -46,11 +44,7 @@ TEST_F(TelemetryTest, ConcurrentCounterSumsExactly) {
     });
   for (std::thread &T : Pool)
     T.join();
-#if DCB_TELEMETRY
   EXPECT_EQ(C.value(), Threads * PerThread);
-#else
-  EXPECT_EQ(C.value(), 0u);
-#endif
 }
 
 TEST_F(TelemetryTest, ConcurrentHistogramCountsAndSumsExactly) {
@@ -66,14 +60,10 @@ TEST_F(TelemetryTest, ConcurrentHistogramCountsAndSumsExactly) {
   for (std::thread &T : Pool)
     T.join();
   HistData D = H.snapshot();
-#if DCB_TELEMETRY
   EXPECT_EQ(D.Count, Threads * PerThread);
   // Sum of (T+1) * PerThread for T in [0, Threads).
   EXPECT_EQ(D.Sum, PerThread * Threads * (Threads + 1) / 2);
   EXPECT_EQ(D.Max, Threads);
-#else
-  EXPECT_EQ(D.Count, 0u);
-#endif
 }
 
 TEST_F(TelemetryTest, HistogramBucketSemantics) {
@@ -84,7 +74,6 @@ TEST_F(TelemetryTest, HistogramBucketSemantics) {
   H.record(3); // bucket 2.
   H.record(4); // bucket 3.
   HistData D = H.snapshot();
-#if DCB_TELEMETRY
   EXPECT_EQ(D.Buckets[0], 1u);
   EXPECT_EQ(D.Buckets[1], 1u);
   EXPECT_EQ(D.Buckets[2], 2u);
@@ -92,9 +81,6 @@ TEST_F(TelemetryTest, HistogramBucketSemantics) {
   EXPECT_EQ(D.Count, 5u);
   EXPECT_EQ(D.Sum, 10u);
   EXPECT_EQ(D.Max, 4u);
-#else
-  EXPECT_EQ(D.Count, 0u);
-#endif
 }
 
 TEST_F(TelemetryTest, DisabledGateRecordsNothing) {
@@ -116,11 +102,7 @@ TEST_F(TelemetryTest, GaugeLastWriteWins) {
   Gauge &G = gauge("test.gauge");
   G.set(7);
   G.set(3);
-#if DCB_TELEMETRY
   EXPECT_EQ(G.value(), 3);
-#else
-  EXPECT_EQ(G.value(), 0);
-#endif
 }
 
 TEST_F(TelemetryTest, TraceJsonIsWellFormedAndMonotonic) {
@@ -137,7 +119,6 @@ TEST_F(TelemetryTest, TraceJsonIsWellFormedAndMonotonic) {
   const std::string Tail = "\"displayTimeUnit\": \"ms\"}\n";
   ASSERT_GE(J.size(), Tail.size());
   EXPECT_EQ(J.substr(J.size() - Tail.size()), Tail);
-#if DCB_TELEMETRY
   EXPECT_NE(J.find("\"test.outer\""), std::string::npos);
   EXPECT_NE(J.find("\"test.inner\""), std::string::npos);
   EXPECT_NE(J.find("\"test.worker\""), std::string::npos);
@@ -154,9 +135,6 @@ TEST_F(TelemetryTest, TraceJsonIsWellFormedAndMonotonic) {
     ++Events;
   }
   EXPECT_EQ(Events, 3u);
-#else
-  EXPECT_EQ(J.find("\"ts\""), std::string::npos);
-#endif
 }
 
 TEST_F(TelemetryTest, StatsJsonRoundTripsThroughRenderer) {
@@ -168,17 +146,14 @@ TEST_F(TelemetryTest, StatsJsonRoundTripsThroughRenderer) {
 
   Expected<std::string> Rendered = renderStatsJson(J);
   ASSERT_TRUE(bool(Rendered)) << Rendered.message();
-#if DCB_TELEMETRY
   EXPECT_NE(Rendered->find("test.roundtrip"), std::string::npos);
   EXPECT_EQ(*Rendered, statsTable());
-#endif
   EXPECT_FALSE(bool(renderStatsJson("not json")));
   EXPECT_FALSE(bool(renderStatsJson("{\"schema\": \"wrong\"}")));
 }
 
 TEST_F(TelemetryTest, InterpolatedQuantilesInterpolateWithinBuckets) {
-  // histQuantile is a pure function over HistData, so it is testable (and
-  // must hold) in both build modes.
+  // histQuantile is a pure function over HistData.
   HistData H;
   EXPECT_EQ(histQuantile(H, 0.5), 0.0); // Empty -> 0.
 
@@ -223,11 +198,10 @@ TEST_F(TelemetryTest, PrometheusExpositionShape) {
   H.record(1000);
   std::string P = statsProm();
 
-  // Provenance is present in every build mode.
+  // Provenance is always present.
   EXPECT_NE(P.find("# TYPE dcb_build_info gauge"), std::string::npos);
   EXPECT_NE(P.find("dcb_build_info{revision="), std::string::npos);
   EXPECT_NE(P.find("dcb_uptime_seconds "), std::string::npos);
-#if DCB_TELEMETRY
   EXPECT_NE(P.find("# TYPE dcb_test_prom_counter counter"),
             std::string::npos);
   EXPECT_NE(P.find("dcb_test_prom_counter 7\n"), std::string::npos);
@@ -244,11 +218,6 @@ TEST_F(TelemetryTest, PrometheusExpositionShape) {
             std::string::npos);
   EXPECT_NE(P.find("dcb_test_prom_hist_sum 1004\n"), std::string::npos);
   EXPECT_NE(P.find("dcb_test_prom_hist_count 3\n"), std::string::npos);
-#else
-  // Compiled out: provenance only, telemetry label says so.
-  EXPECT_NE(P.find("telemetry=\"compiled-out\""), std::string::npos);
-  EXPECT_EQ(P.find("dcb_test_prom_counter"), std::string::npos);
-#endif
 }
 
 TEST_F(TelemetryTest, StatsJsonToPromRendersSavedSnapshots) {
@@ -257,11 +226,9 @@ TEST_F(TelemetryTest, StatsJsonToPromRendersSavedSnapshots) {
   Expected<std::string> P = statsJsonToProm(statsJson());
   ASSERT_TRUE(bool(P)) << P.message();
   EXPECT_NE(P->find("dcb_build_info{"), std::string::npos);
-#if DCB_TELEMETRY
   EXPECT_NE(P->find("dcb_test_prom_rt 2\n"), std::string::npos);
   EXPECT_NE(P->find("dcb_test_prom_rt_hist_bucket{le=\"63\"} 1\n"),
             std::string::npos);
-#endif
   EXPECT_FALSE(bool(statsJsonToProm("not json")));
 }
 
@@ -270,16 +237,15 @@ TEST_F(TelemetryTest, FlightRecorderKeepsRecentSpansAndCountsDrops) {
   // span site gate as an OR, so turning it on alone records.
   setEnabled(false);
   setFlightRecorderEnabled(true);
-  EXPECT_TRUE(flightRecorderEnabled() || !DCB_TELEMETRY);
+  EXPECT_TRUE(flightRecorderEnabled());
   for (int I = 0; I < 300; ++I) {
     DCB_SPAN("test.flight");
   }
   FlightStats FS = flightStats();
   std::string J = flightTraceJson();
-  // Valid Chrome trace_event JSON in every build mode.
+  // Valid Chrome trace_event JSON.
   EXPECT_EQ(J.find("{\"traceEvents\": ["), 0u);
   EXPECT_NE(J.find("\"flightDropped\": "), std::string::npos);
-#if DCB_TELEMETRY
   EXPECT_EQ(FS.Recorded, 300u);
   EXPECT_EQ(FS.Dropped, 300u - 256u); // Ring capacity is 256 per thread.
   // The ring retains exactly the newest 256 spans.
@@ -297,9 +263,6 @@ TEST_F(TelemetryTest, FlightRecorderKeepsRecentSpansAndCountsDrops) {
             std::string::npos);
   EXPECT_NE(Stats.find("\"telemetry.flight.dropped\": 44"),
             std::string::npos);
-#else
-  EXPECT_EQ(FS.Recorded, 0u);
-#endif
 
   // Off again: nothing further records, and one relaxed load is all a
   // disabled span site pays (contract; asserted here only functionally).
@@ -313,11 +276,7 @@ TEST_F(TelemetryTest, BuildInfoAndProvenanceAreStamped) {
   BuildInfo B = buildInfo();
   EXPECT_FALSE(B.GitRev.empty());
   EXPECT_TRUE(B.BuildType == "release" || B.BuildType == "debug");
-#if DCB_TELEMETRY
   EXPECT_EQ(B.Telemetry, countersEnabled() ? "on" : "off");
-#else
-  EXPECT_EQ(B.Telemetry, "compiled-out");
-#endif
   std::string J = statsJson();
   EXPECT_NE(J.find("\"provenance\""), std::string::npos);
   EXPECT_NE(J.find("\"dcb_git_rev\""), std::string::npos);
@@ -335,4 +294,41 @@ TEST_F(TelemetryTest, ResetZeroesEverything) {
   EXPECT_EQ(counter("test.reset").value(), 0u);
   EXPECT_EQ(histogram("test.reset_hist").snapshot().Count, 0u);
   EXPECT_EQ(traceJson().find("test.reset_span"), std::string::npos);
+}
+
+TEST_F(TelemetryTest, ControlBytesAreEscapedAndReadBack) {
+  // JSON forbids raw control bytes in strings, so a provenance value or a
+  // metric name holding one is written as \u00XX, and `dcb stats` reads it
+  // back.
+  const char *Saved = std::getenv("DCB_GIT_REV");
+  const std::string Old = Saved ? Saved : "";
+  ::setenv("DCB_GIT_REV", "abc\rdef\x01", 1);
+  counter("test.ctl\x02name").add(3);
+  const std::string J = statsJson();
+  const std::string Line = statsJsonLine();
+  const std::string Table = statsTable();
+  if (Saved)
+    ::setenv("DCB_GIT_REV", Old.c_str(), 1);
+  else
+    ::unsetenv("DCB_GIT_REV");
+
+  for (char C : J)
+    EXPECT_TRUE(static_cast<unsigned char>(C) >= 0x20 || C == '\n')
+        << "raw control byte " << int(C) << " in " << J;
+  for (char C : Line)
+    EXPECT_GE(static_cast<unsigned char>(C), 0x20) << Line;
+  EXPECT_NE(J.find("\"abc\\u000ddef\\u0001\""), std::string::npos) << J;
+  EXPECT_NE(J.find("\"test.ctl\\u0002name\": 3"), std::string::npos) << J;
+
+  Expected<std::string> Rendered = renderStatsJson(J);
+  ASSERT_TRUE(bool(Rendered)) << Rendered.message();
+  EXPECT_EQ(*Rendered, Table);
+  EXPECT_NE(Rendered->find("rev=abc\rdef\x01 "), std::string::npos);
+
+  // A \u escape cut short, or naming a code point past ASCII, is malformed.
+  for (const char *Bad : {"\\u00", "\\u00zz", "\\u00e9"})
+    EXPECT_FALSE(bool(renderStatsJson(
+        std::string("{\"schema\": \"dcb-stats-v1\", \"counters\": {\"a") +
+        Bad + "\": 1}}")))
+        << Bad;
 }

@@ -5,8 +5,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "support/Telemetry.h"
-
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -292,11 +290,26 @@ TEST(DcbTool, AnalyzeFailOnSelectsExitSeverity) {
   EXPECT_EQ(runCmd(Dcb + " analyze --races --fail-on never " + Work +
                    "/fo.cubin > /dev/null"),
             0);
-  EXPECT_EQ(runCmd(Dcb + " analyze --bounds " + Work +
+  // One bounds finding is an error: pathfinder's `LDS R7, [R4-0x4]` reads
+  // below address 0 at tid 0, where the VM faults too. Without that
+  // kernel only warnings remain.
+  EXPECT_NE(runCmd(Dcb + " analyze --bounds " + Work +
                    "/fo.cubin > /dev/null"),
+            0);
+  ASSERT_EQ(runCmd(Dcb + " disasm " + Work + "/fo.cubin > " + Work +
+                   "/fo.sass"),
+            0);
+  std::string Listing = slurp(Work + "/fo.sass");
+  const size_t Begin = Listing.find("\t\tFunction : pathfinder\n");
+  ASSERT_NE(Begin, std::string::npos);
+  const size_t End = Listing.find("\t\tFunction :", Begin + 1);
+  Listing.erase(Begin, End == std::string::npos ? End : End - Begin);
+  std::ofstream(Work + "/fo_warnings.sass") << Listing;
+  EXPECT_EQ(runCmd(Dcb + " analyze --bounds " + Work +
+                   "/fo_warnings.sass > /dev/null"),
             0) << "warnings alone do not fail the default threshold";
   EXPECT_NE(runCmd(Dcb + " analyze --bounds --fail-on warning " + Work +
-                   "/fo.cubin > /dev/null"),
+                   "/fo_warnings.sass > /dev/null"),
             0);
   EXPECT_EQ(runCmd(Dcb + " lint " + Work +
                    "/fo.cubin --fail-on warning > /dev/null"),
@@ -423,15 +436,10 @@ TEST(DcbTelemetry, StatsDoesNotChangeStdout) {
                    "/tel_stats.sass 2> " + Work + "/tel_stats.txt"),
             0);
   EXPECT_EQ(slurp(Work + "/tel_plain.sass"), slurp(Work + "/tel_stats.sass"));
-  // The stderr table names the decode-path counters (or says the build
-  // compiled them out).
+  // The stderr table names the decode-path counters.
   std::string Table = slurp(Work + "/tel_stats.txt");
-#if DCB_TELEMETRY
   EXPECT_NE(Table.find("counters:"), std::string::npos);
   EXPECT_NE(Table.find("isa.decode.dispatch"), std::string::npos);
-#else
-  EXPECT_NE(Table.find("compiled out"), std::string::npos);
-#endif
 
   // asm: same contract.
   ASSERT_EQ(runCmd(Dcb + " analyze " + Work + "/tel_plain.sass -o " + Work +
@@ -488,7 +496,6 @@ TEST(DcbTelemetry, FlipStatsTableSatisfiesInvariant) {
       return -1;
     return std::stoll(Table.substr(Pos + Name.size()));
   };
-#if DCB_TELEMETRY
   long long Tried = counterValue("bitflip.variants_tried");
   long long Crashes = counterValue("bitflip.crashes");
   long long Accepted = counterValue("bitflip.accepted");
@@ -496,10 +503,6 @@ TEST(DcbTelemetry, FlipStatsTableSatisfiesInvariant) {
   long long CacheHits = counterValue("bitflip.cache_hits");
   EXPECT_GT(Tried, 0);
   EXPECT_EQ(Tried, Crashes + Accepted + Rejected + CacheHits);
-#else
-  (void)counterValue;
-  EXPECT_NE(Table.find("compiled out"), std::string::npos);
-#endif
 }
 
 TEST(DcbTelemetry, TraceAndStatsFilesAreRenderable) {
@@ -515,24 +518,18 @@ TEST(DcbTelemetry, TraceAndStatsFilesAreRenderable) {
             0);
   std::string Trace = slurp(Work + "/tr_trace.json");
   EXPECT_EQ(Trace.find("{\"traceEvents\": ["), 0u);
-#if DCB_TELEMETRY
   // The decode path must be visible in the trace: the kernel batch, the
   // per-kernel decode, and the decode-index freeze.
   EXPECT_NE(Trace.find("\"taskpool.batch\""), std::string::npos);
   EXPECT_NE(Trace.find("\"vendor.decodeKernelCode\""), std::string::npos);
   EXPECT_NE(Trace.find("\"isa.freezeDecode\""), std::string::npos);
-#endif
 
   // `dcb stats` renders the saved JSON back into the table layout.
   ASSERT_EQ(runCmd(Dcb + " stats " + Work + "/tr_stats.json > " + Work +
                    "/tr_rendered.txt"),
             0);
   std::string Rendered = slurp(Work + "/tr_rendered.txt");
-#if DCB_TELEMETRY
   EXPECT_NE(Rendered.find("isa.decode.dispatch"), std::string::npos);
-#else
-  EXPECT_NE(Rendered.find("telemetry:"), std::string::npos);
-#endif
   EXPECT_NE(runCmd(Dcb + " stats /nonexistent 2> /dev/null"), 0);
 }
 
@@ -625,6 +622,46 @@ TEST(DcbTool, ExecRejectsAnAbsurdLaunchShape) {
             "dcb: warp size must be between 1 and 32, got 33\n");
 }
 
+TEST(DcbTool, NumericFlagsThatDoNotFitAreRefused) {
+  const std::string Dcb = toolPath();
+  const std::string Work = workDir();
+  ASSERT_EQ(runCmd("mkdir -p " + Work), 0);
+  ASSERT_EQ(runCmd(Dcb + " make-suite sm_35 -o " + Work +
+                   "/nf.cubin > /dev/null"),
+            0);
+  ASSERT_EQ(runCmd(Dcb + " disasm " + Work + "/nf.cubin > " + Work +
+                   "/nf.sass"),
+            0);
+  ASSERT_EQ(runCmd(Dcb + " analyze " + Work + "/nf.sass -o " + Work +
+                   "/nf.db > /dev/null"),
+            0);
+
+  // Exits 1 with "bad <flag> value" instead of running with the count cut
+  // to 32 bits (2^32 + 1 lanes ran as one) or a cache size shifted past
+  // 64 bits. `serve` refuses before it binds, so a timeout means it ran.
+  auto refused = [&](const std::string &Args, const std::string &Flag) {
+    int Status = runCmd("timeout 20 " + Dcb + " " + Args + " > " + Work +
+                        "/nf.txt 2>&1");
+    EXPECT_TRUE(WIFEXITED(Status) && WEXITSTATUS(Status) == 1)
+        << Args << ": status " << Status;
+    EXPECT_NE(slurp(Work + "/nf.txt").find("bad " + Flag + " value"),
+              std::string::npos)
+        << Args << ": " << slurp(Work + "/nf.txt");
+  };
+  for (const char *Jobs : {"4294967296", "4294967297"}) {
+    refused("disasm " + Work + "/nf.cubin --jobs " + Jobs, "--jobs");
+    refused("asm --db " + Work + "/nf.db " + Work + "/nf.sass --jobs " + Jobs,
+            "--jobs");
+    refused("verify --db " + Work + "/nf.db " + Work + "/nf.sass --jobs " +
+                Jobs,
+            "--jobs");
+    refused("serve --jobs " + std::string(Jobs), "--jobs");
+    refused("serve --shards " + std::string(Jobs), "--shards");
+  }
+  refused("serve --cache-mb 17592186044416", "--cache-mb"); // 2^44 MiB.
+  refused("serve --port 65536", "--port");
+}
+
 TEST(DcbTool, DiffexecInstrumentRoundTrip) {
   const std::string Dcb = toolPath();
   const std::string Work = workDir();
@@ -690,14 +727,10 @@ TEST(DcbTelemetry, ExecStatsExposeVmCounters) {
   EXPECT_EQ(slurp(Work + "/vt_plain.txt"), slurp(Work + "/vt_stats.txt"));
 
   std::string Table = slurp(Work + "/vt_table.txt");
-#if DCB_TELEMETRY
   EXPECT_NE(Table.find("vm.issues"), std::string::npos);
   EXPECT_NE(Table.find("vm.lane_steps"), std::string::npos);
   EXPECT_NE(Table.find("vm.barriers"), std::string::npos);
   EXPECT_NE(Table.find("vm.blocks"), std::string::npos);
-#else
-  EXPECT_NE(Table.find("compiled out"), std::string::npos);
-#endif
 }
 
 TEST(DcbServe, DaemonSmokeOverPortFile) {
@@ -810,16 +843,11 @@ TEST(DcbServe, Sigusr1DumpsStatsAndTraceWithoutStopping) {
   ASSERT_EQ(runCmd(Dcb + " stats " + Work + "/dump_stats.json > " + Work +
                    "/dump_rendered.txt"),
             0);
-#if DCB_TELEMETRY
   // The daemon enables counters and the flight recorder unconditionally,
   // so the served disasm shows up in the snapshot and the ring.
   EXPECT_NE(StatsDoc.find("serve.request_ns"), std::string::npos) << StatsDoc;
   EXPECT_NE(slurp(Work + "/dump_trace.json").find("\"serve.op\""),
             std::string::npos);
-#else
-  EXPECT_NE(slurp(Work + "/dump_rendered.txt").find("telemetry:"),
-            std::string::npos);
-#endif
   EXPECT_EQ(slurp(Work + "/dump_trace.json").find("{\"traceEvents\": ["), 0u);
 
   // The dump is non-fatal: the daemon still answers, then shuts down.
