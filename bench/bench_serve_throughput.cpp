@@ -25,9 +25,9 @@
 #include "BenchCommon.h"
 
 #include "serve/Client.h"
-#include "serve/Json.h"
 #include "serve/Ops.h"
 #include "serve/Server.h"
+#include "support/Json.h"
 
 #include <benchmark/benchmark.h>
 
@@ -146,7 +146,7 @@ const std::string &smallExpectedOutput() {
 
 std::string disasmRequestFor(const std::vector<uint8_t> &Img) {
   return "{\"op\":\"disasm\",\"data_b64\":\"" +
-         serve::json::base64Encode(Img) + "\"}";
+         json::base64Encode(Img) + "\"}";
 }
 
 /// One disasm request line; most of the bench's traffic is this one key.
@@ -162,7 +162,7 @@ const std::string &smallRequestLine() {
 }
 
 void checkParsed(const std::string &Resp, const std::string &Want) {
-  Expected<serve::json::Value> V = serve::json::parse(Resp);
+  Expected<json::Value> V = json::parse(Resp);
   if (!V || V->str("status") != "ok" || V->str("output") != Want) {
     std::fprintf(stderr,
                  "serve bench: served response diverged from the one-shot "
@@ -424,7 +424,7 @@ void adminProbeUnderLoadReport(unsigned Clients, unsigned PerClient,
                      Resp.message().c_str());
         std::abort();
       }
-      Expected<serve::json::Value> V = serve::json::parse(*Resp);
+      Expected<json::Value> V = json::parse(*Resp);
       if (!V || V->str("status") != "ok" || !V->field(P.WantField)) {
         std::fprintf(stderr,
                      "serve bench: admin %s under load answered without "

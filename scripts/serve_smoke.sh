@@ -1,15 +1,15 @@
 #!/usr/bin/env bash
 # End-to-end smoke of the `dcb serve` daemon: start it, hit it with
 # concurrent clients, require every served response byte-identical to the
-# one-shot CLI output and the second round to be all cache hits, soak it
-# with 256 parked idle connections while a ping still round-trips, then
-# shut down cleanly via SIGTERM and validate the exported dcb-stats-v1
-# file. A second daemon run exercises --persist: populate, SIGTERM,
-# restart on the same segment, and require the first request after the
-# restart to be a warm cache hit with byte-identical output. Two hostile
-# requests on the way (a control-character op name and a warp-0 races
-# analysis) must get error answers without killing the daemon or the
-# request log's JSON.
+# one-shot CLI output (a served exec with seed 2^53 + 1 too) and the
+# second round to be all cache hits, soak it with 256 parked idle
+# connections while a ping still round-trips, then shut down cleanly via
+# SIGTERM and validate the exported dcb-stats-v1 file. A second daemon
+# run exercises --persist: populate, SIGTERM, restart on the same
+# segment, and require the first request after the restart to be a warm
+# cache hit with byte-identical output. Two hostile requests on the way
+# (a control-character op name and a warp-0 races analysis) must get
+# error answers without killing the daemon or the request log's JSON.
 #
 # usage: scripts/serve_smoke.sh <dcb-binary> [workdir]
 set -euo pipefail
@@ -103,6 +103,17 @@ assert warm >= clients, (cache, doc["render"])
 assert 1 <= cache["misses"] <= clients, cache
 assert doc["sessions"]["requests"] >= 2 * clients, doc["sessions"]
 PY
+
+# Integer fields are read exactly: a served exec with seed 2^53 + 1 must
+# run that seed, byte for byte like the one-shot run (a double rounds it
+# to 2^53).
+"$DCB" exec suite.cubin bfs --seed 9007199254740993 > oneshot-seed.txt
+"$DCB" client --port-file port.txt exec suite.cubin bfs \
+    --seed 9007199254740993 > served-seed.txt
+cmp oneshot-seed.txt served-seed.txt || {
+  echo "serve_smoke: served exec with seed 2^53 + 1 diverged" >&2
+  exit 1
+}
 
 # --- Introspection plane -----------------------------------------------------
 # Scrape the Prometheus endpoint *while* clients are hammering the

@@ -2,6 +2,7 @@
 
 #include "analysis/Findings.h"
 
+#include "support/Json.h"
 #include "support/StringUtils.h"
 
 using namespace dcb;
@@ -50,31 +51,27 @@ std::string analysis::findingsJsonFragment(const Report &R) {
     const Finding &F = R.Findings[I];
     if (I)
       Out += ',';
-    Out += "\n  {\"rule\": \"";
-    appendJsonEscaped(Out, F.Rule);
-    Out += "\", \"severity\": \"";
+    Out += "\n  {\"rule\": ";
+    json::appendString(Out, F.Rule);
+    Out += ", \"severity\": \"";
     Out += severityName(F.Sev);
-    Out += "\", \"message\": \"";
-    appendJsonEscaped(Out, F.Message);
-    Out += '"';
+    Out += "\", \"message\": ";
+    json::appendString(Out, F.Message);
     if (!F.Kernel.empty()) {
-      Out += ", \"kernel\": \"";
-      appendJsonEscaped(Out, F.Kernel);
-      Out += '"';
+      Out += ", \"kernel\": ";
+      json::appendString(Out, F.Kernel);
     }
     if (F.Block >= 0)
       Out += ", \"block\": " + std::to_string(F.Block);
     if (F.Inst >= 0)
       Out += ", \"inst\": " + std::to_string(F.Inst);
     if (F.Address != Finding::kNoAddress) {
-      Out += ", \"address\": \"";
-      appendJsonEscaped(Out, toHexString(F.Address));
-      Out += '"';
+      Out += ", \"address\": ";
+      json::appendString(Out, toHexString(F.Address));
     }
     if (!F.Object.empty()) {
-      Out += ", \"object\": \"";
-      appendJsonEscaped(Out, F.Object);
-      Out += '"';
+      Out += ", \"object\": ";
+      json::appendString(Out, F.Object);
     }
     Out += '}';
   }
@@ -84,9 +81,9 @@ std::string analysis::findingsJsonFragment(const Report &R) {
 }
 
 std::string Report::toJson(const std::string &Target) const {
-  std::string Out = "{\n\"schema\": \"dcb-lint-v1\",\n\"target\": \"";
-  appendJsonEscaped(Out, Target);
-  Out += "\",\n";
+  std::string Out = "{\n\"schema\": \"dcb-lint-v1\",\n\"target\": ";
+  json::appendString(Out, Target);
+  Out += ",\n";
   Out += findingsJsonFragment(*this);
   Out += "\n}\n";
   return Out;

@@ -21,6 +21,7 @@
 #include "analysis/TypeInference.h"
 #include "support/Telemetry.h"
 #include "vm/Dispatch.h"
+#include "vm/MemModel.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -464,9 +465,13 @@ struct Access {
   std::vector<uint64_t> Addr; ///< Valid where State == KnownAddr.
 };
 
+/// Launch contexts above this are not enumerated; addresses degrade to
+/// "unknown" (conservative warnings) instead of exhaustive evaluation.
+constexpr size_t kMaxContexts = 4096;
+
 struct AccessTable {
   /// False when the kernel defeats exhaustive evaluation (CAL/RET or
-  /// unknown control flow, or more contexts than LaunchShape allows);
+  /// unknown control flow, or more than kMaxContexts contexts);
   /// every access must then be treated as unknown-address, may-execute.
   bool Exhaustive = true;
   std::vector<Access> Accesses;
@@ -502,7 +507,7 @@ AccessTable buildAccessTable(const ir::Kernel &K, const LaunchShape &Shape) {
   AccessTable T;
   const size_t Contexts =
       static_cast<size_t>(Shape.NumBlocks) * Shape.NumThreads;
-  T.Exhaustive = Contexts > 0 && Contexts <= Shape.MaxContexts &&
+  T.Exhaustive = Contexts > 0 && Contexts <= kMaxContexts &&
                  !defeatsEvaluation(K);
 
   // Collect the sites first, in deterministic (block, inst) order.
@@ -532,7 +537,7 @@ AccessTable buildAccessTable(const ir::Kernel &K, const LaunchShape &Shape) {
   std::vector<Env> In, Out;
   for (unsigned Blk = 0; Blk < Shape.NumBlocks; ++Blk) {
     for (unsigned Tid = 0; Tid < Shape.NumThreads; ++Tid) {
-      const uint32_t Ctaid = Shape.FirstBlockId + Blk;
+      const uint32_t Ctaid = Blk;
       const size_t Ctx = static_cast<size_t>(Blk) * Shape.NumThreads + Tid;
       solveForward(
           K, C, Env::entry(), Env::bottom(), In, Out,
@@ -673,16 +678,16 @@ Finding makeFinding(const ir::Kernel &K, const char *Rule, Severity Sev,
   return F;
 }
 
-size_t regionSize(const LaunchShape &Shape, vm::RegionKind Region) {
+size_t regionSize(vm::RegionKind Region) {
   switch (Region) {
   case vm::RegionKind::Shared:
-    return Shape.SharedSize;
+    return vm::kSharedBytes;
   case vm::RegionKind::Local:
-    return Shape.LocalSize;
+    return vm::kLocalBytes;
   case vm::RegionKind::Global:
     break;
   }
-  return Shape.GlobalSize;
+  return vm::kGlobalBytes;
 }
 
 const char *regionName(vm::RegionKind Region) {
@@ -863,7 +868,7 @@ Report analysis::checkBounds(const ir::Kernel &K, const LaunchShape &Shape) {
   const TypeInference Types = inferTypes(K);
 
   for (const Access &A : T.Accesses) {
-    const size_t Size = regionSize(Shape, A.Region);
+    const size_t Size = regionSize(A.Region);
     const char *Space = regionName(A.Region);
     const std::string Label = siteLabel(A);
 
@@ -915,7 +920,7 @@ Report analysis::checkBounds(const ir::Kernel &K, const LaunchShape &Shape) {
             std::string(Space) + " " + Label + ": " +
                 std::to_string(A.Bytes) + "-byte access at " + hex(Addr) +
                 " (tid " + std::to_string(Tid) + ", ctaid " +
-                std::to_string(Blk + Shape.FirstBlockId) +
+                std::to_string(Blk) +
                 ") is out of bounds for the declared launch (region size " +
                 std::to_string(Size) + ")",
             A.Block, A.Inst, A.OrigAddress));
@@ -1063,7 +1068,7 @@ Report analysis::checkRaces(const ir::Kernel &K, const LaunchShape &Shape) {
               }
               if (bytesOverlap(A.Addr[CtxBase + T1], A.Bytes,
                                B.Addr[CtxBase + T2], B.Bytes,
-                               Shape.SharedSize)) {
+                               vm::kSharedBytes)) {
                 Conflict = true;
                 WitnessT1 = T1;
                 WitnessT2 = T2;

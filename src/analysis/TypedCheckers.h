@@ -54,27 +54,17 @@
 #include "ir/Ir.h"
 #include "support/Errors.h"
 
-#include <cstddef>
-
 namespace dcb {
 namespace analysis {
 
-/// The declared launch and memory shape bounds and races are judged
-/// against. Defaults mirror `dcb exec` (vm::ExecOptions) and the VM's
-/// default arenas (vm::Memory / vm::LaunchConfig), so findings line up
-/// with what a default differential run observes.
+/// The declared launch shape bounds and races are judged against.
+/// Defaults mirror `dcb exec` (vm::ExecOptions); the arena sizes are the
+/// VM's own (vm::kGlobalBytes, vm::kSharedBytes, vm::kLocalBytes), so
+/// findings line up with what a default differential run observes.
 struct LaunchShape {
   unsigned NumThreads = 32; ///< Threads per block.
   unsigned NumBlocks = 2;   ///< Blocks in the grid.
   unsigned WarpSize = 32;   ///< Lanes per warp (SR_LANEID).
-  unsigned FirstBlockId = 0;
-  size_t GlobalSize = 1 << 16;
-  size_t SharedSize = 1 << 14;
-  size_t LocalSize = 1 << 12; ///< Per-thread local arena.
-
-  /// Launch contexts above this are not enumerated; addresses degrade to
-  /// "unknown" (conservative warnings) instead of exhaustive evaluation.
-  size_t MaxContexts = 4096;
 };
 
 /// Refuses a warp size outside 1..32 and an empty block or grid, the VM's

@@ -10,7 +10,8 @@
 #include "asmgen/TableAssembler.h"
 #include "elf/Cubin.h"
 #include "ir/Builder.h"
-#include "support/StringUtils.h"
+#include "support/Json.h"
+#include "vm/MemModel.h"
 
 #include <cinttypes>
 #include <cstdio>
@@ -147,9 +148,9 @@ namespace {
 /// plus the solver's type facts in --types mode (non-bottom register
 /// masks at each block exit, in fixed slot order).
 std::string kernelFragment(const ir::Kernel &K, const std::string &Mode) {
-  std::string Out = "{\"name\": \"";
-  appendJsonEscaped(Out, K.Name);
-  Out += "\", \"arch\": \"" + std::string(archName(K.A)) + "\"";
+  std::string Out = "{\"name\": ";
+  json::appendString(Out, K.Name);
+  Out += ", \"arch\": \"" + std::string(archName(K.A)) + "\"";
   if (Mode != "types")
     return Out + "}";
 
@@ -205,17 +206,17 @@ Expected<OpResult> dcb::serve::opAnalyze(const std::string &FileBytes,
       R.append(analysis::checkRaces(K, Options.Shape));
   }
 
-  std::string Doc = "{\n\"schema\": \"dcb-analysis-v1\",\n\"target\": \"";
-  appendJsonEscaped(Doc, TargetName);
-  Doc += "\",\n\"mode\": \"" + Options.Mode + "\",\n";
+  std::string Doc = "{\n\"schema\": \"dcb-analysis-v1\",\n\"target\": ";
+  json::appendString(Doc, TargetName);
+  Doc += ",\n\"mode\": \"" + Options.Mode + "\",\n";
   if (Options.Mode != "types") {
     const analysis::LaunchShape &S = Options.Shape;
     Doc += "\"shape\": {\"threads\": " + std::to_string(S.NumThreads) +
            ", \"blocks\": " + std::to_string(S.NumBlocks) +
            ", \"warp_size\": " + std::to_string(S.WarpSize) +
-           ", \"global\": " + std::to_string(S.GlobalSize) +
-           ", \"shared\": " + std::to_string(S.SharedSize) +
-           ", \"local\": " + std::to_string(S.LocalSize) + "},\n";
+           ", \"global\": " + std::to_string(vm::kGlobalBytes) +
+           ", \"shared\": " + std::to_string(vm::kSharedBytes) +
+           ", \"local\": " + std::to_string(vm::kLocalBytes) + "},\n";
   }
   Doc += "\"kernels\": [" + Kernels + "],\n";
   Doc += analysis::findingsJsonFragment(R);

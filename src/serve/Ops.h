@@ -40,8 +40,8 @@ struct Program;
 namespace serve {
 
 /// Loads \p Raw as either a serialized cubin (disassembling it first) or
-/// listing text, and lifts it to IR — the Expected twin of the CLI's
-/// loadProgramFile. \p Name labels diagnostics.
+/// listing text, and lifts it to IR; the CLI's loadProgramFile reads a
+/// file into it. \p Name labels diagnostics.
 Expected<ir::Program> loadProgramBytes(const std::string &Raw,
                                        const std::string &Name);
 

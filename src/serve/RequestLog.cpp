@@ -4,7 +4,7 @@
 
 #include <cinttypes>
 
-#include "serve/Json.h"
+#include "support/Json.h"
 #include "support/Telemetry.h"
 
 using namespace dcb;

@@ -18,7 +18,7 @@
 
 #include "serve/Server.h"
 
-#include "serve/Json.h"
+#include "support/Json.h"
 #include "serve/Ops.h"
 #include "support/FileIo.h"
 #include "support/Telemetry.h"

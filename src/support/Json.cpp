@@ -1,14 +1,15 @@
-//===- serve/Json.cpp -----------------------------------------------------===//
+//===- support/Json.cpp ---------------------------------------------------===//
 
-#include "serve/Json.h"
+#include "support/Json.h"
 
 #include <array>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 
 using namespace dcb;
-using namespace dcb::serve::json;
+using namespace dcb::json;
 
 const Value *Value::field(const std::string &Name) const {
   if (K != Kind::Object)
@@ -24,6 +25,8 @@ std::string Value::str(const std::string &Name, std::string Default) const {
 
 uint64_t Value::num(const std::string &Name, uint64_t Default) const {
   const Value *F = field(Name);
+  if (F && F->UInt)
+    return *F->UInt;
   if (!F || F->K != Kind::Number || F->Num < 0)
     return Default;
   // 2^64 and above saturate: the cast is undefined there.
@@ -167,6 +170,42 @@ private:
     }
   }
 
+  Error parseHex4(unsigned &Code) {
+    if (Pos + 4 > Text.size())
+      return fail("truncated \\u escape");
+    for (unsigned I = 0; I < 4; ++I) {
+      char H = Text[Pos++];
+      Code <<= 4;
+      if (H >= '0' && H <= '9')
+        Code |= static_cast<unsigned>(H - '0');
+      else if (H >= 'a' && H <= 'f')
+        Code |= static_cast<unsigned>(H - 'a' + 10);
+      else if (H >= 'A' && H <= 'F')
+        Code |= static_cast<unsigned>(H - 'A' + 10);
+      else
+        return fail("bad \\u escape digit");
+    }
+    return Error::success();
+  }
+
+  static void appendUtf8(std::string &Out, unsigned Code) {
+    if (Code < 0x80) {
+      Out.push_back(static_cast<char>(Code));
+      return;
+    }
+    if (Code < 0x800) {
+      Out.push_back(static_cast<char>(0xc0 | (Code >> 6)));
+    } else if (Code < 0x10000) {
+      Out.push_back(static_cast<char>(0xe0 | (Code >> 12)));
+      Out.push_back(static_cast<char>(0x80 | ((Code >> 6) & 0x3f)));
+    } else {
+      Out.push_back(static_cast<char>(0xf0 | (Code >> 18)));
+      Out.push_back(static_cast<char>(0x80 | ((Code >> 12) & 0x3f)));
+      Out.push_back(static_cast<char>(0x80 | ((Code >> 6) & 0x3f)));
+    }
+    Out.push_back(static_cast<char>(0x80 | (Code & 0x3f)));
+  }
+
   Error parseString(std::string &Out) {
     ++Pos; // '"'
     Out.clear();
@@ -203,36 +242,24 @@ private:
         Out.push_back('\t');
         break;
       case 'u': {
-        if (Pos + 4 > Text.size())
-          return fail("truncated \\u escape");
         unsigned Code = 0;
-        for (unsigned I = 0; I < 4; ++I) {
-          char H = Text[Pos++];
-          Code <<= 4;
-          if (H >= '0' && H <= '9')
-            Code |= static_cast<unsigned>(H - '0');
-          else if (H >= 'a' && H <= 'f')
-            Code |= static_cast<unsigned>(H - 'a' + 10);
-          else if (H >= 'A' && H <= 'F')
-            Code |= static_cast<unsigned>(H - 'A' + 10);
-          else
-            return fail("bad \\u escape digit");
+        if (Error Err = parseHex4(Code))
+          return Err;
+        // A code point past the BMP arrives as a surrogate pair (the form
+        // Python's json.dump writes); half a pair names no character.
+        if (Code >= 0xd800 && Code <= 0xdbff &&
+            Text.substr(Pos, 2) == "\\u") {
+          Pos += 2;
+          unsigned Low = 0;
+          if (Error Err = parseHex4(Low))
+            return Err;
+          if (Low < 0xdc00 || Low > 0xdfff)
+            return fail("unpaired surrogate \\u escape");
+          Code = 0x10000 + ((Code - 0xd800) << 10) + (Low - 0xdc00);
+        } else if (Code >= 0xd800 && Code <= 0xdfff) {
+          return fail("unpaired surrogate \\u escape");
         }
-        // UTF-8 encode the BMP code point; the protocol ships binary as
-        // base64, so surrogate pairs are out of scope — reject them
-        // rather than emit mojibake.
-        if (Code >= 0xd800 && Code <= 0xdfff)
-          return fail("surrogate \\u escapes unsupported");
-        if (Code < 0x80) {
-          Out.push_back(static_cast<char>(Code));
-        } else if (Code < 0x800) {
-          Out.push_back(static_cast<char>(0xc0 | (Code >> 6)));
-          Out.push_back(static_cast<char>(0x80 | (Code & 0x3f)));
-        } else {
-          Out.push_back(static_cast<char>(0xe0 | (Code >> 12)));
-          Out.push_back(static_cast<char>(0x80 | ((Code >> 6) & 0x3f)));
-          Out.push_back(static_cast<char>(0x80 | (Code & 0x3f)));
-        }
+        appendUtf8(Out, Code);
         break;
       }
       default:
@@ -265,6 +292,17 @@ private:
     }
     Out.K = Value::Kind::Number;
     Out.Num = V;
+    // A plain integer literal also keeps its exact value where it fits.
+    const bool Neg = Num[0] == '-';
+    uint64_t Mag = 0;
+    const char *Last = Num.data() + Num.size();
+    auto [Ptr, Ec] = std::from_chars(Num.data() + Neg, Last, Mag);
+    if (Ec != std::errc() || Ptr != Last)
+      return Error::success();
+    if (!Neg || Mag == 0)
+      Out.UInt = Mag;
+    if (Neg ? Mag <= uint64_t(1) << 63 : Mag <= INT64_MAX)
+      Out.Int = static_cast<int64_t>(Neg ? 0 - Mag : Mag);
     return Error::success();
   }
 
@@ -274,11 +312,11 @@ private:
 
 } // namespace
 
-Expected<Value> dcb::serve::json::parse(std::string_view Text) {
+Expected<Value> dcb::json::parse(std::string_view Text) {
   return Parser(Text).run();
 }
 
-void dcb::serve::json::appendString(std::string &Out, std::string_view S) {
+void dcb::json::appendString(std::string &Out, std::string_view S) {
   Out.push_back('"');
   for (char C : S) {
     switch (C) {
@@ -290,9 +328,6 @@ void dcb::serve::json::appendString(std::string &Out, std::string_view S) {
       break;
     case '\n':
       Out += "\\n";
-      break;
-    case '\r':
-      Out += "\\r";
       break;
     case '\t':
       Out += "\\t";
@@ -316,7 +351,7 @@ const char B64Digits[] =
     "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
 } // namespace
 
-std::string dcb::serve::json::base64Encode(const uint8_t *Data, size_t Size) {
+std::string dcb::json::base64Encode(const uint8_t *Data, size_t Size) {
   std::string Out;
   Out.reserve((Size + 2) / 3 * 4);
   size_t I = 0;
@@ -343,7 +378,7 @@ std::string dcb::serve::json::base64Encode(const uint8_t *Data, size_t Size) {
 }
 
 Expected<std::vector<uint8_t>>
-dcb::serve::json::base64Decode(std::string_view Text) {
+dcb::json::base64Decode(std::string_view Text) {
   static const auto Reverse = [] {
     std::array<int8_t, 256> T;
     T.fill(-1);

@@ -3,7 +3,6 @@
 #include "support/StringUtils.h"
 
 #include <cctype>
-#include <cstdio>
 
 using namespace dcb;
 
@@ -113,31 +112,4 @@ std::string dcb::toPaddedHex(uint64_t Value, unsigned Digits) {
     Value >>= 4;
   }
   return Result;
-}
-
-void dcb::appendJsonEscaped(std::string &Out, std::string_view S) {
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
 }

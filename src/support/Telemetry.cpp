@@ -2,11 +2,10 @@
 
 #include "support/Telemetry.h"
 
-#include "support/StringUtils.h"
+#include "support/Json.h"
 
 #include <algorithm>
 #include <cctype>
-#include <charconv>
 #include <chrono>
 #include <cinttypes>
 #include <cmath>
@@ -137,16 +136,12 @@ std::string renderJson(const Snapshot &S, bool Pretty) {
     if (!First)
       Out += ", ";
     First = false;
-    Out += "\"";
-    appendJsonEscaped(Out, Key);
-    Out += "\": ";
-    if (Key == "uptime_ns") {
+    json::appendString(Out, Key);
+    Out += ": ";
+    if (Key == "uptime_ns")
       Out += V;
-    } else {
-      Out += "\"";
-      appendJsonEscaped(Out, V);
-      Out += "\"";
-    }
+    else
+      json::appendString(Out, V);
   }
   Out += "},";
   Out += NL;
@@ -157,9 +152,8 @@ std::string renderJson(const Snapshot &S, bool Pretty) {
     Out += First ? NL : (Pretty ? ",\n" : ",");
     First = false;
     Out += I2;
-    Out += "\"";
-    appendJsonEscaped(Out, Name);
-    Out += "\": " + u64(V);
+    json::appendString(Out, Name);
+    Out += ": " + u64(V);
   }
   if (!First) {
     Out += NL;
@@ -174,9 +168,8 @@ std::string renderJson(const Snapshot &S, bool Pretty) {
     Out += First ? NL : (Pretty ? ",\n" : ",");
     First = false;
     Out += I2;
-    Out += "\"";
-    appendJsonEscaped(Out, Name);
-    Out += "\": " + i64(V);
+    json::appendString(Out, Name);
+    Out += ": " + i64(V);
   }
   if (!First) {
     Out += NL;
@@ -191,9 +184,8 @@ std::string renderJson(const Snapshot &S, bool Pretty) {
     Out += First ? NL : (Pretty ? ",\n" : ",");
     First = false;
     Out += I2;
-    Out += "\"";
-    appendJsonEscaped(Out, Name);
-    Out += "\": {\"count\": " + u64(H.Count) + ", \"sum\": " + u64(H.Sum) +
+    json::appendString(Out, Name);
+    Out += ": {\"count\": " + u64(H.Count) + ", \"sum\": " + u64(H.Sum) +
            ", \"max\": " + u64(H.Max) + ", \"buckets\": [";
     bool FirstBucket = true;
     for (unsigned B = 0; B < HistData::NumBuckets; ++B) {
@@ -243,6 +235,9 @@ std::string promName(const std::string &Name) {
   return Out;
 }
 
+/// A label value with the text format's three escapes (backslash, quote,
+/// newline). It defines no others, so every other byte below 0x20 becomes
+/// '_', as in promName, and no sample spans two lines.
 void appendPromLabelValue(std::string &Out, const std::string &V) {
   for (char C : V) {
     if (C == '\\')
@@ -252,7 +247,7 @@ void appendPromLabelValue(std::string &Out, const std::string &V) {
     else if (C == '\n')
       Out += "\\n";
     else
-      Out += C;
+      Out += static_cast<unsigned char>(C) < 0x20 ? '_' : C;
   }
 }
 
@@ -319,230 +314,52 @@ std::string renderProm(const Snapshot &S) {
   return Out;
 }
 
-// --- Minimal JSON reader for renderStatsJson -------------------------------
-//
-// Parses exactly the subset statsJson() emits: objects, arrays, strings
-// (with the escapes appendJsonEscaped produces) and integer numbers. Kept
-// tiny on purpose; this is the `dcb stats` pretty-printer, not a general
-// parser.
+// --- Reading a saved dcb-stats-v1 document ---------------------------------
 
-struct JsonCursor {
-  const char *P;
-  const char *End;
-
-  void skipWs() {
-    while (P != End && (*P == ' ' || *P == '\n' || *P == '\t' || *P == '\r'))
-      ++P;
-  }
-  bool consume(char C) {
-    skipWs();
-    if (P == End || *P != C)
-      return false;
-    ++P;
-    return true;
-  }
-  bool peek(char C) {
-    skipWs();
-    return P != End && *P == C;
-  }
-  bool parseString(std::string &Out) {
-    if (!consume('"'))
-      return false;
-    Out.clear();
-    while (P != End && *P != '"') {
-      if (*P == '\\') {
-        ++P;
-        if (P == End)
-          return false;
-        switch (*P) {
-        case 'n':
-          Out += '\n';
-          break;
-        case 't':
-          Out += '\t';
-          break;
-        case 'u': { // The \u00XX form of a control byte; ASCII only.
-          unsigned V = 0;
-          if (End - P < 5 ||
-              std::from_chars(P + 1, P + 5, V, 16).ptr != P + 5 || V >= 0x80)
-            return false;
-          Out += static_cast<char>(V);
-          P += 4;
-          break;
-        }
-        default:
-          Out += *P;
-        }
-      } else {
-        Out += *P;
-      }
-      ++P;
-    }
-    return consume('"');
-  }
-  bool parseInt(int64_t &Out) {
-    skipWs();
-    bool Neg = P != End && *P == '-';
-    if (Neg)
-      ++P;
-    if (P == End || *P < '0' || *P > '9')
-      return false;
-    uint64_t V = 0;
-    while (P != End && *P >= '0' && *P <= '9')
-      V = V * 10 + static_cast<uint64_t>(*P++ - '0');
-    Out = Neg ? -static_cast<int64_t>(V) : static_cast<int64_t>(V);
-    return true;
-  }
-};
-
-/// Parses one `"name": <int>` map; cursor sits after the opening '{'.
-bool parseIntMap(JsonCursor &C, std::map<std::string, int64_t> &Out) {
-  if (C.consume('}'))
-    return true;
-  for (;;) {
-    std::string Key;
-    int64_t V;
-    if (!C.parseString(Key) || !C.consume(':') || !C.parseInt(V))
-      return false;
-    Out[Key] = V;
-    if (C.consume('}'))
-      return true;
-    if (!C.consume(','))
-      return false;
-  }
-}
-
-/// Parses the provenance map: values are strings, except integers for
-/// numeric keys (`uptime_ns`). Everything lands in Out as a string.
-bool parseProvenanceMap(JsonCursor &C,
-                        std::map<std::string, std::string> &Out) {
-  if (C.consume('}'))
-    return true;
-  for (;;) {
-    std::string Key;
-    if (!C.parseString(Key) || !C.consume(':'))
-      return false;
-    if (C.peek('"')) {
-      std::string V;
-      if (!C.parseString(V))
-        return false;
-      Out[Key] = V;
-    } else {
-      int64_t V;
-      if (!C.parseInt(V))
-        return false;
-      Out[Key] = i64(V);
-    }
-    if (C.consume('}'))
-      return true;
-    if (!C.consume(','))
-      return false;
-  }
-}
-
-bool parseHistMap(JsonCursor &C, std::map<std::string, HistData> &Out) {
-  if (C.consume('}'))
-    return true;
-  for (;;) {
-    std::string Key;
-    if (!C.parseString(Key) || !C.consume(':') || !C.consume('{'))
-      return false;
-    HistData H;
-    if (!C.consume('}')) {
-      for (;;) {
-        std::string Field;
-        if (!C.parseString(Field) || !C.consume(':'))
-          return false;
-        if (Field == "buckets") {
-          if (!C.consume('['))
-            return false;
-          if (!C.consume(']')) {
-            for (;;) {
-              int64_t B, N;
-              if (!C.consume('[') || !C.parseInt(B) || !C.consume(',') ||
-                  !C.parseInt(N) || !C.consume(']'))
-                return false;
-              if (B < 0 || B >= static_cast<int64_t>(HistData::NumBuckets))
-                return false;
-              H.Buckets[B] = static_cast<uint64_t>(N);
-              if (C.consume(']'))
-                break;
-              if (!C.consume(','))
-                return false;
-            }
-          }
-        } else {
-          int64_t V;
-          if (!C.parseInt(V))
-            return false;
-          if (Field == "count")
-            H.Count = static_cast<uint64_t>(V);
-          else if (Field == "sum")
-            H.Sum = static_cast<uint64_t>(V);
-          else if (Field == "max")
-            H.Max = static_cast<uint64_t>(V);
-        }
-        if (C.consume('}'))
-          break;
-        if (!C.consume(','))
-          return false;
-      }
-    }
-    Out[Key] = H;
-    if (C.consume('}'))
-      return true;
-    if (!C.consume(','))
-      return false;
-  }
-}
-
-/// Parses a full dcb-stats-v1 document into a Snapshot; the shared front
-/// half of renderStatsJson and statsJsonToProm.
-Expected<Snapshot> parseStatsDocument(const std::string &Json) {
-  JsonCursor C{Json.data(), Json.data() + Json.size()};
-  if (!C.consume('{'))
+/// Reads a saved dcb-stats-v1 document into a Snapshot: the shared front
+/// half of renderStatsJson and statsJsonToProm. Every number must be an
+/// integer that fits its field.
+Expected<Snapshot> parseStatsDocument(const std::string &Text) {
+  Expected<json::Value> Doc = json::parse(Text);
+  if (!Doc)
+    return Failure("stats JSON: " + Doc.message());
+  if (!Doc->isObject())
     return Failure("stats JSON: expected top-level object");
+  const json::Value *Schema = Doc->field("schema");
+  if (!Schema)
+    return Failure("stats JSON: missing schema marker");
+  if (Schema->Str != "dcb-stats-v1")
+    return Failure("stats JSON: unsupported schema '" + Schema->Str + "'");
   Snapshot S;
-  bool SawSchema = false;
-  if (!C.consume('}')) {
-    for (;;) {
-      std::string Key;
-      if (!C.parseString(Key) || !C.consume(':'))
-        return Failure("stats JSON: malformed key");
-      if (Key == "schema") {
-        std::string Schema;
-        if (!C.parseString(Schema))
-          return Failure("stats JSON: malformed schema");
-        if (Schema != "dcb-stats-v1")
-          return Failure("stats JSON: unsupported schema '" + Schema + "'");
-        SawSchema = true;
-      } else if (Key == "counters" || Key == "gauges") {
-        std::map<std::string, int64_t> Values;
-        if (!C.consume('{') || !parseIntMap(C, Values))
-          return Failure("stats JSON: malformed " + Key + " map");
-        for (const auto &[Name, V] : Values) {
-          if (Key == "counters")
-            S.Counters[Name] = static_cast<uint64_t>(V);
-          else
-            S.Gauges[Name] = V;
-        }
-      } else if (Key == "histograms") {
-        if (!C.consume('{') || !parseHistMap(C, S.Histograms))
-          return Failure("stats JSON: malformed histograms map");
-      } else if (Key == "provenance") {
-        if (!C.consume('{') || !parseProvenanceMap(C, S.Provenance))
-          return Failure("stats JSON: malformed provenance map");
+  for (const auto &[Key, Map] : Doc->Obj) {
+    if (Key == "schema")
+      continue;
+    if (Key != "provenance" && Key != "counters" && Key != "gauges" &&
+        Key != "histograms")
+      return Failure("stats JSON: unknown key '" + Key + "'");
+    if (!Map.isObject())
+      return Failure("stats JSON: malformed " + Key + " map");
+    for (const auto &[Name, V] : Map.Obj) {
+      if (Key == "histograms") {
+        Expected<HistData> H = histFromJson(V);
+        if (!H)
+          return Failure("stats JSON: histogram '" + Name +
+                         "': " + H.message());
+        S.Histograms[Name] = *H;
+      } else if (Key == "counters" && V.UInt) {
+        S.Counters[Name] = *V.UInt;
+      } else if (Key == "gauges" && V.Int) {
+        S.Gauges[Name] = *V.Int;
+      } else if (Key == "provenance" && (V.isString() || V.UInt || V.Int)) {
+        S.Provenance[Name] = V.isString() ? V.Str
+                             : V.UInt     ? u64(*V.UInt)
+                                          : i64(*V.Int);
       } else {
-        return Failure("stats JSON: unknown key '" + Key + "'");
+        return Failure("stats JSON: malformed " + Key + " entry '" + Name +
+                       "'");
       }
-      if (C.consume('}'))
-        break;
-      if (!C.consume(','))
-        return Failure("stats JSON: expected ',' or '}'");
     }
   }
-  if (!SawSchema)
-    return Failure("stats JSON: missing schema marker");
   return S;
 }
 
@@ -560,6 +377,31 @@ Expected<std::string> telemetry::statsJsonToProm(const std::string &Json) {
   if (!S)
     return Failure(S.message());
   return renderProm(*S);
+}
+
+Expected<HistData> telemetry::histFromJson(const json::Value &V) {
+  if (!V.isObject())
+    return Failure("expected an object");
+  HistData H;
+  for (const auto &[Field, X] : V.Obj) {
+    if (Field == "buckets" && X.K == json::Value::Kind::Array) {
+      for (const json::Value &Pair : X.Arr) {
+        if (Pair.Arr.size() != 2 || !Pair.Arr[0].UInt ||
+            *Pair.Arr[0].UInt >= HistData::NumBuckets || !Pair.Arr[1].UInt)
+          return Failure("malformed bucket");
+        H.Buckets[*Pair.Arr[0].UInt] = *Pair.Arr[1].UInt;
+      }
+      continue;
+    }
+    uint64_t *Slot = Field == "count" ? &H.Count
+                     : Field == "sum" ? &H.Sum
+                     : Field == "max" ? &H.Max
+                                      : nullptr;
+    if (!Slot || !X.UInt)
+      return Failure("malformed field '" + Field + "'");
+    *Slot = *X.UInt;
+  }
+  return H;
 }
 
 double telemetry::histQuantile(const HistData &H, double Q) {
@@ -707,6 +549,53 @@ Snapshot takeSnapshot() {
   return S;
 }
 
+/// Calls \p Visit on every thread's span buffer, locked, in thread order.
+template <typename Fn> void forEachThreadBuf(Fn Visit) {
+  Registry &R = registry();
+  std::lock_guard<std::mutex> Lock(R.SpanM);
+  for (const std::shared_ptr<ThreadBuf> &Buf : R.Threads) {
+    std::lock_guard<std::mutex> BufLock(Buf->M);
+    Visit(*Buf);
+  }
+}
+
+/// One exported span and the thread that recorded it.
+struct Flat {
+  SpanEvent E;
+  unsigned Tid;
+};
+
+/// Chrome trace_event JSON of \p All sorted by start time; ts and dur are
+/// microseconds with ns precision. \p Pretty puts each event on its own
+/// line (the --trace file); otherwise the document is one line the daemon
+/// can embed in a response. \p Extra goes before the closing key.
+std::string renderTrace(std::vector<Flat> All, bool Pretty,
+                        const std::string &Extra) {
+  std::stable_sort(All.begin(), All.end(), [](const Flat &A, const Flat &B) {
+    return A.E.StartNs < B.E.StartNs;
+  });
+  std::string Out = "{\"traceEvents\": [";
+  char Line[256];
+  for (size_t I = 0; I < All.size(); ++I) {
+    const Flat &F = All[I];
+    if (Pretty)
+      Out += I ? ",\n " : "\n ";
+    else if (I)
+      Out += ", ";
+    std::snprintf(Line, sizeof(Line),
+                  "{\"name\": \"%s\", \"cat\": \"dcb\", \"ph\": \"X\", "
+                  "\"pid\": 1, \"tid\": %u, \"ts\": %" PRIu64 ".%03u, "
+                  "\"dur\": %" PRIu64 ".%03u}",
+                  F.E.Name, F.Tid, F.E.StartNs / 1000,
+                  static_cast<unsigned>(F.E.StartNs % 1000),
+                  F.E.DurNs / 1000,
+                  static_cast<unsigned>(F.E.DurNs % 1000));
+    Out += Line;
+  }
+  Out += Pretty && !All.empty() ? "\n]" : "]";
+  return Out + Extra + ", \"displayTimeUnit\": \"ms\"}\n";
+}
+
 } // namespace
 
 void telemetry::setCountersEnabled(bool On) {
@@ -805,66 +694,25 @@ std::string telemetry::statsCompact() {
 }
 
 std::string telemetry::traceJson() {
-  struct Flat {
-    SpanEvent E;
-    unsigned Tid;
-  };
   std::vector<Flat> All;
-  {
-    Registry &R = registry();
-    std::lock_guard<std::mutex> Lock(R.SpanM);
-    for (const std::shared_ptr<ThreadBuf> &Buf : R.Threads) {
-      std::lock_guard<std::mutex> BufLock(Buf->M);
-      for (const SpanEvent &E : Buf->Events)
-        All.push_back({E, Buf->Tid});
-    }
-  }
-  std::stable_sort(All.begin(), All.end(),
-                   [](const Flat &A, const Flat &B) {
-                     return A.E.StartNs < B.E.StartNs;
-                   });
-
-  std::string Out = "{\"traceEvents\": [";
-  char Line[256];
-  bool First = true;
-  for (const Flat &F : All) {
-    Out += First ? "\n" : ",\n";
-    First = false;
-    // ts / dur are microseconds in the trace_event format; keep ns
-    // precision with three decimals.
-    std::snprintf(Line, sizeof(Line),
-                  " {\"name\": \"%s\", \"cat\": \"dcb\", \"ph\": \"X\", "
-                  "\"pid\": 1, \"tid\": %u, \"ts\": %" PRIu64 ".%03u, "
-                  "\"dur\": %" PRIu64 ".%03u}",
-                  F.E.Name, F.Tid, F.E.StartNs / 1000,
-                  static_cast<unsigned>(F.E.StartNs % 1000),
-                  F.E.DurNs / 1000,
-                  static_cast<unsigned>(F.E.DurNs % 1000));
-    Out += Line;
-  }
-  Out += First ? "]" : "\n]";
-  Out += ", \"displayTimeUnit\": \"ms\"}\n";
-  return Out;
+  forEachThreadBuf([&All](const ThreadBuf &Buf) {
+    for (const SpanEvent &E : Buf.Events)
+      All.push_back({E, Buf.Tid});
+  });
+  return renderTrace(std::move(All), /*Pretty=*/true, "");
 }
 
 FlightStats telemetry::flightStats() {
   FlightStats FS;
-  Registry &R = registry();
-  std::lock_guard<std::mutex> Lock(R.SpanM);
-  for (const std::shared_ptr<ThreadBuf> &Buf : R.Threads) {
-    std::lock_guard<std::mutex> BufLock(Buf->M);
-    FS.Recorded += Buf->FlightNext;
-    if (Buf->FlightNext > FlightCap)
-      FS.Dropped += Buf->FlightNext - FlightCap;
-  }
+  forEachThreadBuf([&FS](const ThreadBuf &Buf) {
+    FS.Recorded += Buf.FlightNext;
+    if (Buf.FlightNext > FlightCap)
+      FS.Dropped += Buf.FlightNext - FlightCap;
+  });
   return FS;
 }
 
 std::string telemetry::flightTraceJson(uint64_t LastNs) {
-  struct Flat {
-    SpanEvent E;
-    unsigned Tid;
-  };
   std::vector<Flat> All;
   uint64_t Dropped = 0;
   uint64_t Horizon = 0;
@@ -872,48 +720,18 @@ std::string telemetry::flightTraceJson(uint64_t LastNs) {
     uint64_t Now = nowNs();
     Horizon = LastNs < Now ? Now - LastNs : 0;
   }
-  {
-    Registry &R = registry();
-    std::lock_guard<std::mutex> Lock(R.SpanM);
-    for (const std::shared_ptr<ThreadBuf> &Buf : R.Threads) {
-      std::lock_guard<std::mutex> BufLock(Buf->M);
-      uint64_t Resident = std::min(Buf->FlightNext, FlightCap);
-      if (Buf->FlightNext > FlightCap)
-        Dropped += Buf->FlightNext - FlightCap;
-      for (uint64_t I = Buf->FlightNext - Resident; I < Buf->FlightNext;
-           ++I) {
-        const SpanEvent &E = Buf->Flight[I % FlightCap];
-        if (E.Name && E.StartNs + E.DurNs >= Horizon)
-          All.push_back({E, Buf->Tid});
-      }
+  forEachThreadBuf([&](const ThreadBuf &Buf) {
+    uint64_t Resident = std::min(Buf.FlightNext, FlightCap);
+    if (Buf.FlightNext > FlightCap)
+      Dropped += Buf.FlightNext - FlightCap;
+    for (uint64_t I = Buf.FlightNext - Resident; I < Buf.FlightNext; ++I) {
+      const SpanEvent &E = Buf.Flight[I % FlightCap];
+      if (E.Name && E.StartNs + E.DurNs >= Horizon)
+        All.push_back({E, Buf.Tid});
     }
-  }
-  std::stable_sort(All.begin(), All.end(),
-                   [](const Flat &A, const Flat &B) {
-                     return A.E.StartNs < B.E.StartNs;
-                   });
-
-  // Single line so the daemon can embed it in a newline-framed response.
-  std::string Out = "{\"traceEvents\": [";
-  char Line[256];
-  bool First = true;
-  for (const Flat &F : All) {
-    if (!First)
-      Out += ", ";
-    First = false;
-    std::snprintf(Line, sizeof(Line),
-                  "{\"name\": \"%s\", \"cat\": \"dcb\", \"ph\": \"X\", "
-                  "\"pid\": 1, \"tid\": %u, \"ts\": %" PRIu64 ".%03u, "
-                  "\"dur\": %" PRIu64 ".%03u}",
-                  F.E.Name, F.Tid, F.E.StartNs / 1000,
-                  static_cast<unsigned>(F.E.StartNs % 1000),
-                  F.E.DurNs / 1000,
-                  static_cast<unsigned>(F.E.DurNs % 1000));
-    Out += Line;
-  }
-  Out += "], \"flightDropped\": " + u64(Dropped) +
-         ", \"displayTimeUnit\": \"ms\"}\n";
-  return Out;
+  });
+  return renderTrace(std::move(All), /*Pretty=*/false,
+                     ", \"flightDropped\": " + u64(Dropped));
 }
 
 void telemetry::resetForTest() {
@@ -931,10 +749,8 @@ void telemetry::resetForTest() {
       H.Max.store(0, std::memory_order_relaxed);
     }
   }
-  std::lock_guard<std::mutex> Lock(R.SpanM);
-  for (const std::shared_ptr<ThreadBuf> &Buf : R.Threads) {
-    std::lock_guard<std::mutex> BufLock(Buf->M);
-    Buf->Events.clear();
-    Buf->FlightNext = 0;
-  }
+  forEachThreadBuf([](ThreadBuf &Buf) {
+    Buf.Events.clear();
+    Buf.FlightNext = 0;
+  });
 }

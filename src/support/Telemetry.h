@@ -50,6 +50,10 @@
 #include "support/Errors.h"
 
 namespace dcb {
+namespace json {
+struct Value;
+} // namespace json
+
 namespace telemetry {
 
 /// Decoded state of one histogram: power-of-two buckets where bucket 0
@@ -253,12 +257,20 @@ FlightStats flightStats();
 std::string flightTraceJson(uint64_t LastNs = 0);
 
 /// Renders a statsJson() document back into the statsTable() layout — the
-/// `dcb stats <file>` pretty-printer. Fails on malformed input.
+/// `dcb stats <file>` pretty-printer. Fails on input that is not one JSON
+/// document in that schema, and on any number that is not an integer
+/// fitting its field.
 Expected<std::string> renderStatsJson(const std::string &Json);
 
 /// Renders a statsJson() document into the statsProm() exposition — the
-/// `dcb stats --format=prom <file>` path. Fails on malformed input.
+/// `dcb stats --format=prom <file>` path. Fails as renderStatsJson does.
 Expected<std::string> statsJsonToProm(const std::string &Json);
+
+/// Reads one histogram object of a dcb-stats-v1 document (`count`, `sum`,
+/// `max`, `buckets`), as renderStatsJson does and `dcb top` does on a
+/// served snapshot. Fails on any other field, on a bucket past the last,
+/// and on a number that is not an integer in [0, 2^64 - 1].
+Expected<HistData> histFromJson(const json::Value &V);
 
 /// Zeroes every registered metric and drops all span buffers (tests only;
 /// racing with concurrent recorders is the caller's problem).

@@ -30,6 +30,12 @@
 namespace dcb {
 namespace vm {
 
+/// Arena sizes: global and shared of a default Memory, and each thread's
+/// local arena. The typed checkers judge bounds against the same numbers.
+constexpr size_t kGlobalBytes = 1 << 16;
+constexpr size_t kSharedBytes = 1 << 14;
+constexpr size_t kLocalBytes = 1 << 12;
+
 /// Shared machine memory. Const banks are never written by the VM; global
 /// and shared are per-block arenas during a grid run (see docs/VM.md).
 struct Memory {
@@ -37,7 +43,8 @@ struct Memory {
   std::vector<uint8_t> Shared;
   std::map<unsigned, std::vector<uint8_t>> ConstBanks;
 
-  explicit Memory(size_t GlobalSize = 1 << 16, size_t SharedSize = 1 << 14)
+  explicit Memory(size_t GlobalSize = kGlobalBytes,
+                  size_t SharedSize = kSharedBytes)
       : Global(GlobalSize, 0), Shared(SharedSize, 0) {}
 };
 

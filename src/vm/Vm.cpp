@@ -44,9 +44,6 @@ constexpr unsigned kMaxBlockThreads = 1024;
 constexpr uint64_t kMaxGridThreads = uint64_t(1) << 16;
 constexpr unsigned kMaxGridBlocks = 1024;
 
-/// Per-thread local arena.
-constexpr size_t kLocalBytes = 1 << 12;
-
 /// Granularity of the per-block write tracking.
 constexpr size_t kPageBytes = 256;
 

@@ -16,7 +16,7 @@
 ///     s2  1 block x 4 threads;
 ///     s3  7 blocks x 64 threads, warp 8;
 ///     s4  3 blocks x 100 threads, warp 5;
-///     s5  64 blocks x 128 threads: 8192 contexts, above MaxContexts, so
+///     s5  64 blocks x 128 threads: 8192 contexts, above the 4096 cap, so
 ///         the checkers take the non-exhaustive path.
 ///
 /// One line per arch. tests/analysis_facts.golden pins the rendering, so a

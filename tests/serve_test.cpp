@@ -11,12 +11,12 @@
 #include "analyzer/IsaAnalyzer.h"
 #include "serve/Cache.h"
 #include "serve/Client.h"
-#include "serve/Json.h"
 #include "serve/Ops.h"
 #include "serve/Persist.h"
 #include "serve/RequestLog.h"
 #include "serve/Server.h"
 #include "support/FileIo.h"
+#include "support/Json.h"
 #include "support/Telemetry.h"
 #include "vendor/CuobjdumpSim.h"
 #include "vendor/NvccSim.h"
@@ -103,7 +103,8 @@ json::Value roundTripOk(Client &C, const std::string &Req) {
 TEST(ServeJson, ParsesScalarsAndNesting) {
   Expected<json::Value> V = json::parse(
       R"({"op":"exec","jobs":4,"ref":true,"pi":3.5,"n":null,)"
-      R"("arr":[1,"two",{"three":3}],"esc":"a\"b\\c\ndA"})");
+      R"("arr":[1,"two",{"three":3}],"esc":"a\"b\\c\ndA",)"
+      R"("std":"\r\b\f\/\u00e9\ud83d\ude00"})");
   ASSERT_TRUE(V.hasValue()) << V.message();
   EXPECT_EQ(V->str("op"), "exec");
   EXPECT_EQ(V->num("jobs"), 4u);
@@ -113,6 +114,8 @@ TEST(ServeJson, ParsesScalarsAndNesting) {
   EXPECT_EQ(V->field("arr")->Arr[1].Str, "two");
   EXPECT_EQ(V->field("arr")->Arr[2].num("three"), 3u);
   EXPECT_EQ(V->str("esc"), "a\"b\\c\ndA");
+  // Every standard escape, a code point past the BMP as a surrogate pair.
+  EXPECT_EQ(V->str("std"), "\r\b\f/\xc3\xa9\xf0\x9f\x98\x80");
 }
 
 TEST(ServeJson, DefaultsOnAbsentOrMistypedFields) {
@@ -135,6 +138,10 @@ TEST(ServeJson, RejectsMalformedInput) {
   EXPECT_FALSE(json::parse(R"({"a":01})").hasValue());
   EXPECT_FALSE(json::parse(R"({"a":"unterminated})").hasValue());
   EXPECT_FALSE(json::parse("[1,2,]").hasValue());
+  // Half a surrogate pair names no character.
+  EXPECT_FALSE(json::parse(R"(["\ud83d"])").hasValue());
+  EXPECT_FALSE(json::parse(R"(["\ude00"])").hasValue());
+  EXPECT_FALSE(json::parse(R"(["\ud83dx"])").hasValue());
   // Depth bomb: 64 nested arrays exceed the 32-deep bound.
   std::string Deep(64, '[');
   Deep += std::string(64, ']');
@@ -142,13 +149,39 @@ TEST(ServeJson, RejectsMalformedInput) {
 }
 
 TEST(ServeJson, StringEscapingRoundTrips) {
-  std::string Raw = "line1\nline2\ttab \"quoted\" back\\slash \x01 end";
+  std::string Raw = "line1\nline2\ttab \"quoted\" back\\slash \x01 cr\r end";
   std::string Doc = "{\"k\":";
   json::appendString(Doc, Raw);
   Doc += "}";
+  // Control bytes other than newline and tab are spelled \u00XX, CR too.
+  EXPECT_NE(Doc.find("\\u0001 cr\\u000d end"), std::string::npos) << Doc;
   Expected<json::Value> V = json::parse(Doc);
   ASSERT_TRUE(V.hasValue()) << V.message();
   EXPECT_EQ(V->str("k"), Raw);
+}
+
+TEST(ServeJson, IntegerLiteralsAreExact) {
+  // A double cannot tell 2^53 from 2^53 + 1; integer literals keep their
+  // exact value up to 2^64 - 1 and down to -2^63.
+  Expected<json::Value> V = json::parse(
+      R"({"a":9007199254740993,"max":18446744073709551615,)"
+      R"("min":-9223372036854775808,"big":18446744073709551616,)"
+      R"("frac":7.9,"neg":-1,"exp":1e3})");
+  ASSERT_TRUE(V.hasValue()) << V.message();
+  EXPECT_EQ(V->num("a"), 9007199254740993u);
+  EXPECT_EQ(V->num("max"), UINT64_MAX);
+  EXPECT_EQ(V->field("max")->Int, std::nullopt);
+  EXPECT_EQ(V->field("min")->Int, INT64_MIN);
+  EXPECT_EQ(V->field("min")->UInt, std::nullopt);
+  EXPECT_EQ(V->field("neg")->Int, -1);
+  // Past 2^64, fractions and exponents keep the double rules.
+  EXPECT_EQ(V->field("big")->UInt, std::nullopt);
+  EXPECT_EQ(V->num("big"), UINT64_MAX);
+  EXPECT_EQ(V->field("frac")->UInt, std::nullopt);
+  EXPECT_EQ(V->num("frac"), 7u);
+  EXPECT_EQ(V->num("neg", 5), 5u);
+  EXPECT_EQ(V->field("exp")->UInt, std::nullopt);
+  EXPECT_EQ(V->num("exp"), 1000u);
 }
 
 TEST(ServeJson, Base64RoundTripsAllLengths) {
@@ -445,6 +478,32 @@ TEST(ServeServer, OptionsFingerprintSplitsTheCache) {
                      "\"seeds\":9,\"ref\":true"));
   EXPECT_TRUE(T8Again.boolean("cached"));
   EXPECT_EQ(T8Again.str("output"), T8.str("output"));
+}
+
+TEST(ServeServer, ExecSeedsPast2To53MatchOneShotAndSplitTheCache) {
+  // Seeds are 64-bit. Read through a double, 2^53 + 1 ran as 2^53 and
+  // the two seeds shared one cache entry.
+  std::vector<uint8_t> Image = suiteImage(Arch::SM50);
+  std::string Bytes(Image.begin(), Image.end());
+  std::unique_ptr<Server> S = startServer(ServerOptions());
+  Expected<Client> C = Client::connect(S->port());
+  ASSERT_TRUE(C.hasValue()) << C.message();
+  std::string Outputs[2];
+  for (uint64_t Seed : {9007199254740992ull, 9007199254740993ull}) {
+    vm::ExecOptions Opts;
+    Opts.FirstSeed = Seed;
+    Expected<OpResult> Want = opExec(Bytes, "<request>", "bfs", Opts);
+    ASSERT_TRUE(Want.hasValue()) << Want.message();
+    json::Value Got = roundTripOk(
+        *C, requestFor("exec", Image,
+                       ",\"kernel\":\"bfs\",\"seed\":" +
+                           std::to_string(Seed)));
+    EXPECT_EQ(Got.str("status"), "ok");
+    EXPECT_FALSE(Got.boolean("cached")) << "seed " << Seed;
+    EXPECT_EQ(Got.str("output"), Want->Output) << "seed " << Seed;
+    Outputs[Seed & 1] = Want->Output;
+  }
+  EXPECT_NE(Outputs[0], Outputs[1]) << "the two seeds must run differently";
 }
 
 TEST(ServeServer, AnalyzeOverTheWireMatchesOpAndCaches) {

@@ -325,10 +325,83 @@ TEST_F(TelemetryTest, ControlBytesAreEscapedAndReadBack) {
   EXPECT_EQ(*Rendered, Table);
   EXPECT_NE(Rendered->find("rev=abc\rdef\x01 "), std::string::npos);
 
-  // A \u escape cut short, or naming a code point past ASCII, is malformed.
-  for (const char *Bad : {"\\u00", "\\u00zz", "\\u00e9"})
-    EXPECT_FALSE(bool(renderStatsJson(
-        std::string("{\"schema\": \"dcb-stats-v1\", \"counters\": {\"a") +
-        Bad + "\": 1}}")))
-        << Bad;
+  // A \u escape cut short or with a bad digit is malformed; one past
+  // ASCII reads as its UTF-8 bytes.
+  const std::string Head =
+      "{\"schema\": \"dcb-stats-v1\", \"counters\": {\"a";
+  for (const char *Bad : {"\\u00", "\\u00zz"})
+    EXPECT_FALSE(bool(renderStatsJson(Head + Bad + "\": 1}}"))) << Bad;
+  Expected<std::string> Utf8 = renderStatsJson(Head + "\\u00e9\": 1}}");
+  ASSERT_TRUE(bool(Utf8)) << Utf8.message();
+  EXPECT_NE(Utf8->find("a\xc3\xa9 "), std::string::npos) << *Utf8;
+}
+
+TEST_F(TelemetryTest, StatsReaderTakesEveryStandardEscape) {
+  // A stats file rewritten by Python's json.dump spells CR and backspace
+  // by name.
+  Expected<std::string> Table = renderStatsJson(
+      R"({"schema": "dcb-stats-v1", "provenance": {"dcb_git_rev": )"
+      R"("a\rb\bc\u00e9\ud83d\ude00", "build_type": "release", )"
+      R"("telemetry": "on", "uptime_ns": 5}, "counters": {"c\/d": 1}, )"
+      R"("gauges": {}, "histograms": {}})");
+  ASSERT_TRUE(bool(Table)) << Table.message();
+  EXPECT_NE(
+      Table->find("rev=a\rb\bc\xc3\xa9\xf0\x9f\x98\x80 build=release "),
+      std::string::npos)
+      << *Table;
+  EXPECT_NE(Table->find("  c/d "), std::string::npos) << *Table;
+}
+
+TEST_F(TelemetryTest, StatsReaderRefusesTrailingDataAndBadNumbers) {
+  const std::string Head = "{\"schema\": \"dcb-stats-v1\", ";
+  // The extremes of each field still read exactly.
+  Expected<std::string> Edge = renderStatsJson(
+      Head + "\"counters\": {\"c\": 18446744073709551615}, "
+             "\"gauges\": {\"g\": -9223372036854775808}}");
+  ASSERT_TRUE(bool(Edge)) << Edge.message();
+  EXPECT_NE(Edge->find(" 18446744073709551615\n"), std::string::npos) << *Edge;
+  EXPECT_NE(Edge->find(" -9223372036854775808\n"), std::string::npos) << *Edge;
+  for (const char *Bad : {
+           "\"counters\": {\"c\": 1}} trailing",
+           "\"counters\": {\"c\": 1}}}",
+           "\"counters\": {\"c\": 36893488147419103232}}", // 2^65
+           "\"counters\": {\"c\": -1}}",
+           "\"counters\": {\"c\": 1.5}}",
+           "\"counters\": {\"c\": 1e3}}",
+           "\"gauges\": {\"g\": 9223372036854775808}}", // 2^63
+           "\"provenance\": {\"uptime_ns\": 2.5}}",
+           "\"histograms\": {\"h\": {\"count\": 1, \"sum\": 1e30}}}",
+           "\"histograms\": {\"h\": {\"buckets\": [[65, 1]]}}}",
+           "\"histograms\": {\"h\": {\"buckets\": [[1, -1]]}}}",
+           "\"histograms\": {\"h\": {\"buckets\": [[1, 2, 3]]}}}",
+           "\"histograms\": {\"h\": {\"mean\": 1}}}",
+       }) {
+    EXPECT_FALSE(bool(renderStatsJson(Head + Bad))) << Bad;
+    EXPECT_FALSE(bool(statsJsonToProm(Head + Bad))) << Bad;
+  }
+}
+
+TEST_F(TelemetryTest, PromLabelsCarryNoRawControlBytes) {
+  // The text format escapes only backslash, quote and newline in a label
+  // value; every other control byte becomes '_', so no sample spans two
+  // lines.
+  const char *Saved = std::getenv("DCB_GIT_REV");
+  const std::string Old = Saved ? Saved : "";
+  ::setenv("DCB_GIT_REV", "x\ry\x01z\n\"\\", 1);
+  const std::string Live = statsProm();
+  Expected<std::string> FromFile = statsJsonToProm(statsJson());
+  if (Saved)
+    ::setenv("DCB_GIT_REV", Old.c_str(), 1);
+  else
+    ::unsetenv("DCB_GIT_REV");
+
+  ASSERT_TRUE(bool(FromFile)) << FromFile.message();
+  for (const std::string &P : {Live, *FromFile}) {
+    EXPECT_NE(P.find("dcb_build_info{revision=\"x_y_z\\n\\\"\\\\\","),
+              std::string::npos)
+        << P;
+    for (char C : P)
+      EXPECT_TRUE(C == '\n' || static_cast<unsigned char>(C) >= 0x20)
+          << "raw control byte " << int(C) << " in " << P;
+  }
 }

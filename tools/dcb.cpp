@@ -33,7 +33,6 @@
 #include "ir/Builder.h"
 #include "ir/Layout.h"
 #include "serve/Client.h"
-#include "serve/Json.h"
 #include "serve/Ops.h"
 #include "serve/Server.h"
 #include "transform/Passes.h"
@@ -43,6 +42,7 @@
 #include "vm/Differ.h"
 #include "workloads/Suite.h"
 
+#include "support/Json.h"
 #include "support/StringUtils.h"
 #include "support/Telemetry.h"
 
@@ -178,25 +178,10 @@ analyzer::Listing loadListing(const std::string &Path) {
   return L.takeValue();
 }
 
-/// Loads \p Path as either a cubin (disassembling it first) or a listing,
-/// and lifts it to IR. The lint/analyze commands accept both formats.
+/// Loads \p Path as either a cubin or a listing and lifts it to IR
+/// (serve::loadProgramBytes). The lint/analyze commands accept both.
 ir::Program loadProgramFile(const std::string &Path) {
-  std::string Raw = readFile(Path);
-  std::string ListingText;
-  Expected<elf::Cubin> Cubin =
-      elf::Cubin::deserialize(std::vector<uint8_t>(Raw.begin(), Raw.end()));
-  if (Cubin) {
-    Expected<std::string> Text = vendor::disassembleCubin(*Cubin);
-    if (!Text)
-      die(Text.message());
-    ListingText = std::move(*Text);
-  } else {
-    ListingText = std::move(Raw);
-  }
-  Expected<analyzer::Listing> L = analyzer::parseListing(ListingText);
-  if (!L)
-    die(Path + ": not a cubin, and not a listing either: " + L.message());
-  Expected<ir::Program> P = ir::buildProgram(*L);
+  Expected<ir::Program> P = serve::loadProgramBytes(readFile(Path), Path);
   if (!P)
     die(P.message());
   return P.takeValue();
@@ -318,9 +303,9 @@ int cmdAnalyzeLiveness(const Args &A) {
   ir::Program P = loadProgramFile(Path);
   std::optional<std::string> Json = A.get("--json");
 
-  std::string Doc = "{\"schema\": \"dcb-analysis-v1\", \"target\": \"";
-  appendJsonEscaped(Doc, Path);
-  Doc += "\", \"kernels\": [";
+  std::string Doc = "{\"schema\": \"dcb-analysis-v1\", \"target\": ";
+  json::appendString(Doc, Path);
+  Doc += ", \"kernels\": [";
   bool FirstKernel = true;
   for (const ir::Kernel &K : P.Kernels) {
     analysis::Liveness L = analysis::computeLiveness(K);
@@ -329,9 +314,9 @@ int cmdAnalyzeLiveness(const Args &A) {
       if (!FirstKernel)
         Doc += ", ";
       FirstKernel = false;
-      Doc += "{\"name\": \"";
-      appendJsonEscaped(Doc, K.Name);
-      Doc += "\", \"arch\": \"" + std::string(archName(K.A)) + "\"";
+      Doc += "{\"name\": ";
+      json::appendString(Doc, K.Name);
+      Doc += ", \"arch\": \"" + std::string(archName(K.A)) + "\"";
       Doc += ", \"peak_live_regs\": " + std::to_string(L.MaxLiveRegs);
       Doc += ", \"peak_live_preds\": " + std::to_string(L.MaxLivePreds);
       Doc += ", \"peak_block\": " + std::to_string(L.PeakBlock);
@@ -937,16 +922,16 @@ int cmdClient(const Args &A) {
   }
 
   std::string Req = "{\"op\":";
-  serve::json::appendString(Req, Op);
+  json::appendString(Req, Op);
   if (A.Positional.size() > 1) {
     Req += ",\"data_b64\":\"";
-    Req += serve::json::base64Encode(readFile(A.Positional[1]));
+    Req += json::base64Encode(readFile(A.Positional[1]));
     Req += "\",\"name\":";
-    serve::json::appendString(Req, A.Positional[1]);
+    json::appendString(Req, A.Positional[1]);
   }
   if (A.Positional.size() > 2) {
     Req += ",\"kernel\":";
-    serve::json::appendString(Req, A.Positional[2]);
+    json::appendString(Req, A.Positional[2]);
   }
   // Option passthrough, one wire field per CLI flag (same names as the
   // one-shot subcommands; --warp-size travels as "warp").
@@ -967,19 +952,19 @@ int cmdClient(const Args &A) {
     Req += ",\"watch_shared\":true";
   if (auto V = A.get("--oob")) {
     Req += ",\"oob\":";
-    serve::json::appendString(Req, *V);
+    json::appendString(Req, *V);
   }
   if (auto V = A.get("--mode")) {
     Req += ",\"mode\":";
-    serve::json::appendString(Req, *V);
+    json::appendString(Req, *V);
   }
   if (auto V = A.get("--fail-on")) {
     Req += ",\"fail_on\":";
-    serve::json::appendString(Req, *V);
+    json::appendString(Req, *V);
   }
   if (auto V = A.get("--name")) {
     Req += ",\"name\":";
-    serve::json::appendString(Req, *V);
+    json::appendString(Req, *V);
   }
   Req += "}";
 
@@ -992,7 +977,7 @@ int cmdClient(const Args &A) {
     Resp = C->roundTrip(Req);
     if (!Resp)
       die(Resp.message());
-    Expected<serve::json::Value> Peek = serve::json::parse(*Resp);
+    Expected<json::Value> Peek = json::parse(*Resp);
     Status = Peek ? Peek->str("status") : "";
     if (Status != "busy" || Attempt >= Retries)
       break;
@@ -1002,7 +987,7 @@ int cmdClient(const Args &A) {
     uint64_t DelayMs = std::min<uint64_t>(50ull << std::min(Attempt, 6u), 2000);
     std::this_thread::sleep_for(std::chrono::milliseconds(DelayMs));
   }
-  Expected<serve::json::Value> V = serve::json::parse(*Resp);
+  Expected<json::Value> V = json::parse(*Resp);
   if (!V)
     die("bad response: " + V.message());
 
@@ -1014,9 +999,9 @@ int cmdClient(const Args &A) {
   }
   if (Status != "ok")
     die(V->str("error", "server error"));
-  if (const serve::json::Value *Output = V->field("output")) {
-    if (const serve::json::Value *Errs = V->field("errors"))
-      for (const serve::json::Value &Err : Errs->Arr)
+  if (const json::Value *Output = V->field("output")) {
+    if (const json::Value *Errs = V->field("errors"))
+      for (const json::Value &Err : Errs->Arr)
         std::fprintf(stderr, "%s\n", Err.Str.c_str());
     std::fputs(Output->Str.c_str(), stdout);
     return static_cast<int>(V->num("exit", 0));
@@ -1024,11 +1009,11 @@ int cmdClient(const Args &A) {
   // The `metrics` and `trace` admin ops wrap a whole document in one
   // string field; print it verbatim so `dcb client metrics` is directly
   // scrapeable and `dcb client trace > t.json` loads in Perfetto.
-  if (const serve::json::Value *Doc = V->field("exposition")) {
+  if (const json::Value *Doc = V->field("exposition")) {
     std::fputs(Doc->Str.c_str(), stdout);
     return 0;
   }
-  if (const serve::json::Value *Doc = V->field("trace")) {
+  if (const json::Value *Doc = V->field("trace")) {
     std::fputs(Doc->Str.c_str(), stdout);
     if (Doc->Str.empty() || Doc->Str.back() != '\n')
       std::fputs("\n", stdout);
@@ -1057,39 +1042,30 @@ TopSample topSample(serve::Client &C) {
   Expected<std::string> Resp = C.roundTrip("{\"op\":\"stats\"}");
   if (!Resp)
     die(Resp.message());
-  Expected<serve::json::Value> V = serve::json::parse(*Resp);
+  Expected<json::Value> V = json::parse(*Resp);
   if (!V)
     die("bad stats response: " + V.message());
   if (V->str("status") != "ok")
     die("stats op failed: " + V->str("error", "server error"));
   TopSample S;
   S.UptimeNs = V->num("uptime_ns");
-  if (const serve::json::Value *Sess = V->field("sessions")) {
+  if (const json::Value *Sess = V->field("sessions")) {
     S.Requests = Sess->num("requests");
     S.Busy = Sess->num("busy");
     S.Active = Sess->num("active");
   }
-  if (const serve::json::Value *Cache = V->field("cache"))
+  if (const json::Value *Cache = V->field("cache"))
     S.CacheHits = Cache->num("hits");
-  if (const serve::json::Value *Render = V->field("render"))
+  if (const json::Value *Render = V->field("render"))
     S.RenderHits = Render->num("hits");
-  const serve::json::Value *Stats = V->field("telemetry_stats");
-  const serve::json::Value *Hists =
-      Stats ? Stats->field("histograms") : nullptr;
-  const serve::json::Value *H =
-      Hists ? Hists->field("serve.request_ns") : nullptr;
-  if (H && H->isObject()) {
-    S.RequestNs.Count = H->num("count");
-    S.RequestNs.Sum = H->num("sum");
-    S.RequestNs.Max = H->num("max");
-    if (const serve::json::Value *Buckets = H->field("buckets"))
-      for (const serve::json::Value &Pair : Buckets->Arr)
-        if (Pair.Arr.size() == 2) {
-          auto B = static_cast<unsigned>(Pair.Arr[0].Num);
-          if (B < telemetry::HistData::NumBuckets)
-            S.RequestNs.Buckets[B] =
-                static_cast<uint64_t>(Pair.Arr[1].Num);
-        }
+  const json::Value *Stats = V->field("telemetry_stats");
+  const json::Value *Hists = Stats ? Stats->field("histograms") : nullptr;
+  if (const json::Value *H =
+          Hists ? Hists->field("serve.request_ns") : nullptr) {
+    Expected<telemetry::HistData> D = telemetry::histFromJson(*H);
+    if (!D)
+      die("bad stats response: serve.request_ns: " + D.message());
+    S.RequestNs = *D;
   }
   return S;
 }
