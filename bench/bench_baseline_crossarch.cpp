@@ -98,29 +98,14 @@ void report() {
         auto Word = asmgen::assembleInstruction(Db, *Inst, 0x8);
         if (!Word)
           return false;
-        // Correct iff the oracle disassembler decodes the word when it is
-        // placed in a full SCHI group (positional rules must hold).
-        auto appendWord = [](std::vector<uint8_t> &Out,
-                             const BitString &W) {
-          for (unsigned Byte = 0; Byte < W.size() / 8; ++Byte)
-            Out.push_back(static_cast<uint8_t>(W.field(Byte * 8, 8)));
-        };
-        std::vector<uint8_t> Code;
-        SchiKind Kind = archSchiKind(A);
-        if (Kind == SchiKind::Maxwell) {
-          std::array<sass::CtrlInfo, 3> Slots{};
-          appendWord(Code, sass::packMaxwellSchi(Slots));
-          for (int I = 0; I < 3; ++I)
-            appendWord(Code, *Word);
-        } else if (Kind == SchiKind::Kepler30 ||
-                   Kind == SchiKind::Kepler35) {
-          std::array<sass::CtrlInfo, 7> Slots{};
-          appendWord(Code, sass::packKeplerSchi(Kind, Slots));
-          for (int I = 0; I < 7; ++I)
-            appendWord(Code, *Word);
-        } else {
-          appendWord(Code, *Word);
-        }
+        // Correct iff the oracle disassembler decodes the word when it
+        // fills a whole SCHI group (positional rules must hold).
+        const SchiKind Kind = archSchiKind(A);
+        std::vector<BitString> Group(sass::paddedInstCount(Kind, 1), *Word);
+        const sass::CtrlInfo Ctrl;
+        std::vector<uint8_t> Code = sass::layoutCode(
+            Kind, std::move(Group),
+            [&Ctrl](size_t) -> const sass::CtrlInfo & { return Ctrl; });
         return vendor::disassembleKernelCode(A, "probe", Code)
             .hasValue();
       };

@@ -62,37 +62,21 @@ ir::splitSchedulingInfo(Arch A, const ListingKernel &Listing) {
   const unsigned Group = schiGroupSize(Kind);
 
   std::vector<sass::CtrlInfo> Result(Listing.Insts.size());
-
-  if (Kind == SchiKind::Embedded) {
-    for (size_t I = 0; I < Listing.Insts.size(); ++I)
-      Result[I] = sass::extractVoltaCtrl(Listing.Insts[I].Binary);
-    return Result;
-  }
-  if (Group == 1)
+  if (Kind == SchiKind::None)
     return Result; // Hardware scheduling: nothing to split.
-
-  // Index SCHI words by group number.
-  std::map<uint64_t, const analyzer::ListingSchi *> SchiByGroup;
-  for (const analyzer::ListingSchi &Schi : Listing.Schis)
-    SchiByGroup[Schi.Address / (Group * WordBytes)] = &Schi;
-
   for (size_t I = 0; I < Listing.Insts.size(); ++I) {
-    uint64_t WordIdx = Listing.Insts[I].Address / WordBytes;
-    uint64_t GroupIdx = WordIdx / Group;
-    unsigned Slot = static_cast<unsigned>(WordIdx % Group);
-    assert(Slot >= 1 && "instruction found in a SCHI slot");
-    auto It = SchiByGroup.find(GroupIdx);
-    if (It == SchiByGroup.end())
-      continue; // Tolerate missing SCHI words; defaults apply.
-    if (Kind == SchiKind::Maxwell) {
-      std::array<sass::CtrlInfo, 3> Slots;
-      sass::unpackMaxwellSchi(It->second->Word, Slots);
-      Result[I] = Slots[Slot - 1];
-    } else {
-      std::array<sass::CtrlInfo, 7> Slots;
-      if (sass::unpackKeplerSchi(Kind, It->second->Word, Slots))
-        Result[I] = Slots[Slot - 1];
+    const ListingInst &Inst = Listing.Insts[I];
+    const uint64_t WordIdx = Inst.Address / WordBytes;
+    if (Kind == SchiKind::Embedded) {
+      Result[I] = sass::unpackCtrl(Kind, Inst.Binary, WordIdx);
+      continue;
     }
+    // A disassembled listing holds group G's SCHI word at Schis[G]; a
+    // listing that lacks it there keeps the defaults.
+    const uint64_t GroupIdx = WordIdx / Group;
+    if (GroupIdx < Listing.Schis.size() &&
+        Listing.Schis[GroupIdx].Address == GroupIdx * Group * WordBytes)
+      Result[I] = sass::unpackCtrl(Kind, Listing.Schis[GroupIdx].Word, WordIdx);
   }
   return Result;
 }
@@ -105,15 +89,22 @@ Expected<Kernel> ir::buildKernel(Arch A, const ListingKernel &Listing) {
   if (Listing.Insts.empty())
     return K;
 
-  std::vector<sass::CtrlInfo> Ctrl = splitSchedulingInfo(A, Listing);
-
   // 1. Find block leaders: the entry, every literal branch target, and
   //    every instruction following a terminator.
+  const SchiKind Kind = archSchiKind(A);
+  const unsigned WordBytes = archWordBits(A) / 8;
   std::set<uint64_t> Leaders;
   Leaders.insert(Listing.Insts.front().Address);
   std::map<uint64_t, size_t> ByAddress;
-  for (size_t I = 0; I < Listing.Insts.size(); ++I)
-    ByAddress[Listing.Insts[I].Address] = I;
+  for (size_t I = 0; I < Listing.Insts.size(); ++I) {
+    const uint64_t Address = Listing.Insts[I].Address;
+    if (sass::isSchiWord(Kind, Address / WordBytes))
+      return Failure("ir: instruction at " + toHexString(Address) +
+                     " in kernel " + Listing.Name +
+                     " is where a SCHI word belongs");
+    ByAddress[Address] = I;
+  }
+  std::vector<sass::CtrlInfo> Ctrl = splitSchedulingInfo(A, Listing);
 
   for (size_t I = 0; I < Listing.Insts.size(); ++I) {
     const sass::Instruction &Inst = Listing.Insts[I].Inst;

@@ -8,35 +8,16 @@
 #include "sass/Parser.h"
 #include "sass/Printer.h"
 
-#include <array>
 #include <cassert>
 
 using namespace dcb;
 using namespace dcb::ir;
-
-namespace {
-
-void appendWord(std::vector<uint8_t> &Out, const BitString &Word) {
-  Word.appendBytes(Out);
-}
-
-uint64_t instAddress(SchiKind Kind, unsigned WordBytes, size_t Index) {
-  unsigned Group = schiGroupSize(Kind);
-  if (Group == 1)
-    return Index * WordBytes;
-  size_t GroupIdx = Index / (Group - 1);
-  size_t Slot = Index % (Group - 1);
-  return (GroupIdx * Group + 1 + Slot) * WordBytes;
-}
-
-} // namespace
 
 Expected<std::vector<uint8_t>> ir::emitKernel(
     const analyzer::EncodingDatabase &Db, const Kernel &K) {
   assert(Db.arch() == K.A && "database/kernel architecture mismatch");
   const SchiKind Schi = archSchiKind(K.A);
   const unsigned WordBytes = archWordBits(K.A) / 8;
-  const unsigned Group = schiGroupSize(Schi);
 
   // 1. Flatten blocks into pointers and pad the tail so complete SCHI
   //    groups form.
@@ -45,22 +26,21 @@ Expected<std::vector<uint8_t>> ir::emitKernel(
     Nop.Asm = *sass::parseInstruction("NOP;");
     return Nop;
   }();
+  const size_t Padded = sass::paddedInstCount(Schi, K.instructionCount());
   std::vector<const Inst *> Insts;
-  Insts.reserve(K.instructionCount() + Group);
+  Insts.reserve(Padded);
   std::vector<size_t> BlockStart(K.Blocks.size());
   for (size_t BlockIdx = 0; BlockIdx < K.Blocks.size(); ++BlockIdx) {
     BlockStart[BlockIdx] = Insts.size();
     for (const Inst &Entry : K.Blocks[BlockIdx].Insts)
       Insts.push_back(&Entry);
   }
-  if (Group > 1)
-    while (Insts.size() % (Group - 1) != 0)
-      Insts.push_back(&Padding);
+  Insts.resize(Padded, &Padding);
 
   // 2. Assign addresses.
   std::vector<uint64_t> Addrs(Insts.size());
   for (size_t I = 0; I < Insts.size(); ++I)
-    Addrs[I] = instAddress(Schi, WordBytes, I);
+    Addrs[I] = sass::instAddress(Schi, WordBytes, I);
 
   // 3. Check every block reference before assembling anything.
   for (const Inst *Entry : Insts) {
@@ -72,7 +52,7 @@ Expected<std::vector<uint8_t>> ir::emitKernel(
       return Failure("ir: branch to empty tail block in kernel " + K.Name);
   }
 
-  // 4. Assemble with the learned encodings and interleave SCHI words. A
+  // 4. Assemble with the learned encodings and lay out the code. A
   //    branch is assembled from a copy whose target literal is regenerated
   //    from its block reference.
   //    The phony BINCODE opcode (paper §A.H) carries raw binary words that
@@ -108,34 +88,12 @@ Expected<std::vector<uint8_t>> ir::emitKernel(
     if (!Word)
       return Failure("ir: " + Word.message());
     Words[I] = Word.takeValue();
-    if (Schi == SchiKind::Embedded)
-      sass::embedVoltaCtrl(Words[I], Insts[I]->Ctrl);
   }
 
-  std::vector<uint8_t> Code;
-  if (Group == 1) {
-    for (const BitString &Word : Words)
-      appendWord(Code, Word);
-  } else if (Schi == SchiKind::Maxwell) {
-    for (size_t Base = 0; Base < Insts.size(); Base += 3) {
-      std::array<sass::CtrlInfo, 3> Slots;
-      for (unsigned S = 0; S < 3; ++S)
-        Slots[S] = Insts[Base + S]->Ctrl;
-      appendWord(Code, sass::packMaxwellSchi(Slots));
-      for (unsigned S = 0; S < 3; ++S)
-        appendWord(Code, Words[Base + S]);
-    }
-  } else {
-    for (size_t Base = 0; Base < Insts.size(); Base += 7) {
-      std::array<sass::CtrlInfo, 7> Slots;
-      for (unsigned S = 0; S < 7; ++S)
-        Slots[S] = Insts[Base + S]->Ctrl;
-      appendWord(Code, sass::packKeplerSchi(Schi, Slots));
-      for (unsigned S = 0; S < 7; ++S)
-        appendWord(Code, Words[Base + S]);
-    }
-  }
-  return Code;
+  return sass::layoutCode(Schi, std::move(Words),
+                          [&Insts](size_t I) -> const sass::CtrlInfo & {
+                            return Insts[I]->Ctrl;
+                          });
 }
 
 Expected<std::vector<uint8_t>> ir::emitProgram(

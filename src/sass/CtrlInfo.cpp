@@ -143,3 +143,46 @@ CtrlInfo sass::extractVoltaCtrl(const BitString &InstWord) {
   assert(InstWord.size() == 128 && "Volta instructions are 128-bit");
   return unpackMaxwellGroup(static_cast<uint32_t>(InstWord.field(105, 21)));
 }
+
+std::vector<uint8_t>
+sass::layoutCode(SchiKind Kind, std::vector<BitString> Words,
+                 const std::function<const CtrlInfo &(size_t)> &CtrlAt) {
+  assert(Words.size() == paddedInstCount(Kind, Words.size()) &&
+         "instruction words must fill whole SCHI groups");
+  const unsigned Group = schiGroupSize(Kind);
+  const size_t SchiWords = Group > 1 ? Words.size() / (Group - 1) : 0;
+  std::vector<uint8_t> Code;
+  if (!Words.empty())
+    Code.reserve((Words.size() + SchiWords) * (Words.front().size() / 8));
+  const bool Kepler = Kind == SchiKind::Kepler30 || Kind == SchiKind::Kepler35;
+  for (size_t I = 0; I < Words.size(); ++I) {
+    if (Kind == SchiKind::Embedded)
+      embedVoltaCtrl(Words[I], CtrlAt(I));
+    else if (Kind == SchiKind::Maxwell && I % 3 == 0)
+      packMaxwellSchi({CtrlAt(I), CtrlAt(I + 1), CtrlAt(I + 2)})
+          .appendBytes(Code);
+    else if (Kepler && I % 7 == 0)
+      packKeplerSchi(Kind, {CtrlAt(I), CtrlAt(I + 1), CtrlAt(I + 2),
+                            CtrlAt(I + 3), CtrlAt(I + 4), CtrlAt(I + 5),
+                            CtrlAt(I + 6)})
+          .appendBytes(Code);
+    Words[I].appendBytes(Code);
+  }
+  return Code;
+}
+
+CtrlInfo sass::unpackCtrl(SchiKind Kind, const BitString &Word,
+                          uint64_t WordIndex) {
+  if (Kind == SchiKind::Embedded)
+    return extractVoltaCtrl(Word);
+  if (Kind == SchiKind::None || isSchiWord(Kind, WordIndex))
+    return CtrlInfo();
+  const size_t Slot = WordIndex % schiGroupSize(Kind) - 1;
+  if (Kind == SchiKind::Maxwell) {
+    std::array<CtrlInfo, 3> Slots;
+    unpackMaxwellSchi(Word, Slots);
+    return Slots[Slot];
+  }
+  std::array<CtrlInfo, 7> Slots;
+  return unpackKeplerSchi(Kind, Word, Slots) ? Slots[Slot] : CtrlInfo();
+}

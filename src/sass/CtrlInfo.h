@@ -6,12 +6,14 @@
 ///
 /// \file
 /// The per-instruction scheduling ("control") information that the compiler
-/// embeds in SCHI words, and the pack/unpack routines for each SCHI layout.
+/// embeds in SCHI words, where those words sit in a kernel's code, and the
+/// pack/unpack routines for each SCHI layout.
 ///
 /// The layouts themselves are among the paper's published findings (Figs. 9
-/// and 10, §IV-B), so these routines are shared by the vendor simulator
-/// (packing) and the framework's IR (splitting SCHI words and in-lining the
-/// values with individual instructions).
+/// and 10, §IV-B), so this file is their one statement: the vendor
+/// simulator's compiler and disassembler and the framework's IR (emission,
+/// and splitting SCHI words to in-line the values with individual
+/// instructions) all ask it instead of restating the cadence.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,7 +24,10 @@
 #include "support/BitString.h"
 
 #include <array>
+#include <cstdint>
+#include <functional>
 #include <string>
+#include <vector>
 
 namespace dcb {
 namespace sass {
@@ -102,6 +107,47 @@ void unpackMaxwellSchi(const BitString &Word, std::array<CtrlInfo, 3> &Slots);
 /// group layout as Maxwell.
 void embedVoltaCtrl(BitString &InstWord, const CtrlInfo &Info);
 CtrlInfo extractVoltaCtrl(const BitString &InstWord);
+
+// The SCHI cadence: with SCHI words, a kernel's code is a run of groups of
+// schiGroupSize() words, each a SCHI word and the instructions it schedules.
+
+/// Is word \p WordIndex of a kernel's code a SCHI word?
+inline bool isSchiWord(SchiKind Kind, uint64_t WordIndex) {
+  const unsigned Group = schiGroupSize(Kind);
+  return Group > 1 && WordIndex % Group == 0;
+}
+
+/// Byte address of instruction \p Index, counting instructions only.
+inline uint64_t instAddress(SchiKind Kind, unsigned WordBytes,
+                            uint64_t Index) {
+  const unsigned Group = schiGroupSize(Kind);
+  const unsigned Slots = Group - 1;
+  if (Slots == 0)
+    return Index * WordBytes;
+  return (Index / Slots * Group + 1 + Index % Slots) * WordBytes;
+}
+
+/// \p Count instructions rounded up to whole SCHI groups; the compiler pads
+/// the tail with NOPs.
+inline size_t paddedInstCount(SchiKind Kind, size_t Count) {
+  const unsigned Slots = schiGroupSize(Kind) - 1;
+  return Slots == 0 ? Count : (Count + Slots - 1) / Slots * Slots;
+}
+
+/// Lays out a kernel's code bytes from its instruction words, \p CtrlAt(I)
+/// being instruction I's control info: a SCHI word before each group on
+/// Kepler and Maxwell, the control bits embedded in each word on Volta, the
+/// words alone on Fermi. \p Words must fill whole groups (paddedInstCount).
+std::vector<uint8_t>
+layoutCode(SchiKind Kind, std::vector<BitString> Words,
+           const std::function<const CtrlInfo &(size_t)> &CtrlAt);
+
+/// Control info of the instruction in code word \p WordIndex, unpacked from
+/// \p Word: the SCHI word of its group on Kepler and Maxwell, the
+/// instruction word itself on Volta. The defaults where there is none: on
+/// Fermi, at a SCHI word's own index, and from a Kepler word whose marker
+/// bits do not match \p Kind.
+CtrlInfo unpackCtrl(SchiKind Kind, const BitString &Word, uint64_t WordIndex);
 
 } // namespace sass
 } // namespace dcb

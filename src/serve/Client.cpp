@@ -11,10 +11,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#ifndef MSG_NOSIGNAL
-#define MSG_NOSIGNAL 0
-#endif
-
 using namespace dcb;
 using namespace dcb::serve;
 

@@ -44,10 +44,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#ifndef MSG_NOSIGNAL
-#define MSG_NOSIGNAL 0
-#endif
-
 using namespace dcb;
 using namespace dcb::serve;
 
@@ -842,8 +838,10 @@ void Server::dispatchFrame(Conn &C, std::string_view Line) {
 
   if (Rq.Op == "trace") {
     Tel.AdminTrace.add();
-    uint64_t LastNs =
-        static_cast<uint64_t>(V.num("last_ms", 0)) * 1000000;
+    // A window past 2^64 ns saturates, so it still covers every span.
+    const uint64_t LastMs = V.num("last_ms", 0);
+    const uint64_t LastNs =
+        LastMs > UINT64_MAX / 1000000 ? UINT64_MAX : LastMs * 1000000;
     telemetry::FlightStats FS = telemetry::flightStats();
     std::string Doc = telemetry::flightTraceJson(LastNs);
     while (!Doc.empty() && Doc.back() == '\n')

@@ -269,24 +269,35 @@ private:
     return fail("unterminated string");
   }
 
+  /// Consumes a run of digits; false when there is none.
+  bool digits() {
+    const size_t Start = Pos;
+    while (Pos < Text.size() &&
+           std::isdigit(static_cast<unsigned char>(Text[Pos])))
+      ++Pos;
+    return Pos > Start;
+  }
+
   Error parseNumber(Value &Out) {
-    size_t Start = Pos;
+    // Exactly RFC 8259's -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?,
+    // so strtod never sees a form it would accept and JSON does not.
+    const size_t Start = Pos;
     (void)consume('-');
-    // RFC 8259: no leading zeros ("01" is two tokens, i.e. an error here).
+    // No leading zeros ("01" is two tokens, i.e. an error here).
     if (Pos + 1 < Text.size() && Text[Pos] == '0' &&
         std::isdigit(static_cast<unsigned char>(Text[Pos + 1])))
       return fail("leading zero in number");
-    while (Pos < Text.size() &&
-           (std::isdigit(static_cast<unsigned char>(Text[Pos])) ||
-            Text[Pos] == '.' || Text[Pos] == 'e' || Text[Pos] == 'E' ||
-            Text[Pos] == '+' || Text[Pos] == '-'))
-      ++Pos;
-    if (Pos == Start)
-      return fail("expected a value");
+    if (!consume('0') && !digits())
+      return fail(Pos == Start ? "expected a value" : "bad number");
+    bool Ok = !consume('.') || digits();
+    if (Ok && (consume('e') || consume('E'))) {
+      if (!consume('+'))
+        (void)consume('-');
+      Ok = digits();
+    }
     std::string Num(Text.substr(Start, Pos - Start));
-    char *End = nullptr;
-    double V = std::strtod(Num.c_str(), &End);
-    if (End != Num.c_str() + Num.size() || !std::isfinite(V)) {
+    double V = std::strtod(Num.c_str(), nullptr);
+    if (!Ok || !std::isfinite(V)) {
       Pos = Start;
       return fail("bad number");
     }

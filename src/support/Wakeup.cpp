@@ -6,84 +6,55 @@
 #include <cstring>
 #include <utility>
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#if defined(__linux__)
 #include <sys/eventfd.h>
-#define DCB_HAVE_EVENTFD 1
-#else
-#define DCB_HAVE_EVENTFD 0
-#endif
+#include <unistd.h>
 
 using namespace dcb;
 
 WakeupFd::~WakeupFd() { close(); }
 
 WakeupFd::WakeupFd(WakeupFd &&Other) noexcept
-    : ReadFd(std::exchange(Other.ReadFd, -1)),
-      WriteFd(std::exchange(Other.WriteFd, -1)) {}
+    : Fd(std::exchange(Other.Fd, -1)) {}
 
 WakeupFd &WakeupFd::operator=(WakeupFd &&Other) noexcept {
   if (this != &Other) {
     close();
-    ReadFd = std::exchange(Other.ReadFd, -1);
-    WriteFd = std::exchange(Other.WriteFd, -1);
+    Fd = std::exchange(Other.Fd, -1);
   }
   return *this;
 }
 
 Expected<WakeupFd> WakeupFd::create() {
-#if DCB_HAVE_EVENTFD
   int Fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
   if (Fd < 0)
     return Failure(std::string("eventfd: ") + std::strerror(errno));
-  return WakeupFd(Fd, Fd);
-#else
-  int Fds[2];
-  if (::pipe(Fds) != 0)
-    return Failure(std::string("pipe: ") + std::strerror(errno));
-  for (int Fd : Fds) {
-    ::fcntl(Fd, F_SETFL, ::fcntl(Fd, F_GETFL, 0) | O_NONBLOCK);
-    ::fcntl(Fd, F_SETFD, FD_CLOEXEC);
-  }
-  return WakeupFd(Fds[0], Fds[1]);
-#endif
+  return WakeupFd(Fd);
 }
 
 void WakeupFd::signal() {
-  if (WriteFd < 0)
+  if (Fd < 0)
     return;
-  // Coalescing by design: once the counter/pipe is non-empty the loop is
+  // Coalescing by design: once the counter is non-zero the loop is
   // already due to wake, so EAGAIN here means "signal already pending".
   const uint64_t One = 1;
   for (;;) {
-    ssize_t N = ::write(WriteFd, &One, sizeof(One));
+    ssize_t N = ::write(Fd, &One, sizeof(One));
     if (N >= 0 || errno != EINTR)
       return;
   }
 }
 
 void WakeupFd::drain() {
-  if (ReadFd < 0)
+  if (Fd < 0)
     return;
-  // eventfd returns the whole counter in one read; the pipe fallback may
-  // need several reads to go quiet.
-  uint64_t Buf[64];
-  for (;;) {
-    ssize_t N = ::read(ReadFd, Buf, sizeof(Buf));
-    if (N < 0 && errno == EINTR)
-      continue;
-    if (N <= 0 || static_cast<size_t>(N) < sizeof(Buf))
-      return;
+  // One read returns the whole counter and resets it to zero.
+  uint64_t Count;
+  while (::read(Fd, &Count, sizeof(Count)) < 0 && errno == EINTR) {
   }
 }
 
 void WakeupFd::close() {
-  if (WriteFd >= 0 && WriteFd != ReadFd)
-    ::close(WriteFd);
-  if (ReadFd >= 0)
-    ::close(ReadFd);
-  ReadFd = -1;
-  WriteFd = -1;
+  if (Fd >= 0)
+    ::close(Fd);
+  Fd = -1;
 }

@@ -6,10 +6,10 @@
 ///
 /// \file
 /// The completion hand-off primitive between worker threads and an
-/// fd-driven event loop: a kernel eventfd whose read end sits in the
-/// loop's poll set. A worker that finishes a task calls signal() (one
-/// non-blocking write, never touching the loop's sockets); the loop wakes,
-/// drain()s the counter, and collects whatever the workers published.
+/// fd-driven event loop: a kernel eventfd that sits in the loop's poll set.
+/// A worker that finishes a task calls signal() (one non-blocking write,
+/// never touching the loop's sockets); the loop wakes, drain()s the
+/// counter, and collects whatever the workers published.
 /// Signals coalesce — N signal() calls before a drain() produce one
 /// readable event — which is exactly the batching an event loop wants.
 ///
@@ -26,9 +26,8 @@
 
 namespace dcb {
 
-/// A level-style wakeup flag backed by an eventfd (with a self-pipe
-/// fallback where eventfd is unavailable). Thread-safe: signal() may be
-/// called from any thread; fd()/drain() belong to the owning loop.
+/// A level-style wakeup flag backed by an eventfd. Thread-safe: signal()
+/// may be called from any thread; fd()/drain() belong to the owning loop.
 class WakeupFd {
 public:
   WakeupFd() = default;
@@ -41,8 +40,8 @@ public:
   static Expected<WakeupFd> create();
 
   /// The fd to register for readability in the event loop.
-  int fd() const { return ReadFd; }
-  bool isOpen() const { return ReadFd >= 0; }
+  int fd() const { return Fd; }
+  bool isOpen() const { return Fd >= 0; }
 
   /// Makes fd() readable. Async-signal-safe, non-blocking, coalescing;
   /// safe to call from any thread while the loop is polling.
@@ -55,11 +54,9 @@ public:
   void close();
 
 private:
-  WakeupFd(int ReadFd, int WriteFd) : ReadFd(ReadFd), WriteFd(WriteFd) {}
+  explicit WakeupFd(int Fd) : Fd(Fd) {}
 
-  int ReadFd = -1;
-  /// Equal to ReadFd for eventfd; the pipe's write end otherwise.
-  int WriteFd = -1;
+  int Fd = -1;
 };
 
 } // namespace dcb

@@ -59,15 +59,12 @@ std::string rulesOf(const Report &R) {
 /// Hand-assembles a ListingKernel with the SCHI address cadence of \p A and
 /// lifts it to IR (same helper shape as ir_test's shape kernels).
 ir::Kernel buildShape(Arch A, const std::vector<std::string> &Lines) {
-  const unsigned Group = schiGroupSize(archSchiKind(A));
   const unsigned WordBytes = archWordBits(A) / 8;
   analyzer::ListingKernel KL;
   KL.Name = "shape";
   for (size_t I = 0; I < Lines.size(); ++I) {
     analyzer::ListingInst Pair;
-    uint64_t Word =
-        Group == 1 ? I : (I / (Group - 1)) * Group + 1 + I % (Group - 1);
-    Pair.Address = Word * WordBytes;
+    Pair.Address = sass::instAddress(archSchiKind(A), WordBytes, I);
     Expected<sass::Instruction> P = sass::parseInstruction(Lines[I]);
     EXPECT_TRUE(P.hasValue()) << Lines[I] << ": " << P.message();
     Pair.Inst = P.takeValue();

@@ -327,6 +327,31 @@ TEST(IrBincode, MalformedBincodeIsRejected) {
   EXPECT_FALSE(Code.hasValue());
 }
 
+TEST(IrBuilder, InstructionWhereASchiWordBelongsIsAnError) {
+  for (const char *Name : {"sm_35", "sm_50"}) {
+    // Word 0 opens a SCHI group on both, so the MOV sits in its place.
+    Expected<Listing> L = parseListing(
+        "code for " + std::string(Name) + "\n" +
+        "\tFunction : k\n"
+        "        /*0000*/ MOV R1, R2; /* 0x0000000000000000 */\n"
+        "        /*0008*/ /* 0x0800000000000000 */\n"
+        "        /*0010*/ EXIT; /* 0x0000000000000000 */\n");
+    ASSERT_TRUE(L.hasValue()) << L.message();
+    // Splitting alone keeps the defaults instead of reading a slot that
+    // does not exist.
+    std::vector<sass::CtrlInfo> Ctrl =
+        splitSchedulingInfo(L->A, L->Kernels.front());
+    ASSERT_EQ(Ctrl.size(), 2u);
+    EXPECT_EQ(Ctrl[0], sass::CtrlInfo());
+
+    Expected<Kernel> K = buildKernel(L->A, L->Kernels.front());
+    ASSERT_FALSE(K.hasValue()) << Name;
+    EXPECT_NE(K.message().find("instruction at 0x0 in kernel k"),
+              std::string::npos)
+        << K.message();
+  }
+}
+
 // --- Successor-edge shape regressions (hand-built listings) --------------
 //
 // Each test hand-assembles a ListingKernel with the SCHI address cadence of
@@ -337,17 +362,12 @@ namespace {
 
 analyzer::ListingKernel makeShapeKernel(Arch A,
                                         const std::vector<std::string> &Lines) {
-  const unsigned Group = schiGroupSize(archSchiKind(A));
   const unsigned WordBytes = archWordBits(A) / 8;
   analyzer::ListingKernel KL;
   KL.Name = "shape";
   for (size_t I = 0; I < Lines.size(); ++I) {
     analyzer::ListingInst Pair;
-    // Instructions occupy every word except the leading SCHI word of each
-    // group (slot 0); with Group == 1 there are no SCHI words at all.
-    uint64_t Word =
-        Group == 1 ? I : (I / (Group - 1)) * Group + 1 + I % (Group - 1);
-    Pair.Address = Word * WordBytes;
+    Pair.Address = sass::instAddress(archSchiKind(A), WordBytes, I);
     Expected<sass::Instruction> P = sass::parseInstruction(Lines[I]);
     EXPECT_TRUE(P.hasValue()) << Lines[I] << ": " << P.message();
     Pair.Inst = P.takeValue();

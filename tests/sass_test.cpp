@@ -323,6 +323,91 @@ TEST(CtrlInfo, VoltaEmbedding) {
   EXPECT_EQ(Inst.field(0, 64), 0u); // Never touches the instruction body.
 }
 
+// The cadence pinned to literal addresses from the published layouts, so a
+// shared mistake in sass/CtrlInfo cannot pass unnoticed.
+TEST(CtrlInfo, CadenceMatchesPublishedAddresses) {
+  const SchiKind Fermi = archSchiKind(Arch::SM20);
+  EXPECT_EQ(instAddress(Fermi, 8, 3), 0x18u);
+  EXPECT_FALSE(isSchiWord(Fermi, 0));
+
+  const SchiKind Kepler = archSchiKind(Arch::SM35);
+  EXPECT_TRUE(isSchiWord(Kepler, 0x0 / 8));
+  EXPECT_TRUE(isSchiWord(Kepler, 0x40 / 8));
+  EXPECT_FALSE(isSchiWord(Kepler, 0x8 / 8));
+  EXPECT_FALSE(isSchiWord(Kepler, 0x38 / 8));
+  EXPECT_EQ(instAddress(Kepler, 8, 0), 0x8u);
+  EXPECT_EQ(instAddress(Kepler, 8, 6), 0x38u);
+  EXPECT_EQ(instAddress(Kepler, 8, 7), 0x48u);
+
+  const SchiKind Maxwell = archSchiKind(Arch::SM50);
+  EXPECT_TRUE(isSchiWord(Maxwell, 0x20 / 8));
+  EXPECT_EQ(instAddress(Maxwell, 8, 3), 0x28u);
+
+  const SchiKind Volta = archSchiKind(Arch::SM70);
+  EXPECT_FALSE(isSchiWord(Volta, 0));
+  EXPECT_EQ(instAddress(Volta, 16, 1), 0x10u);
+
+  EXPECT_EQ(paddedInstCount(Fermi, 5), 5u);
+  EXPECT_EQ(paddedInstCount(Kepler, 5), 7u);
+  EXPECT_EQ(paddedInstCount(Kepler, 14), 14u);
+  EXPECT_EQ(paddedInstCount(Maxwell, 4), 6u);
+  EXPECT_EQ(paddedInstCount(Volta, 5), 5u);
+}
+
+TEST(CtrlInfo, LayoutCodeRoundTripsThroughUnpackForEveryKind) {
+  for (SchiKind Kind : {SchiKind::None, SchiKind::Kepler30, SchiKind::Kepler35,
+                        SchiKind::Maxwell, SchiKind::Embedded}) {
+    const bool Kepler =
+        Kind == SchiKind::Kepler30 || Kind == SchiKind::Kepler35;
+    const unsigned WordBits = Kind == SchiKind::Embedded ? 128 : 64;
+    const unsigned WordBytes = WordBits / 8;
+    // Five instructions, so Kepler and Maxwell pad a NOP tail that keeps the
+    // default control info.
+    const size_t Count = paddedInstCount(Kind, 5);
+    std::vector<BitString> Words;
+    std::vector<CtrlInfo> Ctrl(Count);
+    for (size_t I = 0; I < Count; ++I) {
+      Words.emplace_back(WordBits);
+      Words.back().setField(0, 64, 0x1111111111111111u * (I + 1));
+      if (I >= 5 || Kind == SchiKind::None)
+        continue; // Padding, or no control info to carry.
+      CtrlInfo &C = Ctrl[I];
+      C.Stall = static_cast<unsigned>(I) + 2;
+      if (Kepler) {
+        C.DualIssue = I == 1;
+        C.Stall = C.DualIssue ? 0 : C.Stall;
+      } else {
+        C.Yield = I % 2 == 0;
+        C.WriteBarrier = static_cast<unsigned>(I);
+        C.ReadBarrier = 5 - static_cast<unsigned>(I);
+        C.WaitMask = 0x21u << I & 0x3f;
+        C.Reuse = static_cast<unsigned>(I) + 8;
+      }
+    }
+    std::vector<uint8_t> Code = layoutCode(
+        Kind, Words, [&Ctrl](size_t I) -> const CtrlInfo & { return Ctrl[I]; });
+
+    // Literal group sizes (a SCHI word and its instructions), independent
+    // of the cadence under test.
+    const unsigned Group = Kepler ? 8 : Kind == SchiKind::Maxwell ? 4 : 1;
+    const size_t SchiWords = Group > 1 ? Count / (Group - 1) : 0;
+    ASSERT_EQ(Code.size(), (Count + SchiWords) * WordBytes);
+    for (size_t I = 0; I < Count; ++I) {
+      const uint64_t Addr = instAddress(Kind, WordBytes, I);
+      const uint64_t WordIdx = Addr / WordBytes;
+      BitString Inst = BitString::fromBytes(Code.data() + Addr, WordBytes);
+      EXPECT_EQ(Inst.field(0, 64), Words[I].field(0, 64));
+      // The decoder side reads the SCHI word that opens the group, or the
+      // instruction word itself where there is none.
+      const uint64_t SchiAddr = WordIdx / Group * Group * WordBytes;
+      EXPECT_EQ(Group > 1, SchiAddr != Addr);
+      BitString Word = BitString::fromBytes(Code.data() + SchiAddr, WordBytes);
+      EXPECT_EQ(unpackCtrl(Kind, Word, WordIdx), Ctrl[I])
+          << "kind " << static_cast<int>(Kind) << " instruction " << I;
+    }
+  }
+}
+
 TEST(CtrlInfo, StringRendering) {
   CtrlInfo Info;
   Info.Stall = 6;

@@ -146,6 +146,14 @@ TEST(ServeJson, RejectsMalformedInput) {
   std::string Deep(64, '[');
   Deep += std::string(64, ']');
   EXPECT_FALSE(json::parse(Deep).hasValue());
+  // Numbers are exactly RFC 8259's: no '+' sign, digits on both sides of
+  // a '.', and nothing more than strtod would take.
+  for (const char *Bad : {"+5", ".5", "1.", "1.e5"})
+    EXPECT_FALSE(json::parse(std::string("{\"x\":") + Bad + "}").hasValue())
+        << Bad;
+  for (const char *Good : {"-0", "0.5", "1e5", "1E+5", "-1.5e-3"})
+    EXPECT_TRUE(json::parse(std::string("{\"x\":") + Good + "}").hasValue())
+        << Good;
 }
 
 TEST(ServeJson, StringEscapingRoundTrips) {
@@ -636,6 +644,25 @@ TEST(ServeServer, ProtocolErrorsAreAnsweredNotFatal) {
   EXPECT_EQ(Ping.str("id"), "p1");
 
   EXPECT_EQ(S->sessions().Errors, 4u);
+}
+
+TEST(ServeServer, InstructionWhereASchiWordBelongsIsAnErrorNotACrash) {
+  std::unique_ptr<Server> S = startServer(ServerOptions());
+  Expected<Client> C = Client::connect(S->port());
+  ASSERT_TRUE(C.hasValue());
+  const std::string Text =
+      "code for sm_35\n\tFunction : k\n"
+      "        /*0000*/ MOV R1, R2; /* 0x0000000000000000 */\n"
+      "        /*0008*/ /* 0x0800000000000000 */\n"
+      "        /*0010*/ EXIT; /* 0x0000000000000000 */\n";
+  json::Value V = roundTripOk(
+      *C, requestFor("lint", std::vector<uint8_t>(Text.begin(), Text.end())));
+  EXPECT_EQ(V.str("status"), "error");
+  EXPECT_NE(V.str("error").find("instruction at 0x0 in kernel k"),
+            std::string::npos)
+      << V.str("error");
+  json::Value Ping = roundTripOk(*C, R"({"op":"ping"})");
+  EXPECT_EQ(Ping.str("status"), "ok");
 }
 
 TEST(ServeServer, BoundedQueueShedsWithBusy) {
@@ -1463,6 +1490,12 @@ TEST(ServeAdmin, TraceOpDeliversChromeTraceFromTheFlightRecorder) {
   json::Value Windowed =
       roundTripOk(*C, R"({"op":"trace","last_ms":3600000})");
   EXPECT_EQ(Windowed.str("status"), "ok");
+  // A window whose nanoseconds pass 2^64 still covers every resident span
+  // (wrapped, it would cover under a millisecond and miss the disasm's).
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  json::Value Huge =
+      roundTripOk(*C, R"({"op":"trace","last_ms":18446744073710})");
+  EXPECT_NE(Huge.str("trace").find("serve.op"), std::string::npos);
   telemetry::setFlightRecorderEnabled(false);
   telemetry::resetForTest();
 }

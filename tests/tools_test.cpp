@@ -416,6 +416,29 @@ TEST(DcbTool, RejectsBadInput) {
   EXPECT_NE(runCmd(Dcb + " genasm --db " + Work +
                    "/bad.db -o /dev/null 2> /dev/null"),
             0);
+
+  // Each of these exits 1 with a message, never with a signal or a 0.
+  auto expectError = [&](const std::string &Args, const std::string &Msg) {
+    int Status = runCmd(Dcb + " " + Args + " > /dev/null 2> " + Work +
+                        "/bad.err");
+    ASSERT_TRUE(WIFEXITED(Status)) << Args;
+    EXPECT_EQ(WEXITSTATUS(Status), 1) << Args;
+    EXPECT_NE(slurp(Work + "/bad.err").find(Msg), std::string::npos)
+        << Args << ": " << slurp(Work + "/bad.err");
+  };
+  // An instruction where a SCHI word belongs.
+  std::ofstream(Work + "/schi.sass")
+      << "code for sm_35\n\tFunction : k\n"
+         "        /*0000*/ MOV R1, R2; /* 0x0000000000000000 */\n"
+         "        /*0008*/ /* 0x0800000000000000 */\n"
+         "        /*0010*/ EXIT; /* 0x0000000000000000 */\n";
+  expectError("lint " + Work + "/schi.sass",
+              "instruction at 0x0 in kernel k");
+  expectError("exec " + Work + "/schi.sass all",
+              "instruction at 0x0 in kernel k");
+  // Output that cannot be written, and input that is a directory.
+  expectError("make-suite sm_35 -o /dev/full", "No space left on device");
+  expectError("disasm " + Work, "Is a directory");
 }
 
 // --- Telemetry surface (--stats / --trace / stats) --------------------------

@@ -42,20 +42,20 @@
 #include "vm/Differ.h"
 #include "workloads/Suite.h"
 
+#include "support/FileIo.h"
 #include "support/Json.h"
 #include "support/StringUtils.h"
 #include "support/Telemetry.h"
 
+#include <cerrno>
 #include <chrono>
 #include <cinttypes>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <limits>
 #include <thread>
-#include <sstream>
 
 using namespace dcb;
 
@@ -67,12 +67,10 @@ namespace {
 }
 
 std::string readFile(const std::string &Path) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
-    die("cannot open " + Path);
-  std::ostringstream Out;
-  Out << In.rdbuf();
-  return Out.str();
+  Expected<std::string> Bytes = readFileBytes(Path);
+  if (!Bytes)
+    die(Bytes.message());
+  return Bytes.takeValue();
 }
 
 std::vector<uint8_t> readBinary(const std::string &Path) {
@@ -80,11 +78,22 @@ std::vector<uint8_t> readBinary(const std::string &Path) {
   return std::vector<uint8_t>(Text.begin(), Text.end());
 }
 
+/// Writes \p Contents to \p Path in place (not through a temporary that is
+/// renamed, so devices such as /dev/null work); a short write or a failed
+/// close is fatal.
 void writeFile(const std::string &Path, const std::string &Contents) {
-  std::ofstream Out(Path, std::ios::binary);
+  std::FILE *Out = std::fopen(Path.c_str(), "wb");
   if (!Out)
-    die("cannot write " + Path);
-  Out << Contents;
+    die("cannot write " + Path + ": " + std::strerror(errno));
+  if (std::fwrite(Contents.data(), 1, Contents.size(), Out) !=
+          Contents.size() ||
+      std::fflush(Out) != 0) {
+    const int Err = errno;
+    std::fclose(Out);
+    die("cannot write " + Path + ": " + std::strerror(Err));
+  }
+  if (std::fclose(Out) != 0)
+    die("cannot write " + Path + ": " + std::strerror(errno));
 }
 
 void writeBinary(const std::string &Path, const std::vector<uint8_t> &Bytes) {
