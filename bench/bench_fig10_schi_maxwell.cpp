@@ -12,6 +12,7 @@
 #include "BenchCommon.h"
 
 #include "ir/Builder.h"
+#include "sass/Printer.h"
 
 #include <benchmark/benchmark.h>
 
@@ -50,14 +51,14 @@ void report() {
   std::printf("split into per-instruction control values:\n");
   for (size_t I = 0; I < Kernel.Insts.size(); ++I)
     std::printf("  %s %s\n", Ctrl[I].str().c_str(),
-                Kernel.Insts[I].AsmText.c_str());
+                sass::printInstruction(Kernel.Insts[I].Inst).c_str());
 
   // Shape validation: the load sets a write barrier, its consumer waits on
   // it; the store sets a read barrier, the overwrite of its source waits.
   bool LoadSets = false, ConsumerWaits = false, StoreSets = false,
        AntiDepWaits = false;
   for (size_t I = 0; I < Kernel.Insts.size(); ++I) {
-    const std::string &Op = Kernel.Insts[I].Inst.opcode();
+    const std::string_view Op = Kernel.Insts[I].Inst.opcode();
     if (Op == "LDG" && Ctrl[I].WriteBarrier != 7) {
       LoadSets = true;
       for (size_t J = I + 1; J < Kernel.Insts.size(); ++J)

@@ -11,6 +11,7 @@
 #include "BenchCommon.h"
 
 #include "ir/Builder.h"
+#include "sass/Printer.h"
 
 #include <benchmark/benchmark.h>
 
@@ -36,7 +37,9 @@ void report() {
       const sass::CtrlInfo &Info = Ctrl[I];
       std::printf("  0x%02x  %-34s -> %s\n",
                   sass::encodeKeplerDispatch(Info),
-                  Kernel.Insts[I].AsmText.substr(0, 34).c_str(),
+                  sass::printInstruction(Kernel.Insts[I].Inst)
+                      .substr(0, 34)
+                      .c_str(),
                   Info.DualIssue
                       ? "may dual-issue with the next instruction"
                       : ("stall " + std::to_string(Info.Stall) + " cycles")

@@ -13,6 +13,7 @@
 
 #include "analyzer/Listing.h"
 #include "ir/Builder.h"
+#include "sass/Printer.h"
 #include "vendor/CuobjdumpSim.h"
 #include "vendor/NvccSim.h"
 
@@ -74,7 +75,8 @@ int main(int Argc, char **Argv) {
   for (size_t I = 0; I < Kernel.Insts.size(); ++I)
     std::printf("  /*%04llx*/ %-26s %s\n",
                 static_cast<unsigned long long>(Kernel.Insts[I].Address),
-                Ctrl[I].str().c_str(), Kernel.Insts[I].AsmText.c_str());
+                Ctrl[I].str().c_str(),
+                sass::printInstruction(Kernel.Insts[I].Inst).c_str());
 
   // Narrate the interesting entries, Fig. 9/10 style.
   std::printf("\n=== narration ===\n");
@@ -101,7 +103,9 @@ int main(int Argc, char **Argv) {
     if (Notes.empty())
       continue;
     std::printf("  %-24s %s\n",
-                Kernel.Insts[I].AsmText.substr(0, 24).c_str(),
+                sass::printInstruction(Kernel.Insts[I].Inst)
+                    .substr(0, 24)
+                    .c_str(),
                 Notes.c_str());
   }
   return 0;

@@ -55,7 +55,8 @@ struct Checker {
     F.Rule = Rule;
     F.Sev = Sev;
     const ir::Inst &I = at(P);
-    F.Message = I.Asm.opcode() + " " + I.Ctrl.str() + ": " + std::move(Message);
+    F.Message = std::string(I.Asm.opcode()) + " " + I.Ctrl.str() + ": " +
+                std::move(Message);
     F.Kernel = K.Name;
     F.Block = P.Block;
     F.Inst = P.Inst;
@@ -96,7 +97,7 @@ struct Checker {
                  "memory/control instructions cannot dual-issue");
           else if (dualIssueIllegal(Partner.Asm))
             flag("HAZ005", Severity::Error, P,
-                 "dual-issue partner " + Partner.Asm.opcode() +
+                 "dual-issue partner " + std::string(Partner.Asm.opcode()) +
                      " cannot share an issue slot");
         }
       }

@@ -821,7 +821,7 @@ Report analysis::checkTypes(const ir::Kernel &K) {
               if ((M & kTypeF64) && !(M & kTypeF32))
                 R.add(makeFinding(
                     K, "TYP002", Severity::Warning,
-                    slotName(Slot) + " holds f64 but " + Asm.opcode() +
+                    slotName(Slot) + " holds f64 but " + std::string(Asm.opcode()) +
                         " reads it as f32 (width mismatch)",
                     static_cast<int>(B), InstIdx, I.OrigAddress));
               break;
@@ -829,7 +829,7 @@ Report analysis::checkTypes(const ir::Kernel &K) {
               if ((M & kTypeF32) && !(M & kTypeF64))
                 R.add(makeFinding(
                     K, "TYP002", Severity::Warning,
-                    slotName(Slot) + " holds f32 but " + Asm.opcode() +
+                    slotName(Slot) + " holds f32 but " + std::string(Asm.opcode()) +
                         " reads it as an f64 pair (width mismatch)",
                     static_cast<int>(B), InstIdx, I.OrigAddress));
               break;
@@ -837,7 +837,7 @@ Report analysis::checkTypes(const ir::Kernel &K) {
               if ((M & kTypeFloatAny) && !(M & ~kTypeFloatAny))
                 R.add(makeFinding(
                     K, "TYP004", Severity::Warning,
-                    "integer op " + Asm.opcode() +
+                    "integer op " + std::string(Asm.opcode()) +
                         " consumes float-typed register " + slotName(Slot) +
                         " (" + typeMaskName(M) + ")",
                     static_cast<int>(B), InstIdx, I.OrigAddress));
@@ -984,7 +984,8 @@ Report analysis::checkBounds(const ir::Kernel &K, const LaunchShape &Shape) {
           if (Ptr && !(Ptr & Bit) && !typeConflict(M))
             R.add(makeFinding(K, "MEM004", Severity::Error,
                               slotName(Slot) + " is typed " +
-                                  typeMaskName(M) + " but " + I.Asm.opcode() +
+                                  typeMaskName(M) + " but " +
+                                  std::string(I.Asm.opcode()) +
                                   " dereferences it as a " +
                                   regionName(A.Region) +
                                   " address (space confusion)",

@@ -75,8 +75,7 @@ using WindowDisassembler = std::function<Expected<std::string>(
 /// position — the tool succeeded but printed no instruction there).
 struct WindowDecode {
   bool HasPair = false;
-  ListingInst Pair; ///< Valid when HasPair. AsmText may be empty: the
-                    ///< analyzer works from the structured Inst.
+  ListingInst Pair; ///< Valid when HasPair.
 };
 
 /// Decodes only the instruction word at byte offset \p Addr of a kernel's

@@ -28,10 +28,10 @@ bool readPattern(const std::vector<std::string_view> &Fields, unsigned Base,
                  unsigned WordBits, PatternRec &Rec) {
   if (Fields.size() < Base + 3)
     return false;
-  Rec.Binary = BitString::fromHex(std::string(Fields[Base]), WordBits);
+  Rec.Binary = BitString::fromHex(Fields[Base], WordBits);
   if (Rec.Binary.empty())
     return false;
-  Rec.Bits = BitString::fromHex(std::string(Fields[Base + 1]), WordBits);
+  Rec.Bits = BitString::fromHex(Fields[Base + 1], WordBits);
   if (Rec.Bits.empty())
     return false;
   std::optional<uint64_t> Occ = parseUInt(Fields[Base + 2]);
@@ -165,7 +165,8 @@ Expected<EncodingDatabase> EncodingDatabase::deserialize(
       Rec.Mnemonic = Key.substr(0, Slash);
       Rec.Signature = Key.substr(Slash + 1);
       if (Rec.Signature.find_first_not_of(OperandSignatureChars) !=
-          std::string::npos)
+              std::string::npos ||
+          Rec.Signature.size() > sass::MaxOperands)
         return fail("bad operand signature");
       Rec.WordBits = Db.wordBits();
       std::optional<uint64_t> Instances = parseUInt(F[2]);
@@ -174,7 +175,7 @@ Expected<EncodingDatabase> EncodingDatabase::deserialize(
         return fail("bad operation counters");
       Rec.Instances = static_cast<unsigned>(*Instances);
       Rec.ExemplarAddr = *Addr;
-      Rec.ExemplarWord = BitString::fromHex(std::string(F[4]), Db.wordBits());
+      Rec.ExemplarWord = BitString::fromHex(F[4], Db.wordBits());
       Rec.ExemplarKernel = std::string(F[5]);
       Rec.Operands.resize(Rec.Signature.size());
       for (size_t I = 0; I < Rec.Signature.size(); ++I) {

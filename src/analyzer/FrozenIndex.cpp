@@ -30,9 +30,13 @@ FrozenIndex::FrozenIndex(const std::map<std::string, OperationRec> &Ops) {
   Map.reserve(Ops.size());
   for (const auto &[Key, Op] : Ops) {
     (void)Key;
+    // A mnemonic the full table refuses names no instruction; skip it.
+    const OperationKeyId Id = operationKeyId(Op.Mnemonic, Op.Signature);
+    if (Id.Mnemonic == InvalidSymbolId)
+      continue;
     FrozenOperation Frozen;
     Frozen.Opcode = packPattern(Op.Opcode);
-    const Flow OpFlow = flowOf(Op.Mnemonic);
+    const Flow OpFlow = flowOf(Id.Mnemonic);
 
     Frozen.Mods.reserve(Op.Mods.size());
     for (const auto &[NameOcc, Rec] : Op.Mods) {
@@ -70,8 +74,7 @@ FrozenIndex::FrozenIndex(const std::map<std::string, OperationRec> &Ops) {
 
     Frozen.GuardWindows = Op.Guard.collectWindows({InterpKind::Plain});
 
-    Map.emplace(operationKeyId(Op.Mnemonic, Op.Signature),
-                std::move(Frozen));
+    Map.emplace(Id, std::move(Frozen));
   }
 }
 

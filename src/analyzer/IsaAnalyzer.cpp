@@ -17,16 +17,17 @@ EncodingDatabase::recordFor(const sass::Instruction &Inst, bool &Created) {
     // Index every record by its own fields, as FrozenIndex does; a record
     // whose fields disagree with its key is found below through Ops.
     IdIndex.reserve(Ops.size());
-    for (auto &[Key, Op] : Ops)
-      IdIndex.try_emplace(operationKeyId(Op.Mnemonic, Op.Signature),
-                          IdEntry{&Op, flowOf(Op.Mnemonic)});
+    for (auto &[Key, Op] : Ops) {
+      OperationKeyId Id = operationKeyId(Op.Mnemonic, Op.Signature);
+      IdIndex.try_emplace(Id, IdEntry{&Op, flowOf(Id.Mnemonic)});
+    }
   }
   auto [It, Fresh] = IdIndex.try_emplace(operationKeyId(Inst));
   Created = false;
   if (Fresh) {
     auto [OpIt, Inserted] = Ops.try_emplace(operationKey(Inst));
     Created = Inserted;
-    It->second = IdEntry{&OpIt->second, flowOf(Inst.opcode())};
+    It->second = IdEntry{&OpIt->second, flowOf(Inst.opcodeSym())};
   }
   return It->second;
 }
@@ -41,7 +42,7 @@ void IsaAnalyzer::analyzeInst(const ListingInst &Pair,
   const EncodingDatabase::IdEntry &Entry = Db.recordFor(Inst, Created);
   OperationRec &Op = *Entry.Rec;
   if (Created) {
-    Op.Mnemonic = Inst.opcode();
+    Op.Mnemonic = std::string(Inst.opcode());
     Op.Signature = operandSignature(Inst);
     Op.WordBits = Db.wordBits();
     Op.Operands.resize(Inst.Operands.size());
@@ -70,15 +71,15 @@ void IsaAnalyzer::analyzeInst(const ListingInst &Pair,
   // Modifiers, keyed by (name, occurrence among same-type modifiers) so
   // ordered repeats bind to distinct records (Algorithm 1, lines 12-19).
   // An instruction carries a handful, so the earlier ones are recounted.
-  const std::vector<std::string> &Mods = Inst.Modifiers;
-  for (size_t I = 0; I < Mods.size(); ++I) {
+  for (size_t I = 0; I < Inst.Modifiers.size(); ++I) {
+    std::string_view Mod = Inst.modifier(I);
     unsigned Occurrence = 0;
     if (I > 0) {
-      std::string_view Type = modifierType(Mods[I]);
+      std::string_view Type = modifierType(Mod);
       for (size_t J = 0; J < I; ++J)
-        Occurrence += modifierType(Mods[J]) == Type;
+        Occurrence += modifierType(Inst.modifier(J)) == Type;
     }
-    Op.Mods[{Mods[I], Occurrence}].observe(Binary);
+    Op.Mods[{std::string(Mod), Occurrence}].observe(Binary);
   }
 
   // Operands (Algorithm 2).
@@ -104,33 +105,16 @@ void IsaAnalyzer::analyzeOperand(OperandRec &Rec, const sass::Operand &Op,
     Rec.Unaries['!'].observe(Binary);
 
   // Operand-attached modifiers (e.g. the Maxwell register-reuse flag).
-  for (const std::string &Mod : Op.Mods)
-    Rec.Mods[Mod].observe(Binary);
+  const SymbolTable &Syms = SymbolTable::global();
+  for (SymbolId Mod : Op.Mods)
+    Rec.Mods[std::string(Syms.spelling(Mod))].observe(Binary);
 
   // Named tokens learn their encodings by consistency, exactly like
   // modifiers: special registers (this is how Table III is produced),
   // texture shapes and channel combinations.
-  switch (Op.Kind) {
-  case OperandKind::SpecialReg:
-    Rec.Tokens[Op.Text].observe(Binary);
+  if (SymbolId Token = sass::tokenSym(Op); Token != InvalidSymbolId) {
+    Rec.Tokens[std::string(Syms.spelling(Token))].observe(Binary);
     return;
-  case OperandKind::TexShape: {
-    Rec.Tokens[sass::texShapeName(
-                   static_cast<sass::TexShapeKind>(Op.Value[0]))]
-        .observe(Binary);
-    return;
-  }
-  case OperandKind::TexChannel: {
-    static const char Names[4] = {'R', 'G', 'B', 'A'};
-    std::string Token;
-    for (unsigned I = 0; I < 4; ++I)
-      if (Op.Value[0] & (1 << I))
-        Token.push_back(Names[I]);
-    Rec.Tokens[Token].observe(Binary);
-    return;
-  }
-  default:
-    break;
   }
 
   // Value components: window search per interpretation (Fig. 5).

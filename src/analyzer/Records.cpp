@@ -291,15 +291,6 @@ unsigned analyzer::componentCountFor(char Sig) {
   }
 }
 
-bool analyzer::isControlFlowMnemonic(const std::string &Mnemonic) {
-  static const char *Names[] = {"BRA", "CAL", "SSY",  "JMP",
-                                "JCAL", "PBK", "PCNT", "BRX"};
-  for (const char *Name : Names)
-    if (Mnemonic == Name)
-      return true;
-  return false;
-}
-
 const std::vector<InterpKind> &
 analyzer::interpKindsFor(char Sig, unsigned CompIdx, Flow F) {
   using Kinds = std::vector<InterpKind>;

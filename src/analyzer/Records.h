@@ -23,6 +23,7 @@
 #ifndef DCB_ANALYZER_RECORDS_H
 #define DCB_ANALYZER_RECORDS_H
 
+#include "sass/Ast.h"
 #include "support/BitString.h"
 
 #include <array>
@@ -198,16 +199,15 @@ struct OperationRec {
 /// (memory has two, constant-with-register three, named tokens zero).
 unsigned componentCountFor(char Sig);
 
-/// Whether \p Mnemonic is a control-transfer instruction whose literal
-/// operand is an absolute address in assembly but PC-relative in binary.
-bool isControlFlowMnemonic(const std::string &Mnemonic);
-
-/// Whether an operation transfers control (see isControlFlowMnemonic).
+/// Whether an operation transfers control: its literal operand is an
+/// absolute address in assembly but PC-relative in binary.
 enum class Flow : uint8_t { Sequential, Control };
 
-/// The Flow of operation \p Mnemonic.
-inline Flow flowOf(const std::string &Mnemonic) {
-  return isControlFlowMnemonic(Mnemonic) ? Flow::Control : Flow::Sequential;
+/// The Flow of the operation whose interned mnemonic is \p Mnemonic
+/// (sass::isControlFlowOpcode).
+inline Flow flowOf(SymbolId Mnemonic) {
+  return sass::isControlFlowOpcode(Mnemonic) ? Flow::Control
+                                             : Flow::Sequential;
 }
 
 /// The interpretation kinds applicable to component \p CompIdx of an

@@ -2,6 +2,8 @@
 
 #include "analyzer/Signature.h"
 
+#include <cassert>
+
 using namespace dcb;
 using namespace dcb::analyzer;
 
@@ -42,45 +44,26 @@ std::string analyzer::operandSignature(const sass::Instruction &Inst) {
 }
 
 std::string analyzer::operationKey(const sass::Instruction &Inst) {
-  return Inst.opcode() + "/" + operandSignature(Inst);
+  return std::string(Inst.opcode()) + "/" + operandSignature(Inst);
 }
-
-namespace {
-
-/// Packs up to 8 signature chars, low byte first; longer signatures intern
-/// the string and set the bit-63 discriminator (see OperationKeyId).
-uint64_t packSignature(const char *Chars, size_t Len) {
-  if (Len <= 8) {
-    uint64_t Packed = 0;
-    for (size_t I = 0; I < Len; ++I)
-      Packed |= uint64_t(static_cast<uint8_t>(Chars[I])) << (8 * I);
-    return Packed;
-  }
-  return (uint64_t(1) << 63) |
-         SymbolTable::global().intern(std::string_view(Chars, Len));
-}
-
-} // namespace
 
 OperationKeyId analyzer::operationKeyId(const sass::Instruction &Inst) {
   OperationKeyId Key;
   Key.Mnemonic = Inst.opcodeSym();
-  char Chars[8];
-  size_t N = Inst.Operands.size();
-  if (N <= 8) {
-    for (size_t I = 0; I < N; ++I)
-      Chars[I] = operandSignatureChar(Inst.Operands[I]);
-    Key.Sig = packSignature(Chars, N);
-  } else {
-    Key.Sig = packSignature(operandSignature(Inst).c_str(), N);
-  }
+  for (size_t I = 0; I < Inst.Operands.size(); ++I)
+    Key.Sig |= uint64_t(static_cast<uint8_t>(
+                   operandSignatureChar(Inst.Operands[I])))
+               << (8 * I);
   return Key;
 }
 
 OperationKeyId analyzer::operationKeyId(const std::string &Mnemonic,
                                         const std::string &Signature) {
+  assert(Signature.size() <= sass::MaxOperands &&
+         "signature longer than any instruction");
   OperationKeyId Key;
   Key.Mnemonic = SymbolTable::global().intern(Mnemonic);
-  Key.Sig = packSignature(Signature.data(), Signature.size());
+  for (size_t I = 0; I < Signature.size(); ++I)
+    Key.Sig |= uint64_t(static_cast<uint8_t>(Signature[I])) << (8 * I);
   return Key;
 }

@@ -45,13 +45,11 @@ std::string operandSignature(const sass::Instruction &Inst);
 std::string operationKey(const sass::Instruction &Inst);
 
 /// The integer form of operationKey: the interned mnemonic plus the
-/// operand-type signature packed into a word. Building one does no heap
-/// work for instructions of up to 8 operands (signature chars pack 8 bits
-/// each, zero-padded; no signature char is NUL so lengths stay
-/// distinguishable); longer signatures — absent from every supported ISA —
-/// fall back to interning the signature string, flagged in bit 63 (packed
-/// chars are 7-bit, so the forms can never collide). Two instructions
-/// compare equal here iff their operationKey strings compare equal.
+/// operand-type signature packed into a word, 8 bits a char, zero-padded
+/// (no signature char is NUL, so lengths stay distinguishable). An
+/// instruction has at most sass::MaxOperands operands, so every signature
+/// fits. Two instructions compare equal here iff their operationKey
+/// strings compare equal.
 struct OperationKeyId {
   SymbolId Mnemonic = InvalidSymbolId;
   uint64_t Sig = 0;
@@ -76,7 +74,10 @@ struct OperationKeyIdHash {
 OperationKeyId operationKeyId(const sass::Instruction &Inst);
 
 /// Integer key from the spellings a learned record stores — the freeze
-/// step's side of the same mapping.
+/// step's side of the same mapping. \p Signature holds at most
+/// sass::MaxOperands chars (EncodingDatabase::deserialize refuses longer
+/// ones). A mnemonic the full symbol table refuses keys as
+/// InvalidSymbolId, which no instruction carries.
 OperationKeyId operationKeyId(const std::string &Mnemonic,
                               const std::string &Signature);
 

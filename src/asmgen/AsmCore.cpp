@@ -3,9 +3,7 @@
 #include "asmgen/AsmCore.h"
 
 #include <algorithm>
-#include <memory>
 #include <string>
-#include <string_view>
 
 using namespace dcb;
 using namespace dcb::asmgen;
@@ -102,28 +100,10 @@ bool componentValue(const sass::Operand &Op, unsigned CompIdx, uint64_t Addr,
   return false;
 }
 
-/// The token spelling of a named operand (special register, texture shape,
-/// channel combination); empty for value operands. Views the operand's own
-/// text or a static name, or composes into \p Buf (texture channels, at
-/// most 4 chars).
-std::string_view tokenView(const sass::Operand &Op, char (&Buf)[4]) {
-  using sass::OperandKind;
-  switch (Op.Kind) {
-  case OperandKind::SpecialReg:
-    return Op.Text;
-  case OperandKind::TexShape:
-    return sass::texShapeName(static_cast<sass::TexShapeKind>(Op.Value[0]));
-  case OperandKind::TexChannel: {
-    static const char Names[4] = {'R', 'G', 'B', 'A'};
-    size_t Len = 0;
-    for (unsigned I = 0; I < 4; ++I)
-      if (Op.Value[0] & (1 << I))
-        Buf[Len++] = Names[I];
-    return std::string_view(Buf, Len);
-  }
-  default:
-    return std::string_view();
-  }
+/// "unknown <What> '.<spelling>'".
+Failure unknownModifier(const char *What, SymbolId Mod) {
+  return Failure(std::string("unknown ") + What + " '." +
+                 std::string(SymbolTable::global().spelling(Mod)) + "'");
 }
 
 /// The unary operators an operand can carry, in application order.
@@ -142,7 +122,6 @@ Expected<BitString> asmgen::assembleOperation(const FrozenOperation &Op,
   if (Inst.Operands.size() != Op.Operands.size())
     return Failure("operand count mismatch");
 
-  SymbolTable &Syms = SymbolTable::global();
   BitString Word(WordBits);
 
   // 1. Opcode bits.
@@ -151,34 +130,20 @@ Expected<BitString> asmgen::assembleOperation(const FrozenOperation &Op,
   // 2. Opcode-attached modifiers, matched by (name, same-type occurrence)
   //    so PSETP.AND.OR and PSETP.OR.AND encode differently (§III-A). The
   //    occurrence index counts previous modifiers of the same *type*
-  //    (FrozenMod::Type interns modifierType()). Real instructions carry a
-  //    handful of modifiers, so their types live on the stack and longer
-  //    lists spill to the heap.
-  constexpr size_t MaxStackMods = 32;
-  SymbolId StackTypes[MaxStackMods];
-  std::unique_ptr<SymbolId[]> HeapTypes;
-  SymbolId *Types = StackTypes;
-  if (Inst.Modifiers.size() > MaxStackMods) {
-    HeapTypes = std::make_unique<SymbolId[]>(Inst.Modifiers.size());
-    Types = HeapTypes.get();
-  }
-  const bool HaveSyms = Inst.ModifierSyms.size() == Inst.Modifiers.size();
+  //    (FrozenMod::Type interns modifierType()).
+  SymbolId Types[sass::MaxModifiers];
   for (size_t MI = 0; MI < Inst.Modifiers.size(); ++MI) {
-    // Parser-built instructions carry interned ids; others (hand-built
-    // ASTs, decoder output) resolve by allocation-free probe — a miss
-    // means the spelling was never learned anywhere.
-    SymbolId Id = HaveSyms ? Inst.ModifierSyms[MI]
-                           : Syms.find(Inst.Modifiers[MI]);
+    const SymbolId Id = Inst.Modifiers[MI];
     SymbolId Type = Op.modType(Id);
     if (Type == InvalidSymbolId)
-      return Failure("unknown modifier '." + Inst.Modifiers[MI] + "'");
+      return unknownModifier("modifier", Id);
     unsigned Occurrence = 0;
     for (size_t Prev = 0; Prev < MI; ++Prev)
       Occurrence += Types[Prev] == Type;
     Types[MI] = Type;
     const PackedPattern *Pattern = Op.findMod(Id, Occurrence);
     if (!Pattern)
-      return Failure("unknown modifier '." + Inst.Modifiers[MI] + "'");
+      return unknownModifier("modifier", Id);
     applyPattern(Word, *Pattern);
   }
 
@@ -190,10 +155,10 @@ Expected<BitString> asmgen::assembleOperation(const FrozenOperation &Op,
     const sass::Operand &Operand = Inst.Operands[I];
     const FrozenOperand &Rec = Op.Operands[I];
 
-    for (const std::string &Mod : Operand.Mods) {
-      const PackedPattern *Pattern = Rec.findMod(Syms.find(Mod));
+    for (SymbolId Mod : Operand.Mods) {
+      const PackedPattern *Pattern = Rec.findMod(Mod);
       if (!Pattern)
-        return Failure("unknown operand modifier '." + Mod + "'");
+        return unknownModifier("operand modifier", Mod);
       applyPattern(Word, *Pattern);
     }
 
@@ -214,12 +179,12 @@ Expected<BitString> asmgen::assembleOperation(const FrozenOperation &Op,
       applyPattern(Word, Pattern);
     }
 
-    char TokenBuf[4];
-    std::string_view Token = tokenView(Operand, TokenBuf);
-    if (!Token.empty()) {
-      const PackedPattern *Pattern = Rec.findToken(Syms.find(Token));
+    if (SymbolId Token = sass::tokenSym(Operand); Token != InvalidSymbolId) {
+      const PackedPattern *Pattern = Rec.findToken(Token);
       if (!Pattern)
-        return Failure("unlearned token '" + std::string(Token) + "'");
+        return Failure("unlearned token '" +
+                       std::string(SymbolTable::global().spelling(Token)) +
+                       "'");
       applyPattern(Word, *Pattern);
       continue;
     }

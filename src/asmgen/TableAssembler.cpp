@@ -79,7 +79,7 @@ unsigned asmgen::reassembleKernel(const EncodingDatabase &Db,
       continue;
     }
     if (Mismatches) {
-      std::string Note = Pair.AsmText;
+      std::string Note = sass::printInstruction(Pair.Inst);
       Note += Word.hasValue() ? " [wrong bits]" : " [" + Word.message() + "]";
       Mismatches->push_back(std::move(Note));
     }

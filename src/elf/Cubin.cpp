@@ -2,9 +2,10 @@
 
 #include "elf/Cubin.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
-#include <map>
+#include <string_view>
 
 using namespace dcb;
 using namespace dcb::elf;
@@ -26,36 +27,11 @@ constexpr size_t EhdrSize = 64;
 constexpr size_t ShdrSize = 64;
 constexpr size_t SymSize = 24;
 
-/// Little-endian byte sink.
-class ByteWriter {
-public:
-  explicit ByteWriter(std::vector<uint8_t> &Out) : Out(Out) {}
-
-  void u8(uint8_t V) { Out.push_back(V); }
-  void u16(uint16_t V) {
-    for (int I = 0; I < 2; ++I)
-      Out.push_back(static_cast<uint8_t>(V >> (8 * I)));
-  }
-  void u32(uint32_t V) {
-    for (int I = 0; I < 4; ++I)
-      Out.push_back(static_cast<uint8_t>(V >> (8 * I)));
-  }
-  void u64(uint64_t V) {
-    for (int I = 0; I < 8; ++I)
-      Out.push_back(static_cast<uint8_t>(V >> (8 * I)));
-  }
-  void bytes(const std::vector<uint8_t> &V) {
-    Out.insert(Out.end(), V.begin(), V.end());
-  }
-  void padTo(size_t Offset) {
-    assert(Out.size() <= Offset && "writer already past pad target");
-    Out.resize(Offset, 0);
-  }
-  size_t size() const { return Out.size(); }
-
-private:
-  std::vector<uint8_t> &Out;
-};
+/// Stores the low \p Bytes bytes of \p V at \p P, little-endian.
+void putLE(uint8_t *P, uint64_t V, unsigned Bytes) {
+  for (unsigned I = 0; I < Bytes; ++I)
+    P[I] = static_cast<uint8_t>(V >> (8 * I));
+}
 
 /// Bounds-checked little-endian reader.
 class ByteReader {
@@ -69,11 +45,14 @@ public:
   uint32_t u32(size_t Offset) const { return read<uint32_t>(Offset); }
   uint64_t u64(size_t Offset) const { return read<uint64_t>(Offset); }
 
-  std::string cstr(size_t Offset) const {
-    std::string S;
-    while (Offset < In.size() && In[Offset] != 0)
-      S.push_back(static_cast<char>(In[Offset++]));
-    return S;
+  /// The NUL-terminated string at \p Offset, cut at the end of the input.
+  std::string_view cstr(size_t Offset) const {
+    if (Offset >= In.size())
+      return std::string_view();
+    const char *Begin = reinterpret_cast<const char *>(In.data()) + Offset;
+    const void *Nul = std::memchr(Begin, 0, In.size() - Offset);
+    return std::string_view(Begin, Nul ? static_cast<const char *>(Nul) - Begin
+                                       : In.size() - Offset);
   }
 
 private:
@@ -88,26 +67,63 @@ private:
   const std::vector<uint8_t> &In;
 };
 
-/// Accumulates a string table with deduplication.
+/// Accumulates a string table with deduplication. The index is open
+/// addressing over offsets into the table's own bytes, so adding a string
+/// allocates nothing but the bytes.
 class StringTable {
 public:
-  StringTable() { Data.push_back(0); }
+  StringTable() : Slots(64, 0) { Data.push_back(0); }
 
-  uint32_t add(const std::string &S) {
-    auto [It, Inserted] = Offsets.try_emplace(S, 0);
-    if (!Inserted)
-      return It->second;
-    It->second = static_cast<uint32_t>(Data.size());
-    Data.insert(Data.end(), S.begin(), S.end());
+  /// Adds the concatenation \p Prefix + \p Name; returns its offset.
+  uint32_t add(std::string_view Prefix, std::string_view Name = {}) {
+    uint64_t H = 0xcbf29ce484222325ull;
+    for (std::string_view Part : {Prefix, Name})
+      for (char C : Part)
+        H = (H ^ static_cast<uint8_t>(C)) * 0x100000001b3ull;
+    const size_t Len = Prefix.size() + Name.size();
+    size_t Mask = Slots.size() - 1, I = H & Mask;
+    for (; Slots[I] != 0; I = (I + 1) & Mask) {
+      const char *S = reinterpret_cast<const char *>(Data.data()) + Slots[I] - 1;
+      if (std::strlen(S) == Len && Prefix == std::string_view(S, Prefix.size()) &&
+          Name == std::string_view(S + Prefix.size(), Name.size()))
+        return Slots[I] - 1;
+    }
+    const uint32_t Offset = static_cast<uint32_t>(Data.size());
+    Data.insert(Data.end(), Prefix.begin(), Prefix.end());
+    Data.insert(Data.end(), Name.begin(), Name.end());
     Data.push_back(0);
-    return It->second;
+    Slots[I] = Offset + 1;
+    ++Count;
+    if (Count * 2 > Slots.size())
+      grow();
+    return Offset;
   }
 
   const std::vector<uint8_t> &bytes() const { return Data; }
 
 private:
+  /// Doubles the index, re-placing every string by its hash.
+  void grow() {
+    std::vector<uint32_t> Old(Slots.size() * 2, 0);
+    Old.swap(Slots);
+    const size_t Mask = Slots.size() - 1;
+    for (uint32_t Slot : Old) {
+      if (Slot == 0)
+        continue;
+      uint64_t H = 0xcbf29ce484222325ull;
+      for (const char *S = reinterpret_cast<const char *>(Data.data()) + Slot - 1;
+           *S; ++S)
+        H = (H ^ static_cast<uint8_t>(*S)) * 0x100000001b3ull;
+      size_t I = H & Mask;
+      while (Slots[I] != 0)
+        I = (I + 1) & Mask;
+      Slots[I] = Slot;
+    }
+  }
+
   std::vector<uint8_t> Data;
-  std::map<std::string, uint32_t> Offsets;
+  std::vector<uint32_t> Slots; ///< 0 or offset + 1.
+  size_t Count = 0;
 };
 
 struct SectionDesc {
@@ -120,7 +136,8 @@ struct SectionDesc {
   uint32_t Info = 0;
   uint64_t Align = 1;
   uint64_t EntSize = 0;
-  std::vector<uint8_t> Contents;
+  /// The Size bytes, owned by the cubin or by serialize().
+  const uint8_t *Contents = nullptr;
 };
 
 uint32_t archToFlags(Arch A) { return static_cast<uint32_t>(A) + 0x20; }
@@ -131,14 +148,8 @@ std::optional<Arch> archFromFlags(uint32_t Flags) {
   return static_cast<Arch>(Flags - 0x20);
 }
 
-std::vector<uint8_t> packNvInfo(const KernelSection &Kernel) {
-  std::vector<uint8_t> Out;
-  ByteWriter W(Out);
-  W.u32(Kernel.NumRegisters);
-  W.u32(Kernel.SharedMemBytes);
-  W.u32(Kernel.LocalMemBytes);
-  return Out;
-}
+/// A kernel's .nv.info payload: register count, shared and local bytes.
+constexpr size_t NvInfoSize = 12;
 
 } // namespace
 
@@ -158,9 +169,10 @@ std::vector<uint8_t> Cubin::serialize() const {
   StringTable SymStrings;
 
   std::vector<SectionDesc> Sections;
+  Sections.reserve(4 + 3 * Kernels.size());
   Sections.emplace_back(); // SHT_NULL section 0.
 
-  // Section 1: .shstrtab (patched with its own contents last).
+  // Section 1: .shstrtab (its contents are set last).
   SectionDesc ShStrTab;
   ShStrTab.NameOff = ShStrings.add(".shstrtab");
   ShStrTab.Type = SHT_STRTAB;
@@ -174,7 +186,7 @@ std::vector<uint8_t> Cubin::serialize() const {
   Sections.push_back(StrTab);
   const size_t StrIdx = 2;
 
-  // Section 3: .symtab (contents filled as kernels are laid out).
+  // Section 3: .symtab, a null symbol and then one per kernel.
   SectionDesc SymTab;
   SymTab.NameOff = ShStrings.add(".symtab");
   SymTab.Type = SHT_SYMTAB;
@@ -183,52 +195,59 @@ std::vector<uint8_t> Cubin::serialize() const {
   SymTab.Align = 8;
   Sections.push_back(SymTab);
   const size_t SymIdx = 3;
-
-  std::vector<uint8_t> SymBytes;
-  ByteWriter SymWriter(SymBytes);
-  // Null symbol.
-  for (int I = 0; I < 3; ++I)
-    SymWriter.u64(0);
+  std::vector<uint8_t> SymBytes((1 + Kernels.size()) * SymSize, 0);
 
   // Kernel sections.
-  for (const KernelSection &Kernel : Kernels) {
+  std::vector<uint8_t> NvInfos(Kernels.size() * NvInfoSize);
+  for (size_t K = 0; K < Kernels.size(); ++K) {
+    const KernelSection &Kernel = Kernels[K];
     SectionDesc Text;
-    Text.NameOff = ShStrings.add(".text." + Kernel.Name);
+    Text.NameOff = ShStrings.add(".text.", Kernel.Name);
     Text.Type = SHT_PROGBITS;
     Text.Flags = SHF_ALLOC | SHF_EXECINSTR;
     Text.Align = 16;
-    Text.Contents = Kernel.Code;
+    Text.Contents = Kernel.Code.data();
+    Text.Size = Kernel.Code.size();
     Sections.push_back(Text);
     uint16_t TextIdx = static_cast<uint16_t>(Sections.size() - 1);
 
-    SectionDesc Info;
-    Info.NameOff = ShStrings.add(".nv.info." + Kernel.Name);
-    Info.Type = SHT_PROGBITS;
-    Info.Align = 4;
-    Info.Contents = packNvInfo(Kernel);
-    Sections.push_back(Info);
+    uint8_t *Info = NvInfos.data() + K * NvInfoSize;
+    putLE(Info, Kernel.NumRegisters, 4);
+    putLE(Info + 4, Kernel.SharedMemBytes, 4);
+    putLE(Info + 8, Kernel.LocalMemBytes, 4);
+    SectionDesc InfoSec;
+    InfoSec.NameOff = ShStrings.add(".nv.info.", Kernel.Name);
+    InfoSec.Type = SHT_PROGBITS;
+    InfoSec.Align = 4;
+    InfoSec.Contents = Info;
+    InfoSec.Size = NvInfoSize;
+    Sections.push_back(InfoSec);
 
     SectionDesc Const0;
-    Const0.NameOff = ShStrings.add(".nv.constant0." + Kernel.Name);
+    Const0.NameOff = ShStrings.add(".nv.constant0.", Kernel.Name);
     Const0.Type = SHT_PROGBITS;
     Const0.Flags = SHF_ALLOC;
     Const0.Align = 4;
-    Const0.Contents = Kernel.Constant0;
+    Const0.Contents = Kernel.Constant0.data();
+    Const0.Size = Kernel.Constant0.size();
     Sections.push_back(Const0);
 
-    // Symbol for the kernel entry.
-    SymWriter.u32(SymStrings.add(Kernel.Name));
-    SymWriter.u8(static_cast<uint8_t>((STB_GLOBAL << 4) | STT_FUNC));
-    SymWriter.u8(0);
-    SymWriter.u16(TextIdx);
-    SymWriter.u64(0);                  // value
-    SymWriter.u64(Kernel.Code.size()); // size
+    // Symbol for the kernel entry: name, info, other, section, value, size.
+    uint8_t *Sym = SymBytes.data() + (K + 1) * SymSize;
+    putLE(Sym, SymStrings.add(Kernel.Name), 4);
+    Sym[4] = static_cast<uint8_t>((STB_GLOBAL << 4) | STT_FUNC);
+    putLE(Sym + 6, TextIdx, 2);
+    putLE(Sym + 16, Kernel.Code.size(), 8);
   }
 
-  Sections[SymIdx].Contents = SymBytes;
+  auto setContents = [&Sections](size_t Idx, const std::vector<uint8_t> &V) {
+    Sections[Idx].Contents = V.data();
+    Sections[Idx].Size = V.size();
+  };
+  setContents(SymIdx, SymBytes);
   Sections[SymIdx].Info = 1; // First global symbol index.
-  Sections[StrIdx].Contents = SymStrings.bytes();
-  Sections[ShStrIdx].Contents = ShStrings.bytes();
+  setContents(StrIdx, SymStrings.bytes());
+  setContents(ShStrIdx, ShStrings.bytes());
 
   // Lay out: header, section contents, then the section header table.
   size_t Offset = EhdrSize;
@@ -237,55 +256,40 @@ std::vector<uint8_t> Cubin::serialize() const {
       continue;
     Offset = (Offset + S.Align - 1) & ~(S.Align - 1);
     S.Offset = Offset;
-    S.Size = S.Contents.size();
     Offset += S.Size;
   }
-  size_t ShOff = (Offset + 7) & ~size_t(7);
-
-  std::vector<uint8_t> Image;
-  Image.reserve(ShOff + Sections.size() * ShdrSize);
-  ByteWriter W(Image);
+  const size_t ShOff = (Offset + 7) & ~size_t(7);
+  std::vector<uint8_t> Image(ShOff + Sections.size() * ShdrSize, 0);
+  uint8_t *Out = Image.data();
 
   // ELF header.
   const uint8_t Ident[16] = {0x7f, 'E', 'L', 'F', 2 /*64-bit*/,
-                             1 /*little*/, 1 /*version*/, 0, 0, 0,
-                             0, 0, 0, 0, 0, 0};
-  for (uint8_t B : Ident)
-    W.u8(B);
-  W.u16(2);       // e_type = ET_EXEC
-  W.u16(EM_CUDA); // e_machine
-  W.u32(1);       // e_version
-  W.u64(0);       // e_entry
-  W.u64(0);       // e_phoff
-  W.u64(ShOff);   // e_shoff
-  W.u32(archToFlags(TargetArch)); // e_flags carries the compute capability.
-  W.u16(EhdrSize);
-  W.u16(0); // e_phentsize
-  W.u16(0); // e_phnum
-  W.u16(ShdrSize);
-  W.u16(static_cast<uint16_t>(Sections.size()));
-  W.u16(static_cast<uint16_t>(ShStrIdx));
-  assert(W.size() == EhdrSize && "ELF header must be 64 bytes");
+                             1 /*little*/, 1 /*version*/};
+  std::memcpy(Out, Ident, sizeof(Ident));
+  putLE(Out + 16, 2, 2);       // e_type = ET_EXEC
+  putLE(Out + 18, EM_CUDA, 2); // e_machine
+  putLE(Out + 20, 1, 4);       // e_version
+  putLE(Out + 40, ShOff, 8);   // e_shoff (e_entry, e_phoff stay 0)
+  putLE(Out + 48, archToFlags(TargetArch), 4); // The compute capability.
+  putLE(Out + 52, EhdrSize, 2);
+  putLE(Out + 58, ShdrSize, 2); // (e_phentsize, e_phnum stay 0)
+  putLE(Out + 60, Sections.size(), 2);
+  putLE(Out + 62, ShStrIdx, 2);
 
-  for (const SectionDesc &S : Sections) {
-    if (S.Type == SHT_NULL)
-      continue;
-    W.padTo(S.Offset);
-    W.bytes(S.Contents);
-  }
-
-  W.padTo(ShOff);
-  for (const SectionDesc &S : Sections) {
-    W.u32(S.NameOff);
-    W.u32(S.Type);
-    W.u64(S.Flags);
-    W.u64(0); // sh_addr
-    W.u64(S.Offset);
-    W.u64(S.Size);
-    W.u32(S.Link);
-    W.u32(S.Info);
-    W.u64(S.Align);
-    W.u64(S.EntSize);
+  for (size_t I = 0; I < Sections.size(); ++I) {
+    const SectionDesc &S = Sections[I];
+    if (S.Size)
+      std::memcpy(Out + S.Offset, S.Contents, S.Size);
+    uint8_t *H = Out + ShOff + I * ShdrSize;
+    putLE(H, S.NameOff, 4);
+    putLE(H + 4, S.Type, 4);
+    putLE(H + 8, S.Flags, 8);
+    putLE(H + 24, S.Offset, 8); // (sh_addr stays 0)
+    putLE(H + 32, S.Size, 8);
+    putLE(H + 40, S.Link, 4);
+    putLE(H + 44, S.Info, 4);
+    putLE(H + 48, S.Align, 8);
+    putLE(H + 56, S.EntSize, 8);
   }
   return Image;
 }
@@ -315,7 +319,7 @@ Expected<Cubin> Cubin::deserialize(const std::vector<uint8_t> &Image) {
     return Failure("cubin: bad section-name table index");
 
   struct RawSection {
-    std::string Name;
+    std::string_view Name;
     uint32_t Type;
     uint64_t Offset, Size;
   };
@@ -340,29 +344,42 @@ Expected<Cubin> Cubin::deserialize(const std::vector<uint8_t> &Image) {
     return std::vector<uint8_t>(Image.begin() + S.Offset,
                                 Image.begin() + S.Offset + S.Size);
   };
-  auto findRaw = [&](const std::string &Name) -> const RawSection * {
-    for (const RawSection &S : Raw)
-      if (S.Name == Name)
-        return &S;
-    return nullptr;
+  // Sections sorted by name, stably so the first of a name wins: a
+  // kernel's info and constant sections are found without a scan each.
+  std::vector<const RawSection *> ByName(Raw.size());
+  for (size_t I = 0; I < Raw.size(); ++I)
+    ByName[I] = &Raw[I];
+  std::stable_sort(ByName.begin(), ByName.end(),
+                   [](const RawSection *L, const RawSection *R) {
+                     return L->Name < R->Name;
+                   });
+  std::string Key;
+  auto findRaw = [&](std::string_view Prefix,
+                     std::string_view Name) -> const RawSection * {
+    Key.assign(Prefix).append(Name);
+    auto It = std::lower_bound(
+        ByName.begin(), ByName.end(), std::string_view(Key),
+        [](const RawSection *S, std::string_view N) { return S->Name < N; });
+    return It != ByName.end() && (*It)->Name == Key ? *It : nullptr;
   };
 
+  Result.Kernels.reserve(ShNum / 3);
   for (const RawSection &S : Raw) {
-    const std::string Prefix = ".text.";
-    if (S.Name.rfind(Prefix, 0) != 0)
+    constexpr std::string_view Prefix = ".text.";
+    if (S.Name.substr(0, Prefix.size()) != Prefix)
       continue;
     KernelSection Kernel;
-    Kernel.Name = S.Name.substr(Prefix.size());
+    Kernel.Name = std::string(S.Name.substr(Prefix.size()));
     Kernel.Code = sectionBytes(S);
 
-    if (const RawSection *Info = findRaw(".nv.info." + Kernel.Name)) {
-      if (Info->Size >= 12) {
+    if (const RawSection *Info = findRaw(".nv.info.", Kernel.Name)) {
+      if (Info->Size >= NvInfoSize) {
         Kernel.NumRegisters = R.u32(Info->Offset);
         Kernel.SharedMemBytes = R.u32(Info->Offset + 4);
         Kernel.LocalMemBytes = R.u32(Info->Offset + 8);
       }
     }
-    if (const RawSection *C0 = findRaw(".nv.constant0." + Kernel.Name))
+    if (const RawSection *C0 = findRaw(".nv.constant0.", Kernel.Name))
       Kernel.Constant0 = sectionBytes(*C0);
     Result.addKernel(std::move(Kernel));
   }

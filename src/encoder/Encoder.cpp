@@ -45,6 +45,10 @@ double doubleFromBits(uint64_t Bits) {
   return D;
 }
 
+std::string_view spelling(SymbolId Sym) {
+  return SymbolTable::global().spelling(Sym);
+}
+
 bool fitsUnsigned(int64_t Value, unsigned Width) {
   if (Value < 0)
     return false;
@@ -161,10 +165,11 @@ Error InstEncoder::encodeOperand(const OperandSlot &Slot, const Operand &Op,
     Word.setField(F0.Lo, F0.Width, static_cast<uint64_t>(Op.Value[0]) & 7);
     break;
   case SlotEncoding::SpecialReg: {
-    std::optional<unsigned> Code = isa::specialRegEncoding(Op.Text);
+    std::optional<unsigned> Code = isa::specialRegEncoding(Op.Sym);
     if (!Code)
       return Error::failure(
-          error("unknown special register '" + Op.Text + "'").Msg);
+          error("unknown special register '" + std::string(Op.text()) + "'")
+              .Msg);
     Word.setField(F0.Lo, F0.Width, *Code);
     break;
   }
@@ -256,13 +261,13 @@ Error InstEncoder::encodeOperand(const OperandSlot &Slot, const Operand &Op,
   // a word of consumed-bits avoids touching the heap per operand.
   assert(Slot.OperandMods.size() <= 64 && "operand modifier groups > 64");
   uint64_t Consumed = 0;
-  for (const std::string &Mod : Op.Mods) {
+  for (SymbolId Mod : Op.Mods) {
     bool Matched = false;
     for (size_t G = 0; G < Slot.OperandMods.size(); ++G) {
       if (Consumed & (uint64_t(1) << G))
         continue;
       const ModifierGroup &Group = IS.ModGroups[Slot.OperandMods[G]];
-      const isa::ModifierChoice *Choice = Group.findByName(Mod);
+      const isa::ModifierChoice *Choice = Group.findBySym(Mod);
       if (!Choice)
         continue;
       Word.setField(Group.Field.Lo, Group.Field.Width, Choice->Value);
@@ -271,8 +276,9 @@ Error InstEncoder::encodeOperand(const OperandSlot &Slot, const Operand &Op,
       break;
     }
     if (!Matched)
-      return Error::failure(
-          error("unknown operand modifier '." + Mod + "'").Msg);
+      return Error::failure(error("unknown operand modifier '." +
+                                  std::string(spelling(Mod)) + "'")
+                                .Msg);
   }
   return Error::success();
 }
@@ -283,13 +289,13 @@ Error InstEncoder::encodeModifiers(const InstrSpec &IS) {
   // Match written modifiers to groups in order, so repeated groups of the
   // same type (PSETP's two logic steps, F2F's two formats) bind positionally
   // (paper §III-A).
-  for (const std::string &Mod : Inst.Modifiers) {
+  for (SymbolId Mod : Inst.Modifiers) {
     bool Matched = false;
     for (unsigned G = 0; G < IS.NumOpcodeMods; ++G) {
       if (Consumed & (uint64_t(1) << G))
         continue;
       const ModifierGroup &Group = IS.ModGroups[G];
-      const isa::ModifierChoice *Choice = Group.findByName(Mod);
+      const isa::ModifierChoice *Choice = Group.findBySym(Mod);
       if (!Choice)
         continue;
       Word.setField(Group.Field.Lo, Group.Field.Width, Choice->Value);
@@ -298,7 +304,8 @@ Error InstEncoder::encodeModifiers(const InstrSpec &IS) {
       break;
     }
     if (!Matched)
-      return Error::failure(error("unknown modifier '." + Mod + "'").Msg);
+      return Error::failure(
+          error("unknown modifier '." + std::string(spelling(Mod)) + "'").Msg);
   }
   for (unsigned G = 0; G < IS.NumOpcodeMods; ++G) {
     if (Consumed & (uint64_t(1) << G))
@@ -356,8 +363,7 @@ Expected<Instruction> InstDecoder::run() {
     return error("unknown instruction word");
 
   Instruction Inst;
-  Inst.setOpcode(IS->Mnemonic, IS->MnemonicSym);
-  Inst.Operands.reserve(IS->Operands.size());
+  Inst.setOpcode(IS->MnemonicSym);
 
   uint64_t GuardValue = Word.field(Spec.GuardField.Lo, Spec.GuardField.Width);
   Inst.GuardPredicate = GuardValue & 7;
@@ -367,7 +373,7 @@ Expected<Instruction> InstDecoder::run() {
     Expected<Operand> Op = decodeOperand(Slot, *IS);
     if (!Op)
       return std::move(Op).takeError();
-    Inst.Operands.push_back(Op.takeValue());
+    Inst.Operands.push_back(*Op);
   }
 
   // Opcode-attached modifiers in group order.
@@ -377,8 +383,8 @@ Expected<Instruction> InstDecoder::run() {
     const isa::ModifierChoice *Choice = Group.findByValue(Value);
     if (!Choice)
       return error("invalid encoding for modifier type ", Group.TypeName);
-    if (!Choice->Name.empty())
-      Inst.Modifiers.push_back(Choice->Name);
+    if (Choice->Sym != InvalidSymbolId)
+      Inst.Modifiers.push_back(Choice->Sym);
   }
   return Inst;
 }
@@ -403,11 +409,10 @@ Expected<Operand> InstDecoder::decodeOperand(const OperandSlot &Slot,
     break;
   case SlotEncoding::SpecialReg: {
     uint64_t Code = Word.field(F0.Lo, F0.Width);
-    std::optional<std::string> Name =
-        isa::specialRegName(static_cast<unsigned>(Code));
-    if (!Name)
+    SymbolId Name = isa::specialRegSym(static_cast<unsigned>(Code));
+    if (Name == InvalidSymbolId)
       return error("unassigned special register code");
-    Op = Operand::makeSpecialReg(*Name);
+    Op = Operand::makeSpecialReg(Name);
     break;
   }
   case SlotEncoding::UImm:
@@ -508,8 +513,8 @@ Expected<Operand> InstDecoder::decodeOperand(const OperandSlot &Slot,
     if (!Choice)
       return error("invalid encoding for operand modifier type ",
                    Group.TypeName);
-    if (!Choice->Name.empty())
-      Op.Mods.push_back(Choice->Name);
+    if (Choice->Sym != InvalidSymbolId)
+      Op.Mods.push_back(Choice->Sym);
   }
   return Op;
 }

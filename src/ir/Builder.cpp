@@ -2,14 +2,10 @@
 
 #include "ir/Builder.h"
 
-#include "analyzer/Records.h"
 #include "sass/Printer.h"
 #include "support/StringUtils.h"
 
 #include <algorithm>
-#include <cassert>
-#include <map>
-#include <set>
 
 using namespace dcb;
 using namespace dcb::ir;
@@ -18,39 +14,19 @@ using analyzer::ListingKernel;
 
 namespace {
 
-/// Is this instruction a reconvergence command (SYNC on Maxwell+, any
-/// instruction carrying the .S modifier on Fermi/Kepler)?
-bool isReconvergence(const sass::Instruction &Inst) {
-  if (Inst.opcode() == "SYNC")
-    return true;
-  for (const std::string &Mod : Inst.Modifiers)
-    if (Mod == "S")
-      return true;
-  return false;
-}
+/// The opcodes the successor rules name, as ids.
+struct FlowSyms {
+  SymbolId Bra = sass::internKnown("BRA");
+  SymbolId Brk = sass::internKnown("BRK");
+  SymbolId Exit = sass::internKnown("EXIT");
+  SymbolId Ret = sass::internKnown("RET");
+  SymbolId Ssy = sass::internKnown("SSY");
+  SymbolId Pbk = sass::internKnown("PBK");
+};
 
-/// Does the reconvergence instruction *jump* to the armed SSY target?
-/// Only SYNC and NOP.S transfer control (matching the interpreter); a .S
-/// marker on an ordinary instruction labels the reconvergence point but
-/// the instruction executes and falls through.
-bool isReconvergenceJump(const sass::Instruction &Inst) {
-  return Inst.opcode() == "SYNC" ||
-         (Inst.opcode() == "NOP" && isReconvergence(Inst));
-}
-
-/// Does this instruction end a basic block?
-bool isTerminator(const sass::Instruction &Inst) {
-  if (Inst.opcode() == "BRA" || Inst.opcode() == "EXIT" ||
-      Inst.opcode() == "RET" || Inst.opcode() == "BRK")
-    return true;
-  return isReconvergence(Inst);
-}
-
-/// Does the instruction carry a literal branch-target operand?
-bool hasAddressTarget(const sass::Instruction &Inst) {
-  return analyzer::isControlFlowMnemonic(Inst.opcode()) &&
-         Inst.Operands.size() == 1 &&
-         Inst.Operands[0].Kind == sass::OperandKind::IntImm;
+const FlowSyms &flowSyms() {
+  static const FlowSyms Syms;
+  return Syms;
 }
 
 } // namespace
@@ -86,67 +62,84 @@ Expected<Kernel> ir::buildKernel(Arch A, const ListingKernel &Listing) {
   K.Name = Listing.Name;
   K.A = A;
 
-  if (Listing.Insts.empty())
+  const std::vector<ListingInst> &Insts = Listing.Insts;
+  const size_t N = Insts.size();
+  if (N == 0)
     return K;
 
-  // 1. Find block leaders: the entry, every literal branch target, and
-  //    every instruction following a terminator.
+  // 1. Addresses ascend strictly and avoid SCHI words, so a branch target
+  //    is found by binary search.
   const SchiKind Kind = archSchiKind(A);
   const unsigned WordBytes = archWordBits(A) / 8;
-  std::set<uint64_t> Leaders;
-  Leaders.insert(Listing.Insts.front().Address);
-  std::map<uint64_t, size_t> ByAddress;
-  for (size_t I = 0; I < Listing.Insts.size(); ++I) {
-    const uint64_t Address = Listing.Insts[I].Address;
+  for (size_t I = 0; I < N; ++I) {
+    const uint64_t Address = Insts[I].Address;
     if (sass::isSchiWord(Kind, Address / WordBytes))
       return Failure("ir: instruction at " + toHexString(Address) +
                      " in kernel " + Listing.Name +
                      " is where a SCHI word belongs");
-    ByAddress[Address] = I;
+    if (I > 0 && Address <= Insts[I - 1].Address)
+      return Failure("ir: instruction at " + toHexString(Address) +
+                     " in kernel " + Listing.Name + " does not follow " +
+                     toHexString(Insts[I - 1].Address));
   }
-  std::vector<sass::CtrlInfo> Ctrl = splitSchedulingInfo(A, Listing);
-
-  for (size_t I = 0; I < Listing.Insts.size(); ++I) {
-    const sass::Instruction &Inst = Listing.Insts[I].Inst;
-    if (hasAddressTarget(Inst)) {
-      uint64_t Target = static_cast<uint64_t>(Inst.Operands[0].Value[0]);
-      if (!ByAddress.count(Target))
-        return Failure("ir: branch target " + toHexString(Target) +
-                       " is not an instruction address in kernel " +
-                       Listing.Name);
-      Leaders.insert(Target);
-    }
-    if (isTerminator(Inst) && I + 1 < Listing.Insts.size())
-      Leaders.insert(Listing.Insts[I + 1].Address);
-  }
-
-  // 2. Create blocks in address order.
-  std::map<uint64_t, int> BlockOfAddress; // leader address -> block index
-  for (uint64_t Leader : Leaders) {
-    BlockOfAddress[Leader] = static_cast<int>(K.Blocks.size());
-    K.Blocks.emplace_back();
-  }
-  auto blockContaining = [&](uint64_t Address) {
-    auto It = BlockOfAddress.upper_bound(Address);
-    assert(It != BlockOfAddress.begin() && "address before entry");
-    return std::prev(It)->second;
+  auto indexOf = [&Insts](uint64_t Address) {
+    auto It = std::lower_bound(
+        Insts.begin(), Insts.end(), Address,
+        [](const ListingInst &L, uint64_t A) { return L.Address < A; });
+    return It != Insts.end() && It->Address == Address
+               ? static_cast<size_t>(It - Insts.begin())
+               : Insts.size();
   };
 
-  for (size_t I = 0; I < Listing.Insts.size(); ++I) {
-    Inst Entry;
-    Entry.Asm = Listing.Insts[I].Inst;
-    Entry.Ctrl = Ctrl[I];
-    Entry.OrigAddress = Listing.Insts[I].Address;
-    if (hasAddressTarget(Entry.Asm))
-      Entry.TargetBlock = BlockOfAddress.at(
-          static_cast<uint64_t>(Entry.Asm.Operands[0].Value[0]));
-    K.Blocks[blockContaining(Entry.OrigAddress)].Insts.push_back(
-        std::move(Entry));
+  // 2. Block leaders: the entry, every literal branch target, and every
+  //    instruction following a terminator. Target[I] is the index of
+  //    instruction I's branch target, or N.
+  std::vector<uint8_t> Leader(N, 0);
+  std::vector<size_t> Target(N, N);
+  Leader[0] = 1;
+  for (size_t I = 0; I < N; ++I) {
+    const sass::Instruction &Inst = Insts[I].Inst;
+    if (sass::hasLiteralTarget(Inst)) {
+      const uint64_t Address = static_cast<uint64_t>(Inst.Operands[0].Value[0]);
+      Target[I] = indexOf(Address);
+      if (Target[I] == N)
+        return Failure("ir: branch target " + toHexString(Address) +
+                       " is not an instruction address in kernel " +
+                       Listing.Name);
+      Leader[Target[I]] = 1;
+    }
+    if (sass::isTerminator(Inst) && I + 1 < N)
+      Leader[I + 1] = 1;
   }
 
-  // 3. Successor edges, SSY reconvergence and PBK break-target tracking
+  // 3. Blocks in address order; BlockOf[I] numbers instruction I's block.
+  std::vector<int> BlockOf(N);
+  int NumBlocks = 0;
+  for (size_t I = 0; I < N; ++I) {
+    NumBlocks += Leader[I];
+    BlockOf[I] = NumBlocks - 1;
+  }
+  K.Blocks.resize(static_cast<size_t>(NumBlocks));
+  for (size_t I = 0, Begin = 0; I < N; ++I)
+    if (I + 1 == N || Leader[I + 1]) {
+      K.Blocks[static_cast<size_t>(BlockOf[I])].Insts.reserve(I + 1 - Begin);
+      Begin = I + 1;
+    }
+  std::vector<sass::CtrlInfo> Ctrl = splitSchedulingInfo(A, Listing);
+  for (size_t I = 0; I < N; ++I) {
+    Inst &Entry =
+        K.Blocks[static_cast<size_t>(BlockOf[I])].Insts.emplace_back();
+    Entry.Asm = Insts[I].Inst;
+    Entry.Ctrl = Ctrl[I];
+    Entry.OrigAddress = Insts[I].Address;
+    if (Target[I] != N)
+      Entry.TargetBlock = BlockOf[Target[I]];
+  }
+
+  // 4. Successor edges, SSY reconvergence and PBK break-target tracking
   //    (Fig. 4). Both are processed linearly: SSY/PBK arm an address for
   //    subsequent SYNC/BRK until the armed point is reached.
+  const FlowSyms &Syms = flowSyms();
   int CurrentReconverge = -1;
   int CurrentBreak = -1;
   for (size_t BlockIdx = 0; BlockIdx < K.Blocks.size(); ++BlockIdx) {
@@ -160,29 +153,30 @@ Expected<Kernel> ir::buildKernel(Arch A, const ListingKernel &Listing) {
     if (CurrentBreak == static_cast<int>(BlockIdx))
       CurrentBreak = -1;
     for (const Inst &Entry : B.Insts) {
-      if (Entry.Asm.opcode() == "SSY")
+      if (Entry.Asm.opcodeSym() == Syms.Ssy)
         CurrentReconverge = Entry.TargetBlock;
-      if (Entry.Asm.opcode() == "PBK")
+      if (Entry.Asm.opcodeSym() == Syms.Pbk)
         CurrentBreak = Entry.TargetBlock;
     }
     B.ReconvergeBlock = CurrentReconverge;
 
     const Inst &Last = B.Insts.back();
+    const SymbolId LastOp = Last.Asm.opcodeSym();
     const bool HasNext = BlockIdx + 1 < K.Blocks.size();
-    if (Last.Asm.opcode() == "BRK") {
+    if (LastOp == Syms.Brk) {
       if (CurrentBreak >= 0)
         B.Succs.push_back(CurrentBreak);
       if (Last.Asm.hasGuard() && HasNext)
         B.Succs.push_back(static_cast<int>(BlockIdx) + 1);
-    } else if (Last.Asm.opcode() == "EXIT" || Last.Asm.opcode() == "RET") {
+    } else if (LastOp == Syms.Exit || LastOp == Syms.Ret) {
       if (Last.Asm.hasGuard() && HasNext)
         B.Succs.push_back(static_cast<int>(BlockIdx) + 1);
-    } else if (Last.Asm.opcode() == "BRA") {
+    } else if (LastOp == Syms.Bra) {
       if (Last.TargetBlock >= 0)
         B.Succs.push_back(Last.TargetBlock);
       if (Last.Asm.hasGuard() && HasNext)
         B.Succs.push_back(static_cast<int>(BlockIdx) + 1);
-    } else if (isReconvergenceJump(Last.Asm)) {
+    } else if (sass::isReconvergenceJump(Last.Asm)) {
       // Threads parking here resume at the SSY target; a guarded
       // reconvergence lets the rest of the warp fall through. An
       // *unguarded* jump with a known target has no fall-through edge.
@@ -240,11 +234,11 @@ std::string ir::printKernel(const Kernel &K) {
         // Print with a symbolic target instead of the literal address.
         sass::Instruction Copy = Entry.Asm;
         Copy.Operands.clear();
-        std::string Text = sass::printInstruction(Copy);
-        Text.pop_back(); // drop ';'
-        Out += Text + " BB" + std::to_string(Entry.TargetBlock) + ";";
+        sass::printInstruction(Copy, Out);
+        Out.pop_back(); // drop ';'
+        Out += " BB" + std::to_string(Entry.TargetBlock) + ";";
       } else {
-        Out += sass::printInstruction(Entry.Asm);
+        sass::printInstruction(Entry.Asm, Out);
       }
       Out += '\n';
     }

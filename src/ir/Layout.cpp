@@ -57,17 +57,18 @@ Expected<std::vector<uint8_t>> ir::emitKernel(
   //    from its block reference.
   //    The phony BINCODE opcode (paper §A.H) carries raw binary words that
   //    bypass the assembler: "BINCODE 0xlow;" or "BINCODE 0xlow, 0xhigh;".
+  static const SymbolId Bincode = sass::internKnown("BINCODE");
   std::vector<BitString> Words(Insts.size());
+  sass::Instruction Branch;
   for (size_t I = 0; I < Insts.size(); ++I) {
     const sass::Instruction *Asm = &Insts[I]->Asm;
-    sass::Instruction Branch;
     if (Insts[I]->TargetBlock >= 0) {
       Branch = *Asm;
       Branch.Operands.back() = sass::Operand::makeIntImm(
           static_cast<int64_t>(Addrs[BlockStart[Insts[I]->TargetBlock]]));
       Asm = &Branch;
     }
-    if (Asm->opcode() == "BINCODE") {
+    if (Asm->opcodeSym() == Bincode) {
       const auto &Operands = Asm->Operands;
       if (Operands.empty() || Operands.size() > 2 ||
           Operands[0].Kind != sass::OperandKind::IntImm)

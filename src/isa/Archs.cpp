@@ -30,8 +30,17 @@ std::unique_ptr<ArchSpec> buildSpec(Arch A) {
     break;
   }
   assert(!Spec->checkNoAmbiguity() && "ambiguous opcode patterns");
-  for (InstrSpec &Form : Spec->Instrs)
-    Form.MnemonicSym = SymbolTable::global().intern(Form.Mnemonic);
+  // Every spelling the decoder writes (mnemonics, modifier choices and the
+  // special-register names) is interned once, here, so decoded
+  // instructions carry ids without touching the table.
+  for (InstrSpec &Form : Spec->Instrs) {
+    Form.MnemonicSym = sass::internKnown(Form.Mnemonic);
+    for (ModifierGroup &Group : Form.ModGroups)
+      for (ModifierChoice &Choice : Group.Choices)
+        if (!Choice.Name.empty())
+          Choice.Sym = sass::internKnown(Choice.Name);
+  }
+  (void)specialRegSym(0);
   // Eagerly index decode dispatch: built-in specs are immutable from here
   // on, so every consumer shares the frozen index without a first-use race.
   Spec->freezeDecode();

@@ -84,7 +84,7 @@ bool isa::slotAcceptsOperand(const OperandSlot &Slot, const sass::Operand &Op) {
 
 const InstrSpec *ArchSpec::findSpec(const sass::Instruction &Inst) const {
   for (const InstrSpec &Spec : Instrs) {
-    if (Spec.Mnemonic != Inst.opcode() ||
+    if (Spec.MnemonicSym != Inst.opcodeSym() ||
         Spec.Operands.size() != Inst.Operands.size())
       continue;
     bool Match = true;
@@ -191,18 +191,35 @@ const SpecialRegEntry SpecialRegs[] = {
 
 } // namespace
 
-std::optional<unsigned> isa::specialRegEncoding(const std::string &Name) {
-  for (const SpecialRegEntry &Entry : SpecialRegs)
-    if (Name == Entry.Name)
-      return Entry.Code;
+namespace {
+
+/// SpecialRegs' names, interned once.
+const std::vector<SymbolId> &specialRegSyms() {
+  static const std::vector<SymbolId> Syms = [] {
+    std::vector<SymbolId> Out;
+    for (const SpecialRegEntry &Entry : SpecialRegs)
+      Out.push_back(sass::internKnown(Entry.Name));
+    return Out;
+  }();
+  return Syms;
+}
+
+} // namespace
+
+std::optional<unsigned> isa::specialRegEncoding(SymbolId Name) {
+  const std::vector<SymbolId> &Syms = specialRegSyms();
+  for (size_t I = 0; I < Syms.size(); ++I)
+    if (Syms[I] == Name)
+      return SpecialRegs[I].Code;
   return std::nullopt;
 }
 
-std::optional<std::string> isa::specialRegName(unsigned Code) {
-  for (const SpecialRegEntry &Entry : SpecialRegs)
-    if (Code == Entry.Code)
-      return std::string(Entry.Name);
-  return std::nullopt;
+SymbolId isa::specialRegSym(unsigned Code) {
+  const std::vector<SymbolId> &Syms = specialRegSyms();
+  for (size_t I = 0; I < Syms.size(); ++I)
+    if (SpecialRegs[I].Code == Code)
+      return Syms[I];
+  return InvalidSymbolId;
 }
 
 std::vector<std::string> isa::allSpecialRegNames() {

@@ -96,6 +96,9 @@ struct OperandSlot {
 struct ModifierChoice {
   std::string Name; ///< Spelling without the dot; empty = prints nothing.
   uint64_t Value = 0;
+  /// Name interned in SymbolTable::global() when the spec is built;
+  /// InvalidSymbolId for the empty name.
+  SymbolId Sym = InvalidSymbolId;
 };
 
 /// A group of mutually exclusive modifiers occupying one field.
@@ -113,9 +116,9 @@ struct ModifierGroup {
   uint64_t DefaultValue = 0;
   bool HasDefault = true;
 
-  const ModifierChoice *findByName(const std::string &Name) const {
+  const ModifierChoice *findBySym(SymbolId Sym) const {
     for (const ModifierChoice &C : Choices)
-      if (C.Name == Name)
+      if (C.Sym == Sym)
         return &C;
     return nullptr;
   }
@@ -241,12 +244,13 @@ bool slotAcceptsOperand(const OperandSlot &Slot, const sass::Operand &Op);
 
 // --- Special registers (paper Table III) ---------------------------------
 
-/// Returns the 8-bit encoding for a special register name, or nullopt.
-std::optional<unsigned> specialRegEncoding(const std::string &Name);
+/// Returns the 8-bit encoding for an interned special register name, or
+/// nullopt.
+std::optional<unsigned> specialRegEncoding(SymbolId Name);
 
-/// Returns the canonical name for an 8-bit special register code, or
-/// nullopt if unassigned.
-std::optional<std::string> specialRegName(unsigned Code);
+/// Returns the interned canonical name for an 8-bit special register code,
+/// or InvalidSymbolId if unassigned.
+SymbolId specialRegSym(unsigned Code);
 
 /// All known special register names.
 std::vector<std::string> allSpecialRegNames();

@@ -4,7 +4,7 @@
 
 #include "support/StringUtils.h"
 
-#include <cctype>
+#include <cassert>
 #include <cstdlib>
 
 using namespace dcb;
@@ -20,20 +20,27 @@ int64_t applySign(bool Negative, uint64_t Magnitude) {
                                        : Magnitude);
 }
 
-/// Character-level parser over one instruction's text.
+/// Character-level parser over one instruction's text. It writes straight
+/// into the record it is given; every step returns false on the first
+/// error, whose message it leaves in Msg.
 class InstParser {
 public:
   explicit InstParser(std::string_view Text) : Text(Text) {}
 
-  Expected<Instruction> run();
+  /// Parses the whole text into \p Inst, which starts default-constructed.
+  Error run(Instruction &Inst) {
+    if (parseInstruction(Inst))
+      return Error::success();
+    return Error::failure(std::move(Msg));
+  }
 
 private:
   std::string_view Text;
   size_t Pos = 0;
+  std::string Msg;
 
   bool atEnd() const { return Pos >= Text.size(); }
   char peek() const { return atEnd() ? '\0' : Text[Pos]; }
-  char take() { return Text[Pos++]; }
   bool consume(char C) {
     if (peek() != C)
       return false;
@@ -41,112 +48,116 @@ private:
     return true;
   }
   void skipSpace() {
-    while (!atEnd() && std::isspace(static_cast<unsigned char>(Text[Pos])))
+    while (!atEnd() && isAsciiSpace(Text[Pos]))
       ++Pos;
   }
 
-  Failure error(const std::string &Msg) const {
-    return Failure("sass parse error at column " + std::to_string(Pos) + ": " +
-                   Msg + " in '" + std::string(Text) + "'");
+  /// Records "sass parse error at column N: <What> in '<text>'".
+  bool error(const std::string &What) {
+    Msg = "sass parse error at column " + std::to_string(Pos) + ": " + What +
+          " in '" + std::string(Text) + "'";
+    return false;
   }
 
-  static bool isIdentChar(char C) {
-    return std::isalnum(static_cast<unsigned char>(C)) || C == '_';
-  }
+  static bool isIdentChar(char C) { return isAsciiAlnum(C) || C == '_'; }
 
   /// Reads a run of identifier characters.
-  std::string readIdent() {
+  std::string_view readIdent() {
     size_t Start = Pos;
     while (!atEnd() && isIdentChar(Text[Pos]))
       ++Pos;
-    return std::string(Text.substr(Start, Pos - Start));
+    return Text.substr(Start, Pos - Start);
   }
 
-  Expected<Instruction> parseBody();
-  Expected<Operand> parseOperand();
-  Expected<Operand> parseOperandCore();
-  Expected<Operand> parseNumberOrShape(bool Negative);
-  Expected<Operand> parseMemory();
-  Expected<Operand> parseConstMem();
-  Expected<Operand> parseBitSet();
-  Expected<Operand> classifyIdent(const std::string &Ident);
-  Expected<int64_t> parseIntLiteral();
-  void parseOperandSuffixMods(Operand &Op);
+  /// Interns \p Spelling into \p Id; an error when the table is full.
+  bool intern(std::string_view Spelling, SymbolId &Id) {
+    Id = SymbolTable::global().intern(Spelling);
+    return Id != InvalidSymbolId ||
+           error("symbol table full, cannot intern '" + std::string(Spelling) +
+                 "'");
+  }
+
+  bool parseInstruction(Instruction &Inst);
+  bool parseOperand(Operand &Op);
+  bool parseOperandCore(Operand &Op);
+  bool parseNumberOrShape(bool Negative, Operand &Op);
+  bool parseMemory(Operand &Op);
+  bool parseConstMem(Operand &Op);
+  bool parseBitSet(Operand &Op);
+  bool classifyIdent(std::string_view Ident, Operand &Op);
+  bool parseIntLiteral(int64_t &Value);
+  bool parseOperandSuffixMods(Operand &Op);
 };
 
-Expected<Instruction> InstParser::run() {
+bool InstParser::parseInstruction(Instruction &Inst) {
   skipSpace();
-  Expected<Instruction> Result = parseBody();
-  if (!Result)
-    return Result;
-  skipSpace();
-  consume(';');
-  skipSpace();
-  if (!atEnd())
-    return error("trailing characters after instruction");
-  return Result;
-}
-
-Expected<Instruction> InstParser::parseBody() {
-  Instruction Inst;
 
   // Optional guard: @P3 or @!P3 or @PT.
   if (consume('@')) {
     Inst.GuardNegated = consume('!');
-    std::string Pred = readIdent();
+    std::string_view Pred = readIdent();
     if (Pred == "PT") {
       Inst.GuardPredicate = 7;
     } else if (Pred.size() >= 2 && Pred[0] == 'P') {
       std::optional<uint64_t> Id = parseUInt(Pred.substr(1));
       if (!Id || *Id > 6)
-        return error("bad guard predicate '" + Pred + "'");
-      Inst.GuardPredicate = static_cast<unsigned>(*Id);
+        return error("bad guard predicate '" + std::string(Pred) + "'");
+      Inst.GuardPredicate = static_cast<uint8_t>(*Id);
     } else {
-      return error("bad guard predicate '" + Pred + "'");
+      return error("bad guard predicate '" + std::string(Pred) + "'");
     }
     skipSpace();
   }
 
-  // Opcode and its dotted modifiers, interned as they are read so the
-  // assembly pipeline dispatches on integer ids.
-  std::string Opcode = readIdent();
+  // Opcode and its dotted modifiers, interned as they are read.
+  std::string_view Opcode = readIdent();
   if (Opcode.empty())
     return error("expected an opcode");
-  const SymbolId Sym = SymbolTable::global().intern(Opcode);
-  Inst.setOpcode(std::move(Opcode), Sym);
+  SymbolId Sym;
+  if (!intern(Opcode, Sym))
+    return false;
+  Inst.setOpcode(Sym);
   while (consume('.')) {
-    std::string Mod = readIdent();
+    if (Inst.Modifiers.full())
+      return error("more than " + std::to_string(MaxModifiers) +
+                   " modifiers");
+    std::string_view Mod = readIdent();
     if (Mod.empty())
       return error("expected a modifier after '.'");
-    Inst.ModifierSyms.push_back(SymbolTable::global().intern(Mod));
-    Inst.Modifiers.push_back(std::move(Mod));
+    if (!intern(Mod, Sym))
+      return false;
+    Inst.Modifiers.push_back(Sym);
+  }
+
+  // Operand list.
+  skipSpace();
+  if (!atEnd() && peek() != ';') {
+    while (true) {
+      if (Inst.Operands.full())
+        return error("more than " + std::to_string(MaxOperands) +
+                     " operands");
+      if (!parseOperand(Inst.Operands.push_back(Operand())))
+        return false;
+      skipSpace();
+      if (!consume(','))
+        break;
+      skipSpace();
+    }
   }
 
   skipSpace();
-  if (atEnd() || peek() == ';')
-    return Inst;
-
-  // Operand list.
-  while (true) {
-    Expected<Operand> Op = parseOperand();
-    if (!Op)
-      return Op.takeError();
-    Inst.Operands.push_back(Op.takeValue());
-    skipSpace();
-    if (!consume(','))
-      break;
-    skipSpace();
-  }
-  return Inst;
+  consume(';');
+  skipSpace();
+  return atEnd() || error("trailing characters after instruction");
 }
 
-Expected<Operand> InstParser::parseOperand() {
+bool InstParser::parseOperand(Operand &Op) {
   // Unary prefixes. '-' on a numeric literal becomes a negative literal
   // instead (the ambiguity the analyzer must itself resolve, per §III-A).
   bool Negated = false, Complemented = false, LogicalNot = false;
   while (true) {
     if (peek() == '-' && Pos + 1 < Text.size() &&
-        !std::isdigit(static_cast<unsigned char>(Text[Pos + 1]))) {
+        !isAsciiDigit(Text[Pos + 1])) {
       ++Pos;
       Negated = true;
       continue;
@@ -163,12 +174,8 @@ Expected<Operand> InstParser::parseOperand() {
   }
 
   bool Absolute = consume('|');
-
-  Expected<Operand> Core = parseOperandCore();
-  if (!Core)
-    return Core;
-  Operand Op = Core.takeValue();
-
+  if (!parseOperandCore(Op))
+    return false;
   if (Absolute && !consume('|'))
     return error("expected closing '|' for absolute value");
 
@@ -176,100 +183,106 @@ Expected<Operand> InstParser::parseOperand() {
   Op.Complemented |= Complemented;
   Op.LogicalNot |= LogicalNot;
   Op.Absolute |= Absolute;
-
-  parseOperandSuffixMods(Op);
-  return Op;
+  return parseOperandSuffixMods(Op);
 }
 
-void InstParser::parseOperandSuffixMods(Operand &Op) {
+bool InstParser::parseOperandSuffixMods(Operand &Op) {
   // Operand-attached modifiers, e.g. R4.CC or R2.reuse.
   while (peek() == '.') {
     size_t Save = Pos;
     ++Pos;
-    std::string Mod = readIdent();
+    std::string_view Mod = readIdent();
     if (Mod.empty()) {
       Pos = Save;
-      return;
+      return true;
     }
-    Op.Mods.push_back(Mod);
+    if (Op.Mods.full())
+      return error("more than " + std::to_string(MaxOperandMods) +
+                   " operand modifiers");
+    SymbolId Sym;
+    if (!intern(Mod, Sym))
+      return false;
+    Op.Mods.push_back(Sym);
   }
+  return true;
 }
 
-Expected<Operand> InstParser::parseOperandCore() {
+bool InstParser::parseOperandCore(Operand &Op) {
   char C = peek();
   if (C == '[')
-    return parseMemory();
+    return parseMemory(Op);
   if (C == '{')
-    return parseBitSet();
+    return parseBitSet(Op);
   if (C == 'c' && Pos + 1 < Text.size() && Text[Pos + 1] == '[') {
     ++Pos; // consume 'c'
-    return parseConstMem();
+    return parseConstMem(Op);
   }
-  if (std::isdigit(static_cast<unsigned char>(C)))
-    return parseNumberOrShape(/*Negative=*/false);
+  if (isAsciiDigit(C))
+    return parseNumberOrShape(/*Negative=*/false, Op);
   if (C == '-') {
     ++Pos;
-    return parseNumberOrShape(/*Negative=*/true);
+    return parseNumberOrShape(/*Negative=*/true, Op);
   }
-  if (std::isalpha(static_cast<unsigned char>(C)) || C == '_') {
-    std::string Ident = readIdent();
+  if (isAsciiAlpha(C) || C == '_') {
+    size_t Start = Pos;
+    std::string_view Ident = readIdent();
     // Special registers may contain dots (SR_TID.X); greedily absorb a
     // dotted suffix for SR_ names only.
     if (startsWith(Ident, "SR_")) {
       while (peek() == '.') {
         ++Pos;
-        Ident += '.';
-        Ident += readIdent();
+        readIdent();
       }
-      return Operand::makeSpecialReg(Ident);
+      SymbolId Sym;
+      if (!intern(Text.substr(Start, Pos - Start), Sym))
+        return false;
+      Op = Operand::makeSpecialReg(Sym);
+      return true;
     }
-    return classifyIdent(Ident);
+    return classifyIdent(Ident, Op);
   }
   return error("cannot parse operand");
 }
 
-Expected<Operand> InstParser::parseNumberOrShape(bool Negative) {
+bool InstParser::parseNumberOrShape(bool Negative, Operand &Op) {
   size_t Start = Pos;
   // Hexadecimal literal.
   if (peek() == '0' && Pos + 1 < Text.size() &&
       (Text[Pos + 1] == 'x' || Text[Pos + 1] == 'X')) {
     Pos += 2;
     size_t DigitsStart = Pos;
-    while (!atEnd() && std::isxdigit(static_cast<unsigned char>(Text[Pos])))
+    while (!atEnd() && isAsciiHexDigit(Text[Pos]))
       ++Pos;
     if (Pos == DigitsStart)
       return error("expected hex digits after 0x");
-    std::string HexBody(Text.substr(DigitsStart, Pos - DigitsStart));
-    std::optional<uint64_t> V = parseUInt("0x" + HexBody);
+    std::optional<uint64_t> V =
+        parseHexDigits(Text.substr(DigitsStart, Pos - DigitsStart));
     if (!V)
       return error("bad hex literal");
-    return Operand::makeIntImm(applySign(Negative, *V));
+    Op = Operand::makeIntImm(applySign(Negative, *V));
+    return true;
   }
 
   // Decimal digits.
-  while (!atEnd() && std::isdigit(static_cast<unsigned char>(Text[Pos])))
+  while (!atEnd() && isAsciiDigit(Text[Pos]))
     ++Pos;
 
   // Texture shape: 1D / 2D / 3D.
   if (!Negative && peek() == 'D' && Pos - Start == 1) {
     char Dim = Text[Start];
     ++Pos;
-    if (Dim == '1')
-      return Operand::makeTexShape(TexShapeKind::Dim1D);
-    if (Dim == '2')
-      return Operand::makeTexShape(TexShapeKind::Dim2D);
-    if (Dim == '3')
-      return Operand::makeTexShape(TexShapeKind::Dim3D);
-    return error("bad texture shape");
+    if (Dim < '1' || Dim > '3')
+      return error("bad texture shape");
+    Op = Operand::makeTexShape(static_cast<TexShapeKind>(Dim - '1'));
+    return true;
   }
 
   // Float literal if a fraction or exponent follows.
   bool IsFloat = false;
-  if (peek() == '.' && Pos + 1 < Text.size() &&
-      std::isdigit(static_cast<unsigned char>(Text[Pos + 1]))) {
+  if (peek() == '.' && Pos + 1 < Text.size() && isAsciiDigit(Text[Pos + 1])) {
     IsFloat = true;
     ++Pos;
-    while (!atEnd() && std::isdigit(static_cast<unsigned char>(Text[Pos])))
+    while (!atEnd() && isAsciiDigit(Text[Pos]))
       ++Pos;
   }
   if (peek() == 'e' || peek() == 'E') {
@@ -277,40 +290,42 @@ Expected<Operand> InstParser::parseNumberOrShape(bool Negative) {
     ++Pos;
     if (peek() == '+' || peek() == '-')
       ++Pos;
-    if (std::isdigit(static_cast<unsigned char>(peek()))) {
+    if (isAsciiDigit(peek())) {
       IsFloat = true;
-      while (!atEnd() && std::isdigit(static_cast<unsigned char>(Text[Pos])))
+      while (!atEnd() && isAsciiDigit(Text[Pos]))
         ++Pos;
     } else {
       Pos = Save;
     }
   }
 
-  std::string Body(Text.substr(Start, Pos - Start));
+  std::string_view Body = Text.substr(Start, Pos - Start);
   if (Body.empty())
     return error("expected a number");
   if (IsFloat) {
-    double FV = std::strtod(Body.c_str(), nullptr);
-    return Operand::makeFloatImm(Negative ? -FV : FV);
+    double FV = std::strtod(std::string(Body).c_str(), nullptr);
+    Op = Operand::makeFloatImm(Negative ? -FV : FV);
+    return true;
   }
   std::optional<uint64_t> V = parseUInt(Body);
   if (!V)
     return error("bad integer literal");
-  return Operand::makeIntImm(applySign(Negative, *V));
+  Op = Operand::makeIntImm(applySign(Negative, *V));
+  return true;
 }
 
-Expected<Operand> InstParser::parseMemory() {
+bool InstParser::parseMemory(Operand &Op) {
   if (!consume('['))
     return error("expected '['");
   skipSpace();
-  std::string Reg = readIdent();
-  unsigned BaseReg = 0;
+  std::string_view Reg = readIdent();
+  int64_t BaseReg = 0;
   if (Reg == "RZ") {
-    BaseReg = ~0u; // Resolved to the arch's zero register by the encoder.
+    BaseReg = -1; // Canonical marker; the encoder substitutes the max id.
   } else if (Reg.size() >= 2 && Reg[0] == 'R') {
     std::optional<uint64_t> Id = parseUInt(Reg.substr(1));
     if (!Id)
-      return error("bad base register '" + Reg + "'");
+      return error("bad base register '" + std::string(Reg) + "'");
     BaseReg = static_cast<unsigned>(*Id);
   } else {
     return error("expected base register in memory operand");
@@ -319,32 +334,27 @@ Expected<Operand> InstParser::parseMemory() {
   skipSpace();
   if (consume('+')) {
     skipSpace();
-    Expected<int64_t> Off = parseIntLiteral();
-    if (!Off)
-      return Off.takeError();
-    Offset = *Off;
+    if (!parseIntLiteral(Offset))
+      return false;
   } else if (peek() == '-') {
-    Expected<int64_t> Off = parseIntLiteral();
-    if (!Off)
-      return Off.takeError();
-    Offset = *Off;
+    if (!parseIntLiteral(Offset))
+      return false;
   }
   skipSpace();
   if (!consume(']'))
     return error("expected ']'");
-  Operand Op = Operand::makeMemory(BaseReg, Offset);
-  if (Reg == "RZ")
-    Op.Value[0] = -1; // Canonical marker; encoder substitutes max id.
-  return Op;
+  Op = Operand::makeMemory(0, Offset);
+  Op.Value[0] = BaseReg;
+  return true;
 }
 
-Expected<Operand> InstParser::parseConstMem() {
+bool InstParser::parseConstMem(Operand &Op) {
   // 'c' already consumed; expect [bank][(reg+)?offset].
   if (!consume('['))
     return error("expected '[' after c");
-  Expected<int64_t> Bank = parseIntLiteral();
-  if (!Bank)
-    return Bank.takeError();
+  int64_t Bank;
+  if (!parseIntLiteral(Bank))
+    return false;
   if (!consume(']'))
     return error("expected ']' after constant bank");
   if (!consume('['))
@@ -352,15 +362,15 @@ Expected<Operand> InstParser::parseConstMem() {
   skipSpace();
 
   bool HasReg = false;
-  unsigned RegId = 0;
+  int64_t RegId = 0;
   if (peek() == 'R') {
     size_t Save = Pos;
-    std::string Reg = readIdent();
+    std::string_view Reg = readIdent();
     if (Reg == "RZ") {
       HasReg = true;
-      RegId = ~0u;
+      RegId = -1;
     } else {
-      std::optional<uint64_t> Id = parseUInt(std::string_view(Reg).substr(1));
+      std::optional<uint64_t> Id = parseUInt(Reg.substr(1));
       if (Id) {
         HasReg = true;
         RegId = static_cast<unsigned>(*Id);
@@ -376,35 +386,33 @@ Expected<Operand> InstParser::parseConstMem() {
     }
   }
 
-  Expected<int64_t> Offset = parseIntLiteral();
-  if (!Offset)
-    return Offset.takeError();
+  int64_t Offset;
+  if (!parseIntLiteral(Offset))
+    return false;
   if (!consume(']'))
     return error("expected closing ']' in constant operand");
 
+  Op = Operand::makeConstMem(static_cast<unsigned>(Bank), Offset);
   if (HasReg) {
-    Operand Op = Operand::makeConstMemReg(static_cast<unsigned>(*Bank), RegId,
-                                          *Offset);
-    if (RegId == ~0u)
-      Op.Value[2] = -1;
-    return Op;
+    Op.HasRegister = true;
+    Op.Value[2] = RegId;
   }
-  return Operand::makeConstMem(static_cast<unsigned>(*Bank), *Offset);
+  return true;
 }
 
-Expected<Operand> InstParser::parseBitSet() {
+bool InstParser::parseBitSet(Operand &Op) {
   if (!consume('{'))
     return error("expected '{'");
   uint64_t Mask = 0;
   skipSpace();
   if (!consume('}')) {
     while (true) {
-      Expected<int64_t> Bit = parseIntLiteral();
-      if (!Bit)
-        return Bit.takeError();
-      if (*Bit < 0 || *Bit >= 64)
+      int64_t Bit;
+      if (!parseIntLiteral(Bit))
+        return false;
+      if (Bit < 0 || Bit >= 64)
         return error("bit index out of range in bit set");
-      Mask |= uint64_t(1) << *Bit;
+      Mask |= uint64_t(1) << Bit;
       skipSpace();
       if (consume('}'))
         break;
@@ -413,101 +421,105 @@ Expected<Operand> InstParser::parseBitSet() {
       skipSpace();
     }
   }
-  return Operand::makeBitSet(Mask);
+  Op = Operand::makeBitSet(Mask);
+  return true;
 }
 
-Expected<Operand> InstParser::classifyIdent(const std::string &Ident) {
+bool InstParser::classifyIdent(std::string_view Ident, Operand &Op) {
   if (Ident == "RZ") {
-    Operand Op = Operand::makeRegister(0);
+    Op = Operand::makeRegister(0);
     Op.Value[0] = -1; // Canonical zero-register marker.
-    return Op;
+    return true;
   }
-  if (Ident == "PT")
-    return Operand::makePredicate(7);
+  if (Ident == "PT") {
+    Op = Operand::makePredicate(7);
+    return true;
+  }
 
-  if (Ident.size() >= 2 && Ident[0] == 'R' &&
-      std::isdigit(static_cast<unsigned char>(Ident[1]))) {
-    std::optional<uint64_t> Id = parseUInt(std::string_view(Ident).substr(1));
+  if (Ident.size() >= 2 && Ident[0] == 'R' && isAsciiDigit(Ident[1])) {
+    std::optional<uint64_t> Id = parseUInt(Ident.substr(1));
     if (!Id || *Id > 254)
-      return error("bad register '" + Ident + "'");
-    return Operand::makeRegister(static_cast<unsigned>(*Id));
+      return error("bad register '" + std::string(Ident) + "'");
+    Op = Operand::makeRegister(static_cast<unsigned>(*Id));
+    return true;
   }
-  if (Ident.size() >= 2 && Ident[0] == 'P' &&
-      std::isdigit(static_cast<unsigned char>(Ident[1]))) {
-    std::optional<uint64_t> Id = parseUInt(std::string_view(Ident).substr(1));
+  if (Ident.size() >= 2 && Ident[0] == 'P' && isAsciiDigit(Ident[1])) {
+    std::optional<uint64_t> Id = parseUInt(Ident.substr(1));
     if (!Id || *Id > 6)
-      return error("bad predicate '" + Ident + "'");
-    return Operand::makePredicate(static_cast<unsigned>(*Id));
+      return error("bad predicate '" + std::string(Ident) + "'");
+    Op = Operand::makePredicate(static_cast<unsigned>(*Id));
+    return true;
   }
   if (Ident.size() >= 3 && Ident[0] == 'S' && Ident[1] == 'B' &&
-      std::isdigit(static_cast<unsigned char>(Ident[2]))) {
-    std::optional<uint64_t> Id = parseUInt(std::string_view(Ident).substr(2));
+      isAsciiDigit(Ident[2])) {
+    std::optional<uint64_t> Id = parseUInt(Ident.substr(2));
     if (!Id || *Id > 7)
-      return error("bad scoreboard '" + Ident + "'");
-    return Operand::makeBarrier(static_cast<unsigned>(*Id));
+      return error("bad scoreboard '" + std::string(Ident) + "'");
+    Op = Operand::makeBarrier(static_cast<unsigned>(*Id));
+    return true;
   }
 
   // Texture shapes spelled with letters.
   TexShapeKind Shape;
-  if (parseTexShapeName(Ident, Shape))
-    return Operand::makeTexShape(Shape);
+  if (parseTexShapeName(Ident, Shape)) {
+    Op = Operand::makeTexShape(Shape);
+    return true;
+  }
 
   // Texture channel combination: subset of R, G, B, A in canonical order.
+  static constexpr std::string_view Channels = "RGBA";
   unsigned Mask = 0;
   bool IsChannel = !Ident.empty();
-  int LastIdx = -1;
+  size_t LastIdx = 0;
   for (char C : Ident) {
-    int Idx;
-    switch (C) {
-    case 'R':
-      Idx = 0;
-      break;
-    case 'G':
-      Idx = 1;
-      break;
-    case 'B':
-      Idx = 2;
-      break;
-    case 'A':
-      Idx = 3;
-      break;
-    default:
-      Idx = -1;
-      break;
-    }
-    if (Idx < 0 || Idx <= LastIdx) {
+    size_t Idx = Channels.find(C);
+    if (Idx == std::string_view::npos || (Mask && Idx <= LastIdx)) {
       IsChannel = false;
       break;
     }
     LastIdx = Idx;
     Mask |= 1u << Idx;
   }
-  if (IsChannel)
-    return Operand::makeTexChannel(Mask);
+  if (IsChannel) {
+    Op = Operand::makeTexChannel(Mask);
+    return true;
+  }
 
-  return error("unknown operand '" + Ident + "'");
+  return error("unknown operand '" + std::string(Ident) + "'");
 }
 
-Expected<int64_t> InstParser::parseIntLiteral() {
+bool InstParser::parseIntLiteral(int64_t &Value) {
   bool Negative = consume('-');
   size_t Start = Pos;
   if (peek() == '0' && Pos + 1 < Text.size() &&
       (Text[Pos + 1] == 'x' || Text[Pos + 1] == 'X')) {
     Pos += 2;
   }
-  while (!atEnd() && std::isxdigit(static_cast<unsigned char>(Text[Pos])))
+  while (!atEnd() && isAsciiHexDigit(Text[Pos]))
     ++Pos;
-  std::string Body(Text.substr(Start, Pos - Start));
+  std::string_view Body = Text.substr(Start, Pos - Start);
   std::optional<uint64_t> V = parseUInt(Body);
-  if (!V)
-    return Failure("bad integer literal '" + Body + "'");
-  return applySign(Negative, *V);
+  if (!V) {
+    // The one message without the column prefix.
+    Msg = "bad integer literal '" + std::string(Body) + "'";
+    return false;
+  }
+  Value = applySign(Negative, *V);
+  return true;
 }
 
 } // namespace
 
+Error sass::parseInstruction(std::string_view Text, Instruction &Inst) {
+  assert(Inst == Instruction() && "parsing into a used record");
+  return InstParser(trim(Text)).run(Inst);
+}
+
 Expected<Instruction> sass::parseInstruction(std::string_view Text) {
-  return InstParser(trim(Text)).run();
+  Instruction Inst;
+  if (Error E = InstParser(trim(Text)).run(Inst))
+    return E;
+  return Inst;
 }
 
 Expected<std::vector<Instruction>> sass::parseProgram(std::string_view Text) {
@@ -523,7 +535,7 @@ Expected<std::vector<Instruction>> sass::parseProgram(std::string_view Text) {
     Expected<Instruction> Inst = parseInstruction(Line);
     if (!Inst)
       return Inst.takeError();
-    Program.push_back(Inst.takeValue());
+    Program.push_back(*Inst);
   }
   return Program;
 }

@@ -29,6 +29,11 @@ namespace sass {
 /// the first syntax error otherwise.
 Expected<Instruction> parseInstruction(std::string_view Text);
 
+/// The same, parsing into \p Inst, which must be default-constructed (as a
+/// fresh emplace_back() leaves it), so a caller that stores records in
+/// place copies none.
+Error parseInstruction(std::string_view Text, Instruction &Inst);
+
 /// Parses a whole program: one instruction per non-empty line. Lines whose
 /// first non-space characters are "//" or "#" are skipped as comments;
 /// /* ... */ trailing comments on a line are ignored.

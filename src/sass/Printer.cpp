@@ -4,7 +4,6 @@
 
 #include "support/StringUtils.h"
 
-#include <cassert>
 #include <cstdio>
 
 using namespace dcb;
@@ -12,34 +11,40 @@ using namespace dcb::sass;
 
 namespace {
 
-std::string printIntValue(int64_t V) {
+void appendIntValue(std::string &Out, int64_t V) {
   // Negate in unsigned arithmetic: INT64_MIN prints as -0x8000000000000000.
-  if (V < 0)
-    return "-" + toHexString(uint64_t(0) - static_cast<uint64_t>(V));
-  return toHexString(static_cast<uint64_t>(V));
+  if (V < 0) {
+    Out += '-';
+    appendHexString(Out, uint64_t(0) - static_cast<uint64_t>(V));
+    return;
+  }
+  appendHexString(Out, static_cast<uint64_t>(V));
 }
 
-std::string printRegName(int64_t Id) {
-  if (Id < 0)
-    return "RZ";
-  return "R" + std::to_string(Id);
+// Short decimal spellings stay in std::string's inline buffer.
+void appendRegName(std::string &Out, int64_t Id) {
+  Out += Id < 0 ? "RZ" : 'R' + std::to_string(Id);
 }
 
-std::string printFloatValue(double V) {
+void appendPredName(std::string &Out, int64_t Id) {
+  Out += Id == 7 ? "PT" : 'P' + std::to_string(Id);
+}
+
+void appendFloatValue(std::string &Out, double V) {
   char Buffer[64];
-  std::snprintf(Buffer, sizeof(Buffer), "%.17g", V);
-  std::string S(Buffer);
+  int Len = std::snprintf(Buffer, sizeof(Buffer), "%.17g", V);
+  std::string_view S(Buffer, static_cast<size_t>(Len));
+  Out += S;
   // Guarantee the token re-parses as a float, not an integer.
-  if (S.find('.') == std::string::npos && S.find('e') == std::string::npos &&
-      S.find("inf") == std::string::npos && S.find("nan") == std::string::npos)
-    S += ".0";
-  return S;
+  if (S.find('.') == std::string_view::npos &&
+      S.find('e') == std::string_view::npos &&
+      S.find("inf") == std::string_view::npos &&
+      S.find("nan") == std::string_view::npos)
+    Out += ".0";
 }
 
-} // namespace
-
-std::string sass::printOperand(const Operand &Op) {
-  std::string Out;
+/// Renders one operand, appending to \p Out.
+void appendOperand(const Operand &Op, std::string &Out) {
   if (Op.Negated && Op.Kind != OperandKind::IntImm)
     Out += '-';
   if (Op.Complemented)
@@ -51,47 +56,41 @@ std::string sass::printOperand(const Operand &Op) {
 
   switch (Op.Kind) {
   case OperandKind::Register:
-    Out += printRegName(Op.Value[0]);
+    appendRegName(Out, Op.Value[0]);
     break;
   case OperandKind::Predicate:
-    Out += Op.Value[0] == 7 ? "PT" : ("P" + std::to_string(Op.Value[0]));
+    appendPredName(Out, Op.Value[0]);
     break;
   case OperandKind::SpecialReg:
-    Out += Op.Text;
+    Out += Op.text();
     break;
   case OperandKind::IntImm: {
     int64_t V = Op.Value[0];
-    if (Op.Negated) {
-      // A unary minus on a literal prints as part of the literal.
-      Out += printIntValue(V < 0 ? V : -V);
-    } else {
-      Out += printIntValue(V);
-    }
+    // A unary minus on a literal prints as part of the literal.
+    appendIntValue(Out, Op.Negated && V >= 0 ? -V : V);
     break;
   }
   case OperandKind::FloatImm:
-    Out += printFloatValue(Op.FValue);
+    appendFloatValue(Out, Op.FValue);
     break;
   case OperandKind::Memory:
     Out += '[';
-    Out += printRegName(Op.Value[0]);
-    if (Op.Value[1] > 0) {
+    appendRegName(Out, Op.Value[0]);
+    if (Op.Value[1] > 0)
       Out += '+';
-      Out += printIntValue(Op.Value[1]);
-    } else if (Op.Value[1] < 0) {
-      Out += printIntValue(Op.Value[1]);
-    }
+    if (Op.Value[1] != 0)
+      appendIntValue(Out, Op.Value[1]);
     Out += ']';
     break;
   case OperandKind::ConstMem:
     Out += "c[";
-    Out += printIntValue(Op.Value[0]);
+    appendIntValue(Out, Op.Value[0]);
     Out += "][";
     if (Op.HasRegister) {
-      Out += printRegName(Op.Value[2]);
+      appendRegName(Out, Op.Value[2]);
       Out += '+';
     }
-    Out += printIntValue(Op.Value[1]);
+    appendIntValue(Out, Op.Value[1]);
     Out += ']';
     break;
   case OperandKind::TexShape:
@@ -125,40 +124,52 @@ std::string sass::printOperand(const Operand &Op) {
 
   if (Op.Absolute)
     Out += '|';
-  for (const std::string &Mod : Op.Mods) {
+  const SymbolTable &Syms = SymbolTable::global();
+  for (SymbolId Mod : Op.Mods) {
     Out += '.';
-    Out += Mod;
+    Out += Syms.spelling(Mod);
   }
+}
+
+} // namespace
+
+std::string sass::printOperand(const Operand &Op) {
+  std::string Out;
+  appendOperand(Op, Out);
   return Out;
 }
 
-std::string sass::printInstruction(const Instruction &Inst) {
-  std::string Out;
+void sass::printInstruction(const Instruction &Inst, std::string &Out) {
   if (Inst.hasGuard()) {
     Out += '@';
     if (Inst.GuardNegated)
       Out += '!';
-    Out += Inst.GuardPredicate == 7 ? "PT"
-                                    : "P" + std::to_string(Inst.GuardPredicate);
+    appendPredName(Out, Inst.GuardPredicate);
     Out += ' ';
   }
-  Out += Inst.opcode();
-  for (const std::string &Mod : Inst.Modifiers) {
+  const SymbolTable &Syms = SymbolTable::global();
+  Out += Syms.spelling(Inst.opcodeSym());
+  for (SymbolId Mod : Inst.Modifiers) {
     Out += '.';
-    Out += Mod;
+    Out += Syms.spelling(Mod);
   }
   for (size_t I = 0; I < Inst.Operands.size(); ++I) {
     Out += I == 0 ? " " : ", ";
-    Out += printOperand(Inst.Operands[I]);
+    appendOperand(Inst.Operands[I], Out);
   }
   Out += ';';
+}
+
+std::string sass::printInstruction(const Instruction &Inst) {
+  std::string Out;
+  printInstruction(Inst, Out);
   return Out;
 }
 
 std::string sass::printProgram(const std::vector<Instruction> &Program) {
   std::string Out;
   for (const Instruction &Inst : Program) {
-    Out += printInstruction(Inst);
+    printInstruction(Inst, Out);
     Out += '\n';
   }
   return Out;

@@ -18,6 +18,7 @@
 #include "sass/Ast.h"
 
 #include <string>
+#include <vector>
 
 namespace dcb {
 namespace sass {
@@ -25,7 +26,9 @@ namespace sass {
 /// Renders one operand.
 std::string printOperand(const Operand &Op);
 
-/// Renders one instruction including guard and trailing ';'.
+/// Renders one instruction including guard and trailing ';', appending to
+/// \p Out: the disassembler prints a whole kernel into one buffer.
+void printInstruction(const Instruction &Inst, std::string &Out);
 std::string printInstruction(const Instruction &Inst);
 
 /// Renders a program, one instruction per line.

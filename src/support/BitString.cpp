@@ -2,6 +2,9 @@
 
 #include "support/BitString.h"
 
+#include <algorithm>
+#include <array>
+
 using namespace dcb;
 
 void BitString::setField(unsigned Lo, unsigned Width, uint64_t Value) {
@@ -49,34 +52,53 @@ std::string BitString::toHex() const {
   return Result;
 }
 
-BitString BitString::fromHex(const std::string &Hex, unsigned Bits) {
-  size_t Start = 0;
+BitString BitString::fromHex(std::string_view Hex, unsigned Bits) {
   if (Hex.size() >= 2 && Hex[0] == '0' && (Hex[1] == 'x' || Hex[1] == 'X'))
-    Start = 2;
-  if (Start == Hex.size() || Bits > MaxBits)
+    Hex.remove_prefix(2);
+  if (Hex.empty() || Bits > MaxBits)
     return BitString();
 
-  BitString Result(Bits);
-  unsigned NibbleIdx = 0;
-  for (size_t I = Hex.size(); I > Start; --I, ++NibbleIdx) {
-    char C = Hex[I - 1];
-    uint64_t Nibble;
-    if (C >= '0' && C <= '9')
-      Nibble = C - '0';
-    else if (C >= 'a' && C <= 'f')
-      Nibble = C - 'a' + 10;
-    else if (C >= 'A' && C <= 'F')
-      Nibble = C - 'A' + 10;
-    else
-      return BitString();
-    if (Nibble == 0)
-      continue;
-    // Bits at and above the width must stay zero.
-    unsigned Lo = NibbleIdx * 4;
-    if (Lo >= Bits || (Bits - Lo < 4 && (Nibble >> (Bits - Lo)) != 0))
-      return BitString(); // Value does not fit.
-    Result.Words[Lo / 64] |= Nibble << (Lo % 64);
+  // Nibble values, or 0xff for a non-hex character.
+  static const auto Nibbles = [] {
+    std::array<uint8_t, 256> T;
+    T.fill(0xff);
+    for (unsigned C = 0; C < 10; ++C)
+      T['0' + C] = static_cast<uint8_t>(C);
+    for (unsigned C = 0; C < 6; ++C)
+      T['a' + C] = T['A' + C] = static_cast<uint8_t>(10 + C);
+    return T;
+  }();
+
+  // Leading zeros never matter; the rest must fit in MaxBits. Digits go
+  // most significant first, the last 16 into the low word.
+  size_t First = 0;
+  while (First + 1 < Hex.size() && Hex[First] == '0')
+    ++First;
+  if (Hex.size() - First > MaxBits / 4)
+    return BitString();
+  const size_t Split = std::max(First, Hex.size() - std::min<size_t>(
+                                                        16, Hex.size()));
+  uint64_t Words[NumWords] = {0, 0};
+  uint8_t Seen = 0; // Ors every nibble: 0xff marks a bad character.
+  for (size_t I = First; I < Hex.size(); ++I) {
+    const uint8_t Nibble = Nibbles[static_cast<uint8_t>(Hex[I])];
+    Seen |= Nibble;
+    uint64_t &W = Words[I < Split];
+    W = (W << 4) | (Nibble & 0xf);
   }
+  if (Seen > 0xf)
+    return BitString();
+  // Bits at and above the width must stay zero.
+  for (unsigned W = 0; W < NumWords; ++W) {
+    const unsigned Lo = W * 64;
+    const uint64_t Allowed =
+        Bits <= Lo ? 0 : lowMask(std::min(64u, Bits - Lo));
+    if (Words[W] & ~Allowed)
+      return BitString(); // Value does not fit.
+  }
+  BitString Result(Bits);
+  Result.Words[0] = Words[0];
+  Result.Words[1] = Words[1];
   return Result;
 }
 

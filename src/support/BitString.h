@@ -22,6 +22,7 @@
 #include <cassert>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace dcb {
@@ -110,7 +111,7 @@ public:
   /// Parses a hex string (optionally "0x"-prefixed) into a bit string of
   /// \p Bits bits. Returns an empty (size 0) BitString on malformed input,
   /// if the value does not fit, or if \p Bits exceeds MaxBits.
-  static BitString fromHex(const std::string &Hex, unsigned Bits);
+  static BitString fromHex(std::string_view Hex, unsigned Bits);
 
   /// Builds a NumBytes*8-bit string from little-endian bytes in one bulk
   /// load — byte I lands at bits [8*I, 8*I+8). The inverse of toBytes.

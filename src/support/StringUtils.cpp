@@ -2,19 +2,7 @@
 
 #include "support/StringUtils.h"
 
-#include <cctype>
-
 using namespace dcb;
-
-std::string_view dcb::trim(std::string_view S) {
-  size_t Begin = 0;
-  while (Begin < S.size() && std::isspace(static_cast<unsigned char>(S[Begin])))
-    ++Begin;
-  size_t End = S.size();
-  while (End > Begin && std::isspace(static_cast<unsigned char>(S[End - 1])))
-    --End;
-  return S.substr(Begin, End - Begin);
-}
 
 std::vector<std::string_view> dcb::split(std::string_view S, char Sep) {
   std::vector<std::string_view> Pieces;
@@ -47,16 +35,13 @@ bool dcb::endsWith(std::string_view S, std::string_view Suffix) {
          S.substr(S.size() - Suffix.size()) == Suffix;
 }
 
-std::optional<uint64_t> dcb::parseUInt(std::string_view S) {
+namespace {
+
+/// Digits of \p S in \p Base, all of them; nullopt when empty, on a stray
+/// character or on overflow.
+std::optional<uint64_t> parseDigits(std::string_view S, unsigned Base) {
   if (S.empty())
     return std::nullopt;
-  unsigned Base = 10;
-  if (startsWith(S, "0x") || startsWith(S, "0X")) {
-    Base = 16;
-    S.remove_prefix(2);
-    if (S.empty())
-      return std::nullopt;
-  }
   uint64_t Value = 0;
   for (char C : S) {
     unsigned Digit;
@@ -76,6 +61,18 @@ std::optional<uint64_t> dcb::parseUInt(std::string_view S) {
   return Value;
 }
 
+} // namespace
+
+std::optional<uint64_t> dcb::parseUInt(std::string_view S) {
+  if (startsWith(S, "0x") || startsWith(S, "0X"))
+    return parseDigits(S.substr(2), 16);
+  return parseDigits(S, 10);
+}
+
+std::optional<uint64_t> dcb::parseHexDigits(std::string_view S) {
+  return parseDigits(S, 16);
+}
+
 std::optional<int64_t> dcb::parseInt(std::string_view S) {
   bool Negative = false;
   if (!S.empty() && S[0] == '-') {
@@ -90,26 +87,37 @@ std::optional<int64_t> dcb::parseInt(std::string_view S) {
   return static_cast<int64_t>(*Magnitude);
 }
 
-std::string dcb::toHexString(uint64_t Value) {
+void dcb::appendHexString(std::string &Out, uint64_t Value) {
   static const char Digits[] = "0123456789abcdef";
-  if (Value == 0)
-    return "0x0";
-  std::string Body;
-  while (Value != 0) {
-    Body.push_back(Digits[Value & 0xf]);
+  char Buf[18];
+  char *End = Buf + sizeof(Buf), *P = End;
+  do {
+    *--P = Digits[Value & 0xf];
     Value >>= 4;
-  }
-  std::string Result = "0x";
-  Result.append(Body.rbegin(), Body.rend());
+  } while (Value != 0);
+  *--P = 'x';
+  *--P = '0';
+  Out.append(P, End);
+}
+
+std::string dcb::toHexString(uint64_t Value) {
+  std::string Result;
+  appendHexString(Result, Value);
   return Result;
 }
 
-std::string dcb::toPaddedHex(uint64_t Value, unsigned Digits) {
+void dcb::appendPaddedHex(std::string &Out, uint64_t Value, unsigned Digits) {
   static const char HexDigits[] = "0123456789abcdef";
-  std::string Result(Digits, '0');
+  size_t Start = Out.size();
+  Out.append(Digits, '0');
   for (unsigned I = 0; I < Digits && Value != 0; ++I) {
-    Result[Digits - 1 - I] = HexDigits[Value & 0xf];
+    Out[Start + Digits - 1 - I] = HexDigits[Value & 0xf];
     Value >>= 4;
   }
+}
+
+std::string dcb::toPaddedHex(uint64_t Value, unsigned Digits) {
+  std::string Result;
+  appendPaddedHex(Result, Value, Digits);
   return Result;
 }

@@ -1,4 +1,4 @@
-//===- support/SymbolTable.h - Thread-safe string interner ------*- C++ -*-===//
+//===- support/SymbolTable.h - Bounded, lock-free-read interner -*- C++ -*-===//
 //
 // Part of the Decoding-CUDA-Binary reproduction. MIT license.
 //
@@ -6,44 +6,53 @@
 ///
 /// \file
 /// A thread-safe string interner mapping spellings (mnemonics, modifier and
-/// token names) to dense SymbolIds. Interning turns the assembly pipeline's
-/// hot-path keys from heap strings compared character-by-character into
-/// integers compared in one instruction: the database freeze step
-/// (analyzer/FrozenIndex.h) indexes every learned record by SymbolId, and
-/// the assembler resolves an instruction's spellings to ids once per
-/// lookup instead of rebuilding `std::string` keys per record walk.
+/// token names) to dense SymbolIds. sass::Instruction stores its opcode,
+/// modifiers, operand modifiers and special-register names as these ids, so
+/// every stage from decode to emission compares integers instead of
+/// strings; only the printer and error messages turn ids back into text.
 ///
 /// Ids are dense, stable for the lifetime of the process, and identical
 /// across threads (two threads interning the same spelling concurrently get
 /// the same id). Ids are *not* stable across processes — nothing serialized
 /// may contain one; persisted artifacts always store spellings.
 ///
+/// Hits take no lock: a lookup probes an open-addressing table of atomic
+/// slots that are written once, under the insert mutex, after the spelling
+/// they point at. The table is bounded in both symbols and bytes, because
+/// the SASS parser interns text that `dcb serve` reads from the network;
+/// once full, intern() refuses new spellings and the parser reports an
+/// error. A whole learn of every architecture interns about 150 spellings
+/// in under 1 KB, far below either bound.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DCB_SUPPORT_SYMBOLTABLE_H
 #define DCB_SUPPORT_SYMBOLTABLE_H
 
+#include <atomic>
+#include <cassert>
 #include <cstdint>
-#include <deque>
-#include <shared_mutex>
-#include <string>
+#include <memory>
+#include <mutex>
 #include <string_view>
-#include <unordered_map>
 
 namespace dcb {
 
 /// Dense identifier of one interned spelling.
 using SymbolId = uint32_t;
 
-/// The id no spelling ever receives; returned by SymbolTable::find on miss.
+/// The id no spelling ever receives; returned by SymbolTable::find on miss
+/// and by SymbolTable::intern when the table is full.
 constexpr SymbolId InvalidSymbolId = ~SymbolId(0);
 
-/// The interner. Readers (find / spelling) take a shared lock; only the
-/// first interning of a new spelling takes the exclusive lock, so a warmed
-/// table serves concurrent assembly lanes without serialization.
 class SymbolTable {
 public:
-  SymbolTable() = default;
+  /// Most spellings one table holds.
+  static constexpr uint32_t MaxSymbols = 1u << 14;
+  /// Most spelling bytes one table holds.
+  static constexpr uint32_t MaxBytes = 1u << 19;
+
+  SymbolTable();
   SymbolTable(const SymbolTable &) = delete;
   SymbolTable &operator=(const SymbolTable &) = delete;
 
@@ -51,25 +60,46 @@ public:
   /// share. A single table keeps ids comparable across databases.
   static SymbolTable &global();
 
-  /// Returns the id of \p Spelling, interning it if new.
+  /// Returns the id of \p Spelling, interning it if new, or InvalidSymbolId
+  /// when it is new and the table is full.
   SymbolId intern(std::string_view Spelling);
 
   /// Returns the id of \p Spelling, or InvalidSymbolId if it was never
-  /// interned. Never mutates the table, so misses on unlearned spellings
-  /// (error paths) stay allocation-free.
+  /// interned. Never mutates the table.
   SymbolId find(std::string_view Spelling) const;
 
-  /// The spelling of \p Id. \p Id must come from this table.
-  std::string_view spelling(SymbolId Id) const;
+  /// The spelling of \p Id, which must come from this table; the empty
+  /// spelling for InvalidSymbolId.
+  std::string_view spelling(SymbolId Id) const {
+    if (Id == InvalidSymbolId)
+      return std::string_view();
+    assert(Id < size() && "spelling of a foreign SymbolId");
+    return std::string_view(Entries[Id].Data, Entries[Id].Len);
+  }
 
   /// Number of interned spellings.
-  size_t size() const;
+  size_t size() const { return Count.load(std::memory_order_acquire); }
 
 private:
-  mutable std::shared_mutex M;
-  /// Keys are views into Storage entries, which never move (deque).
-  std::unordered_map<std::string_view, SymbolId> Index;
-  std::deque<std::string> Storage;
+  /// Twice MaxSymbols, so probes stay short at the bound.
+  static constexpr uint32_t NumSlots = 2 * MaxSymbols;
+
+  struct Entry {
+    const char *Data;
+    uint32_t Len;
+  };
+
+  /// The slot holding \p Spelling (hashed to \p Hash), or the empty slot
+  /// where it would go. Each slot is 0 or id + 1.
+  uint32_t probe(std::string_view Spelling, uint64_t Hash,
+                 uint32_t &Value) const;
+
+  std::unique_ptr<std::atomic<uint32_t>[]> Slots;
+  std::unique_ptr<Entry[]> Entries;
+  std::unique_ptr<char[]> Arena;
+  std::atomic<uint32_t> Count{0};
+  uint32_t UsedBytes = 0; ///< Guarded by InsertM.
+  std::mutex InsertM;
 };
 
 } // namespace dcb

@@ -14,15 +14,19 @@ using ir::Kernel;
 
 unsigned transform::convertLocalToShared(Kernel &K, int64_t SharedBase,
                                          uint32_t LocalBytesPerThread) {
+  static const SymbolId Ldl = sass::internKnown("LDL"),
+                        Stl = sass::internKnown("STL"),
+                        Lds = sass::internKnown("LDS"),
+                        Sts = sass::internKnown("STS");
   unsigned Converted = 0;
   for (Block &B : K.Blocks) {
     for (Inst &Entry : B.Insts) {
       sass::Instruction &Asm = Entry.Asm;
-      bool IsLoad = Asm.opcode() == "LDL";
-      bool IsStore = Asm.opcode() == "STL";
+      bool IsLoad = Asm.opcodeSym() == Ldl;
+      bool IsStore = Asm.opcodeSym() == Stl;
       if (!IsLoad && !IsStore)
         continue;
-      Asm.setOpcode(IsLoad ? "LDS" : "STS");
+      Asm.setOpcode(IsLoad ? Lds : Sts);
       // The memory operand is the load's source / the store's target.
       unsigned MemIdx = IsLoad ? 1 : 0;
       assert(Asm.Operands[MemIdx].Kind == sass::OperandKind::Memory &&
@@ -38,15 +42,17 @@ unsigned transform::convertLocalToShared(Kernel &K, int64_t SharedBase,
 
 unsigned transform::clearRegistersBeforeExit(
     Kernel &K, const std::vector<unsigned> &Regs) {
+  static const SymbolId Exit = sass::internKnown("EXIT"),
+                        Mov = sass::internKnown("MOV");
   unsigned Sites = 0;
   for (Block &B : K.Blocks) {
     for (size_t I = 0; I < B.Insts.size(); ++I) {
-      if (B.Insts[I].Asm.opcode() != "EXIT")
+      if (B.Insts[I].Asm.opcodeSym() != Exit)
         continue;
       std::vector<Inst> Clears;
       for (unsigned Reg : Regs) {
         Inst Clear;
-        Clear.Asm.setOpcode("MOV");
+        Clear.Asm.setOpcode(Mov);
         Clear.Asm.GuardPredicate = B.Insts[I].Asm.GuardPredicate;
         Clear.Asm.GuardNegated = B.Insts[I].Asm.GuardNegated;
         Clear.Asm.Operands.push_back(sass::Operand::makeRegister(Reg));

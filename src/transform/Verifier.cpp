@@ -80,7 +80,7 @@ void checkClobbers(const ir::Kernel &K, const analysis::RegTable &T,
             F.Kernel = K.Name;
             F.Block = static_cast<int>(B);
             F.Inst = InstIdx;
-            F.Object = K.Blocks[B].Insts[InstIdx].Asm.opcode();
+            F.Object = std::string(K.Blocks[B].Insts[InstIdx].Asm.opcode());
             F.Message = "inserted instruction overwrites " +
                         analysis::slotName(S) +
                         ", which an original instruction still reads";

@@ -3,6 +3,7 @@
 #include "vm/Dispatch.h"
 
 #include <initializer_list>
+#include <string_view>
 #include <utility>
 
 using namespace dcb;
@@ -13,7 +14,7 @@ namespace {
 
 /// The value \p Spelling names among \p Choices, else \p Default.
 template <class E>
-E pick(const std::string &Spelling, E Default,
+E pick(std::string_view Spelling, E Default,
        std::initializer_list<std::pair<const char *, E>> Choices) {
   for (const auto &[Name, Value] : Choices)
     if (Spelling == Name)
@@ -21,14 +22,15 @@ E pick(const std::string &Spelling, E Default,
   return Default;
 }
 
-LogicKind logicKind(const std::string &Op) {
+LogicKind logicKind(std::string_view Op) {
   return pick(Op, LogicKind::And,
               {{"OR", LogicKind::Or}, {"XOR", LogicKind::Xor}});
 }
 
 /// First width-selecting modifier wins, as the text path always read them.
 uint8_t memBytes(const Instruction &Asm) {
-  for (const std::string &Mod : Asm.Modifiers) {
+  for (size_t I = 0; I < Asm.Modifiers.size(); ++I) {
+    std::string_view Mod = Asm.modifier(I);
     if (Mod == "64")
       return 8;
     if (Mod == "128")
@@ -41,9 +43,9 @@ uint8_t memBytes(const Instruction &Asm) {
   return 4;
 }
 
-bool hasMod(const Instruction &Asm, const char *Name) {
-  for (const std::string &Mod : Asm.Modifiers)
-    if (Mod == Name)
+bool hasMod(const Instruction &Asm, std::string_view Name) {
+  for (size_t I = 0; I < Asm.Modifiers.size(); ++I)
+    if (Asm.modifier(I) == Name)
       return true;
   return false;
 }
@@ -55,17 +57,16 @@ Pre vm::predecode(const Instruction &Asm) {
   Pre P;
   P.Kind = Row.Kind;
   P.Region = Row.Region;
-  const auto &Mods = Asm.Modifiers;
-  static const std::string Empty;
-  const std::string &Mod0 = Mods.empty() ? Empty : Mods[0];
-  const std::string &Mod1 = Mods.size() < 2 ? Empty : Mods[1];
-  P.HasMods2 = Mods.size() >= 2;
+  const size_t NumMods = Asm.Modifiers.size();
+  const std::string_view Mod0 = NumMods < 1 ? "" : Asm.modifier(0);
+  const std::string_view Mod1 = NumMods < 2 ? "" : Asm.modifier(1);
+  P.HasMods2 = NumMods >= 2;
 
   switch (P.Kind) {
   case OpKind::S2R:
     // Predecode runs over never-executed instructions too; only classify
     // the source when it is actually there.
-    P.Sr = pick(Asm.Operands.size() >= 2 ? Asm.Operands[1].Text : Empty,
+    P.Sr = pick(Asm.Operands.size() >= 2 ? Asm.Operands[1].text() : "",
                 SrKind::Zero,
                 {{"SR_TID.X", SrKind::TidX},
                  {"SR_CTAID.X", SrKind::CtaidX},

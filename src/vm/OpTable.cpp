@@ -104,7 +104,7 @@ const std::vector<const OpInfo *> &rowsBySymbol() {
   static const std::vector<const OpInfo *> Index = [] {
     std::vector<const OpInfo *> Out;
     for (const OpInfo &Row : Rows) {
-      SymbolId Id = SymbolTable::global().intern(Row.Mnemonic);
+      SymbolId Id = sass::internKnown(Row.Mnemonic);
       if (Id >= Out.size())
         Out.resize(Id + 1, nullptr);
       Out[Id] = &Row;
@@ -114,9 +114,14 @@ const std::vector<const OpInfo *> &rowsBySymbol() {
   return Index;
 }
 
+/// Built while the process starts, before any input can fill the table.
+[[maybe_unused]] const std::vector<const OpInfo *> &StartupRows =
+    rowsBySymbol();
+
 /// Width selected by the first .64/.128 modifier.
 unsigned memWidth(const sass::Instruction &Asm) {
-  for (const std::string &Mod : Asm.Modifiers) {
+  for (size_t I = 0; I < Asm.Modifiers.size(); ++I) {
+    std::string_view Mod = Asm.modifier(I);
     if (Mod == "64")
       return 2;
     if (Mod == "128")
@@ -125,7 +130,7 @@ unsigned memWidth(const sass::Instruction &Asm) {
   return 1;
 }
 
-bool isWideFormat(const std::string &Fmt) {
+bool isWideFormat(std::string_view Fmt) {
   return Fmt == "F64" || Fmt == "S64" || Fmt == "U64";
 }
 
@@ -161,7 +166,7 @@ unsigned vm::regWidth(const sass::Instruction &Asm, const OpInfo &Row,
   case WidthRule::Formats:
     // Modifier order is <dst>.<src>.
     if (Asm.Modifiers.size() >= 2 &&
-        isWideFormat(Asm.Modifiers[Idx == 0 ? 0 : 1]))
+        isWideFormat(Asm.modifier(Idx == 0 ? 0 : 1)))
       return 2;
     break;
   }

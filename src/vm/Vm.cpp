@@ -996,7 +996,8 @@ Expected<bool> Engine::execLane(const Instruction &Asm, const Pre &P,
   default:
     // Unknown opcodes; control kinds never reach here, the scheduler owns
     // them.
-    return vmUnsupported(Asm, "unimplemented opcode " + Asm.opcode());
+    return vmUnsupported(Asm,
+                         "unimplemented opcode " + std::string(Asm.opcode()));
   }
   return true;
 }

@@ -149,7 +149,9 @@ inline std::vector<std::string> renderOpcodeFacts() {
         Expected<sass::Instruction> Asm = sass::parseInstruction(Head);
         if (!Asm)
           continue;
-        Asm->Operands = Ops;
+        Asm->Operands.clear();
+        for (const sass::Operand &Op : Ops)
+          Asm->Operands.push_back(Op);
         add(*Asm);
       }
     }

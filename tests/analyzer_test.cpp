@@ -10,6 +10,7 @@
 #include "asmgen/TableAssembler.h"
 
 #include "sass/Parser.h"
+#include "sass/Printer.h"
 #include "support/FileIo.h"
 #include "support/Rng.h"
 #include "vendor/CuobjdumpSim.h"
@@ -20,10 +21,34 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <bit>
 #include <cmath>
+#include <cstdlib>
 #include <limits>
+#include <new>
 #include <sstream>
+
+// Counts the calls to the global operator new that a test asks to see.
+// The pair is malloc/free underneath, which GCC's mismatch check cannot
+// tell from a new/free mix-up.
+namespace {
+std::atomic<bool> CountNews{false};
+std::atomic<size_t> NewCalls{0};
+} // namespace
+
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void *operator new(std::size_t Size) {
+  if (CountNews.load(std::memory_order_relaxed))
+    NewCalls.fetch_add(1, std::memory_order_relaxed);
+  if (void *P = std::malloc(Size ? Size : 1))
+    return P;
+  throw std::bad_alloc();
+}
+void operator delete(void *P) noexcept { std::free(P); }
+void operator delete(void *P, std::size_t) noexcept { std::free(P); }
+#pragma GCC diagnostic pop
 
 using namespace dcb;
 using namespace dcb::analyzer;
@@ -115,6 +140,35 @@ TEST(ListingParser, ParsesVendorOutput) {
   // Addresses are strictly increasing within a kernel.
   for (size_t I = 1; I < First.Insts.size(); ++I)
     EXPECT_GT(First.Insts[I].Address, First.Insts[I - 1].Address);
+}
+
+// A listing's records are flat and its lines are read as views, so the
+// parse allocates per kernel (its name and its two lists), never per line.
+TEST(ListingParser, AllocatesPerKernelNotPerLine) {
+  for (Arch A : {Arch::SM20, Arch::SM35, Arch::SM50}) {
+    vendor::NvccSim Nvcc(A);
+    Expected<elf::Cubin> Cubin = Nvcc.compile(workloads::buildSuite(A));
+    ASSERT_TRUE(Cubin.hasValue()) << Cubin.message();
+    Expected<std::string> Text = vendor::disassembleCubin(*Cubin);
+    ASSERT_TRUE(Text.hasValue()) << Text.message();
+    // Warm: the first parse interns the suite's spellings.
+    ASSERT_TRUE(parseListing(*Text).hasValue());
+
+    NewCalls = 0;
+    CountNews = true;
+    Expected<Listing> L = parseListing(*Text);
+    CountNews = false;
+    ASSERT_TRUE(L.hasValue()) << L.message();
+    const size_t Kernels = L->Kernels.size();
+    size_t Lines = 0;
+    for (const ListingKernel &K : L->Kernels)
+      Lines += K.Insts.size() + K.Schis.size();
+    EXPECT_GE(Lines, 10 * Kernels) << archName(A);
+    // Three per kernel, plus the kernel list growing by doubling.
+    EXPECT_LE(NewCalls.load(), 3 * Kernels + 16)
+        << archName(A) << ": " << Kernels << " kernels, " << Lines
+        << " lines";
+  }
 }
 
 TEST(ListingParser, RejectsMalformedInput) {
@@ -899,8 +953,9 @@ TEST(Analyzer, OrderedSameTypeModifiersLearnDistinctEncodings) {
   for (const ListingInst &Pair : L->Kernels.front().Insts) {
     Expected<BitString> Word = asmgen::assembleInstruction(
         Analyzer.database(), Pair.Inst, Pair.Address);
-    ASSERT_TRUE(Word.hasValue()) << Pair.AsmText << ": " << Word.message();
-    EXPECT_EQ(*Word, Pair.Binary) << Pair.AsmText;
+    ASSERT_TRUE(Word.hasValue())
+        << sass::printInstruction(Pair.Inst) << ": " << Word.message();
+    EXPECT_EQ(*Word, Pair.Binary) << sass::printInstruction(Pair.Inst);
   }
 
   // And the two orders differ from each other.

@@ -156,7 +156,7 @@ TEST(AssemblerGenerator, GeneratedAssemblerCompilesAndReproducesSuite) {
   for (const ListingKernel &Kernel : L->Kernels) {
     for (const ListingInst &Pair : Kernel.Insts) {
       Input << "0x" << std::hex << Pair.Address << std::dec << " "
-            << Pair.AsmText << "\n";
+            << sass::printInstruction(Pair.Inst) << "\n";
       ExpectedWords.push_back("0x" + Pair.Binary.toHex());
     }
   }
@@ -180,7 +180,7 @@ TEST(AssemblerGenerator, GeneratedAssemblerCompilesAndReproducesSuite) {
   const ListingInst &Anchor = L->Kernels.front().Insts.front();
   std::ostringstream AnchorLine;
   AnchorLine << "0x" << std::hex << Anchor.Address << std::dec << " "
-             << Anchor.AsmText << "\n";
+             << sass::printInstruction(Anchor.Inst) << "\n";
   const std::string AnchorWord = "0x" + Anchor.Binary.toHex();
   const uint64_t Pc = 0x400;
   Rng R(0x5eed);
@@ -264,7 +264,7 @@ std::vector<sass::Instruction> badInstructions() {
   Bad.push_back(UnknownOp);
   sass::Instruction BadMod;
   BadMod.setOpcode("IADD");
-  BadMod.Modifiers.push_back("BOGUS");
+  BadMod.addModifier("BOGUS");
   for (unsigned R = 1; R <= 3; ++R)
     BadMod.Operands.push_back(sass::Operand::makeRegister(R));
   Bad.push_back(BadMod);
@@ -338,22 +338,24 @@ TEST(BatchAssembly, UnfrozenDatabaseFreezesOnDemand) {
   EXPECT_NE(Unfrozen.frozen(), nullptr);
 }
 
-// More modifiers than the occurrence table keeps on the stack: the second
-// ".X" has no learned encoding, as the string-map interpreter that used to
-// take these inputs reported.
-TEST(BatchAssembly, ThirtyThreeModifiersAssembleLikeAnyOther) {
-  EncodingDatabase Db = learnSuite(Arch::SM35);
-  Expected<sass::Instruction> Inst =
-      sass::parseInstruction("IADD R1, R2, R3;");
-  ASSERT_TRUE(Inst.hasValue());
-  Inst->Modifiers.assign(33, "X");
-  std::string Head = "IADD";
+// An instruction holds at most sass::MaxModifiers modifiers, so text with
+// 33 of them never reaches the assembler: the parser refuses it, and so
+// does the listing path `dcb asm` and `dcb serve` read.
+TEST(BatchAssembly, ThirtyThreeModifiersAreRefusedWhenParsed) {
+  std::string Text = "IADD";
   for (unsigned I = 0; I < 33; ++I)
-    Head += ".X";
-  Expected<BitString> Word = asmgen::assembleInstruction(Db, *Inst, 0x8);
-  ASSERT_FALSE(Word.hasValue());
-  EXPECT_EQ(Word.message(), "assemble (sm_35): unknown modifier '.X' in '" +
-                                Head + " R1, R2, R3;'");
+    Text += ".X";
+  Text += " R1, R2, R3;";
+  Expected<sass::Instruction> Inst = sass::parseInstruction(Text);
+  ASSERT_FALSE(Inst.hasValue());
+  EXPECT_EQ(Inst.message(), "sass parse error at column 17: more than 6 "
+                            "modifiers in '" +
+                                Text + "'");
+  Expected<Listing> L = analyzer::parseListing(
+      "code for sm_35\n\t\tFunction : k\n        /*0008*/ " + Text +
+      " /* 0x0000000000000000 */\n");
+  ASSERT_FALSE(L.hasValue());
+  EXPECT_EQ(L.message(), "listing: " + Inst.message());
 }
 
 // Mutable access to the operation records must invalidate the index, and

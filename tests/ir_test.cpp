@@ -4,10 +4,12 @@
 #include "ir/Ir.h"
 #include "ir/Layout.h"
 
+#include "sass/CtrlInfo.h"
 #include "sass/Parser.h"
 
 #include "analyzer/IsaAnalyzer.h"
 #include "vendor/CuobjdumpSim.h"
+#include "vendor/KernelBuilder.h"
 #include "vendor/NvccSim.h"
 #include "workloads/Suite.h"
 
@@ -349,6 +351,55 @@ TEST(IrBuilder, InstructionWhereASchiWordBelongsIsAnError) {
     EXPECT_NE(K.message().find("instruction at 0x0 in kernel k"),
               std::string::npos)
         << K.message();
+  }
+}
+
+TEST(IrBuilder, AddressesThatDoNotAscendAreAnError) {
+  // On sm_35, 0x8 and 0x10 are instruction slots of the first SCHI group.
+  const struct {
+    const char *Body;
+    const char *Message;
+  } Cases[] = {
+      {"        /*0008*/ MOV R1, R2; /* 0x0000000000000000 */\n"
+       "        /*0008*/ EXIT; /* 0x0000000000000000 */\n",
+       "ir: instruction at 0x8 in kernel k does not follow 0x8"},
+      {"        /*0010*/ EXIT; /* 0x0000000000000000 */\n"
+       "        /*0008*/ MOV R1, R2; /* 0x0000000000000000 */\n",
+       "ir: instruction at 0x8 in kernel k does not follow 0x10"},
+  };
+  for (const auto &C : Cases) {
+    Expected<Listing> L =
+        parseListing(std::string("code for sm_35\n\tFunction : k\n") + C.Body);
+    ASSERT_TRUE(L.hasValue()) << L.message();
+    Expected<Kernel> K = buildKernel(L->A, L->Kernels.front());
+    ASSERT_FALSE(K.hasValue()) << C.Body;
+    EXPECT_EQ(K.message(), C.Message);
+  }
+}
+
+// The listing spells a code address in as many hex digits as it needs:
+// with four, a kernel past 64 KiB wrapped back to /*0000*/, which the lift
+// now refuses as an address that does not ascend.
+TEST(IrBuilder, KernelsPast64KiBKeepTheirAddresses) {
+  for (Arch A : {Arch::SM20, Arch::SM50}) {
+    vendor::KernelBuilder Big("big", A);
+    for (unsigned I = 0; I < 8200; ++I)
+      Big.ins("MOV R1, R2;");
+    Big.exit();
+    Expected<elf::Cubin> Cubin = vendor::NvccSim(A).compile({Big});
+    ASSERT_TRUE(Cubin.hasValue()) << Cubin.message();
+    Expected<std::string> Text = vendor::disassembleCubin(*Cubin);
+    ASSERT_TRUE(Text.hasValue()) << Text.message();
+    Expected<Listing> L = parseListing(*Text);
+    ASSERT_TRUE(L.hasValue()) << L.message();
+    const std::vector<analyzer::ListingInst> &Insts = L->Kernels[0].Insts;
+    const SchiKind Schi = archSchiKind(A);
+    const size_t N = sass::paddedInstCount(Schi, 8201); // NOP-padded tail.
+    ASSERT_EQ(Insts.size(), N) << archName(A);
+    EXPECT_EQ(Insts.back().Address, sass::instAddress(Schi, 8, N - 1));
+    Expected<Kernel> K = buildKernel(A, L->Kernels[0]);
+    ASSERT_TRUE(K.hasValue()) << K.message();
+    EXPECT_EQ(K->instructionCount(), N);
   }
 }
 

@@ -117,11 +117,10 @@ TEST(ArchSpecFacts, FermiAndSm30ShareEncodings) {
   // SM30 gains SHFL (paper §II-B: introduced in Compute Capability 3.0).
   sass::Instruction Shfl;
   Shfl.setOpcode("SHFL");
-  Shfl.Modifiers = {"IDX"};
-  Shfl.Operands = {sass::Operand::makePredicate(0),
-                   sass::Operand::makeRegister(1),
-                   sass::Operand::makeRegister(2),
-                   sass::Operand::makeRegister(3)};
+  Shfl.addModifier("IDX");
+  Shfl.Operands.push_back(sass::Operand::makePredicate(0));
+  for (unsigned R = 1; R <= 3; ++R)
+    Shfl.Operands.push_back(sass::Operand::makeRegister(R));
   EXPECT_EQ(Sm20.findSpec(Shfl), nullptr);
   EXPECT_NE(Sm30.findSpec(Shfl), nullptr);
 }
@@ -133,8 +132,8 @@ TEST(ArchSpecFacts, Sm35EncodingDiffersFromFermi) {
   const ArchSpec &Sm35 = getArchSpec(Arch::SM35);
   sass::Instruction Mov;
   Mov.setOpcode("MOV");
-  Mov.Operands = {sass::Operand::makeRegister(1),
-                  sass::Operand::makeRegister(2)};
+  Mov.Operands.push_back(sass::Operand::makeRegister(1));
+  Mov.Operands.push_back(sass::Operand::makeRegister(2));
   const InstrSpec *A = Sm30.findSpec(Mov);
   const InstrSpec *B = Sm35.findSpec(Mov);
   ASSERT_NE(A, nullptr);
@@ -143,24 +142,30 @@ TEST(ArchSpecFacts, Sm35EncodingDiffersFromFermi) {
   EXPECT_NE(A->Operands[0].Fields[0].Lo, B->Operands[0].Fields[0].Lo);
 }
 
+namespace {
+std::optional<unsigned> encodingOf(std::string_view Name) {
+  return specialRegEncoding(SymbolTable::global().intern(Name));
+}
+} // namespace
+
 TEST(SpecialRegs, TableIIIEncodings) {
-  EXPECT_EQ(specialRegEncoding("SR_TID.X").value(), 33u);
-  EXPECT_EQ(specialRegEncoding("SR_TID.Y").value(), 34u);
-  EXPECT_EQ(specialRegEncoding("SR_TID.Z").value(), 35u);
-  EXPECT_EQ(specialRegEncoding("SR_CTAID.X").value(), 37u);
-  EXPECT_EQ(specialRegEncoding("SR_CTAID.Y").value(), 38u);
-  EXPECT_EQ(specialRegEncoding("SR_CTAID.Z").value(), 39u);
-  EXPECT_EQ(specialRegEncoding("SR_CLOCK_LO").value(), 80u);
-  EXPECT_FALSE(specialRegEncoding("SR_BOGUS").has_value());
+  EXPECT_EQ(encodingOf("SR_TID.X").value(), 33u);
+  EXPECT_EQ(encodingOf("SR_TID.Y").value(), 34u);
+  EXPECT_EQ(encodingOf("SR_TID.Z").value(), 35u);
+  EXPECT_EQ(encodingOf("SR_CTAID.X").value(), 37u);
+  EXPECT_EQ(encodingOf("SR_CTAID.Y").value(), 38u);
+  EXPECT_EQ(encodingOf("SR_CTAID.Z").value(), 39u);
+  EXPECT_EQ(encodingOf("SR_CLOCK_LO").value(), 80u);
+  EXPECT_FALSE(encodingOf("SR_BOGUS").has_value());
 }
 
 TEST(SpecialRegs, NamesRoundTrip) {
   for (const std::string &Name : allSpecialRegNames()) {
-    auto Code = specialRegEncoding(Name);
+    auto Code = encodingOf(Name);
     ASSERT_TRUE(Code.has_value());
-    EXPECT_EQ(specialRegName(*Code).value(), Name);
+    EXPECT_EQ(SymbolTable::global().spelling(specialRegSym(*Code)), Name);
   }
-  EXPECT_FALSE(specialRegName(255).has_value());
+  EXPECT_EQ(specialRegSym(255), InvalidSymbolId);
 }
 
 TEST(ConstPack, AllPackingsRoundTrip) {

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <limits>
+#include <type_traits>
 
 using namespace dcb;
 using namespace dcb::sass;
@@ -45,8 +47,8 @@ TEST(SassParser, GuardPositiveAndNegative) {
 TEST(SassParser, ModifiersInOrder) {
   Instruction I = parseOk("PSETP.AND.OR P0, P1, P2, P3, PT;");
   ASSERT_EQ(I.Modifiers.size(), 2u);
-  EXPECT_EQ(I.Modifiers[0], "AND");
-  EXPECT_EQ(I.Modifiers[1], "OR");
+  EXPECT_EQ(I.modifier(0), "AND");
+  EXPECT_EQ(I.modifier(1), "OR");
   ASSERT_EQ(I.Operands.size(), 5u);
   EXPECT_EQ(I.Operands[4].Value[0], 7);
 }
@@ -107,7 +109,7 @@ TEST(SassParser, MemoryOperands) {
   EXPECT_EQ(I.Operands[1].Value[0], 4);
   EXPECT_EQ(I.Operands[1].Value[1], 16);
   ASSERT_EQ(I.Modifiers.size(), 1u);
-  EXPECT_EQ(I.Modifiers[0], "E");
+  EXPECT_EQ(I.modifier(0), "E");
 
   Instruction J = parseOk("STS [R5], R6;");
   EXPECT_EQ(J.Operands[0].Value[1], 0);
@@ -136,9 +138,9 @@ TEST(SassParser, ConstMemoryOperands) {
 TEST(SassParser, SpecialRegisters) {
   Instruction I = parseOk("S2R R0, SR_TID.X;");
   EXPECT_EQ(I.Operands[1].Kind, OperandKind::SpecialReg);
-  EXPECT_EQ(I.Operands[1].Text, "SR_TID.X");
+  EXPECT_EQ(I.Operands[1].text(), "SR_TID.X");
   Instruction J = parseOk("S2R R1, SR_CLOCK_LO;");
-  EXPECT_EQ(J.Operands[1].Text, "SR_CLOCK_LO");
+  EXPECT_EQ(J.Operands[1].text(), "SR_CLOCK_LO");
 }
 
 TEST(SassParser, TextureOperands) {
@@ -164,10 +166,47 @@ TEST(SassParser, BarrierAndBitSetOperands) {
   EXPECT_EQ(I.Operands[1].Value[0], 0x18);
 }
 
+// The record's lists have fixed capacities; text past one is a parse
+// error, never an overrun.
+TEST(SassParser, CapacitiesAreErrorsNotCrashes) {
+  EXPECT_EQ(MaxOperands, 6u);
+  EXPECT_EQ(MaxModifiers, 6u);
+  EXPECT_EQ(MaxOperandMods, 2u);
+  parseOk("IADD.A.B.C.D.E.F R1, R2, R3, R4, R5.X.Y, R6;");
+
+  Expected<Instruction> Ops =
+      parseInstruction("IADD R1, R2, R3, R4, R5, R6, R7;");
+  ASSERT_FALSE(Ops.hasValue());
+  EXPECT_EQ(Ops.message(), "sass parse error at column 29: more than 6 "
+                           "operands in 'IADD R1, R2, R3, R4, R5, R6, R7;'");
+
+  Expected<Instruction> Mods = parseInstruction("IADD.A.B.C.D.E.F.G R1;");
+  ASSERT_FALSE(Mods.hasValue());
+  EXPECT_EQ(Mods.message(), "sass parse error at column 17: more than 6 "
+                            "modifiers in 'IADD.A.B.C.D.E.F.G R1;'");
+
+  Expected<Instruction> OpMods = parseInstruction("IADD R1, R2.X.Y.Z;");
+  ASSERT_FALSE(OpMods.hasValue());
+  EXPECT_EQ(OpMods.message(),
+            "sass parse error at column 17: more than 2 operand modifiers "
+            "in 'IADD R1, R2.X.Y.Z;'");
+}
+
+TEST(SassParser, RecordIsFlatAndComparesById) {
+  static_assert(std::is_trivially_copyable_v<Instruction>);
+  Instruction A = parseOk("@!P1 PSETP.AND.OR P0, P1, P2, !P3, PT;");
+  Instruction B;
+  std::memcpy(static_cast<void *>(&B), &A, sizeof(A));
+  EXPECT_EQ(A, B);
+  EXPECT_EQ(A.opcodeSym(), SymbolTable::global().find("PSETP"));
+  EXPECT_EQ(A.Modifiers[1], SymbolTable::global().find("OR"));
+  EXPECT_EQ(printInstruction(B), "@!P1 PSETP.AND.OR P0, P1, P2, !P3, PT;");
+}
+
 TEST(SassParser, OperandSuffixModifiers) {
   Instruction I = parseOk("IADD R1, R2.reuse, R3;");
   ASSERT_EQ(I.Operands[1].Mods.size(), 1u);
-  EXPECT_EQ(I.Operands[1].Mods[0], "reuse");
+  EXPECT_EQ(SymbolTable::global().spelling(I.Operands[1].Mods[0]), "reuse");
 }
 
 TEST(SassParser, RejectsGarbage) {

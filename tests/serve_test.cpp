@@ -665,6 +665,71 @@ TEST(ServeServer, InstructionWhereASchiWordBelongsIsAnErrorNotACrash) {
   EXPECT_EQ(Ping.str("status"), "ok");
 }
 
+// The SASS parser interns every spelling a client sends, so a daemon fed
+// fresh modifiers fills its symbol table. Past the bound an `asm` request
+// answers with an error, while everything the daemon already knows (the
+// oracle's spellings and those of its database) still serves. The table
+// is process-wide, so the daemon runs in a child process.
+TEST(ServeServer, FullSymbolTableRefusesNewSpellingsOnly) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  auto Child = [] {
+    bool Ok = true;
+    auto check = [&Ok](bool Cond, const std::string &What) {
+      if (!Cond)
+        std::fprintf(stderr, "failed: %s\n", What.c_str());
+      Ok &= Cond;
+    };
+    std::vector<uint8_t> Image = suiteImage(Arch::SM35);
+    Expected<std::string> Listing = vendor::disassembleImage(Image);
+    analyzer::EncodingDatabase Db = learnSuite(Arch::SM35);
+    Expected<OpResult> DirectAsm = opAsm(Db, *Listing, BatchOptions());
+    std::unique_ptr<Server> S = startServer(ServerOptions(), std::move(Db));
+    Expected<Client> C = Client::connect(S->port());
+    check(C.hasValue() && Listing.hasValue() && DirectAsm.hasValue(),
+          "set-up");
+    if (!Ok)
+      std::_Exit(1);
+
+    // 500 lines a request, each with a new 200-character modifier.
+    std::string Full;
+    for (unsigned Req = 0; Req < 40 && Full.empty(); ++Req) {
+      std::string Text = "code for sm_35\n\tFunction : k\n";
+      for (unsigned Line = 0; Line < 500; ++Line) {
+        char Addr[16];
+        std::snprintf(Addr, sizeof(Addr), "%04x", 8 * (Line + 1));
+        Text += std::string("        /*") + Addr + "*/ MOV.M" +
+                std::to_string(Req * 500 + Line) + std::string(190, 'x') +
+                " R1, R2; /* 0x0000000000000000 */\n";
+      }
+      Expected<std::string> Resp = C->roundTrip(
+          requestFor("asm", std::vector<uint8_t>(Text.begin(), Text.end())));
+      check(Resp.hasValue(), "asm round trip");
+      if (Resp && Resp->find("symbol table full") != std::string::npos)
+        Full = *Resp;
+    }
+    check(!Full.empty(), "the table filled");
+    Expected<json::Value> V = json::parse(Full);
+    check(V && V->str("status") == "error", "a full table answers error");
+
+    Expected<std::string> Ping = C->roundTrip(R"({"op":"ping"})");
+    check(Ping && Ping->find("\"status\":\"ok\"") != std::string::npos,
+          "ping");
+    Expected<std::string> Dis = C->roundTrip(requestFor("disasm", Image));
+    Expected<json::Value> DisV = json::parse(Dis ? *Dis : std::string());
+    check(DisV && DisV->str("status") == "ok" &&
+              DisV->str("output") == *Listing,
+          "disasm of the suite");
+    Expected<std::string> Asm = C->roundTrip(requestFor(
+        "asm", std::vector<uint8_t>(Listing->begin(), Listing->end())));
+    Expected<json::Value> AsmV = json::parse(Asm ? *Asm : std::string());
+    check(AsmV && AsmV->str("status") == "ok" &&
+              AsmV->str("output") == DirectAsm->Output,
+          "asm of the suite listing");
+    std::_Exit(Ok ? 0 : 1);
+  };
+  EXPECT_EXIT(Child(), ::testing::ExitedWithCode(0), "");
+}
+
 TEST(ServeServer, BoundedQueueShedsWithBusy) {
   std::vector<uint8_t> Image = suiteImage(Arch::SM35);
   ServerOptions Opts;

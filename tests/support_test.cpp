@@ -411,6 +411,61 @@ TEST(SymbolTable, ConcurrentInterningConverges) {
     EXPECT_EQ(PerThread[T], PerThread[0]);
 }
 
+TEST(SymbolTable, BoundedInSymbolsAndBytes) {
+  {
+    SymbolTable Syms;
+    for (uint32_t I = 0; I < SymbolTable::MaxSymbols; ++I)
+      ASSERT_EQ(Syms.intern("s" + std::to_string(I)), I);
+    EXPECT_EQ(Syms.intern("one-too-many"), InvalidSymbolId);
+    EXPECT_EQ(Syms.find("one-too-many"), InvalidSymbolId);
+    // Known spellings still answer, without growing the table.
+    EXPECT_EQ(Syms.intern("s7"), 7u);
+    EXPECT_EQ(Syms.spelling(7), "s7");
+    EXPECT_EQ(Syms.size(), SymbolTable::MaxSymbols);
+  }
+  {
+    SymbolTable Syms;
+    const std::string Long(1000, 'x');
+    uint32_t N = 0;
+    size_t Bytes = 0;
+    for (std::string S = Long + "0"; Syms.intern(S) != InvalidSymbolId;
+         S = Long + std::to_string(++N))
+      Bytes += S.size();
+    EXPECT_EQ(Syms.size(), N);
+    EXPECT_LE(Bytes, SymbolTable::MaxBytes);
+    EXPECT_GT(Bytes + Long.size() + 8, SymbolTable::MaxBytes);
+    EXPECT_EQ(Syms.find(Long + "0"), 0u);
+    EXPECT_EQ(Syms.spelling(N - 1), Long + std::to_string(N - 1));
+  }
+}
+
+TEST(SymbolTable, HitsRaceWithInserts) {
+  // Readers probe while a writer inserts; every hit must see its whole
+  // spelling (the TSan job runs this).
+  SymbolTable Syms;
+  for (unsigned I = 0; I < 64; ++I)
+    Syms.intern("warm-" + std::to_string(I));
+  std::atomic<bool> Stop{false};
+  std::thread Writer([&] {
+    for (unsigned I = 0; I < 4000; ++I)
+      Syms.intern("new-" + std::to_string(I));
+    Stop = true;
+  });
+  std::vector<std::thread> Readers;
+  for (unsigned T = 0; T < 3; ++T)
+    Readers.emplace_back([&] {
+      while (!Stop)
+        for (unsigned I = 0; I < 64; ++I) {
+          const std::string S = "warm-" + std::to_string(I);
+          EXPECT_EQ(Syms.spelling(Syms.find(S)), S);
+        }
+    });
+  Writer.join();
+  for (std::thread &T : Readers)
+    T.join();
+  EXPECT_EQ(Syms.size(), 64u + 4000u);
+}
+
 TEST(Arch, NamesRoundTrip) {
   unsigned Count = 0;
   const Arch *All = supportedArchs(Count);

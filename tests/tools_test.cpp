@@ -119,6 +119,11 @@ TEST(DcbTool, IrDumpAndInstrument) {
   std::string Ir = slurp(Work + "/bfs.ir");
   EXPECT_NE(Ir.find("BB0:"), std::string::npos);
   EXPECT_NE(Ir.find("succs:"), std::string::npos);
+  // A listing loads like the cubin it came from.
+  ASSERT_EQ(runCmd(Dcb + " ir " + Work + "/k.sass bfs > " + Work +
+                   "/bfs.sass.ir"),
+            0);
+  EXPECT_EQ(slurp(Work + "/bfs.sass.ir"), Ir);
 
   ASSERT_EQ(runCmd(Dcb + " instrument " + Work + "/k.cubin --db " + Work +
                    "/k.db --clear-regs 9,10 -o " + Work +
@@ -436,6 +441,22 @@ TEST(DcbTool, RejectsBadInput) {
               "instruction at 0x0 in kernel k");
   expectError("exec " + Work + "/schi.sass all",
               "instruction at 0x0 in kernel k");
+  // Addresses that repeat or go backwards.
+  std::ofstream(Work + "/dup.sass")
+      << "code for sm_35\n\tFunction : k\n"
+         "        /*0008*/ MOV R1, R2; /* 0x0000000000000000 */\n"
+         "        /*0008*/ EXIT; /* 0x0000000000000000 */\n";
+  std::ofstream(Work + "/back.sass")
+      << "code for sm_35\n\tFunction : k\n"
+         "        /*0010*/ EXIT; /* 0x0000000000000000 */\n"
+         "        /*0008*/ MOV R1, R2; /* 0x0000000000000000 */\n";
+  for (const char *Cmd : {"lint ", "exec "}) {
+    const std::string Tail = std::string(Cmd) == "exec " ? " all" : "";
+    expectError(Cmd + Work + "/dup.sass" + Tail,
+                "instruction at 0x8 in kernel k does not follow 0x8");
+    expectError(Cmd + Work + "/back.sass" + Tail,
+                "instruction at 0x8 in kernel k does not follow 0x10");
+  }
   // Output that cannot be written, and input that is a directory.
   expectError("make-suite sm_35 -o /dev/full", "No space left on device");
   expectError("disasm " + Work, "Is a directory");

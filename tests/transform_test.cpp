@@ -171,7 +171,7 @@ TEST(LocalToShared, FrozenDatabaseEncodesTheRewrittenOpcodes) {
   std::map<std::string, unsigned> Counts;
   for (const ir::Block &B : P.reload(K).Blocks)
     for (const ir::Inst &Entry : B.Insts)
-      ++Counts[Entry.Asm.opcode()];
+      ++Counts[std::string(Entry.Asm.opcode())];
   EXPECT_EQ(Counts["LDS"], 2u);
   EXPECT_EQ(Counts["STS"], 2u);
   EXPECT_EQ(Counts["LDL"], 0u);

@@ -241,7 +241,7 @@ TEST(Vendor, ReconvergenceSpellingFollowsArchitecture) {
     K.reconverge();
     EXPECT_EQ(K.instructions()[0].Inst.opcode(), "NOP");
     ASSERT_EQ(K.instructions()[0].Inst.Modifiers.size(), 1u);
-    EXPECT_EQ(K.instructions()[0].Inst.Modifiers[0], "S");
+    EXPECT_EQ(K.instructions()[0].Inst.modifier(0), "S");
   }
   for (Arch A : {Arch::SM50, Arch::SM61}) {
     KernelBuilder K("r", A);

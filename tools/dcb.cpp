@@ -13,7 +13,7 @@
 //   dcb genasm --db db -o asm2bin.cpp        emit the C++ assembler (Alg. 3)
 //   dcb asm --db db [--jobs N] <listing>     reassemble, print hex words
 //   dcb verify --db db [--jobs N] <listing>  reassemble + compare binary
-//   dcb ir <cubin> <kernel>                  human-readable IR dump
+//   dcb ir <cubin|listing> <kernel>          human-readable IR dump
 //   dcb instrument <cubin> --db db --clear-regs 9,10 -o out.cubin
 //
 //===----------------------------------------------------------------------===//
@@ -656,26 +656,11 @@ int cmdStats(const Args &A) {
 
 int cmdIr(const Args &A) {
   if (A.Positional.size() < 2)
-    die("usage: dcb ir <cubin> <kernel>");
-  Expected<elf::Cubin> Cubin =
-      elf::Cubin::deserialize(readBinary(A.Positional[0]));
-  if (!Cubin)
-    die(Cubin.message());
-  const elf::KernelSection *Kernel = Cubin->findKernel(A.Positional[1]);
-  if (!Kernel)
-    die("no kernel named " + A.Positional[1]);
-  Expected<std::string> Text = vendor::disassembleKernelCode(
-      Cubin->arch(), Kernel->Name, Kernel->Code);
-  if (!Text)
-    die(Text.message());
-  Expected<analyzer::Listing> L = analyzer::parseListing(
-      "code for " + std::string(archName(Cubin->arch())) + "\n" + *Text);
-  if (!L)
-    die(L.message());
-  Expected<ir::Kernel> K = ir::buildKernel(Cubin->arch(),
-                                           L->Kernels.front());
+    die("usage: dcb ir <cubin|listing> <kernel>");
+  ir::Program P = loadProgramFile(A.Positional[0]);
+  const ir::Kernel *K = P.findKernel(A.Positional[1]);
   if (!K)
-    die(K.message());
+    die("no kernel named " + A.Positional[1]);
   std::fputs(ir::printKernel(*K).c_str(), stdout);
   return 0;
 }
@@ -1148,7 +1133,7 @@ int cmdTop(const Args &A) {
       "                                          (--jobs 0 = all cores;\n"
       "                                          output is identical for\n"
       "                                          every --jobs value)\n"
-      "  ir <cubin> <kernel>                     dump the IR\n"
+      "  ir <cubin|listing> <kernel>             dump the IR\n"
       "  instrument <cubin> --db <db> --clear-regs N[,N...] -o <cubin>\n"
       "                                          (verified by default;\n"
       "                                          --no-verify to override;\n"
