@@ -86,6 +86,8 @@ void report() {
     std::printf("%-8u %12u %12u %14u %14u %9s\n", Stride, RegsBefore,
                 RegsAfter, WarpsBefore.ResidentWarps,
                 WarpsAfter.ResidentWarps, Ok ? "yes" : "NO");
+    if (!Ok)
+      std::abort();
   }
   std::printf("\nexpected shape: compacted register counts are "
               "stride-independent, so occupancy recovers to the maximum "

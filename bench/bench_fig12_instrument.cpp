@@ -61,6 +61,10 @@ void report() {
   unsigned Sites = transform::clearRegistersBeforeExit(Instrumented, {9});
   Expected<std::vector<uint8_t>> NewCode =
       ir::emitKernel(Data.FlippedDb, Instrumented);
+  if (!NewCode) {
+    std::fprintf(stderr, "%s\n", NewCode.message().c_str());
+    std::abort();
+  }
   ir::Kernel Reloaded = lift(A, *NewCode, "subject");
 
   std::printf("=== Fig. 12: clear registers before exit ===\n");
@@ -79,15 +83,15 @@ void report() {
   }
   auto RA = vm::RefVm().run(Original, MemA, Config);
   auto RB = vm::RefVm().run(Reloaded, MemB, Config);
+  const bool Unchanged =
+      RA.hasValue() && RB.hasValue() && MemA.Global == MemB.Global;
   bool Cleared = RA.hasValue() && RB.hasValue();
   for (unsigned T = 0; Cleared && T < Config.NumThreads; ++T)
     Cleared = RB->Threads[T].Regs[9] == 0 && RA->Threads[T].Regs[9] != 0;
   std::printf("outputs unchanged: %s; register cleared on exit: %s\n\n",
-              RA.hasValue() && RB.hasValue() &&
-                      MemA.Global == MemB.Global
-                  ? "yes"
-                  : "NO",
-              Cleared ? "yes" : "NO");
+              Unchanged ? "yes" : "NO", Cleared ? "yes" : "NO");
+  if (!Unchanged || !Cleared)
+    std::abort();
 }
 
 void BM_InstrumentAndRelayout(benchmark::State &State) {
@@ -113,31 +117,34 @@ void BM_InstrumentAndRelayout(benchmark::State &State) {
 }
 
 /// The verified path of `dcb instrument --clear-regs 9,10`: runPasses with
-/// the default verifier (CFG, hazards, VER001 clobbers, VER002 pressure)
-/// over every suite kernel of one arch. Copying the lifted kernels back
-/// is untimed.
+/// the default verifier (CFG, hazards, VER001 clobbers) over every suite
+/// kernel of one arch; a kernel that fails verification aborts the run.
+/// Copying the lifted kernels back is untimed.
 void BM_VerifyKernel(benchmark::State &State) {
   const ArchData &Data = archData(Arch::SM52);
   Expected<ir::Program> Lifted = ir::buildProgram(Data.Listing);
   if (!Lifted) {
-    State.SkipWithError(Lifted.message().c_str());
-    return;
+    std::fprintf(stderr, "%s\n", Lifted.message().c_str());
+    std::abort();
   }
   const std::vector<transform::Pass> Pipeline = {
       {"clear-regs", [](ir::Kernel &K) {
          transform::clearRegistersBeforeExit(K, {9, 10});
        }}};
   std::vector<ir::Kernel> Kernels;
-  bool Clean = true;
   for (auto _ : State) {
     State.PauseTiming();
     Kernels = Lifted->Kernels;
     State.ResumeTiming();
-    for (ir::Kernel &K : Kernels)
-      Clean &= transform::runPasses(K, Pipeline).ok();
+    for (ir::Kernel &K : Kernels) {
+      transform::PipelineResult R = transform::runPasses(K, Pipeline);
+      if (!R.ok()) {
+        std::fprintf(stderr, "%s failed verification:\n%s", K.Name.c_str(),
+                     R.Verification.toText().c_str());
+        std::abort();
+      }
+    }
   }
-  if (!Clean)
-    State.SkipWithError("an instrumented kernel failed verification");
   State.counters["kernels"] = static_cast<double>(Kernels.size());
   State.SetItemsProcessed(static_cast<int64_t>(State.iterations()) *
                           static_cast<int64_t>(Kernels.size()));

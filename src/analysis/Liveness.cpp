@@ -35,7 +35,6 @@ RegTable::RegTable(const ir::Kernel &K) {
       R.Begin = static_cast<uint32_t>(Groups.size());
       R.Guarded = I.Asm.hasGuard();
       R.Inserted = I.isInserted();
-      AnyInserted |= R.Inserted;
       Uses.clear();
       visitRegs(I.Asm, [this, &Uses](int Slot, unsigned Width, bool IsDef) {
         const unsigned Limit = isRegSlot(static_cast<unsigned>(Slot))

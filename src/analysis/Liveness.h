@@ -8,12 +8,13 @@
 /// Classic backward may-liveness over the flat register/predicate slot
 /// space of RegModel.h, solved with the Dataflow.h worklist engine:
 /// per-block live-in/out sets and a per-point register-pressure sweep (the
-/// peak number of simultaneously live general registers, cross-checked
-/// against transform::Occupancy by the verifier).
+/// peak number of simultaneously live general registers, which
+/// transform::pressureReport sets beside the occupancy model).
 ///
 /// Every per-instruction step reads a RegTable: one visitRegs call per
 /// instruction, recorded once per kernel, serves GEN/KILL, the pressure
 /// sweep and the verifier's clobber walk, for any number of solves.
+/// transform's register usage reads the same groups.
 ///
 /// Soundness conventions (the analysis over-approximates):
 ///  - guarded (predicated) definitions do not kill — the write may not
@@ -77,7 +78,8 @@ public:
   std::span<const Group> uses(const Row &R) const {
     return {Groups.data() + R.Mid, Groups.data() + R.End};
   }
-  bool hasInserted() const { return AnyInserted; }
+  /// Every row's groups, defs and uses alike.
+  std::span<const Group> groups() const { return Groups; }
 
   /// Backward transfer of row \p I: turns the live-after set \p Live into
   /// the live-before set. Unguarded defs kill; uses gen when \p CountUses.
@@ -97,7 +99,6 @@ private:
   std::vector<Group> Groups;
   std::vector<Row> Rows;
   std::vector<uint32_t> BlockBegin;
-  bool AnyInserted = false;
 };
 
 struct Liveness {

@@ -40,82 +40,97 @@ unsigned transform::convertLocalToShared(Kernel &K, int64_t SharedBase,
   return Converted;
 }
 
+namespace {
+
+/// Where a payload goes relative to the instruction it instruments.
+enum class Place { Before, After };
+
+/// The one insertion routine. \p Match is called once per original
+/// instruction, in block order; for each match, \p Emit appends the
+/// \p PayloadSize instructions of its payload to the block being built.
+/// The payload goes before the match, or after it for Place::After, except
+/// that a block terminator (always its block's last instruction) gets it
+/// immediately before itself, so nothing lands past the block's end. A
+/// block with no site is left untouched; every other block is built once,
+/// at its final size.
+template <typename MatchFn, typename EmitFn>
+unsigned insertAtSites(Kernel &K, Place Where, size_t PayloadSize,
+                       MatchFn &&Match, EmitFn &&Emit) {
+  unsigned Total = 0;
+  std::vector<uint8_t> IsSite;
+  for (Block &B : K.Blocks) {
+    size_t Sites = 0;
+    IsSite.assign(B.Insts.size(), 0);
+    for (size_t I = 0; I < B.Insts.size(); ++I) {
+      IsSite[I] = Match(B.Insts[I]);
+      Sites += IsSite[I];
+    }
+    if (!Sites)
+      continue;
+    std::vector<Inst> Built;
+    Built.reserve(B.Insts.size() + Sites * PayloadSize);
+    for (size_t I = 0; I < B.Insts.size(); ++I) {
+      const Inst &Entry = B.Insts[I];
+      const bool After = IsSite[I] && Where == Place::After &&
+                         !sass::isTerminator(Entry.Asm);
+      if (IsSite[I] && !After)
+        Emit(Entry, Built);
+      Built.push_back(Entry);
+      if (After)
+        Emit(Entry, Built);
+    }
+    B.Insts = std::move(Built);
+    Total += static_cast<unsigned>(Sites);
+  }
+  return Total;
+}
+
+/// insertBefore/insertAfter: \p Payload at every \p Pred match, with
+/// conservative control info.
+unsigned insertPayload(Kernel &K, Place Where, const InstPredicate &Pred,
+                       const std::vector<sass::Instruction> &Payload) {
+  return insertAtSites(K, Where, Payload.size(), Pred,
+                       [&Payload](const Inst &, std::vector<Inst> &Out) {
+                         for (const sass::Instruction &Asm : Payload) {
+                           Inst &Entry = Out.emplace_back();
+                           Entry.Asm = Asm;
+                           Entry.Ctrl = ir::conservativeCtrl();
+                         }
+                       });
+}
+
+} // namespace
+
 unsigned transform::clearRegistersBeforeExit(
     Kernel &K, const std::vector<unsigned> &Regs) {
   static const SymbolId Exit = sass::internKnown("EXIT"),
                         Mov = sass::internKnown("MOV");
-  unsigned Sites = 0;
-  for (Block &B : K.Blocks) {
-    for (size_t I = 0; I < B.Insts.size(); ++I) {
-      if (B.Insts[I].Asm.opcodeSym() != Exit)
-        continue;
-      std::vector<Inst> Clears;
-      for (unsigned Reg : Regs) {
-        Inst Clear;
-        Clear.Asm.setOpcode(Mov);
-        Clear.Asm.GuardPredicate = B.Insts[I].Asm.GuardPredicate;
-        Clear.Asm.GuardNegated = B.Insts[I].Asm.GuardNegated;
-        Clear.Asm.Operands.push_back(sass::Operand::makeRegister(Reg));
-        sass::Operand Zero = sass::Operand::makeRegister(0);
-        Zero.Value[0] = -1; // RZ
-        Clear.Asm.Operands.push_back(Zero);
-        Clear.Ctrl = ir::conservativeCtrl();
-        Clears.push_back(std::move(Clear));
-      }
-      B.Insts.insert(B.Insts.begin() + I, Clears.begin(), Clears.end());
-      I += Clears.size();
-      ++Sites;
-    }
-  }
-  return Sites;
+  return insertAtSites(
+      K, Place::Before, Regs.size(),
+      [](const Inst &I) { return I.Asm.opcodeSym() == Exit; },
+      [&Regs](const Inst &Site, std::vector<Inst> &Out) {
+        for (unsigned Reg : Regs) {
+          Inst &Clear = Out.emplace_back();
+          Clear.Asm.setOpcode(Mov);
+          Clear.Asm.GuardPredicate = Site.Asm.GuardPredicate;
+          Clear.Asm.GuardNegated = Site.Asm.GuardNegated;
+          Clear.Asm.Operands.push_back(sass::Operand::makeRegister(Reg));
+          sass::Operand Zero = sass::Operand::makeRegister(0);
+          Zero.Value[0] = -1; // RZ
+          Clear.Asm.Operands.push_back(Zero);
+          Clear.Ctrl = ir::conservativeCtrl();
+        }
+      });
 }
 
 unsigned transform::insertBefore(Kernel &K, const InstPredicate &Pred,
                                  const std::vector<sass::Instruction> &Payload) {
-  unsigned Sites = 0;
-  for (Block &B : K.Blocks) {
-    for (size_t I = 0; I < B.Insts.size(); ++I) {
-      if (!Pred(B.Insts[I]))
-        continue;
-      std::vector<Inst> Extra;
-      for (const sass::Instruction &Asm : Payload) {
-        Inst Entry;
-        Entry.Asm = Asm;
-        Entry.Ctrl = ir::conservativeCtrl();
-        Extra.push_back(std::move(Entry));
-      }
-      B.Insts.insert(B.Insts.begin() + I, Extra.begin(), Extra.end());
-      I += Extra.size();
-      ++Sites;
-    }
-  }
-  return Sites;
+  return insertPayload(K, Place::Before, Pred, Payload);
 }
 
 unsigned transform::insertAfter(Kernel &K, const InstPredicate &Pred,
                                 const std::vector<sass::Instruction> &Payload) {
-  unsigned Sites = 0;
-  for (Block &B : K.Blocks) {
-    for (size_t I = 0; I < B.Insts.size(); ++I) {
-      if (!Pred(B.Insts[I]))
-        continue;
-      // Never insert beyond the block's end: payload lands right after the
-      // matched instruction, which for a terminator means before it would
-      // escape the block; callers wanting post-terminator effects should
-      // instrument the successor blocks instead.
-      std::vector<Inst> Extra;
-      for (const sass::Instruction &Asm : Payload) {
-        Inst Entry;
-        Entry.Asm = Asm;
-        Entry.Ctrl = ir::conservativeCtrl();
-        Extra.push_back(std::move(Entry));
-      }
-      B.Insts.insert(B.Insts.begin() + I + 1, Extra.begin(), Extra.end());
-      I += Extra.size();
-      ++Sites;
-    }
-  }
-  return Sites;
+  return insertPayload(K, Place::After, Pred, Payload);
 }
 
 void transform::recomputeControlInfo(Kernel &K) {

@@ -16,6 +16,10 @@
 ///    with automatic conservative re-scheduling, because inserted code
 ///    invalidates the compiler's original stall/barrier decisions.
 ///
+/// ClearRegistersBeforeExit, insertBefore and insertAfter share one
+/// insertion routine: it leaves a block without a site untouched and
+/// builds every other block once, at its final size.
+///
 /// All passes are architecture-independent: they edit the IR and rely on
 /// the learned assemblers to re-encode for whichever generation the kernel
 /// came from.
@@ -26,10 +30,8 @@
 #define DCB_TRANSFORM_PASSES_H
 
 #include "analysis/Findings.h"
-#include "analysis/Liveness.h"
 #include "ir/Ir.h"
 #include "support/Errors.h"
-#include "transform/Occupancy.h"
 
 #include <functional>
 #include <string>
@@ -59,8 +61,10 @@ using InstPredicate = std::function<bool(const ir::Inst &)>;
 unsigned insertBefore(ir::Kernel &K, const InstPredicate &Pred,
                       const std::vector<sass::Instruction> &Payload);
 
-/// Inserts \p Payload after every matching instruction (but never beyond a
-/// block terminator).
+/// Inserts \p Payload after every matching instruction, but never beyond a
+/// block terminator: a matching terminator (BRA, EXIT, ...) gets the
+/// payload immediately before it, where it runs on every path out of the
+/// block. Returns the number of insertion sites.
 unsigned insertAfter(ir::Kernel &K, const InstPredicate &Pred,
                      const std::vector<sass::Instruction> &Payload);
 
@@ -76,32 +80,16 @@ void recomputeControlInfo(ir::Kernel &K);
 //
 // Transforms used to be trusted blindly; these checks make a broken edit
 // loud before it reaches the assembler. Built on src/analysis: CFG
-// validation (CFG001), SCHI hazard checking (HAZ*), an inserted-code
-// clobber check against liveness (VER001) and a register-pressure /
-// occupancy cross-check (VER002).
+// validation (CFG001), SCHI hazard checking (HAZ*) and an inserted-code
+// clobber check against liveness (VER001). VER002, the pressure cross-check,
+// is retired: it compared two readings of one register model.
 
-/// Runs every check over \p K. VER001 uses liveness restricted to original
-/// uses, so instrumentation payloads may feed their own scratch registers
-/// freely. VER002 requires that peak live registers not exceed the
-/// referenced-register count, and that occupancy at the live peak be no
-/// worse than at the full footprint (at 256 threads per block). An empty
-/// (clean) report means the kernel is structurally sound under the
+/// Runs every check over \p K. VER001 runs only when \p K holds inserted
+/// code, on one liveness solve restricted to original uses, so
+/// instrumentation payloads may feed their own scratch registers freely. An
+/// empty (clean) report means the kernel is structurally sound under the
 /// framework's public model.
 analysis::Report verifyKernel(const ir::Kernel &K);
-
-/// The liveness-vs-occupancy cross-check data (also surfaced by
-/// `dcb analyze --liveness`), from the caller's default-options liveness
-/// \p L of \p K, at 256 threads per block.
-struct PressureReport {
-  unsigned LiveRegs = 0;  ///< Peak simultaneously live general registers.
-  unsigned LivePreds = 0; ///< Peak simultaneously live predicates.
-  unsigned UsageRegs = 0; ///< Distinct general registers referenced.
-  unsigned AllocRegs = 0; ///< Highest referenced register id + 1.
-  Occupancy LiveOcc;      ///< Occupancy if compacted to the live peak.
-  Occupancy UsageOcc;     ///< Occupancy at the current footprint.
-};
-PressureReport pressureReport(const ir::Kernel &K,
-                              const analysis::Liveness &L);
 
 /// One named transformation in a pipeline.
 struct Pass {
@@ -111,7 +99,7 @@ struct Pass {
 
 struct PipelineOptions {
   /// Verify after the pipeline runs. On by default: every transform
-  /// pipeline must produce hazard-clean, liveness-consistent IR.
+  /// pipeline must produce hazard-clean IR that clobbers no live register.
   bool Verify = true;
 };
 

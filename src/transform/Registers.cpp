@@ -16,42 +16,45 @@ using sass::Operand;
 using sass::OperandKind;
 
 RegisterUsage transform::analyzeRegisterUsage(const Kernel &K) {
+  // The widest group rooted at each register; predicate slots are
+  // skipped because usage tracks the general file only.
+  const analysis::RegTable T(K);
+  uint8_t Widest[analysis::kNumRegSlots] = {};
+  for (analysis::RegTable::Group G : T.groups())
+    if (analysis::isRegSlot(G.Slot) && Widest[G.Slot] < G.Width)
+      Widest[G.Slot] = static_cast<uint8_t>(G.Width);
+
+  // A root inside the current run is not independent: the run absorbs it
+  // and reaches at least as far as its group.
   RegisterUsage Usage;
-  // First pass: record the widest group rooted at each register. The
-  // register/width model is shared with the analysis layer; predicate
-  // slots are filtered out because usage tracks the general file only.
-  for (const Block &B : K.Blocks) {
-    for (const Inst &Entry : B.Insts) {
-      analysis::visitRegs(
-          Entry.Asm, [&Usage](int Slot, unsigned Width, bool /*IsDef*/) {
-            if (!analysis::isRegSlot(static_cast<unsigned>(Slot)))
-              return;
-            const unsigned Reg = static_cast<unsigned>(Slot);
-            auto [It, Inserted] = Usage.Groups.try_emplace(Reg, Width);
-            if (!Inserted && It->second < Width)
-              It->second = Width;
-            Usage.MaxRegister = std::max(
-                Usage.MaxRegister, static_cast<int>(Reg + Width - 1));
-          });
-    }
+  unsigned End = 0;
+  for (unsigned Reg = 0; Reg < analysis::kNumRegSlots; ++Reg) {
+    if (!Widest[Reg])
+      continue;
+    if (Reg >= End)
+      Usage.Groups.push_back({static_cast<uint16_t>(Reg), 0});
+    End = std::max(End, Reg + Widest[Reg]);
+    Usage.Groups.back().Width =
+        static_cast<uint16_t>(End - Usage.Groups.back().Slot);
   }
-  // Second pass: registers covered by a wider group are not independent
-  // roots; merge them into the covering group.
-  for (auto It = Usage.Groups.begin(); It != Usage.Groups.end();) {
-    bool Covered = false;
-    for (const auto &[Root, Width] : Usage.Groups) {
-      if (Root < It->first && It->first < Root + Width) {
-        Covered = true;
-        // The covering group must reach at least as far.
-        unsigned NeededWidth = (It->first - Root) + It->second;
-        if (Usage.Groups[Root] < NeededWidth)
-          Usage.Groups[Root] = NeededWidth;
-        break;
-      }
-    }
-    It = Covered ? Usage.Groups.erase(It) : std::next(It);
-  }
+  Usage.MaxRegister = static_cast<int>(End) - 1;
   return Usage;
+}
+
+PressureReport transform::pressureReport(const Kernel &K,
+                                         const analysis::Liveness &L) {
+  constexpr unsigned ThreadsPerBlock = 256;
+  PressureReport P;
+  P.LiveRegs = L.MaxLiveRegs;
+  P.LivePreds = L.MaxLivePreds;
+  RegisterUsage Usage = analyzeRegisterUsage(K);
+  P.UsageRegs = Usage.liveCount();
+  P.AllocRegs = static_cast<unsigned>(Usage.MaxRegister + 1);
+  P.LiveOcc = computeOccupancy(K.A, P.LiveRegs, K.SharedMemBytes,
+                               ThreadsPerBlock);
+  P.UsageOcc = computeOccupancy(K.A, P.AllocRegs, K.SharedMemBytes,
+                                ThreadsPerBlock);
+  return P;
 }
 
 unsigned transform::remapRegisters(Kernel &K,
@@ -96,12 +99,12 @@ unsigned transform::compactRegisters(Kernel &K) {
   // requires).
   std::map<unsigned, unsigned> Mapping;
   unsigned Next = 0;
-  for (const auto &[Root, Width] : Usage.Groups) {
-    unsigned Align = Width >= 4 ? 4 : Width;
+  for (analysis::RegTable::Group G : Usage.Groups) {
+    unsigned Align = G.Width >= 4 ? 4 : G.Width;
     unsigned Base = (Next + Align - 1) / Align * Align;
-    for (unsigned I = 0; I < Width; ++I)
-      Mapping[Root + I] = Base + I;
-    Next = Base + Width;
+    for (unsigned I = 0; I < G.Width; ++I)
+      Mapping[G.Slot + I] = Base + I;
+    Next = Base + G.Width;
   }
   remapRegisters(K, Mapping);
   return Next;

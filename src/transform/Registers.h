@@ -18,39 +18,65 @@
 /// GPU will use a range of consecutive registers"), which the remapper
 /// preserves.
 ///
+/// Usage is read from the kernel's analysis::RegTable, the one model of
+/// its registers that liveness and the verifier also read, so usage,
+/// pressure and compaction agree with them on every width and on the cut
+/// at R255.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DCB_TRANSFORM_REGISTERS_H
 #define DCB_TRANSFORM_REGISTERS_H
 
+#include "analysis/Liveness.h"
 #include "ir/Ir.h"
+#include "transform/Occupancy.h"
 
 #include <map>
+#include <vector>
 
 namespace dcb {
 namespace transform {
 
-/// The per-register width constraints discovered in a kernel: each root
-/// register together with the number of consecutive registers its widest
-/// use covers.
+/// The kernel's general registers as aligned runs: each root register
+/// together with the number of consecutive registers its widest use
+/// covers, with overlapping runs merged.
 struct RegisterUsage {
-  /// Root register id -> run length (1, 2 or 4).
-  std::map<unsigned, unsigned> Groups;
+  /// One run per root (Slot = root register, Width = run length), in
+  /// ascending, non-overlapping order.
+  std::vector<analysis::RegTable::Group> Groups;
   /// Highest register id referenced (255-style ids; RZ excluded).
   int MaxRegister = -1;
 
   unsigned liveCount() const {
     unsigned N = 0;
-    for (const auto &[Root, Width] : Groups)
-      N += Width;
+    for (analysis::RegTable::Group G : Groups)
+      N += G.Width;
     return N;
   }
 };
 
-/// Scans every operand of every instruction (including memory base
-/// registers and const-memory index registers) and merges overlapping wide
-/// uses into aligned groups.
+/// Reads the general-register groups of \p K's RegTable (every operand,
+/// including memory base registers and const-memory index registers, with
+/// groups cut at R255), keeps the widest group per root and merges
+/// overlapping groups in one ascending sweep.
 RegisterUsage analyzeRegisterUsage(const ir::Kernel &K);
+
+/// Register pressure beside the occupancy model (`dcb analyze --liveness`),
+/// from the caller's default-options liveness \p L of \p K and \p K's
+/// register usage, at 256 threads per block. The live set is drawn from
+/// the same RegTable groups as the usage, so LiveRegs <= UsageRegs <=
+/// AllocRegs and LiveOcc is never below UsageOcc.
+struct PressureReport {
+  unsigned LiveRegs = 0;  ///< Peak simultaneously live general registers.
+  unsigned LivePreds = 0; ///< Peak simultaneously live predicates.
+  unsigned UsageRegs = 0; ///< Distinct general registers referenced.
+  unsigned AllocRegs = 0; ///< Highest referenced register id + 1.
+  Occupancy LiveOcc;      ///< Occupancy if compacted to the live peak.
+  Occupancy UsageOcc;     ///< Occupancy at the current footprint.
+};
+PressureReport pressureReport(const ir::Kernel &K,
+                              const analysis::Liveness &L);
 
 /// Applies an explicit register mapping (old id -> new id). Every
 /// referenced register must be present in \p Mapping. Returns the number

@@ -13,9 +13,11 @@
 ///   HAZ*    SCHI control-word violations             (analysis::checkHazards)
 ///   VER001  inserted instruction clobbers a register an original
 ///           instruction still reads (liveness restricted to original uses)
-///   VER002  liveness pressure disagrees with the register-usage footprint
-///           or the occupancy model (peak live > referenced count, or
-///           occupancy at the live peak worse than at the full footprint)
+///
+/// VER001 runs only on a kernel that holds inserted code: one RegTable, one
+/// Cfg and one liveness solve. There is no pressure check (the retired
+/// VER002): liveness and register usage read one RegTable, so peak live
+/// cannot exceed the footprint; transform_test checks that invariant.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,12 +27,10 @@
 #include "analysis/Hazards.h"
 #include "analysis/Liveness.h"
 #include "analysis/RegModel.h"
-#include "transform/Occupancy.h"
-#include "transform/Registers.h"
 #include "support/Telemetry.h"
 
+#include <algorithm>
 #include <string>
-#include <vector>
 
 using namespace dcb;
 using namespace dcb::transform;
@@ -53,11 +53,12 @@ Metrics &metrics() {
 /// whose definitions overwrite a slot that is still live-after. Defs count
 /// regardless of guard — a predicated clobber is still a clobber on the
 /// taken path.
-void checkClobbers(const ir::Kernel &K, const analysis::RegTable &T,
-                   const analysis::Cfg &C, Report &R) {
+void checkClobbers(const ir::Kernel &K, Report &R) {
+  const analysis::RegTable T(K);
   analysis::LivenessOptions LO;
   LO.OriginalUsesOnly = true;
-  analysis::Liveness L = analysis::computeLiveness(K, T, C, LO);
+  analysis::Liveness L =
+      analysis::computeLiveness(K, T, analysis::Cfg::build(K), LO);
 
   for (size_t B = 0; B < T.numBlocks(); ++B) {
     const size_t Begin = T.blockBegin(B), End = T.blockBegin(B + 1);
@@ -94,51 +95,7 @@ void checkClobbers(const ir::Kernel &K, const analysis::RegTable &T,
   }
 }
 
-/// VER002: the cross-check between two independent register models.
-void checkPressure(const ir::Kernel &K, const analysis::Liveness &L,
-                   Report &R) {
-  PressureReport P = pressureReport(K, L);
-  auto add = [&](std::string Msg) {
-    Finding F;
-    F.Rule = "VER002";
-    F.Kernel = K.Name;
-    F.Object = "pressure";
-    F.Message = std::move(Msg);
-    R.add(std::move(F));
-  };
-  if (P.LiveRegs > P.UsageRegs)
-    add("peak live registers (" + std::to_string(P.LiveRegs) +
-        ") exceed the number of referenced registers (" +
-        std::to_string(P.UsageRegs) + ")");
-  if (P.LiveOcc.ResidentWarps < P.UsageOcc.ResidentWarps)
-    add("occupancy at the live peak (" +
-        std::to_string(P.LiveOcc.ResidentWarps) +
-        " warps) is worse than at the full footprint (" +
-        std::to_string(P.UsageOcc.ResidentWarps) +
-        " warps); the occupancy model is inconsistent");
-}
-
 } // namespace
-
-PressureReport transform::pressureReport(const ir::Kernel &K,
-                                         const analysis::Liveness &L) {
-  constexpr unsigned ThreadsPerBlock = 256;
-  PressureReport P;
-  P.LiveRegs = L.MaxLiveRegs;
-  P.LivePreds = L.MaxLivePreds;
-
-  RegisterUsage Usage = analyzeRegisterUsage(K);
-  P.UsageRegs = Usage.liveCount();
-  P.AllocRegs = Usage.MaxRegister >= 0
-                    ? static_cast<unsigned>(Usage.MaxRegister) + 1
-                    : 0;
-
-  P.LiveOcc = computeOccupancy(K.A, P.LiveRegs, K.SharedMemBytes,
-                               ThreadsPerBlock);
-  P.UsageOcc = computeOccupancy(K.A, P.AllocRegs, K.SharedMemBytes,
-                                ThreadsPerBlock);
-  return P;
-}
 
 Report transform::verifyKernel(const ir::Kernel &K) {
   DCB_SPAN("analysis.verify");
@@ -147,14 +104,13 @@ Report transform::verifyKernel(const ir::Kernel &K) {
   Report R;
   R.append(analysis::validateCfg(K));
   R.append(analysis::checkHazards(K));
-  // One register table and one Cfg serve both liveness solves: the
-  // clobber check's (only when something was inserted) and the pressure
-  // check's.
-  const analysis::RegTable T(K);
-  const analysis::Cfg C = analysis::Cfg::build(K);
-  if (T.hasInserted())
-    checkClobbers(K, T, C, R);
-  checkPressure(K, analysis::computeLiveness(K, T, C), R);
+  const bool HasInserted =
+      std::any_of(K.Blocks.begin(), K.Blocks.end(), [](const ir::Block &B) {
+        return std::any_of(B.Insts.begin(), B.Insts.end(),
+                           [](const ir::Inst &I) { return I.isInserted(); });
+      });
+  if (HasInserted)
+    checkClobbers(K, R);
 
   metrics().Found.add(R.Findings.size());
   return R;

@@ -39,6 +39,7 @@
 #include "ir/Layout.h"
 #include "sass/Parser.h"
 #include "transform/Passes.h"
+#include "transform/Registers.h"
 
 #include <string>
 #include <vector>

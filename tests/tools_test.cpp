@@ -460,6 +460,22 @@ TEST(DcbTool, RejectsBadInput) {
   // Output that cannot be written, and input that is a directory.
   expectError("make-suite sm_35 -o /dev/full", "No space left on device");
   expectError("disasm " + Work, "Is a directory");
+  // A flag the command does not read is refused, never run past or taken
+  // with the next argument as its value.
+  ASSERT_EQ(runCmd(Dcb + " make-suite sm_35 -o " + Work + "/s35.cubin > " +
+                   "/dev/null"),
+            0);
+  const std::string S35 = Work + "/s35.cubin";
+  expectError("exec " + S35 + " nn --thread 64", "exec does not take --thread");
+  expectError("disasm " + S35 + " --job 2", "disasm does not take --job");
+  expectError("lint " + S35 + " --fail-onn error",
+              "lint does not take --fail-onn");
+  expectError("lint --bogus " + S35, "lint does not take --bogus");
+  expectError("flip " + S35 + " --jobs 2 --db x -o y",
+              "flip does not take --jobs");
+  expectError("analyze --liveness " + S35 + " --json=out --trace-x=1",
+              "analyze does not take --trace-x");
+  expectError("ir " + S35 + " nn -o out", "ir does not take -o");
 }
 
 // --- Telemetry surface (--stats / --trace / stats) --------------------------

@@ -16,6 +16,7 @@
 #include "ir/Layout.h"
 #include "sass/Parser.h"
 #include "support/FileIo.h"
+#include "support/Telemetry.h"
 #include "vendor/CuobjdumpSim.h"
 #include "vendor/NvccSim.h"
 #include "vm/Vm.h"
@@ -293,6 +294,43 @@ TEST(Instrumenter, InsertBeforeAndAfterCountSites) {
   EXPECT_EQ(Movs, 2u);
 }
 
+TEST(Instrumenter, InsertAfterNeverPassesATerminator) {
+  // A payload matched on a terminator lands immediately before it: after
+  // the branch it would run on the fall-through path only, and after an
+  // EXIT never.
+  Pipeline P(Arch::SM52);
+  vendor::KernelBuilder K("exits", Arch::SM52);
+  K.branch("@!P0 BRA", "late");
+  K.ins("MOV R9, 0x111;");
+  K.ins("EXIT;");
+  K.label("late");
+  K.ins("MOV R9, 0x222;");
+  ir::Kernel Kern = P.lift(K.exit());
+  auto IsBranchOrExit = [](const ir::Inst &Entry) {
+    return Entry.Asm.opcode() == "BRA" || Entry.Asm.opcode() == "EXIT";
+  };
+  std::vector<sass::Instruction> Payload = {
+      *sass::parseInstruction("MOV R30, RZ;")};
+  EXPECT_EQ(insertAfter(Kern, IsBranchOrExit, Payload), 3u);
+
+  unsigned Placed = 0;
+  for (const ir::Block &B : Kern.Blocks) {
+    for (size_t I = 0; I < B.Insts.size(); ++I) {
+      const sass::Instruction &Asm = B.Insts[I].Asm;
+      if (sass::isTerminator(Asm)) {
+        EXPECT_EQ(I + 1, B.Insts.size()) << "code after " << Asm.opcode();
+      }
+      if (Asm.opcode() == "MOV" && Asm.Operands[0].Value[0] == 30) {
+        ASSERT_LT(I + 1, B.Insts.size());
+        EXPECT_TRUE(IsBranchOrExit(B.Insts[I + 1]));
+        ++Placed;
+      }
+    }
+  }
+  EXPECT_EQ(Placed, 3u);
+  EXPECT_TRUE(verifyKernel(Kern).clean()) << verifyKernel(Kern).toText();
+}
+
 TEST(Instrumenter, CountingInstrumentationPreservesResults) {
   // Count executed global loads into an atomic counter — a miniature of
   // the paper's binary-instrumentation application — and verify outputs.
@@ -369,15 +407,18 @@ TEST(Registers, UsageAnalysisFindsGroupsAndWidths) {
   ir::Kernel Kern = P.lift(K);
 
   auto Usage = transform::analyzeRegisterUsage(Kern);
-  ASSERT_TRUE(Usage.Groups.count(10));
-  EXPECT_EQ(Usage.Groups.at(10), 2u);
-  ASSERT_TRUE(Usage.Groups.count(20));
-  EXPECT_EQ(Usage.Groups.at(20), 2u);
-  ASSERT_TRUE(Usage.Groups.count(30));
-  EXPECT_EQ(Usage.Groups.at(30), 2u);
-  ASSERT_TRUE(Usage.Groups.count(40));
-  EXPECT_EQ(Usage.Groups.at(40), 4u);
-  EXPECT_FALSE(Usage.Groups.count(11)) << "R11 is inside the R10 pair";
+  // Run length rooted at \p Root, 0 when no run starts there.
+  auto widthAt = [&Usage](unsigned Root) -> unsigned {
+    for (analysis::RegTable::Group G : Usage.Groups)
+      if (G.Slot == Root)
+        return G.Width;
+    return 0;
+  };
+  EXPECT_EQ(widthAt(10), 2u);
+  EXPECT_EQ(widthAt(20), 2u);
+  EXPECT_EQ(widthAt(30), 2u);
+  EXPECT_EQ(widthAt(40), 4u);
+  EXPECT_EQ(widthAt(11), 0u) << "R11 is inside the R10 pair";
   EXPECT_GE(Usage.MaxRegister, 43);
 }
 
@@ -450,6 +491,29 @@ TEST(Registers, PairsStayAlignedAfterCompaction) {
   }
 }
 
+TEST(Registers, UsageEndsAtR255LikeTheRegisterTable) {
+  // A 128-bit destination at R254 names R254..R257 in the text, but the
+  // register file ends at R255: usage and pressure keep R254:R255, as the
+  // RegTable that liveness reads does.
+  Expected<analyzer::Listing> L = analyzer::parseListing(
+      "code for sm_35\n\tFunction : k\n"
+      "        /*0008*/ LDG.E.128 R254, [R2]; /* 0x0000000000000000 */\n"
+      "        /*0010*/ STG.E [R2], R254; /* 0x0000000000000000 */\n"
+      "        /*0018*/ EXIT; /* 0x0000000000000000 */\n");
+  ASSERT_TRUE(L.hasValue()) << L.message();
+  Expected<ir::Kernel> Kern = ir::buildKernel(Arch::SM35, L->Kernels.front());
+  ASSERT_TRUE(Kern.hasValue()) << Kern.message();
+
+  auto Usage = transform::analyzeRegisterUsage(*Kern);
+  EXPECT_EQ(Usage.liveCount(), 3u) << "R2 and R254:R255";
+  EXPECT_EQ(Usage.MaxRegister, 255);
+  auto Pressure =
+      transform::pressureReport(*Kern, analysis::computeLiveness(*Kern));
+  EXPECT_EQ(Pressure.UsageRegs, 3u);
+  EXPECT_EQ(Pressure.AllocRegs, 256u);
+  EXPECT_LE(Pressure.LiveRegs, Pressure.UsageRegs);
+}
+
 TEST(Registers, ExplicitRemapRewritesEveryReferenceKind) {
   Pipeline P(Arch::SM35);
   vendor::KernelBuilder K("refs", Arch::SM35);
@@ -512,6 +576,20 @@ bool hasRule(const analysis::Report &R, const std::string &Rule) {
     if (F.Rule == Rule)
       return true;
   return false;
+}
+
+/// \p A's workload suite, compiled, disassembled and lifted.
+ir::Program liftSuite(Arch A) {
+  vendor::NvccSim Nvcc(A);
+  Expected<elf::Cubin> Cubin = Nvcc.compile(workloads::buildSuite(A));
+  EXPECT_TRUE(Cubin.hasValue()) << Cubin.message();
+  Expected<std::string> Text = vendor::disassembleCubin(*Cubin);
+  EXPECT_TRUE(Text.hasValue()) << Text.message();
+  Expected<analyzer::Listing> L = analyzer::parseListing(*Text);
+  EXPECT_TRUE(L.hasValue()) << L.message();
+  Expected<ir::Program> Prog = ir::buildProgram(*L);
+  EXPECT_TRUE(Prog.hasValue()) << Prog.message();
+  return Prog.takeValue();
 }
 
 /// A small straight-line kernel where R2 is live between its def and a
@@ -602,20 +680,61 @@ TEST(Verifier, CanBeDisabled) {
 
 TEST(Verifier, VendorSuiteVerifiesClean) {
   // Untransformed vendor output must sail through every verifier rule:
-  // CFG, hazards, clobbers (no inserted code) and pressure.
-  vendor::NvccSim Nvcc(Arch::SM52);
-  Expected<elf::Cubin> Cubin = Nvcc.compile(workloads::buildSuite(Arch::SM52));
-  ASSERT_TRUE(Cubin.hasValue());
-  Expected<std::string> Text = vendor::disassembleCubin(*Cubin);
-  ASSERT_TRUE(Text.hasValue());
-  Expected<analyzer::Listing> L = analyzer::parseListing(*Text);
-  ASSERT_TRUE(L.hasValue());
-  Expected<ir::Program> Prog = ir::buildProgram(*L);
-  ASSERT_TRUE(Prog.hasValue());
-  for (const ir::Kernel &K : Prog->Kernels) {
+  // CFG, hazards and clobbers (no inserted code).
+  for (const ir::Kernel &K : liftSuite(Arch::SM52).Kernels) {
     analysis::Report R = verifyKernel(K);
     EXPECT_TRUE(R.clean()) << K.Name << ":\n" << R.toText();
   }
+}
+
+TEST(Verifier, SolvesLivenessOnlyForInsertedCode) {
+  // A kernel without inserted code has nothing to clobber: verifying it
+  // solves no liveness. With inserted code it solves once.
+  const bool WasOn = telemetry::countersEnabled();
+  telemetry::setCountersEnabled(true);
+  telemetry::Counter &Solves = telemetry::counter("analysis.liveness.kernels");
+  for (const ir::Kernel &K : liftSuite(Arch::SM52).Kernels) {
+    uint64_t Before = Solves.value();
+    EXPECT_TRUE(verifyKernel(K).clean());
+    EXPECT_EQ(Solves.value(), Before) << K.Name;
+
+    ir::Kernel Cleared = K;
+    ASSERT_GT(clearRegistersBeforeExit(Cleared, {9, 10}), 0u) << K.Name;
+    Before = Solves.value();
+    EXPECT_TRUE(verifyKernel(Cleared).clean());
+    EXPECT_EQ(Solves.value(), Before + 1) << K.Name;
+  }
+  telemetry::setCountersEnabled(WasOn);
+}
+
+TEST(Verifier, LivePressureNeverExceedsTheRegisterFootprint) {
+  // The invariant of the retired VER002, kept where it can still catch a
+  // liveness or usage bug. Every live slot enters through a use group of
+  // the RegTable that usage reads, so peak live <= referenced <= highest
+  // + 1; occupancy never rises with the register count, so the live
+  // peak's is no lower than the footprint's. Checked on every suite
+  // kernel as lifted, after clear-regs and after the clobber payload.
+  unsigned Count = 0, Checked = 0;
+  const Arch *Archs = supportedArchs(Count);
+  for (unsigned I = 0; I < Count; ++I) {
+    for (const ir::Kernel &Lifted : liftSuite(Archs[I]).Kernels) {
+      ir::Kernel Cleared = Lifted, Clobbered = Lifted;
+      clearRegistersBeforeExit(Cleared, {9, 10});
+      rewritefacts::insertClobbers(Clobbered);
+      const ir::Kernel *Variants[] = {&Lifted, &Cleared, &Clobbered};
+      for (const ir::Kernel *K : Variants) {
+        const PressureReport P =
+            pressureReport(*K, analysis::computeLiveness(*K));
+        const std::string Where =
+            std::string(archName(K->A)) + " " + K->Name;
+        EXPECT_LE(P.LiveRegs, P.UsageRegs) << Where;
+        EXPECT_LE(P.UsageRegs, P.AllocRegs) << Where;
+        EXPECT_GE(P.LiveOcc.ResidentWarps, P.UsageOcc.ResidentWarps) << Where;
+        ++Checked;
+      }
+    }
+  }
+  EXPECT_EQ(Checked, 960u) << "8 suites x 40 kernels x 3 variants";
 }
 
 TEST(RewriteFacts, MatchTheGoldenHashes) {

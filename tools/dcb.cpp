@@ -36,6 +36,7 @@
 #include "serve/Ops.h"
 #include "serve/Server.h"
 #include "transform/Passes.h"
+#include "transform/Registers.h"
 #include "vendor/CuobjdumpSim.h"
 #include "vendor/IsaLint.h"
 #include "vendor/NvccSim.h"
@@ -47,6 +48,7 @@
 #include "support/StringUtils.h"
 #include "support/Telemetry.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cinttypes>
@@ -105,18 +107,26 @@ struct Args {
   std::vector<std::string> Positional;
   std::map<std::string, std::string> Options;
 
-  static Args parse(int Argc, char **Argv, int Start) {
+  /// Parses the arguments of command \p Cmd, which reads \p Flags. Any
+  /// other flag but the global --stats and --trace dies before it can take
+  /// the next argument as its value.
+  static Args parse(int Argc, char **Argv, int Start, std::string_view Cmd,
+                    const std::vector<std::string_view> &Flags) {
     Args A;
     for (int I = Start; I < Argc; ++I) {
       std::string Arg = Argv[I];
       if (Arg.rfind("--", 0) == 0 || Arg == "-o") {
         std::string Key = Arg == "-o" ? "--out" : Arg;
+        size_t Eq = Key.find('=');
+        const std::string Name = Key.substr(0, Eq);
+        if (Name != "--stats" && Name != "--trace" &&
+            std::find(Flags.begin(), Flags.end(), Name) == Flags.end())
+          die(std::string(Cmd) + " does not take " + Arg.substr(0, Eq));
         // --key=value binds the value inline; a few flags are also legal
         // bare (--stats prints to stderr, --json prints to stdout, the
         // mode/disable switches take no value at all).
-        size_t Eq = Key.find('=');
         if (Eq != std::string::npos) {
-          A.Options[Key.substr(0, Eq)] = Key.substr(Eq + 1);
+          A.Options[Name] = Key.substr(Eq + 1);
           continue;
         }
         if (Key == "--stats" || Key == "--json" || Key == "--liveness" ||
@@ -1225,53 +1235,74 @@ int cmdTop(const Args &A) {
       "  --stats            print the telemetry table to stderr on exit\n"
       "  --stats=FILE.json  write the telemetry snapshot as JSON instead\n"
       "  --trace=FILE.json  write a Chrome trace_event span trace\n"
-      "                     (load in chrome://tracing or ui.perfetto.dev)\n");
+      "                     (load in chrome://tracing or ui.perfetto.dev)\n"
+      "any other flag a command does not read is an error\n");
   std::exit(2);
 }
 
-int runCommand(const std::string &Cmd, const Args &A) {
-  if (Cmd == "make-suite")
-    return cmdMakeSuite(A);
-  if (Cmd == "disasm")
-    return cmdDisasm(A);
-  if (Cmd == "analyze")
-    return cmdAnalyze(A);
-  if (Cmd == "flip")
-    return cmdFlip(A);
-  if (Cmd == "genasm")
-    return cmdGenasm(A);
-  if (Cmd == "asm")
-    return cmdAsmOrVerify(A, false);
-  if (Cmd == "verify")
-    return cmdAsmOrVerify(A, true);
-  if (Cmd == "ir")
-    return cmdIr(A);
-  if (Cmd == "instrument")
-    return cmdInstrument(A);
-  if (Cmd == "exec")
-    return cmdExec(A);
-  if (Cmd == "diffexec")
-    return cmdDiffexec(A);
-  if (Cmd == "lint")
-    return cmdLint(A);
-  if (Cmd == "stats")
-    return cmdStats(A);
-  if (Cmd == "serve")
-    return cmdServe(A);
-  if (Cmd == "client")
-    return cmdClient(A);
-  if (Cmd == "top")
-    return cmdTop(A);
-  usage();
+/// One subcommand and every flag it reads.
+struct Command {
+  std::string_view Name;
+  int (*Run)(const Args &);
+  std::vector<std::string_view> Flags;
+};
+
+const Command *findCommand(std::string_view Name) {
+  static const std::vector<Command> Commands = {
+      {"make-suite", cmdMakeSuite, {"--out"}},
+      {"disasm", cmdDisasm, {"--jobs"}},
+      {"analyze",
+       cmdAnalyze,
+       {"--db", "--out", "--liveness", "--hazards", "--types", "--bounds",
+        "--races", "--json", "--fail-on", "--threads", "--blocks",
+        "--warp-size"}},
+      {"flip", cmdFlip, {"--db", "--out"}},
+      {"genasm", cmdGenasm, {"--db", "--out"}},
+      {"asm",
+       [](const Args &A) { return cmdAsmOrVerify(A, false); },
+       {"--db", "--jobs"}},
+      {"verify",
+       [](const Args &A) { return cmdAsmOrVerify(A, true); },
+       {"--db", "--jobs"}},
+      {"ir", cmdIr, {}},
+      {"instrument",
+       cmdInstrument,
+       {"--db", "--clear-regs", "--no-verify", "--out"}},
+      {"exec",
+       cmdExec,
+       {"--threads", "--blocks", "--warp-size", "--seed", "--oob",
+        "--watch-shared"}},
+      {"diffexec",
+       cmdDiffexec,
+       {"--threads", "--blocks", "--warp-size", "--seeds", "--seed", "--regs",
+        "--oob", "--watch-shared"}},
+      {"lint", cmdLint, {"--db", "--isa", "--json", "--fail-on"}},
+      {"stats", cmdStats, {"--format"}},
+      {"serve",
+       cmdServe,
+       {"--port", "--port-file", "--jobs", "--max-queued", "--cache-mb",
+        "--shards", "--persist", "--metrics-port", "--metrics-port-file",
+        "--request-log", "--slow-ms", "--db"}},
+      {"client",
+       cmdClient,
+       {"--port", "--port-file", "--retries", "--threads", "--blocks",
+        "--warp-size", "--seed", "--last-ms", "--watch-shared", "--oob",
+        "--mode", "--fail-on", "--name"}},
+      {"top", cmdTop, {"--port", "--port-file", "--interval-ms", "--count"}},
+  };
+  for (const Command &C : Commands)
+    if (C.Name == Name)
+      return &C;
+  return nullptr;
 }
 
 } // namespace
 
 int main(int Argc, char **Argv) {
-  if (Argc < 2)
+  const Command *Cmd = Argc < 2 ? nullptr : findCommand(Argv[1]);
+  if (!Cmd)
     usage();
-  std::string Cmd = Argv[1];
-  Args A = Args::parse(Argc, Argv, 2);
+  Args A = Args::parse(Argc, Argv, 2, Cmd->Name, Cmd->Flags);
 
   // Global telemetry flags, stripped before subcommand dispatch. Counters
   // and spans stay off unless requested, so the default run pays only the
@@ -1292,7 +1323,7 @@ int main(int Argc, char **Argv) {
   ServeStatsPath = Stats;
   ServeTracePath = Trace;
 
-  int Ret = runCommand(Cmd, A);
+  int Ret = Cmd->Run(A);
 
   if (Stats) {
     if (Stats->empty())
