@@ -3,17 +3,16 @@
 // Measures binary -> SASS decode throughput over the whole synthetic suite,
 // per architecture family:
 //
-//  * form dispatch alone: the pre-change linear scan over every InstrSpec
-//    (ArchSpec::matchLinear) against the frozen DecodeIndex dispatch
-//    (ArchSpec::match on a frozen spec),
-//  * the full decodeInstruction path against an unindexed clone of the
-//    spec — the complete pre-change decoder — and
+//  * form dispatch alone: a file-local linear scan over every InstrSpec,
+//    the pre-index baseline, against the DecodeIndex dispatch
+//    (ArchSpec::match),
+//  * the full decodeInstruction path, and
 //  * whole-cubin listings (vendor::disassembleCubin) with kernels fanned
 //    across 1, 2 and 4 lanes.
 //
-// The report section prints both single-thread speedups and checks the
-// cubin disassembler's determinism contract: listings are byte-identical
-// for every lane count, diagnostics included.
+// The report section prints the single-thread dispatch speedup and checks
+// the cubin disassembler's determinism contract: listings are
+// byte-identical for every lane count, diagnostics included.
 //
 //===----------------------------------------------------------------------===//
 
@@ -25,7 +24,6 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
-#include <memory>
 
 using namespace dcb;
 using namespace dcb::bench;
@@ -46,18 +44,15 @@ std::vector<WordJob> suiteWords(const analyzer::Listing &L) {
   return Jobs;
 }
 
-/// A fresh never-frozen copy of the hidden spec: its match() takes the
-/// linear-scan path, giving the pre-change decoder as a live baseline.
-std::unique_ptr<isa::ArchSpec> unindexedClone(const isa::ArchSpec &Spec) {
-  auto Clone = std::make_unique<isa::ArchSpec>();
-  Clone->A = Spec.A;
-  Clone->Family = Spec.Family;
-  Clone->WordBits = Spec.WordBits;
-  Clone->RegBits = Spec.RegBits;
-  Clone->NumRegs = Spec.NumRegs;
-  Clone->GuardField = Spec.GuardField;
-  Clone->Instrs = Spec.Instrs;
-  return Clone;
+/// The pre-index baseline: the first form in table order whose opcode
+/// pattern matches the word's low 64 bits.
+const isa::InstrSpec *linearMatch(const isa::ArchSpec &Spec,
+                                  const BitString &Word) {
+  uint64_t Low = Word.field(0, 64);
+  for (const isa::InstrSpec &Form : Spec.Instrs)
+    if ((Low & Form.OpcodeMask) == Form.OpcodeValue)
+      return &Form;
+  return nullptr;
 }
 
 /// One family representative per supported encoding generation.
@@ -76,31 +71,16 @@ double secondsPerDispatchSweep(const std::vector<WordJob> &Jobs,
   return std::chrono::duration<double>(End - Start).count() / Repeats;
 }
 
-double secondsPerDecodeSweep(const isa::ArchSpec &Spec,
-                             const std::vector<WordJob> &Jobs,
-                             unsigned Repeats) {
-  auto Start = std::chrono::steady_clock::now();
-  for (unsigned R = 0; R < Repeats; ++R)
-    for (const WordJob &Job : Jobs) {
-      Expected<sass::Instruction> Inst =
-          encoder::decodeInstruction(Spec, *Job.Word, Job.Pc);
-      benchmark::DoNotOptimize(Inst);
-    }
-  auto End = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(End - Start).count() / Repeats;
-}
-
 void report() {
-  std::printf("=== Decode throughput: linear scan vs frozen index ===\n");
+  std::printf("=== Decode throughput: linear scan vs decode index ===\n");
   for (Arch A : ReportArchs) {
     const ArchData &Data = archData(A);
     std::vector<WordJob> Jobs = suiteWords(Data.Listing);
-    const isa::ArchSpec &Spec = isa::getArchSpec(A); // Frozen at build.
-    std::unique_ptr<isa::ArchSpec> Linear = unindexedClone(Spec);
+    const isa::ArchSpec &Spec = isa::getArchSpec(A);
 
     // Sanity: both dispatchers agree on every suite word before timing.
     for (const WordJob &Job : Jobs) {
-      if (Spec.match(*Job.Word) != Spec.matchLinear(*Job.Word)) {
+      if (Spec.match(*Job.Word) != linearMatch(Spec, *Job.Word)) {
         std::printf("DISPATCH PARITY VIOLATION on %s at 0x%llx\n",
                     archName(A),
                     static_cast<unsigned long long>(Job.Pc));
@@ -111,22 +91,13 @@ void report() {
     const unsigned Repeats = 200;
     double ScanSec = secondsPerDispatchSweep(
         Jobs, Repeats,
-        [&](const BitString &W) { return Spec.matchLinear(W); });
+        [&](const BitString &W) { return linearMatch(Spec, W); });
     double IdxSec = secondsPerDispatchSweep(
         Jobs, Repeats, [&](const BitString &W) { return Spec.match(W); });
     std::printf("%-6s %5zu words  dispatch: linear %9.0f words/s  "
                 "indexed %9.0f words/s  speedup %.2fx\n",
                 archName(A), Jobs.size(), Jobs.size() / ScanSec,
                 Jobs.size() / IdxSec, IdxSec > 0 ? ScanSec / IdxSec : 0.0);
-
-    const unsigned DecRepeats = 40;
-    double LinDecSec = secondsPerDecodeSweep(*Linear, Jobs, DecRepeats);
-    double IdxDecSec = secondsPerDecodeSweep(Spec, Jobs, DecRepeats);
-    std::printf("%-6s %5zu words  decode:   linear %9.0f words/s  "
-                "indexed %9.0f words/s  speedup %.2fx\n",
-                archName(A), Jobs.size(), Jobs.size() / LinDecSec,
-                Jobs.size() / IdxDecSec,
-                IdxDecSec > 0 ? LinDecSec / IdxDecSec : 0.0);
 
     // Determinism: the listing must be byte-identical for every lane
     // count, and so must any diagnostics.
@@ -150,27 +121,25 @@ void report() {
               "architectures\n\n");
 }
 
-/// Pre-change baseline: full decode against a never-frozen spec clone.
+/// The pre-index baseline's form dispatch alone: the linear scan.
 void BM_DecodeLinear(benchmark::State &State) {
   Arch A = static_cast<Arch>(State.range(0));
   const ArchData &Data = archData(A);
   std::vector<WordJob> Jobs = suiteWords(Data.Listing);
-  std::unique_ptr<isa::ArchSpec> Linear =
-      unindexedClone(isa::getArchSpec(A));
+  const isa::ArchSpec &Spec = isa::getArchSpec(A);
   for (auto _ : State)
     for (const WordJob &Job : Jobs) {
-      Expected<sass::Instruction> Inst =
-          encoder::decodeInstruction(*Linear, *Job.Word, Job.Pc);
-      benchmark::DoNotOptimize(Inst);
+      const isa::InstrSpec *Form = linearMatch(Spec, *Job.Word);
+      benchmark::DoNotOptimize(Form);
     }
   State.SetItemsProcessed(State.iterations() *
                           static_cast<int64_t>(Jobs.size()));
   State.SetBytesProcessed(State.iterations() *
                           static_cast<int64_t>(Jobs.size()) *
-                          (Linear->WordBits / 8));
+                          (Spec.WordBits / 8));
 }
 
-/// The indexed decoder (frozen built-in spec).
+/// The full decoder, dispatching through the decode index.
 void BM_DecodeIndexed(benchmark::State &State) {
   Arch A = static_cast<Arch>(State.range(0));
   const ArchData &Data = archData(A);

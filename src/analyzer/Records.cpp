@@ -260,14 +260,6 @@ ComponentRec::collectWindows(const std::vector<InterpKind> &Kinds) const {
   return Result;
 }
 
-bool ComponentRec::anyWindow() const {
-  for (const auto &Halves : Live)
-    for (uint64_t Bits : Halves)
-      if (Bits != 0)
-        return true;
-  return false;
-}
-
 unsigned analyzer::componentCountFor(char Sig) {
   switch (Sig) {
   case 'r':

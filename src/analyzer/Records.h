@@ -147,9 +147,6 @@ struct ComponentRec {
   std::vector<WindowRef>
   collectWindows(const std::vector<InterpKind> &Kinds) const;
 
-  /// True if any window of any kind survives.
-  bool anyWindow() const;
-
 private:
   std::array<std::vector<uint64_t>, NumInterpKinds> WidthMask;
   /// Live[kind][h] bit i set = WidthMask[kind][64*h + i] is non-empty.

@@ -54,7 +54,6 @@ public:
   explicit Cubin(Arch A) : TargetArch(A) {}
 
   Arch arch() const { return TargetArch; }
-  void setArch(Arch A) { TargetArch = A; }
 
   std::vector<KernelSection> &kernels() { return Kernels; }
   const std::vector<KernelSection> &kernels() const { return Kernels; }

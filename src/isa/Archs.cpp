@@ -41,9 +41,9 @@ std::unique_ptr<ArchSpec> buildSpec(Arch A) {
           Choice.Sym = sass::internKnown(Choice.Name);
   }
   (void)specialRegSym(0);
-  // Eagerly index decode dispatch: built-in specs are immutable from here
-  // on, so every consumer shares the frozen index without a first-use race.
-  Spec->freezeDecode();
+  // Built-in specs are immutable from here on, so every consumer shares
+  // the one decode index without a first-use race.
+  Spec->buildDecodeIndex();
   return Spec;
 }
 

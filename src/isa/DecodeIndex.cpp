@@ -9,111 +9,21 @@
 using namespace dcb;
 using namespace dcb::isa;
 
-namespace {
-
-/// Whether \p Spec can land in bucket \p Bucket under \p SelBits: every
-/// selector bit the form constrains must agree with the bucket's value;
-/// unconstrained selector bits replicate the form into both halves.
-bool formInBucket(const InstrSpec &Spec, const std::vector<uint8_t> &SelBits,
-                  size_t Bucket) {
-  for (size_t I = 0; I < SelBits.size(); ++I) {
-    uint64_t Bit = uint64_t(1) << SelBits[I];
-    if (!(Spec.OpcodeMask & Bit))
-      continue;
-    bool FormVal = (Spec.OpcodeValue & Bit) != 0;
-    bool BucketVal = (Bucket >> I) & 1;
-    if (FormVal != BucketVal)
-      return false;
-  }
-  return true;
-}
-
-} // namespace
-
 DecodeIndex::DecodeIndex(const std::vector<InstrSpec> &Instrs) {
-  // Greedy selector choice. State: the current partition of the form set
-  // into buckets (with replication). The metric is the sum of squared
-  // bucket sizes — proportional to the expected masked-compare count for a
-  // word drawn uniformly over buckets — which an extra bit must strictly
-  // improve to be kept.
-  std::vector<std::vector<const InstrSpec *>> Buckets(1);
+  // The selector: the bits every form fixes (none for an empty spec), the
+  // highest MaxSelectorBits of them when there are more.
+  uint64_t Fixed = Instrs.empty() ? 0 : ~uint64_t(0);
   for (const InstrSpec &Spec : Instrs)
-    Buckets[0].push_back(&Spec);
+    Fixed &= Spec.OpcodeMask;
+  for (unsigned Bit = 0; Bit < 64; ++Bit)
+    if ((Fixed >> Bit) & 1)
+      SelBits.push_back(static_cast<uint8_t>(Bit));
+  if (SelBits.size() > MaxSelectorBits)
+    SelBits.erase(SelBits.begin(), SelBits.end() - MaxSelectorBits);
 
-  // Candidate bits: every bit position some form's opcode mask constrains.
-  uint64_t CandidateMask = 0;
-  for (const InstrSpec &Spec : Instrs)
-    CandidateMask |= Spec.OpcodeMask;
-
-  auto SquaredCost = [](const std::vector<std::vector<const InstrSpec *>> &B) {
-    uint64_t Cost = 0;
-    for (const auto &Bucket : B)
-      Cost += uint64_t(Bucket.size()) * Bucket.size();
-    return Cost;
-  };
-
-  uint64_t CurCost = SquaredCost(Buckets);
-  while (SelBits.size() < MaxSelectorBits) {
-    int BestBit = -1;
-    uint64_t BestCost = CurCost;
-    for (unsigned Bit = 0; Bit < 64; ++Bit) {
-      if (!(CandidateMask & (uint64_t(1) << Bit)))
-        continue;
-      // Splitting each bucket on Bit: a form goes to the 0-half, the
-      // 1-half, or (unconstrained) both.
-      uint64_t Cost = 0;
-      for (const auto &Bucket : Buckets) {
-        uint64_t N0 = 0, N1 = 0;
-        for (const InstrSpec *Spec : Bucket) {
-          uint64_t Mask = uint64_t(1) << Bit;
-          if (!(Spec->OpcodeMask & Mask)) {
-            ++N0;
-            ++N1;
-          } else if (Spec->OpcodeValue & Mask) {
-            ++N1;
-          } else {
-            ++N0;
-          }
-        }
-        Cost += N0 * N0 + N1 * N1;
-      }
-      if (Cost < BestCost) {
-        BestCost = Cost;
-        BestBit = static_cast<int>(Bit);
-      }
-    }
-    if (BestBit < 0)
-      break; // No remaining bit sharpens the dispatch.
-
-    CandidateMask &= ~(uint64_t(1) << BestBit);
-    SelBits.push_back(static_cast<uint8_t>(BestBit));
-    std::vector<std::vector<const InstrSpec *>> Split;
-    Split.reserve(Buckets.size() * 2);
-    for (const auto &Bucket : Buckets) {
-      std::vector<const InstrSpec *> Zero, One;
-      for (const InstrSpec *Spec : Bucket) {
-        uint64_t Mask = uint64_t(1) << BestBit;
-        if (!(Spec->OpcodeMask & Mask)) {
-          Zero.push_back(Spec);
-          One.push_back(Spec);
-        } else if (Spec->OpcodeValue & Mask) {
-          One.push_back(Spec);
-        } else {
-          Zero.push_back(Spec);
-        }
-      }
-      Split.push_back(std::move(Zero));
-      Split.push_back(std::move(One));
-    }
-    Buckets = std::move(Split);
-    CurCost = BestCost;
-  }
-
-  // Canonicalize: sort the selector positions so index bit I is the I-th
-  // lowest selector bit, then compress maximal runs of adjacent positions
-  // into single shift-and-mask gathers — the hot-path bucketOf does one
-  // shift/AND/OR per run instead of one per bit.
-  std::sort(SelBits.begin(), SelBits.end());
+  // Index bit I is the I-th lowest selector bit. Maximal runs of adjacent
+  // positions compress into single shift-and-mask gathers — the hot-path
+  // bucketOf does one shift/AND/OR per run instead of one per bit.
   for (size_t I = 0; I < SelBits.size();) {
     size_t RunLen = 1;
     while (I + RunLen < SelBits.size() &&
@@ -121,25 +31,26 @@ DecodeIndex::DecodeIndex(const std::vector<InstrSpec> &Instrs) {
       ++RunLen;
     Gather G;
     G.Shift = static_cast<uint8_t>(SelBits[I] - I);
-    uint64_t RunMask = RunLen == 64 ? ~uint64_t(0)
-                                    : ((uint64_t(1) << RunLen) - 1);
-    G.Mask = RunMask << I;
+    G.Mask = ((uint64_t(1) << RunLen) - 1) << I;
     Gathers.push_back(G);
     I += RunLen;
   }
 
-  // Rebuild the CSR table in canonical bucket numbering (selector bit I =
-  // index bit I) with entries in original Instrs order, so the index's
-  // first match reproduces the linear scan's exactly.
-  size_t NumBuckets = size_t(1) << SelBits.size();
+  // CSR table by counting sort: every form fixes every selector bit, so it
+  // belongs to the one bucket its OpcodeValue dispatches to. Entries are
+  // placed in Instrs order, so the index's first match reproduces the
+  // linear scan's exactly.
+  const size_t NumBuckets = size_t(1) << SelBits.size();
   BucketStart.assign(NumBuckets + 1, 0);
-  for (size_t B = 0; B < NumBuckets; ++B) {
-    BucketStart[B] = static_cast<uint32_t>(Entries.size());
-    for (const InstrSpec &Spec : Instrs)
-      if (formInBucket(Spec, SelBits, B))
-        Entries.push_back({Spec.OpcodeValue, Spec.OpcodeMask, &Spec});
-  }
-  BucketStart[NumBuckets] = static_cast<uint32_t>(Entries.size());
+  for (const InstrSpec &Spec : Instrs)
+    ++BucketStart[bucketOf(Spec.OpcodeValue) + 1];
+  for (size_t B = 0; B < NumBuckets; ++B)
+    BucketStart[B + 1] += BucketStart[B];
+  std::vector<uint32_t> Next(BucketStart.begin(), BucketStart.end() - 1);
+  Entries.resize(Instrs.size());
+  for (const InstrSpec &Spec : Instrs)
+    Entries[Next[bucketOf(Spec.OpcodeValue)]++] = {Spec.OpcodeValue,
+                                                   Spec.OpcodeMask, &Spec};
 }
 
 size_t DecodeIndex::maxBucketLen() const {

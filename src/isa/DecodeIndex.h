@@ -6,26 +6,24 @@
 ///
 /// \file
 /// The decode-side twin of the assembler's FrozenIndex: a per-arch dispatch
-/// table computed once from the hidden spec that replaces the O(#forms)
-/// linear scan of ArchSpec::match with one table lookup plus a short
-/// masked-compare list.
+/// table built once from the hidden spec, so ArchSpec::match is one table
+/// lookup plus a short masked-compare list instead of a scan of every form.
 ///
-/// Construction greedily picks up to MaxSelectorBits discriminating bit
-/// positions from the union of the forms' opcode masks — the bits whose
-/// values split the form set most evenly. The low instruction word's
-/// selector bits index a first-level table of 2^k buckets (CSR layout);
-/// each bucket holds the masked-compare entries of every form whose opcode
-/// pattern is compatible with that selector value. A form that does not
-/// constrain some selector bit is replicated into both halves of that
-/// split, so a miss in the bucket is a definitive "no form matches".
+/// The selector is the set of opcode bits every form fixes (the AND of the
+/// forms' opcode masks), at most MaxSelectorBits of them, the highest kept.
+/// The low instruction word's selector bits index a first-level table of
+/// 2^k buckets (CSR layout). Because every form fixes every selector bit, a
+/// word can only match the forms whose OpcodeValue carries the same
+/// selector value, so each form lands in exactly one bucket and a miss in
+/// the bucket is a definitive "no form matches". Forms that share no fixed
+/// bit give a single bucket: the linear scan.
 ///
 /// Entries within a bucket keep the original Instrs order, making the
 /// index's first match identical to the linear scan's — including on
 /// deliberately ambiguous hand-built specs.
 ///
-/// The index borrows InstrSpec pointers from the ArchSpec it was built
-/// from: it is a view, valid only while that spec's Instrs vector is alive
-/// and unmodified (see ArchSpec::freezeDecode / thawDecode).
+/// The index borrows InstrSpec pointers from the vector it was built from:
+/// it is a view, valid only while that vector is alive and unmodified.
 ///
 /// FIREWALL: like Spec.h, nothing under src/analyzer, src/asmgen, src/ir,
 /// src/transform or src/vm may include this header.
@@ -46,11 +44,14 @@ struct InstrSpec;
 
 class DecodeIndex {
 public:
-  /// Upper bound on first-level table size: 2^12 buckets. The greedy
-  /// builder stops earlier when an extra bit no longer sharpens dispatch.
+  /// Upper bound on first-level table size: 2^12 buckets.
   static constexpr unsigned MaxSelectorBits = 12;
 
+  /// An unbuilt index; built() is false and nothing may be matched.
+  DecodeIndex() = default;
   explicit DecodeIndex(const std::vector<InstrSpec> &Instrs);
+
+  bool built() const { return !BucketStart.empty(); }
 
   /// Returns the first form (in original table order) whose opcode pattern
   /// matches the low 64 bits \p Low, or nullptr. Only the low word carries
@@ -83,16 +84,13 @@ public:
     return static_cast<unsigned>(SelBits.size());
   }
   size_t numBuckets() const { return BucketStart.size() - 1; }
-  size_t numEntries() const { return Entries.size(); }
   /// Longest masked-compare list any word can hit.
   size_t maxBucketLen() const;
 
   /// Selector bit positions, ascending. Empty for a 1-bucket index.
   const std::vector<uint8_t> &selectorBits() const { return SelBits; }
 
-  /// The bucket a low word dispatches to — public so the index linter can
-  /// verify replication (every selector assignment compatible with a form
-  /// reaches an entry for that form).
+  /// The bucket a low word dispatches to.
   size_t bucketIndexOf(uint64_t Low) const { return bucketOf(Low); }
 
   /// One bucket entry exposed for auditing, in scan order.

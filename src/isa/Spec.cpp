@@ -17,26 +17,18 @@ namespace {
 /// per-word cost is one relaxed gate load when telemetry is off.
 struct DecodeTelemetry {
   telemetry::Counter &Dispatches = telemetry::counter("isa.decode.dispatch");
-  telemetry::Counter &LinearFallbacks =
-      telemetry::counter("isa.decode.linear_fallback");
   telemetry::Counter &Misses = telemetry::counter("isa.decode.miss");
   telemetry::Histogram &BucketScan =
       telemetry::histogram("isa.decode.bucket_scan");
   telemetry::Histogram &FreezeNs =
       telemetry::histogram("isa.freeze_decode_ns");
-  telemetry::Gauge &IndexBuckets =
-      telemetry::gauge("isa.decode_index.buckets");
-  telemetry::Gauge &IndexEntries =
-      telemetry::gauge("isa.decode_index.entries");
-  telemetry::Gauge &IndexSelectorBits =
-      telemetry::gauge("isa.decode_index.selector_bits");
 } DecTel;
 
 /// Kept out of line so the common gates-off dispatch stays a tiny
 /// load-branch-tailcall and the counting code never costs I-cache there.
-[[gnu::noinline]] const InstrSpec *matchCounted(const DecodeIndex *Idx,
+[[gnu::noinline]] const InstrSpec *matchCounted(const DecodeIndex &Idx,
                                                 uint64_t Low) {
-  DecodeIndex::Counted R = Idx->matchCounted(Low);
+  DecodeIndex::Counted R = Idx.matchCounted(Low);
   DecTel.Dispatches.add();
   DecTel.BucketScan.record(R.ScanLen);
   if (!R.Spec)
@@ -100,57 +92,20 @@ const InstrSpec *ArchSpec::findSpec(const sass::Instruction &Inst) const {
   return nullptr;
 }
 
-// Out-of-line so unique_ptr<DecodeIndex> can live behind the forward
-// declaration in the header.
-ArchSpec::ArchSpec() = default;
-ArchSpec::~ArchSpec() = default;
-
 const InstrSpec *ArchSpec::match(const BitString &Word) const {
   assert(Word.size() == WordBits && "word width mismatch");
+  const DecodeIndex &Idx = decodeIndex();
   uint64_t Low = Word.field(0, 64);
-  if (const DecodeIndex *Idx = decodeIndex()) {
-    if (telemetry::countersEnabled()) [[unlikely]]
-      return matchCounted(Idx, Low);
-    return Idx->match(Low);
-  }
-  DecTel.LinearFallbacks.add();
-  for (const InstrSpec &Spec : Instrs)
-    if ((Low & Spec.OpcodeMask) == Spec.OpcodeValue)
-      return &Spec;
-  DecTel.Misses.add();
-  return nullptr;
+  if (telemetry::countersEnabled()) [[unlikely]]
+    return matchCounted(Idx, Low);
+  return Idx.match(Low);
 }
 
-const InstrSpec *ArchSpec::matchLinear(const BitString &Word) const {
-  assert(Word.size() == WordBits && "word width mismatch");
-  uint64_t Low = Word.field(0, 64);
-  for (const InstrSpec &Spec : Instrs)
-    if ((Low & Spec.OpcodeMask) == Spec.OpcodeValue)
-      return &Spec;
-  return nullptr;
-}
-
-const DecodeIndex &ArchSpec::freezeDecode() const {
-  if (const DecodeIndex *Idx = decodeIndex())
-    return *Idx;
-  std::lock_guard<std::mutex> Lock(DecodeM);
-  if (!DecodeStore) {
-    DCB_SPAN("isa.freezeDecode");
-    uint64_t Start = telemetry::nowNs();
-    DecodeStore = std::make_unique<DecodeIndex>(Instrs);
-    DecTel.FreezeNs.record(telemetry::nowNs() - Start);
-    DecTel.IndexBuckets.set(static_cast<int64_t>(DecodeStore->numBuckets()));
-    DecTel.IndexEntries.set(static_cast<int64_t>(DecodeStore->numEntries()));
-    DecTel.IndexSelectorBits.set(DecodeStore->numSelectorBits());
-    DecodePtr.store(DecodeStore.get(), std::memory_order_release);
-  }
-  return *DecodeStore;
-}
-
-void ArchSpec::thawDecode() {
-  std::lock_guard<std::mutex> Lock(DecodeM);
-  DecodePtr.store(nullptr, std::memory_order_release);
-  DecodeStore.reset();
+void ArchSpec::buildDecodeIndex() {
+  DCB_SPAN("isa.freezeDecode");
+  uint64_t Start = telemetry::nowNs();
+  Decode = DecodeIndex(Instrs);
+  DecTel.FreezeNs.record(telemetry::nowNs() - Start);
 }
 
 std::optional<std::string> ArchSpec::checkNoAmbiguity() const {

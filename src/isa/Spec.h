@@ -20,23 +20,20 @@
 #ifndef DCB_ISA_SPEC_H
 #define DCB_ISA_SPEC_H
 
+#include "isa/DecodeIndex.h"
 #include "sass/Ast.h"
 #include "support/Arch.h"
 #include "support/BitString.h"
 
-#include <atomic>
+#include <cassert>
 #include <cstdint>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
 
 namespace dcb {
 namespace isa {
-
-class DecodeIndex;
 
 /// A contiguous bit field inside an instruction word.
 struct FieldRef {
@@ -182,10 +179,11 @@ struct ArchSpec {
   unsigned NumRegs = 256; ///< Zero register RZ = NumRegs - 1.
   FieldRef GuardField;    ///< 4 bits: low 3 = predicate id, high = negate.
 
+  /// The forms in table order. The decode index borrows pointers into this
+  /// vector, so it must not change after buildDecodeIndex().
   std::vector<InstrSpec> Instrs;
 
-  ArchSpec();
-  ~ArchSpec();
+  ArchSpec() = default;
   ArchSpec(const ArchSpec &) = delete;
   ArchSpec &operator=(const ArchSpec &) = delete;
 
@@ -196,43 +194,27 @@ struct ArchSpec {
   /// signature). Returns nullptr when the instruction has no encoding.
   const InstrSpec *findSpec(const sass::Instruction &Inst) const;
 
-  /// Finds the form whose opcode pattern matches \p Word. Returns nullptr
-  /// for undecodable words. Dispatches through the frozen DecodeIndex when
-  /// one has been built (getArchSpec freezes every built-in spec), falling
-  /// back to the linear scan otherwise. Both paths return the first
-  /// matching form in table order.
+  /// Finds the first form in table order whose opcode pattern matches
+  /// \p Word, through the decode index. Returns nullptr for undecodable
+  /// words. The index must have been built.
   const InstrSpec *match(const BitString &Word) const;
 
-  /// The pre-index baseline: scans Instrs front to back. Kept callable so
-  /// tests can assert index/scan parity and benches can measure the win.
-  const InstrSpec *matchLinear(const BitString &Word) const;
+  /// Builds the decode dispatch index over Instrs. getArchSpec builds it
+  /// once for every built-in spec; a hand-built spec makes the same call
+  /// after its last change to Instrs.
+  void buildDecodeIndex();
 
-  /// Builds (or returns) the decode dispatch index. Thread-safe;
-  /// concurrent callers share one build. The index borrows pointers into
-  /// Instrs: any later mutation of Instrs must call thawDecode() first and
-  /// re-freeze afterwards.
-  const DecodeIndex &freezeDecode() const;
-
-  /// The frozen index, or nullptr when decode is not frozen. A lock-free
-  /// acquire load, safe to call per decoded word.
-  const DecodeIndex *decodeIndex() const {
-    return DecodePtr.load(std::memory_order_acquire);
+  const DecodeIndex &decodeIndex() const {
+    assert(Decode.built() && "decode index not built");
+    return Decode;
   }
-
-  /// Drops the decode index (if any); match() reverts to the linear scan.
-  void thawDecode();
 
   /// Checks that no two forms have compatible opcode patterns (decode
   /// ambiguity); returns a description of the first conflict, if any.
   std::optional<std::string> checkNoAmbiguity() const;
 
 private:
-  /// Freeze state, mirroring analyzer::EncodingDatabase: DecodePtr tracks
-  /// DecodeStore.get() so decodeIndex() is one atomic load on the decode
-  /// hot path; DecodeM serializes build/teardown.
-  mutable std::atomic<const DecodeIndex *> DecodePtr{nullptr};
-  mutable std::unique_ptr<DecodeIndex> DecodeStore;
-  mutable std::mutex DecodeM;
+  DecodeIndex Decode;
 };
 
 /// Returns the (lazily constructed, immutable) specification for \p A.

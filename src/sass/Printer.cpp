@@ -165,12 +165,3 @@ std::string sass::printInstruction(const Instruction &Inst) {
   printInstruction(Inst, Out);
   return Out;
 }
-
-std::string sass::printProgram(const std::vector<Instruction> &Program) {
-  std::string Out;
-  for (const Instruction &Inst : Program) {
-    printInstruction(Inst, Out);
-    Out += '\n';
-  }
-  return Out;
-}

@@ -18,7 +18,6 @@
 #include "sass/Ast.h"
 
 #include <string>
-#include <vector>
 
 namespace dcb {
 namespace sass {
@@ -30,9 +29,6 @@ std::string printOperand(const Operand &Op);
 /// \p Out: the disassembler prints a whole kernel into one buffer.
 void printInstruction(const Instruction &Inst, std::string &Out);
 std::string printInstruction(const Instruction &Inst);
-
-/// Renders a program, one instruction per line.
-std::string printProgram(const std::vector<Instruction> &Program);
 
 } // namespace sass
 } // namespace dcb

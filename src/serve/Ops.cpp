@@ -138,8 +138,20 @@ Expected<OpResult> dcb::serve::opLint(const std::string &FileBytes,
   }
   OpResult Out;
   Out.Output = R.toJson(TargetName);
-  Out.Exit = R.clean() ? 0 : 1;
+  Out.Exit = exitCodeFor(R, FailOn::Error);
   return Out;
+}
+
+int dcb::serve::exitCodeFor(const analysis::Report &R, FailOn Fail) {
+  switch (Fail) {
+  case FailOn::Error:
+    return R.clean() ? 0 : 1;
+  case FailOn::Warning:
+    return R.Findings.empty() ? 0 : 1;
+  case FailOn::Never:
+    break;
+  }
+  return 0;
 }
 
 namespace {
@@ -224,16 +236,6 @@ Expected<OpResult> dcb::serve::opAnalyze(const std::string &FileBytes,
 
   OpResult Out;
   Out.Output = std::move(Doc);
-  switch (Options.Fail) {
-  case FailOn::Error:
-    Out.Exit = R.errorCount() > 0 ? 1 : 0;
-    break;
-  case FailOn::Warning:
-    Out.Exit = R.Findings.empty() ? 0 : 1;
-    break;
-  case FailOn::Never:
-    Out.Exit = 0;
-    break;
-  }
+  Out.Exit = exitCodeFor(R, Options.Fail);
   return Out;
 }

@@ -75,6 +75,10 @@ Expected<OpResult> opLint(const std::string &FileBytes,
 /// unaffected.
 enum class FailOn { Error, Warning, Never };
 
+/// The exit code \p R gives under threshold \p Fail: 1 when it holds a
+/// finding at or above the threshold, else 0.
+int exitCodeFor(const analysis::Report &R, FailOn Fail);
+
 /// Options for the typed-analysis op (`dcb analyze --types|--bounds|
 /// --races`).
 struct AnalyzeOptions {

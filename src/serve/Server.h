@@ -151,7 +151,6 @@ public:
   };
   SessionStats sessions() const;
 
-  bool persistEnabled() const { return Persister != nullptr; }
   /// Persistence counters; all-zero when persistence is disabled.
   CachePersister::Stats persistStats() const;
 

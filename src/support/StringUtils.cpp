@@ -30,11 +30,6 @@ bool dcb::startsWith(std::string_view S, std::string_view Prefix) {
   return S.size() >= Prefix.size() && S.substr(0, Prefix.size()) == Prefix;
 }
 
-bool dcb::endsWith(std::string_view S, std::string_view Suffix) {
-  return S.size() >= Suffix.size() &&
-         S.substr(S.size() - Suffix.size()) == Suffix;
-}
-
 namespace {
 
 /// Digits of \p S in \p Base, all of them; nullopt when empty, on a stray

@@ -51,7 +51,6 @@ std::vector<std::string_view> split(std::string_view S, char Sep);
 std::vector<std::string_view> splitLines(std::string_view S);
 
 bool startsWith(std::string_view S, std::string_view Prefix);
-bool endsWith(std::string_view S, std::string_view Suffix);
 
 /// Parses a decimal or (0x-prefixed) hexadecimal unsigned integer.
 std::optional<uint64_t> parseUInt(std::string_view S);

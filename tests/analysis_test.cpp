@@ -464,6 +464,7 @@ TEST(IsaLint, DuplicateChoiceValueIsEnc005) {
   Group.Choices = {{"A", 0}, {"B", 1}, {"B2", 1}}; // Duplicate value 1.
   Form.ModGroups.push_back(Group);
   Spec.Instrs.push_back(Form);
+  Spec.buildDecodeIndex();
   Report R = vendor::lintIsaSpec(Spec);
   EXPECT_TRUE(hasRule(R, "ENC005")) << rulesOf(R);
 }
@@ -482,6 +483,7 @@ TEST(IsaLint, OverflowingChoiceValueIsEnc006) {
   Group.Choices = {{"WIDE", 5}}; // 5 needs 3 bits; the field has 2.
   Form.ModGroups.push_back(Group);
   Spec.Instrs.push_back(Form);
+  Spec.buildDecodeIndex();
   EXPECT_TRUE(hasRule(vendor::lintIsaSpec(Spec), "ENC006"));
 }
 
@@ -499,6 +501,7 @@ TEST(IsaLint, ModifierGroupOnOpcodeBitsIsEnc004) {
   Group.Choices = {{"A", 0}};
   Form.ModGroups.push_back(Group);
   Spec.Instrs.push_back(Form);
+  Spec.buildDecodeIndex();
   EXPECT_TRUE(hasRule(vendor::lintIsaSpec(Spec), "ENC004"));
 }
 
@@ -515,6 +518,7 @@ TEST(IsaLint, OverlappingClaimsAreEnc007) {
   B.Fields[0] = {12, 8}; // Overlaps operand 0 at bits 12..15.
   Form.Operands = {A, B};
   Spec.Instrs.push_back(Form);
+  Spec.buildDecodeIndex();
   Report R = vendor::lintIsaSpec(Spec);
   EXPECT_TRUE(hasRule(R, "ENC007")) << rulesOf(R);
 }
@@ -534,6 +538,7 @@ TEST(IsaLint, ShadowedDecodeEntryIsIdx001) {
   // Table order: the general pattern first shadows the specific one.
   Spec.Instrs.push_back(General);
   Spec.Instrs.push_back(Specific);
+  Spec.buildDecodeIndex();
   Report R = vendor::lintIsaSpec(Spec);
   EXPECT_TRUE(hasRule(R, "IDX001")) << rulesOf(R);
 }

@@ -1,13 +1,13 @@
-//===- tests/decode_test.cpp - Frozen decode index & batch decoding --------===//
+//===- tests/decode_test.cpp - Decode index & batch decoding ---------------===//
 //
 // The decode-side twin of the assembler's frozen-index tests:
 //  1. Index/scan parity: ArchSpec::match (DecodeIndex dispatch) returns the
-//     same form as matchLinear for every encodable instruction of EVERY
-//     form on EVERY architecture, and for uniformly random words.
-//  2. Diagnostic parity: structured decode through a frozen spec produces
-//     the same values AND error messages as through a never-frozen clone.
-//  3. Freeze/thaw semantics, including first-match order preservation on a
-//     deliberately ambiguous hand-built spec.
+//     same form as a file-local linear scan for every encodable instruction
+//     of EVERY form on EVERY architecture, and for uniformly random words.
+//  2. The one table: every built-in index holds each form exactly once,
+//     under selector bits that every form fixes.
+//  3. Hand-built specs: first-match order on a deliberately ambiguous
+//     spec, forms that share no fixed bit, and the selector bit cap.
 //  4. Cubin determinism: the vendor disassembler's listing is
 //     byte-identical for every kernel lane count, including which kernel
 //     reports the first error, and the structured decoder agrees with it.
@@ -26,8 +26,6 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
-
 using namespace dcb;
 
 namespace {
@@ -38,19 +36,15 @@ std::vector<Arch> allArchs() {
           Arch::SM52, Arch::SM60, Arch::SM61, Arch::SM70};
 }
 
-/// A field-by-field copy of \p Spec that has never been frozen, so its
-/// match() takes the pre-index linear-scan path — the live baseline the
-/// parity tests compare against.
-std::unique_ptr<isa::ArchSpec> unindexedClone(const isa::ArchSpec &Spec) {
-  auto Clone = std::make_unique<isa::ArchSpec>();
-  Clone->A = Spec.A;
-  Clone->Family = Spec.Family;
-  Clone->WordBits = Spec.WordBits;
-  Clone->RegBits = Spec.RegBits;
-  Clone->NumRegs = Spec.NumRegs;
-  Clone->GuardField = Spec.GuardField;
-  Clone->Instrs = Spec.Instrs;
-  return Clone;
+/// The reference dispatch the index must reproduce: the first form in
+/// table order whose opcode pattern matches the word's low 64 bits.
+const isa::InstrSpec *linearMatch(const isa::ArchSpec &Spec,
+                                  const BitString &Word) {
+  uint64_t Low = Word.field(0, 64);
+  for (const isa::InstrSpec &Form : Spec.Instrs)
+    if ((Low & Form.OpcodeMask) == Form.OpcodeValue)
+      return &Form;
+  return nullptr;
 }
 
 BitString randomWord(Rng &R, unsigned Bits) {
@@ -60,31 +54,43 @@ BitString randomWord(Rng &R, unsigned Bits) {
   return Word;
 }
 
-/// Same outcome, same value (modulo printing), same diagnostic.
-void expectSameDecode(const Expected<sass::Instruction> &A,
-                      const Expected<sass::Instruction> &B,
-                      const std::string &Context) {
-  ASSERT_EQ(A.hasValue(), B.hasValue()) << Context;
-  if (A.hasValue())
-    EXPECT_EQ(sass::printInstruction(*A), sass::printInstruction(*B))
-        << Context;
-  else
-    EXPECT_EQ(A.message(), B.message()) << Context;
-}
-
 } // namespace
 
 class DecodePerArch : public ::testing::TestWithParam<Arch> {};
 
 TEST_P(DecodePerArch, BuiltinSpecIsFrozenWithABoundedIndex) {
   const isa::ArchSpec &Spec = isa::getArchSpec(GetParam());
-  const isa::DecodeIndex *Index = Spec.decodeIndex();
-  ASSERT_NE(Index, nullptr) << "getArchSpec must freeze decode";
-  EXPECT_LE(Index->numSelectorBits(), isa::DecodeIndex::MaxSelectorBits);
-  EXPECT_EQ(Index->numBuckets(), size_t(1) << Index->numSelectorBits());
+  const isa::DecodeIndex &Index = Spec.decodeIndex();
+  ASSERT_TRUE(Index.built()) << "getArchSpec must build the decode index";
+  EXPECT_LE(Index.numSelectorBits(), isa::DecodeIndex::MaxSelectorBits);
+  EXPECT_EQ(Index.numBuckets(), size_t(1) << Index.numSelectorBits());
   // The index must actually sharpen dispatch: the worst bucket is strictly
   // shorter than the full linear scan.
-  EXPECT_LT(Index->maxBucketLen(), Spec.Instrs.size());
+  EXPECT_LT(Index.maxBucketLen(), Spec.Instrs.size());
+}
+
+TEST_P(DecodePerArch, EveryFormSitsInOneBucketUnderBitsEveryFormFixes) {
+  const isa::ArchSpec &Spec = isa::getArchSpec(GetParam());
+  const isa::DecodeIndex &Index = Spec.decodeIndex();
+  ASSERT_GT(Index.numSelectorBits(), 0u);
+  for (uint8_t Bit : Index.selectorBits())
+    for (const isa::InstrSpec &Form : Spec.Instrs)
+      EXPECT_TRUE((Form.OpcodeMask >> Bit) & 1)
+          << Form.Mnemonic << "." << Form.FormTag << " leaves selector bit "
+          << unsigned(Bit) << " free";
+
+  std::vector<size_t> Seen(Spec.Instrs.size(), 0);
+  size_t Entries = 0;
+  for (size_t B = 0; B < Index.numBuckets(); ++B)
+    for (const isa::DecodeIndex::EntryView &E : Index.bucketEntries(B)) {
+      ++Entries;
+      ++Seen[E.Spec - Spec.Instrs.data()];
+      EXPECT_EQ(Index.bucketIndexOf(E.Spec->OpcodeValue), B);
+    }
+  EXPECT_EQ(Entries, Spec.Instrs.size());
+  for (size_t I = 0; I < Seen.size(); ++I)
+    EXPECT_EQ(Seen[I], 1u) << Spec.Instrs[I].Mnemonic << "."
+                           << Spec.Instrs[I].FormTag;
 }
 
 TEST_P(DecodePerArch, IndexedDispatchMatchesLinearScanOnEveryForm) {
@@ -99,34 +105,21 @@ TEST_P(DecodePerArch, IndexedDispatchMatchesLinearScanOnEveryForm) {
       ASSERT_TRUE(Word.hasValue())
           << Form.Mnemonic << "." << Form.FormTag << ": " << Word.message();
       const isa::InstrSpec *Indexed = Spec.match(*Word);
-      EXPECT_EQ(Indexed, Spec.matchLinear(*Word))
+      EXPECT_EQ(Indexed, linearMatch(Spec, *Word))
           << Form.Mnemonic << "." << Form.FormTag;
       ASSERT_NE(Indexed, nullptr) << Form.Mnemonic << "." << Form.FormTag;
     }
   }
 }
 
+// Decoding goes through match() alone, so with the same form chosen the
+// decoded value and any diagnostic cannot differ from the scan's.
 TEST_P(DecodePerArch, RandomWordFuzzKeepsMatchAndDiagnosticsIdentical) {
   const isa::ArchSpec &Spec = isa::getArchSpec(GetParam());
-  std::unique_ptr<isa::ArchSpec> Linear = unindexedClone(Spec);
-  ASSERT_EQ(Linear->decodeIndex(), nullptr);
-
   Rng R(0xf022 + static_cast<uint64_t>(GetParam()));
   for (int Trial = 0; Trial < 2000; ++Trial) {
     BitString Word = randomWord(R, Spec.WordBits);
-    const isa::InstrSpec *Hit = Spec.match(Word);
-    const isa::InstrSpec *LinearHit = Linear->matchLinear(Word);
-    // The clone's Instrs vector is a copy, so compare by position.
-    if (Hit == nullptr) {
-      EXPECT_EQ(LinearHit, nullptr) << Word.toHex();
-    } else {
-      ASSERT_NE(LinearHit, nullptr) << Word.toHex();
-      EXPECT_EQ(Hit - Spec.Instrs.data(), LinearHit - Linear->Instrs.data())
-          << Word.toHex();
-    }
-    expectSameDecode(encoder::decodeInstruction(Spec, Word, 0x80),
-                     encoder::decodeInstruction(*Linear, Word, 0x80),
-                     Word.toHex());
+    EXPECT_EQ(Spec.match(Word), linearMatch(Spec, Word)) << Word.toHex();
   }
 }
 
@@ -149,30 +142,6 @@ isa::InstrSpec opcodeOnlyForm(const char *Mnemonic, uint64_t Value,
 
 } // namespace
 
-TEST(DecodeIndexTest, FreezeAndThawToggleTheDispatchPath) {
-  isa::ArchSpec Spec;
-  Spec.Instrs.push_back(opcodeOnlyForm("AAA", 0x1, 0x7));
-  Spec.Instrs.push_back(opcodeOnlyForm("BBB", 0x2, 0x7));
-
-  EXPECT_EQ(Spec.decodeIndex(), nullptr);
-  BitString Word(64, 0x1);
-  EXPECT_EQ(Spec.match(Word), &Spec.Instrs[0]); // Linear fallback.
-
-  const isa::DecodeIndex &Index = Spec.freezeDecode();
-  EXPECT_EQ(Spec.decodeIndex(), &Index);
-  EXPECT_EQ(&Spec.freezeDecode(), &Index) << "freeze must be idempotent";
-  EXPECT_EQ(Spec.match(Word), &Spec.Instrs[0]);
-
-  // Thaw, mutate, re-freeze: the new index sees the new form.
-  Spec.thawDecode();
-  EXPECT_EQ(Spec.decodeIndex(), nullptr);
-  Spec.Instrs.push_back(opcodeOnlyForm("CCC", 0x4, 0x7));
-  Spec.freezeDecode();
-  BitString NewWord(64, 0x4);
-  EXPECT_EQ(Spec.match(NewWord), &Spec.Instrs[2]);
-  EXPECT_EQ(Spec.match(NewWord), Spec.matchLinear(NewWord));
-}
-
 TEST(DecodeIndexTest, AmbiguousSpecKeepsFirstMatchOrder) {
   // Form 0 is a superset pattern of form 1: every word form 1 matches,
   // form 0 matches too. The linear scan always answers form 0; the index
@@ -180,31 +149,67 @@ TEST(DecodeIndexTest, AmbiguousSpecKeepsFirstMatchOrder) {
   isa::ArchSpec Spec;
   Spec.Instrs.push_back(opcodeOnlyForm("WIDE", 0x1, 0x3));
   Spec.Instrs.push_back(opcodeOnlyForm("NARROW", 0x5, 0xf));
-  Spec.freezeDecode();
+  Spec.buildDecodeIndex();
 
   for (uint64_t Low = 0; Low < 64; ++Low) {
     BitString Word(64, Low);
-    EXPECT_EQ(Spec.match(Word), Spec.matchLinear(Word)) << Low;
+    EXPECT_EQ(Spec.match(Word), linearMatch(Spec, Word)) << Low;
   }
   BitString Word(64, 0x5);
   EXPECT_EQ(Spec.match(Word), &Spec.Instrs[0]);
 }
 
-TEST(DecodeIndexTest, UnconstrainedSelectorBitsReplicateForms) {
-  // One form constrains bits the other leaves free: whatever selector bits
-  // the builder picks, the unconstrained form must stay reachable from
-  // every bucket value of those bits.
+TEST(DecodeIndexTest, FormsSharingNoFixedBitDecodeThroughOneBucket) {
+  // ZERO and ONE fix bit 0, HIGH fixes bit 1 only: no bit is fixed by all
+  // three, so there is no selector and one bucket holds the forms in table
+  // order, which is the linear scan. Nothing is replicated.
   isa::ArchSpec Spec;
-  Spec.Instrs.push_back(opcodeOnlyForm("PICKY", 0xf0, 0xff));
-  Spec.Instrs.push_back(opcodeOnlyForm("LOOSE", 0x1, 0x1));
-  Spec.freezeDecode();
+  Spec.Instrs.push_back(opcodeOnlyForm("ZERO", 0x0, 0x1));
+  Spec.Instrs.push_back(opcodeOnlyForm("ONE", 0x1, 0x1));
+  Spec.Instrs.push_back(opcodeOnlyForm("HIGH", 0x2, 0x2));
+  Spec.buildDecodeIndex();
+  const isa::DecodeIndex &Index = Spec.decodeIndex();
+  EXPECT_EQ(Index.numSelectorBits(), 0u);
+  ASSERT_EQ(Index.numBuckets(), 1u);
+  std::vector<isa::DecodeIndex::EntryView> Entries = Index.bucketEntries(0);
+  ASSERT_EQ(Entries.size(), 3u);
+  for (size_t I = 0; I < Entries.size(); ++I)
+    EXPECT_EQ(Entries[I].Spec, &Spec.Instrs[I]);
 
-  Rng R(7);
-  for (int Trial = 0; Trial < 512; ++Trial) {
-    BitString Word(64, R.next() | 1); // LOOSE always matches...
-    Word.setField(4, 4, R.below(16)); // ...PICKY only sometimes.
-    EXPECT_EQ(Spec.match(Word), Spec.matchLinear(Word)) << Word.toHex();
-    EXPECT_NE(Spec.match(Word), nullptr) << Word.toHex();
+  for (uint64_t Low = 0; Low < 8; ++Low) {
+    BitString Word(64, Low);
+    EXPECT_EQ(Spec.match(Word), linearMatch(Spec, Word)) << Low;
+  }
+  EXPECT_EQ(Spec.match(BitString(64, 0x2)), &Spec.Instrs[0]);
+  EXPECT_EQ(Spec.match(BitString(64, 0x3)), &Spec.Instrs[1]);
+}
+
+TEST(DecodeIndexTest, SixteenFixedBitsKeepTheHighestTwelve) {
+  // Every form fixes bits 40..55; the selector keeps the highest twelve,
+  // 44..55, and dispatch still agrees with the scan.
+  isa::ArchSpec Spec;
+  const uint64_t Mask = uint64_t(0xffff) << 40;
+  for (uint64_t Op = 0; Op < 64; ++Op)
+    Spec.Instrs.push_back(
+        opcodeOnlyForm("OP", (Op * 0x9e37 & 0xffff) << 40, Mask));
+  Spec.buildDecodeIndex();
+  const isa::DecodeIndex &Index = Spec.decodeIndex();
+  ASSERT_EQ(Index.numSelectorBits(), isa::DecodeIndex::MaxSelectorBits);
+  EXPECT_EQ(Index.selectorBits().front(), 44);
+  EXPECT_EQ(Index.selectorBits().back(), 55);
+  EXPECT_EQ(Index.numBuckets(), size_t(1) << 12);
+
+  Rng R(11);
+  for (const isa::InstrSpec &Form : Spec.Instrs) {
+    BitString Hit(64, Form.OpcodeValue | (R.next() & ~Form.OpcodeMask));
+    EXPECT_EQ(Spec.match(Hit), &Form);
+  }
+  for (int Trial = 0; Trial < 2000; ++Trial) {
+    uint64_t Low = R.next();
+    if (Trial % 2)
+      Low = (Low & ~Mask) | Spec.Instrs[R.below(64)].OpcodeValue;
+    BitString Word(64, Low);
+    EXPECT_EQ(Spec.match(Word), linearMatch(Spec, Word)) << Word.toHex();
   }
 }
 

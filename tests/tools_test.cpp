@@ -476,6 +476,22 @@ TEST(DcbTool, RejectsBadInput) {
   expectError("analyze --liveness " + S35 + " --json=out --trace-x=1",
               "analyze does not take --trace-x");
   expectError("ir " + S35 + " nn -o out", "ir does not take -o");
+  // Each analyze mode reads only its own flags, not the union of all five.
+  ASSERT_EQ(runCmd(Dcb + " disasm " + S35 + " > " + Work + "/s35.sass"), 0);
+  expectError("analyze --liveness " + S35 + " --fail-on warning --threads 0 " +
+                  "--db x.db -o y",
+              "analyze --liveness does not take --");
+  expectError("analyze --liveness " + S35 + " --fail-on warning",
+              "analyze --liveness does not take --fail-on");
+  expectError("analyze --hazards " + S35 + " --threads 7 --warp-size 3",
+              "analyze --hazards does not take --");
+  expectError("analyze " + Work + "/s35.sass -o " + Work +
+                  "/s35.db --json --fail-on never --threads 4",
+              "analyze does not take --");
+  expectError("analyze --types " + S35 + " --threads 0",
+              "analyze --types does not take --threads");
+  expectError("analyze --races " + S35 + " --db x.db",
+              "analyze --races does not take --db");
 }
 
 // --- Telemetry surface (--stats / --trace / stats) --------------------------
@@ -579,7 +595,7 @@ TEST(DcbTelemetry, TraceAndStatsFilesAreRenderable) {
   std::string Trace = slurp(Work + "/tr_trace.json");
   EXPECT_EQ(Trace.find("{\"traceEvents\": ["), 0u);
   // The decode path must be visible in the trace: the kernel batch, the
-  // per-kernel decode, and the decode-index freeze.
+  // per-kernel decode, and the decode-index build.
   EXPECT_NE(Trace.find("\"taskpool.batch\""), std::string::npos);
   EXPECT_NE(Trace.find("\"vendor.decodeKernelCode\""), std::string::npos);
   EXPECT_NE(Trace.find("\"isa.freezeDecode\""), std::string::npos);
@@ -591,6 +607,27 @@ TEST(DcbTelemetry, TraceAndStatsFilesAreRenderable) {
   std::string Rendered = slurp(Work + "/tr_rendered.txt");
   EXPECT_NE(Rendered.find("isa.decode.dispatch"), std::string::npos);
   EXPECT_NE(runCmd(Dcb + " stats /nonexistent 2> /dev/null"), 0);
+}
+
+TEST(DcbTelemetry, DisasmStatsExportOnlyDecodeMetricsThatReport) {
+  const std::string Dcb = toolPath();
+  const std::string Work = workDir();
+  ASSERT_EQ(runCmd("mkdir -p " + Work), 0);
+  ASSERT_EQ(runCmd(Dcb + " make-suite sm_50 -o " + Work +
+                   "/dm.cubin > /dev/null"),
+            0);
+  ASSERT_EQ(runCmd(Dcb + " disasm " + Work + "/dm.cubin --stats=" + Work +
+                   "/dm_stats.json > /dev/null"),
+            0);
+  std::string Stats = slurp(Work + "/dm_stats.json");
+  // The per-arch index build, which perfbench's cli workload sums.
+  EXPECT_NE(Stats.find("\"isa.freeze_decode_ns\""), std::string::npos);
+  // No fallback scan is left to count, and a gauge written once per arch
+  // shows only the last arch built.
+  for (const char *Gone :
+       {"isa.decode.linear_fallback", "isa.decode_index.buckets",
+        "isa.decode_index.entries", "isa.decode_index.selector_bits"})
+    EXPECT_EQ(Stats.find(Gone), std::string::npos) << Gone;
 }
 
 // --- The VM surface (exec / diffexec) ---------------------------------------

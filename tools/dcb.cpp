@@ -220,18 +220,6 @@ serve::FailOn failOnOf(const Args &A) {
   die("bad --fail-on value '" + V + "' (error|warning|never)");
 }
 
-int exitForReport(const analysis::Report &R, serve::FailOn Fail) {
-  switch (Fail) {
-  case serve::FailOn::Error:
-    return R.clean() ? 0 : 1;
-  case serve::FailOn::Warning:
-    return R.Findings.empty() ? 0 : 1;
-  case serve::FailOn::Never:
-    break;
-  }
-  return 0;
-}
-
 /// Renders \p R as text (stdout) or as dcb-lint-v1 JSON (stdout or a file)
 /// per the --json option, and returns the process exit code.
 int emitReport(const analysis::Report &R, const std::string &Target,
@@ -245,7 +233,7 @@ int emitReport(const analysis::Report &R, const std::string &Target,
   } else {
     std::fputs(R.toText().c_str(), stdout);
   }
-  return exitForReport(R, Fail);
+  return serve::exitCodeFor(R, Fail);
 }
 
 /// The architectures `--isa all` audits: every fully supported generation
@@ -453,34 +441,11 @@ int cmdAnalyzeChecks(const Args &A, const std::string &Mode) {
     }
   }
   std::fputs(R.toText().c_str(), stdout);
-  return exitForReport(R, Opts.Fail);
+  return serve::exitCodeFor(R, Opts.Fail);
 }
 
-int cmdAnalyze(const Args &A) {
-  const bool WantLiveness = A.Options.count("--liveness") != 0;
-  const bool WantHazards = A.Options.count("--hazards") != 0;
-  const bool WantTypes = A.Options.count("--types") != 0;
-  const bool WantBounds = A.Options.count("--bounds") != 0;
-  const bool WantRaces = A.Options.count("--races") != 0;
-  const int Modes =
-      WantLiveness + WantHazards + WantTypes + WantBounds + WantRaces;
-  if (Modes > 1)
-    die("pick one of --liveness / --hazards / --types / --bounds / --races");
-  if (Modes == 1) {
-    if (A.Positional.empty())
-      die("usage: dcb analyze --liveness|--hazards|--types|--bounds|--races "
-          "<cubin|listing> [--json[=FILE]] [--fail-on SEV] [--threads N] "
-          "[--blocks N] [--warp-size N]");
-    if (WantLiveness)
-      return cmdAnalyzeLiveness(A);
-    if (WantHazards)
-      return cmdAnalyzeHazards(A);
-    return cmdAnalyzeChecks(A, WantTypes   ? "types"
-                               : WantBounds ? "bounds"
-                                            : "races");
-  }
-  if (A.Positional.empty())
-    die("usage: dcb analyze <listing>... [--db in.db] -o <out.db>");
+/// `dcb analyze <listing>...`: the ISA Analyzer's learning pass.
+int cmdAnalyzeLearn(const Args &A) {
   std::optional<analyzer::IsaAnalyzer> Analyzer;
   if (auto DbPath = A.get("--db"))
     Analyzer.emplace(loadDb(*DbPath));
@@ -498,6 +463,63 @@ int cmdAnalyze(const Args &A) {
               Stats.NumOperations, Stats.NumModifiers, Stats.NumUnaries,
               Stats.NumTokens, A.need("--out").c_str());
   return 0;
+}
+
+/// One form of `dcb analyze`: the switch that picks it (empty for the
+/// learning form), its usage line and the flags it reads besides the
+/// switch.
+struct AnalyzeMode {
+  std::string_view Switch;
+  int (*Run)(const Args &);
+  const char *Usage;
+  std::vector<std::string_view> Flags;
+};
+
+int cmdAnalyze(const Args &A) {
+  static const std::vector<AnalyzeMode> Modes = {
+      {"", cmdAnalyzeLearn,
+       "usage: dcb analyze <listing>... [--db in.db] -o <out.db>",
+       {"--db", "--out"}},
+      {"--liveness", cmdAnalyzeLiveness,
+       "usage: dcb analyze --liveness <cubin|listing> [--json[=FILE]]",
+       {"--json"}},
+      {"--hazards", cmdAnalyzeHazards,
+       "usage: dcb analyze --hazards <cubin|listing> [--json[=FILE]] "
+       "[--fail-on SEV]",
+       {"--json", "--fail-on"}},
+      {"--types", [](const Args &A) { return cmdAnalyzeChecks(A, "types"); },
+       "usage: dcb analyze --types <cubin|listing> [--json[=FILE]] "
+       "[--fail-on SEV]",
+       {"--json", "--fail-on"}},
+      {"--bounds", [](const Args &A) { return cmdAnalyzeChecks(A, "bounds"); },
+       "usage: dcb analyze --bounds <cubin|listing> [--json[=FILE]] "
+       "[--fail-on SEV] [--threads N] [--blocks N] [--warp-size N]",
+       {"--json", "--fail-on", "--threads", "--blocks", "--warp-size"}},
+      {"--races", [](const Args &A) { return cmdAnalyzeChecks(A, "races"); },
+       "usage: dcb analyze --races <cubin|listing> [--json[=FILE]] "
+       "[--fail-on SEV] [--threads N] [--blocks N] [--warp-size N]",
+       {"--json", "--fail-on", "--threads", "--blocks", "--warp-size"}},
+  };
+  const AnalyzeMode *Mode = &Modes[0];
+  for (const AnalyzeMode &M : Modes)
+    if (!M.Switch.empty() && A.Options.count(std::string(M.Switch))) {
+      if (Mode != &Modes[0])
+        die("pick one of --liveness / --hazards / --types / --bounds / "
+            "--races");
+      Mode = &M;
+    }
+  for (const auto &Option : A.Options) {
+    const std::string &Flag = Option.first;
+    if (Flag != Mode->Switch &&
+        std::find(Mode->Flags.begin(), Mode->Flags.end(), Flag) ==
+            Mode->Flags.end())
+      die("analyze" +
+          (Mode->Switch.empty() ? "" : " " + std::string(Mode->Switch)) +
+          " does not take " + Flag);
+  }
+  if (A.Positional.empty())
+    die(Mode->Usage);
+  return Mode->Run(A);
 }
 
 int cmdFlip(const Args &A) {
@@ -1154,11 +1176,15 @@ int cmdTop(const Args &A) {
       "                                          hazards, database and ISA\n"
       "                                          table audits; exits 1 on\n"
       "                                          any error finding\n"
-      "  analyze --liveness|--hazards <cubin|listing>\n"
-      "                                          dataflow / hazard report\n"
-      "                                          for one program\n"
-      "  analyze --types|--bounds|--races <cubin|listing>\n"
-      "          [--threads N] [--blocks N] [--warp-size N]\n"
+      "  analyze --liveness <cubin|listing> [--json[=FILE]]\n"
+      "                                          dataflow report for one\n"
+      "                                          program\n"
+      "  analyze --hazards <cubin|listing> [--json[=FILE]] [--fail-on SEV]\n"
+      "                                          CFG + SCHI hazard findings\n"
+      "                                          (the rules of dcb lint)\n"
+      "  analyze --types <cubin|listing> [--json[=FILE]] [--fail-on SEV]\n"
+      "  analyze --bounds|--races <cubin|listing> [--json[=FILE]]\n"
+      "          [--fail-on SEV] [--threads N] [--blocks N] [--warp-size N]\n"
       "                                          typed-IR checkers: type\n"
       "                                          inference + TYP confusion\n"
       "                                          rules (--types), static\n"
@@ -1167,9 +1193,10 @@ int cmdTop(const Args &A) {
       "                                          barrier-interval shared-\n"
       "                                          memory races (--races);\n"
       "                                          --json emits dcb-analysis-v1\n"
-      "  (lint/analyze: --json prints dcb-lint-v1 JSON, --json=FILE saves;\n"
-      "   --fail-on error|warning|never picks the findings severity that\n"
-      "   makes the exit code non-zero — default error)\n"
+      "  (lint, analyze --hazards: --json prints dcb-lint-v1 JSON;\n"
+      "   --json=FILE saves; --fail-on error|warning|never picks the\n"
+      "   findings severity that makes the exit code non-zero — default\n"
+      "   error)\n"
       "  exec <cubin|listing> <kernel|all> [--seed N]\n"
       "       [--threads N] [--blocks N] [--warp-size N] [--oob wrap|fault]\n"
       "       [--watch-shared]\n"
